@@ -12,9 +12,8 @@ from pathlib import Path
 
 from rcmwalk.experiments import (
     ExperimentConfig,
-    run_annealed_exponent,
     run_bound_suite,
-    run_quenched_exponent,
+    run_exponent,
 )
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -31,13 +30,13 @@ with tempfile.TemporaryDirectory() as tmp:
         directory=str(Path(tmp) / "quenched"),
     )
 
-    rep = run_quenched_exponent(cfg)
+    rep = run_exponent(cfg)
     agg = rep.quenched[0]
     print(f"quenched: slope {agg.slope:.4f} CI [{agg.ci_low:.4f}, {agg.ci_high:.4f}] "
           f"over {agg.n_envs} environments (box N={rep.box_radius})")
 
     cfg.directory = str(Path(tmp) / "annealed")
-    rep_a = run_annealed_exponent(cfg)
+    rep_a = run_exponent(cfg, annealed=True)
     print(f"annealed: slope {rep_a.annealed[0].slope:.4f} "
           f"(quenched mean {rep_a.quenched[0].slope:.4f})")
 

@@ -21,9 +21,8 @@ from . import __version__
 from .errors import NumericalError, RcmError, ValidationError
 from .experiments import (
     load_config,
-    run_annealed_exponent,
     run_bound_suite,
-    run_quenched_exponent,
+    run_exponent,
     write_csv,
     write_manifest,
 )
@@ -237,8 +236,7 @@ def _cmd_exponent(args) -> int:
         cfg.master_seed = args.seed
     if args.out is not None:
         cfg.directory = args.out
-    runner = run_annealed_exponent if args.annealed else run_quenched_exponent
-    report = runner(cfg, threads=args.threads)
+    report = run_exponent(cfg, threads=args.threads, annealed=args.annealed)
     for agg in report.quenched:
         print(
             f"gamma={agg.gamma}: quenched slope {agg.slope:.4f} "

@@ -392,12 +392,40 @@ def _fit_with_marker(gamma: float, seed: int, curve: ReturnProbabilityCurve, win
         )
 
 
-def run_quenched_exponent(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Per-environment exponent fits, then a summary per gamma.
+def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[AggregateSlope, list]:
+    """Pointwise mean curve over one gamma's environments, its fit and its CSV rows."""
+    stack = np.vstack([curve.p for _, _, curve in group])
+    mean_p = stack.mean(axis=0)
+    se_p = stack.std(axis=0, ddof=1) / math.sqrt(len(group)) if len(group) > 1 else np.zeros_like(mean_p)
+    template = group[0][2]
+    mean_curve = ReturnProbabilityCurve(
+        t=template.t,
+        p=mean_p,
+        stderr=se_p,
+        method=template.method,
+        d=template.d,
+        N=template.N,
+        gamma=gamma,
+        seed=cfg.master_seed,
+    )
+    fa = fit_exponent(mean_curve, window)
+    fit = AggregateSlope(gamma=gamma, slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(group))
+    rows = [
+        [mean_curve.t[j], mean_p[j], se_p[j], mean_curve.method, cfg.d, mean_curve.N, gamma, len(group)]
+        for j in range(len(mean_curve.t))
+    ]
+    return fit, rows
+
+
+def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False) -> ExperimentReport:
+    """Per-environment exponent fits summarized per gamma; optionally also annealed.
 
     Environments whose fit fails (a Monte Carlo curve can estimate zero at
     late times) are persisted with a failure marker and excluded from the
-    aggregate; the run errors out only when no environment survives.
+    summary; the run errors out only when no environment survives.  The
+    quenched run writes ``exponent_fits.csv``; the annealed run instead
+    averages the curves across environments per gamma, fits once, and writes
+    ``annealed_curve.csv`` and ``annealed_report.csv``.
     """
     cfg.validate()
     start = time.monotonic()
@@ -405,129 +433,60 @@ def run_quenched_exponent(cfg: ExperimentConfig, threads: int = 1) -> Experiment
     out.mkdir(parents=True, exist_ok=True)
     window = cfg.window()
     results = _ensemble_curves(cfg, threads)
+    box = results[0][2].N
 
     per_env = [_fit_with_marker(gamma, seed, curve, window) for gamma, seed, curve in results]
-    aggregates = []
+    quenched = []
     for g in cfg.gammas():
         good = np.array([e.slope for e in per_env if e.gamma == g and e.status == "ok"])
         if len(good) == 0:
             raise ValidationError(f"every environment fit failed for gamma={g}")
-        aggregates.append(_slope_summary(g, good))
+        quenched.append(_slope_summary(g, good))
 
-    files = [_write_curves_csv(out, results)]
-    write_csv(
-        out / "exponent_fits.csv",
-        ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
-        [
-            [e.gamma, cfg.d, results[0][2].N, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status]
-            for e in per_env
-        ],
-    )
-    files.append("exponent_fits.csv")
-    write_csv(
-        out / "exponent_report.csv",
-        ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"],
-        [
-            [a.gamma, cfg.d, results[0][2].N, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]
+    def summary_rows(aggregates):
+        return [
+            [a.gamma, cfg.d, box, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]
             for a in aggregates
-        ],
-    )
-    files.append("exponent_report.csv")
-    elapsed = time.monotonic() - start
-    write_manifest(out, "exponent", cfg, files, elapsed)
-    return ExperimentReport(
-        kind="quenched",
-        config_hash=config_hash(cfg),
-        box_radius=results[0][2].N,
-        window=window,
-        per_env=per_env,
-        quenched=aggregates,
-        elapsed_s=elapsed,
-        files=files + ["manifest.txt"],
-        curves=[r[2] for r in results],
-    )
+        ]
 
-
-def run_annealed_exponent(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Average the curves across environments, then fit one slope per gamma."""
-    cfg.validate()
-    start = time.monotonic()
-    out = Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    window = cfg.window()
-    results = _ensemble_curves(cfg, threads)
-
-    per_env: list[EnvironmentFit] = []
-    annealed: list[AggregateSlope] = []
-    quenched: list[AggregateSlope] = []
-    annealed_rows = []
-    for gamma in cfg.gammas():
-        group = [r for r in results if r[0] == gamma]
-        fits = [_fit_with_marker(gamma, seed, curve, window) for _, seed, curve in group]
-        per_env.extend(fits)
-        good = np.array([e.slope for e in fits if e.status == "ok"])
-        if len(good) == 0:
-            raise ValidationError(f"every environment fit failed for gamma={gamma}")
-        quenched.append(_slope_summary(gamma, good))
-
-        stack = np.vstack([curve.p for _, _, curve in group])
-        mean_p = stack.mean(axis=0)
-        se_p = stack.std(axis=0, ddof=1) / math.sqrt(len(group)) if len(group) > 1 else np.zeros_like(mean_p)
-        template = group[0][2]
-        mean_curve = ReturnProbabilityCurve(
-            t=template.t,
-            p=mean_p,
-            stderr=se_p,
-            method=template.method,
-            d=template.d,
-            N=template.N,
-            gamma=gamma,
-            seed=cfg.master_seed,
-        )
-        fa = fit_exponent(mean_curve, window)
-        annealed.append(
-            AggregateSlope(gamma=gamma, slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(group))
-        )
-        for j in range(len(mean_curve.t)):
-            annealed_rows.append(
-                [mean_curve.t[j], mean_p[j], se_p[j], mean_curve.method, cfg.d, mean_curve.N, gamma, len(group)]
-            )
-
+    summary_header = ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"]
     files = [_write_curves_csv(out, results)]
-    write_csv(
-        out / "annealed_curve.csv",
-        ["t", "p", "stderr", "method", "d", "N", "gamma", "n_envs"],
-        annealed_rows,
-    )
-    files.append("annealed_curve.csv")
-    write_csv(
-        out / "annealed_report.csv",
-        ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"],
-        [
-            [a.gamma, cfg.d, results[0][2].N, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]
-            for a in annealed
-        ],
-    )
-    files.append("annealed_report.csv")
-    write_csv(
-        out / "exponent_report.csv",
-        ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"],
-        [
-            [a.gamma, cfg.d, results[0][2].N, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]
-            for a in quenched
-        ],
-    )
+    annealed_fits: list[AggregateSlope] = []
+    if annealed:
+        annealed_rows = []
+        for g in cfg.gammas():
+            fit, rows = _annealed_fit(cfg, g, [r for r in results if r[0] == g], window)
+            annealed_fits.append(fit)
+            annealed_rows.extend(rows)
+        write_csv(
+            out / "annealed_curve.csv",
+            ["t", "p", "stderr", "method", "d", "N", "gamma", "n_envs"],
+            annealed_rows,
+        )
+        write_csv(out / "annealed_report.csv", summary_header, summary_rows(annealed_fits))
+        files += ["annealed_curve.csv", "annealed_report.csv"]
+    else:
+        write_csv(
+            out / "exponent_fits.csv",
+            ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
+            [
+                [e.gamma, cfg.d, box, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status]
+                for e in per_env
+            ],
+        )
+        files.append("exponent_fits.csv")
+    write_csv(out / "exponent_report.csv", summary_header, summary_rows(quenched))
     files.append("exponent_report.csv")
     elapsed = time.monotonic() - start
-    write_manifest(out, "annealed", cfg, files, elapsed)
+    write_manifest(out, "annealed" if annealed else "exponent", cfg, files, elapsed)
     return ExperimentReport(
-        kind="annealed",
+        kind="annealed" if annealed else "quenched",
         config_hash=config_hash(cfg),
-        box_radius=results[0][2].N,
+        box_radius=box,
         window=window,
         per_env=per_env,
         quenched=quenched,
-        annealed=annealed,
+        annealed=annealed_fits,
         elapsed_s=elapsed,
         files=files + ["manifest.txt"],
         curves=[r[2] for r in results],

@@ -204,13 +204,19 @@ class Environment:
             raise ValidationError(
                 f"omega has {self.omega.shape} entries, geometry needs {self.geometry.n_bonds}"
             )
+        bad = ~((self.omega > 0) & (self.omega <= 1))  # NaN fails both comparisons
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"conductance of bond {k} is {self.omega[k]!r}, outside (0, 1]")
+        if not self.gamma > 0:
+            raise ValidationError(f"gamma must be positive or inf, got {self.gamma!r}")
         self.omega.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Environment)
             and self.geometry == other.geometry
-            and (self.gamma == other.gamma or (math.isnan(self.gamma) and math.isnan(other.gamma)))
+            and self.gamma == other.gamma
             and self.seed == other.seed
             and np.array_equal(self.omega, other.omega)
         )
@@ -417,7 +423,8 @@ def load_environment(path) -> Environment:
     """Read an environment saved by :func:`save_environment`.
 
     Raises :class:`VersionMismatchError`, :class:`TruncatedFileError` or
-    :class:`ChecksumError` on malformed input.
+    :class:`ChecksumError` on malformed input, and :class:`EnvironmentFileError`
+    when the stored conductances or gamma are out of range.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -444,4 +451,7 @@ def load_environment(path) -> Environment:
     if geom.n_bonds != n_bonds:
         raise EnvironmentFileError(f"{path}: bond count {n_bonds} inconsistent with geometry")
     omega = np.frombuffer(blob[head_end : expected - 8], dtype="<f8").astype(np.float64)
-    return Environment(geometry=geom, gamma=float(gamma), seed=int(seed), omega=omega)
+    try:
+        return Environment(geometry=geom, gamma=float(gamma), seed=int(seed), omega=omega)
+    except ValidationError as exc:
+        raise EnvironmentFileError(f"{path}: {exc}") from exc

@@ -10,7 +10,6 @@ the strong cluster, and a fixed anchor site on that boundary.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +72,6 @@ class ClusterDecomposition:
     @property
     def cluster_size(self) -> int:
         return int(self.in_cluster.sum())
-
-    def phi(self, box_radius: int | None = None) -> np.ndarray:
-        """Strong-cluster indicator, optionally restricted to ``B_n`` sites."""
-        ind = self.in_cluster.astype(np.float64)
-        if box_radius is None:
-            return ind
-        return ind[self.env.geometry.sub_box_indices(box_radius)]
 
 
 def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
@@ -224,9 +216,3 @@ def write_decomposition_csv(decomp: ClusterDecomposition, path) -> None:
         for s in range(geom.n_sites):
             writer.writerow([s] + [int(c) for c in coords[s]] + [int(decomp.labels[s])])
 
-
-def log_volume_bound(n: int) -> float:
-    """The asymptotic hole-volume envelope ``(log n)**(5/2)``."""
-    if n < 2:
-        raise ValidationError("the envelope needs n >= 2")
-    return math.log(n) ** 2.5

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import simpson
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -27,7 +26,7 @@ from .errors import NumericalError, ValidationError
 from .heatkernel import poisson_truncation_k, poisson_weights
 from .lattice import Environment
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, ensemble_walk, transition_matrix
+from .walk import BoxChain, _restrict, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 
@@ -134,20 +133,19 @@ def _symmetrized(spec: OperatorSpec):
     if "sym" in spec._cache:
         return spec._cache["sym"]
     chain = spec.chain
-    env, geom = spec.env, spec.env.geometry
-    sub = chain.sites
-    inv = np.full(geom.n_sites, -1, dtype=np.int64)
-    inv[sub] = np.arange(len(sub), dtype=np.int64)
-    inside = (inv[geom.bond_u] >= 0) & (inv[geom.bond_v] >= 0)
-    u, v = inv[geom.bond_u[inside]], inv[geom.bond_v[inside]]
+    (row, col, w), _ = _restrict(spec.env, chain.sites, inverse_index=True)
     sqrt_pi = np.sqrt(chain.pi)
-    w = env.omega[inside] / (sqrt_pi[u] * sqrt_pi[v])
-    m = len(sub)
-    off = coo_matrix((np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(m, m))
+    m = len(chain.sites)
+    off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
     diag = 1.0 + spec.lam * spec.phi_box
     S = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
     spec._cache["sym"] = (S, sqrt_pi)
     return spec._cache["sym"]
+
+
+def _start_vector(sqrt_pi: np.ndarray) -> np.ndarray:
+    """Fixed Lanczos start ``sqrt(pi) / ||sqrt(pi)||``, close to the ground state."""
+    return sqrt_pi / np.linalg.norm(sqrt_pi)
 
 
 def _dense_eig(spec: OperatorSpec):
@@ -180,14 +178,11 @@ def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (len(sub),):
         raise ValidationError(f"f must have one value per B_{n} site ({len(sub)}), got {f.shape}")
-    ext = np.zeros(geom.n_sites)
-    ext[sub] = f
-    # bonds of B_{n+1} touching B_n: everything else has df = 0
-    linf = geom.linf_norm
-    bu, bv = geom.bond_u, geom.bond_v
-    keep = (linf[bu] <= n + 1) & (linf[bv] <= n + 1) & ((linf[bu] <= n) | (linf[bv] <= n))
-    df = ext[bv[keep]] - ext[bu[keep]]
-    return float(np.sum(df * df * env.omega[keep]))
+    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub, inverse_index=True)
+    df = f[row] - f[col]
+    rim = np.bincount(rim_row, weights=rim_w, minlength=len(sub))
+    # each inside bond appears in both directions; bonds over the rim see df = f
+    return float(0.5 * np.sum(df * df * w) + np.sum(rim * f * f))
 
 
 def rayleigh_quotient(spec: OperatorSpec, f: np.ndarray) -> float:
@@ -218,7 +213,8 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> Spec
     """Smallest eigenvalue of ``-G`` on the pi-weighted box.
 
     Small boxes take the dense route; otherwise a shift-invert Lanczos
-    iteration around zero (the operator is positive definite).
+    iteration around zero (the operator is positive definite), started from
+    ``sqrt(pi)`` so that repeated runs take the same iterations.
     """
     S, sqrt_pi = _symmetrized(spec)
     m = S.shape[0]
@@ -237,7 +233,9 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> Spec
 
         opinv = LinearOperator(S.shape, matvec=op)
         try:
-            vals, vecs = eigsh(S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=maxiter)
+            vals, vecs = eigsh(
+                S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=maxiter, v0=_start_vector(sqrt_pi)
+            )
         except Exception as exc:  # ARPACK non-convergence
             raise NumericalError(f"principal eigensolve failed: {exc}") from exc
         lam1 = float(vals[0])
@@ -289,7 +287,7 @@ def feynman_kac_krylov(spec: OperatorSpec, t: float, n_terms: int = 16) -> tuple
     solver = splu(S)
     opinv = LinearOperator(S.shape, matvec=solver.solve)
     try:
-        vals, vecs = eigsh(S, k=k, sigma=0.0, which="LM", OPinv=opinv)
+        vals, vecs = eigsh(S, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=_start_vector(sqrt_pi))
     except Exception as exc:
         raise NumericalError(f"Krylov eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
@@ -595,7 +593,3 @@ def homogeneous_lambda1_exact(N: int) -> float:
         raise ValidationError("box radius must be >= 0")
     return 1.0 - math.cos(math.pi / (2 * N + 2))
 
-
-def poisson_cdf(k: int, rate: float) -> float:
-    """Convenience wrapper used by the discrete-time comparison reports."""
-    return float(stats.poisson.cdf(k, rate))

@@ -12,9 +12,8 @@ from rcmwalk.experiments import (
     exploratory_small_gamma_config,
     load_config,
     parse_config,
-    run_annealed_exponent,
     run_bound_suite,
-    run_quenched_exponent,
+    run_exponent,
     save_config,
 )
 
@@ -93,7 +92,7 @@ class TestConfig:
 class TestQuenchedRunner:
     def test_report_and_files(self, tmp_path):
         cfg = _cfg(tmp_path)
-        rep = run_quenched_exponent(cfg)
+        rep = run_exponent(cfg)
         assert rep.kind == "quenched"
         assert len(rep.per_env) == 3
         assert len(rep.quenched) == 1
@@ -104,8 +103,8 @@ class TestQuenchedRunner:
         assert header == "gamma,d,N,t_min,t_max,slope,ci_low,ci_high,n_envs"
 
     def test_byte_determinism(self, tmp_path):
-        rep1 = run_quenched_exponent(_cfg(tmp_path, "a"))
-        rep2 = run_quenched_exponent(_cfg(tmp_path, "b"))
+        rep1 = run_exponent(_cfg(tmp_path, "a"))
+        rep2 = run_exponent(_cfg(tmp_path, "b"))
         for name in ("curves.csv", "exponent_fits.csv", "exponent_report.csv"):
             b1 = (tmp_path / "a" / name).read_bytes()
             b2 = (tmp_path / "b" / name).read_bytes()
@@ -113,13 +112,13 @@ class TestQuenchedRunner:
         assert rep1.config_hash != rep2.config_hash  # directories differ
 
     def test_threads_do_not_change_output(self, tmp_path):
-        run_quenched_exponent(_cfg(tmp_path, "s"), threads=1)
-        run_quenched_exponent(_cfg(tmp_path, "t"), threads=2)
+        run_exponent(_cfg(tmp_path, "s"), threads=1)
+        run_exponent(_cfg(tmp_path, "t"), threads=2)
         assert (tmp_path / "s" / "curves.csv").read_bytes() == (tmp_path / "t" / "curves.csv").read_bytes()
 
     def test_manifest_hashes(self, tmp_path):
         cfg = _cfg(tmp_path)
-        rep = run_quenched_exponent(cfg)
+        rep = run_exponent(cfg)
         out = Path(cfg.directory)
         manifest = (out / "manifest.txt").read_text()
         assert f"config_hash=sha256:{rep.config_hash}" in manifest
@@ -132,7 +131,7 @@ class TestQuenchedRunner:
         cfg = _cfg(tmp_path)
         cfg.n_environments = 0
         with pytest.raises(ValidationError):
-            run_quenched_exponent(cfg)
+            run_exponent(cfg)
         assert not (Path(cfg.directory) / "exponent_report.csv").exists()
 
     def test_mc_method(self, tmp_path):
@@ -142,7 +141,7 @@ class TestQuenchedRunner:
         cfg.n_paths = 4000
         cfg.t_max = 30.0
         cfg.window_t_max = 30.0
-        rep = run_quenched_exponent(cfg)
+        rep = run_exponent(cfg)
         assert all(np.isfinite(e.slope) for e in rep.per_env if e.status == "ok")
         assert any(e.status == "ok" for e in rep.per_env)
 
@@ -154,7 +153,7 @@ class TestQuenchedRunner:
         cfg.n_environments = 4
         cfg.n_paths = 40
         try:
-            rep = run_quenched_exponent(cfg)
+            rep = run_exponent(cfg)
         except Exception as exc:
             assert "every environment fit failed" in str(exc)
             return
@@ -167,7 +166,7 @@ class TestQuenchedRunner:
 class TestAnnealedRunner:
     def test_average_then_fit(self, tmp_path):
         cfg = _cfg(tmp_path)
-        rep = run_annealed_exponent(cfg)
+        rep = run_exponent(cfg, annealed=True)
         assert rep.kind == "annealed"
         assert len(rep.annealed) == 1
         assert len(rep.quenched) == 1
@@ -177,7 +176,7 @@ class TestAnnealedRunner:
 
     def test_annealed_dominates_min_quenched(self, tmp_path):
         cfg = _cfg(tmp_path)
-        rep = run_annealed_exponent(cfg)
+        rep = run_exponent(cfg, annealed=True)
         stack = np.vstack([c.p for c in rep.curves])
         mean = stack.mean(axis=0)
         assert np.all(mean >= stack.min(axis=0) - 1e-15)
@@ -185,7 +184,7 @@ class TestAnnealedRunner:
     def test_quenched_annealed_consistent(self, tmp_path):
         # gamma > d/2: the two aggregations see the same exponent
         cfg = _cfg(tmp_path)
-        rep = run_annealed_exponent(cfg)
+        rep = run_exponent(cfg, annealed=True)
         q = rep.quenched[0]
         a = rep.annealed[0]
         joint = max(q.ci_high - q.ci_low, a.ci_high - a.ci_low, 0.1)

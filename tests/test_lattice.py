@@ -7,6 +7,7 @@ from rcmwalk import (
     BoxGeometry,
     ChecksumError,
     ConductanceLaw,
+    Environment,
     EnvironmentFileError,
     TruncatedFileError,
     ValidationError,
@@ -123,6 +124,45 @@ class TestSampling:
         s2 = derive_environment_seeds(42, 5)
         assert np.array_equal(s1, s2)
         assert len(set(s1.tolist())) == 5
+
+
+class TestEnvironmentValidation:
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 0.0, 1.5, math.inf])
+    def test_bad_conductance(self, bad):
+        geom = BoxGeometry(2, 2)
+        omega = np.full(geom.n_bonds, 0.5)
+        omega[7] = bad
+        with pytest.raises(ValidationError, match="bond 7"):
+            Environment(geometry=geom, gamma=2.0, seed=0, omega=omega)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, -math.inf])
+    def test_bad_gamma(self, bad):
+        geom = BoxGeometry(2, 2)
+        with pytest.raises(ValidationError, match="gamma"):
+            Environment(geometry=geom, gamma=bad, seed=0, omega=np.ones(geom.n_bonds))
+
+    def test_infinite_gamma_accepted(self):
+        assert homogeneous_environment(2, 2).gamma == math.inf
+
+    @pytest.mark.parametrize("field", ["omega", "gamma"])
+    def test_nan_file_with_valid_crc(self, tmp_path, field):
+        # an RCMENV1 file written by hand: intact framing, correct CRC, NaN inside
+        import struct
+
+        from rcmwalk.lattice import crc64
+
+        geom = BoxGeometry(2, 2)
+        omega = np.full(geom.n_bonds, 0.5)
+        gamma = 2.0
+        if field == "omega":
+            omega[3] = math.nan
+        else:
+            gamma = math.nan
+        body = b"RCMENV1" + struct.pack("<IIdQQ", 2, 2, gamma, 0, geom.n_bonds) + omega.astype("<f8").tobytes()
+        path = tmp_path / "nan.rcmenv"
+        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        with pytest.raises(EnvironmentFileError, match="nan.rcmenv"):
+            load_environment(path)
 
 
 class TestPi:

@@ -106,6 +106,16 @@ class TestLambda1:
         ]
         assert all(vals[i + 1] >= vals[i] - 1e-13 for i in range(len(vals) - 1))
 
+    def test_shift_invert_is_deterministic(self):
+        # two fresh specs on one environment take the same Lanczos path
+        env = sample_environment(BoxGeometry(2, 17), 2.0, 5)
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.9))
+        reps = [lambda1(prescribed_spec(env, dec, 16)) for _ in range(2)]
+        assert reps[0].iterations > 0
+        assert reps[0].Lambda1 == reps[1].Lambda1
+        assert reps[0].residual == reps[1].residual
+        assert reps[0].iterations == reps[1].iterations
+
     def test_eigvector_normalized_nonnegative(self, rand_env, rand_decomp):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.2)
         rep = lambda1(spec)

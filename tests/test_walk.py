@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from rcmwalk import (
     BoxGeometry,
@@ -15,9 +16,11 @@ from rcmwalk import (
     ensemble_walk,
     homogeneous_environment,
     next_point_frequencies,
+    sample_environment,
     simulate_ctmc,
     step_distribution,
     strong_cluster,
+    threshold_for_density,
     time_changed_trajectory,
     transition_matrix,
 )
@@ -59,6 +62,58 @@ class TestStepDistribution:
     def test_outside_box(self, small_env):
         with pytest.raises(ValidationError):
             step_distribution(small_env, -1)
+
+
+class TestRestriction:
+    def test_inside_and_rim_bonds_sum_to_pi(self, small_env, holey_decomp):
+        # every bond at a site is either inside the set or over its rim
+        from rcmwalk.walk import _restrict
+
+        geom = small_env.geometry
+        sets = [geom.sub_box_indices(n) for n in (0, 3, 7)] + [h.sites for h in holey_decomp.holes]
+        for sites in sets:
+            for inverse_index in (False, True):
+                sub = np.sort(sites)
+                (row, col, w), (rim_row, outside, rim_w) = _restrict(small_env, sub, inverse_index)
+                total = np.bincount(row, w, len(sub)) + np.bincount(rim_row, rim_w, len(sub))
+                np.testing.assert_allclose(total, small_env.pi_all[sub], rtol=1e-15)
+                assert not np.isin(outside, sub).any()
+                assert np.array_equal(np.sort(sub[row] * geom.n_sites + sub[col]),
+                                      np.sort(sub[col] * geom.n_sites + sub[row]))
+
+    def test_box_chain_matches_bond_list_assembly(self, small_env):
+        # reference: the killed chain assembled from the canonical bond list
+        geom = small_env.geometry
+        chain = transition_matrix(small_env, geom.N - 1)
+        inv = np.full(geom.n_sites, -1)
+        inv[chain.sites] = np.arange(len(chain.sites))
+        keep = (inv[geom.bond_u] >= 0) & (inv[geom.bond_v] >= 0)
+        u, v, w = geom.bond_u[keep], geom.bond_v[keep], small_env.omega[keep]
+        pi = small_env.pi_all
+        vals = np.concatenate([w / pi[u], w / pi[v]])
+        ref = coo_matrix((vals, (inv[np.concatenate([u, v])], inv[np.concatenate([v, u])])), shape=chain.P.shape)
+        ref = ref.tocsr()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(chain.P, attr), getattr(ref, attr))
+
+    def test_hole_solve_matches_loop_assembly(self, small_env, holey_decomp):
+        # reference: the hole system assembled site by site, then the same dense solve
+        from rcmwalk.walk import _hole_hitting_matrix
+
+        geom = small_env.geometry
+        for k, hole in enumerate(holey_decomp.holes):
+            sites, bdry = hole.sites.tolist(), hole.boundary.tolist()
+            A = np.zeros((len(sites), len(sites)))
+            B = np.zeros((len(sites), len(bdry)))
+            for a, z in enumerate(sites):
+                A[a, a] = small_env.pi_all[z]
+                for y, w in zip(geom.neighbor_table[z].tolist(), small_env.omega_by_direction[z]):
+                    if w > 0 and y in sites:
+                        A[a, sites.index(y)] -= w
+                    elif w > 0:
+                        B[a, bdry.index(y)] += w
+            _, _, H = _hole_hitting_matrix(small_env, holey_decomp, k)
+            assert np.array_equal(H, np.linalg.solve(A, B))
 
 
 class TestDetailedBalance:
@@ -303,6 +358,24 @@ class TestEffectiveConductances:
         rows = np.asarray(M.sum(axis=1)).ravel()
         mask = holey_decomp.in_cluster
         np.testing.assert_allclose(rows[mask], small_env.pi_all[mask], rtol=1e-12)
+
+    def test_hole_above_two_thousand_sites(self):
+        # the largest hole of this box (2,632 sites, 179 boundary sites) goes
+        # through the same dense solve as the single-site holes
+        from rcmwalk.walk import _hole_hitting_matrix
+
+        env = sample_environment(BoxGeometry(2, 40), 2.0, 3)
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.52))
+        k = max(range(len(dec.holes)), key=lambda j: dec.holes[j].volume)
+        hole = dec.holes[k]
+        assert hole.volume >= 2000
+        sites, bdry, H = _hole_hitting_matrix(env, dec, k)
+        assert H.shape == (hole.volume, len(hole.boundary))
+        assert np.all(H >= 0)
+        np.testing.assert_allclose(H.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        ecs = {int(x): effective_conductances(env, dec, int(x)) for x in bdry}
+        gap = max(abs(ecs[x].weight(y) - ecs[y].weight(x)) for x in ecs for y in ecs)
+        assert gap <= 1e-10
 
     def test_support_rule(self, small_env, holey_decomp):
         # positive weight only toward box neighbors on the cluster or sites
