@@ -20,7 +20,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +221,12 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(config_to_text(cfg).encode()).hexdigest()
+    """sha256 of the canonical config text, blind to ``[output] directory``.
+
+    Where a run writes does not change what it computes, so one config and
+    seed hash the same in every output directory.
+    """
+    return hashlib.sha256(config_to_text(replace(cfg, directory="")).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import stats
@@ -383,27 +383,91 @@ def min_conductance_scaling(
 # ---------------------------------------------------------------------------
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # ECMA-182
+_CRC64_MASK = 0xFFFFFFFFFFFFFFFF
+_CRC64_CHUNK = 64  # bytes per chunk CRC-ed in one vectorized pass
 
 
-def _crc64_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 56
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC64_POLY if crc & (1 << 63) else crc << 1) & 0xFFFFFFFFFFFFFFFF
-        table.append(crc)
-    return table
+def _gf2_mulmod(a: int, b: int) -> int:
+    """Product of two CRC registers as GF(2) polynomials, reduced mod the generator."""
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        if a >> 64:
+            a = (a ^ _CRC64_POLY) & _CRC64_MASK
+        b >>= 1
+    return prod
 
 
-_CRC64_TABLE = _crc64_table()
+# CRC of the single byte b: b(x) * x**64 mod P, and x**64 = _CRC64_POLY mod P
+_CRC64_TABLE = np.array([_gf2_mulmod(b, _CRC64_POLY) for b in range(256)], dtype=np.uint64)
+_CRC64_TABLE.flags.writeable = False
 
 
-def crc64(data: bytes, crc: int = 0) -> int:
-    """CRC-64/ECMA-182 of ``data`` (init 0, no reflection, no final xor)."""
-    table = _CRC64_TABLE
-    for byte in data:
-        crc = (table[((crc >> 56) ^ byte) & 0xFF] ^ (crc << 8)) & 0xFFFFFFFFFFFFFFFF
-    return crc
+@cache
+def _zeros_shift_tables(level: int) -> np.ndarray:
+    """(8, 256) tables of the linear map "append ``2**level * _CRC64_CHUNK`` zero bytes".
+
+    With init 0 and no final xor, ``crc(A + B) = shift_len(B)(crc(A)) ^ crc(B)``
+    and the shift is multiplication by ``x**(8 len(B))`` mod the generator
+    (the combine step of zlib's ``crc32_combine``).  Row ``k`` maps the k-th
+    least significant byte of a register to its image; the images of the
+    eight bytes are xor-ed.
+    """
+    n_bits = 8 * _CRC64_CHUNK << level
+    factor, power = 1, 2  # x**n_bits mod P by square-and-multiply, from x**0 and x**1
+    while n_bits:
+        if n_bits & 1:
+            factor = _gf2_mulmod(factor, power)
+        power = _gf2_mulmod(power, power)
+        n_bits >>= 1
+    bit_images = np.array([_gf2_mulmod(factor, 1 << i) for i in range(64)], dtype=np.uint64)
+    values = np.arange(256)
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    for k in range(8):
+        for j in range(8):
+            tables[k, (values >> j) & 1 == 1] ^= bit_images[8 * k + j]
+    tables.flags.writeable = False
+    return tables
+
+
+def crc64(data) -> int:
+    """CRC-64/ECMA-182 of a bytes-like ``data`` (init 0, no reflection, no final xor).
+
+    Leading zero bytes leave this CRC unchanged, so the input is front-padded
+    to whole 64-byte chunks; the table-driven byte step runs across all chunks
+    at once, and the chunk CRCs are then combined pairwise in a tree (a zero
+    CRC in front of an odd count) with the precomputed zero-append shifts.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    n_chunks = -(-raw.size // _CRC64_CHUNK)
+    if n_chunks == 0:
+        return 0
+    head_len = raw.size - (n_chunks - 1) * _CRC64_CHUNK
+    columns = np.zeros((_CRC64_CHUNK, n_chunks), dtype=np.uint8)  # columns[j, c] = byte j of chunk c
+    columns[_CRC64_CHUNK - head_len :, 0] = raw[:head_len]
+    columns[:, 1:] = raw[head_len:].reshape(n_chunks - 1, _CRC64_CHUNK).T
+    crc = np.zeros(n_chunks, dtype=np.uint64)
+    index = np.empty(n_chunks, dtype=np.uint64)
+    for column in columns:
+        np.right_shift(crc, 56, out=index)
+        index ^= column
+        crc <<= 8
+        crc ^= _CRC64_TABLE.take(index.view(np.int64))
+    level = 0
+    while crc.size > 1:
+        if crc.size % 2:
+            crc = np.concatenate([np.zeros(1, dtype=np.uint64), crc])
+        head, crc = crc[0::2], crc[1::2].copy()
+        shift = _zeros_shift_tables(level)
+        byte = index[: head.size]
+        for k in range(8):
+            np.right_shift(head, 8 * k, out=byte)
+            byte &= 0xFF
+            crc ^= shift[k].take(byte.view(np.int64))
+        level += 1
+    return int(crc[0])
 
 
 def save_environment(env: Environment, path) -> None:
@@ -411,12 +475,10 @@ def save_environment(env: Environment, path) -> None:
     header = _ENV_MAGIC + _ENV_HEADER.pack(
         env.geometry.d, env.geometry.N, env.gamma, env.seed, env.geometry.n_bonds
     )
-    payload = env.omega.astype("<f8").tobytes()
-    trailer = struct.pack("<Q", crc64(header + payload))
+    body = header + env.omega.astype("<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(trailer)
+        fh.write(body)
+        fh.write(struct.pack("<Q", crc64(body)))
 
 
 def load_environment(path) -> Environment:
@@ -424,7 +486,8 @@ def load_environment(path) -> Environment:
 
     Raises :class:`VersionMismatchError`, :class:`TruncatedFileError` or
     :class:`ChecksumError` on malformed input, and :class:`EnvironmentFileError`
-    when the stored conductances or gamma are out of range.
+    on bytes after the trailer or when the stored conductances or gamma are
+    out of range.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -444,8 +507,10 @@ def load_environment(path) -> Environment:
     expected = head_end + 8 * n_bonds + 8
     if len(blob) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(blob)}")
+    if len(blob) > expected:
+        raise EnvironmentFileError(f"{path}: {len(blob) - expected} extra byte(s) after the CRC-64 trailer")
     (stored_crc,) = struct.unpack("<Q", blob[expected - 8 : expected])
-    if crc64(blob[: expected - 8]) != stored_crc:
+    if crc64(memoryview(blob)[: expected - 8]) != stored_crc:
         raise ChecksumError(f"{path}: CRC-64 trailer mismatch")
     geom = BoxGeometry(int(d), int(N))
     if geom.n_bonds != n_bonds:

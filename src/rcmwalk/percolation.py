@@ -9,7 +9,6 @@ the strong cluster, and a fixed anchor site on that boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,13 +205,23 @@ def percolation_density_warning(d: int, p: float) -> str | None:
     return None
 
 
+_CSV_BLOCK_ROWS = 16384  # rows formatted per string operation; bounds the temporary arrays
+
+
 def write_decomposition_csv(decomp: ClusterDecomposition, path) -> None:
-    """Export per-site labels: site_index, x_1..x_d, label (-1 = strong cluster)."""
+    """Export per-site labels: site_index, x_1..x_d, label (-1 = strong cluster).
+
+    Lines end in CRLF, as the csv module's default dialect writes them; rows
+    are formatted a block of sites at a time.
+    """
     geom = decomp.env.geometry
     coords = geom.all_coords
+    row = ",".join(["%d"] * (geom.d + 2)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site_index"] + [f"x_{i + 1}" for i in range(geom.d)] + ["label"])
-        for s in range(geom.n_sites):
-            writer.writerow([s] + [int(c) for c in coords[s]] + [int(decomp.labels[s])])
-
+        fh.write(",".join(["site_index"] + [f"x_{i + 1}" for i in range(geom.d)] + ["label"]) + "\r\n")
+        for start in range(0, geom.n_sites, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, geom.n_sites)
+            block = np.column_stack(
+                [np.arange(start, stop), coords[start:stop], decomp.labels[start:stop]]
+            )
+            fh.write(row * (stop - start) % tuple(block.ravel().tolist()))

@@ -109,7 +109,7 @@ class TestQuenchedRunner:
             b1 = (tmp_path / "a" / name).read_bytes()
             b2 = (tmp_path / "b" / name).read_bytes()
             assert b1 == b2
-        assert rep1.config_hash != rep2.config_hash  # directories differ
+        assert rep1.config_hash == rep2.config_hash  # the output directory is not hashed
 
     def test_threads_do_not_change_output(self, tmp_path):
         run_exponent(_cfg(tmp_path, "s"), threads=1)

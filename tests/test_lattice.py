@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmwalk import (
     BoxGeometry,
@@ -20,6 +23,7 @@ from rcmwalk import (
     sample_environment,
     save_environment,
 )
+from rcmwalk.lattice import crc64
 
 
 class TestBoxGeometry:
@@ -149,8 +153,6 @@ class TestEnvironmentValidation:
         # an RCMENV1 file written by hand: intact framing, correct CRC, NaN inside
         import struct
 
-        from rcmwalk.lattice import crc64
-
         geom = BoxGeometry(2, 2)
         omega = np.full(geom.n_bonds, 0.5)
         gamma = 2.0
@@ -276,6 +278,72 @@ class TestPersistence:
 
     def test_crc64_catalog_value(self):
         # standard CRC-64/ECMA-182 check value
-        from rcmwalk.lattice import crc64
-
         assert crc64(b"123456789") == 0x6C40DF5F0B497347
+
+    def test_trailing_bytes_rejected(self, small_env, tmp_path):
+        path = tmp_path / "env.rcmenv"
+        save_environment(small_env, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(EnvironmentFileError, match=r"env\.rcmenv: 7 extra byte"):
+            load_environment(path)
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # sha256 of the RCMENV1 bytes as written by the byte-at-a-time CRC
+        env = sample_environment(BoxGeometry(2, 241), 2.0, 301)
+        path = tmp_path / "env.rcmenv"
+        save_environment(env, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ef9fc9777c6a39b043e40dd6f9aff737be388d7a4f4cdff28b421de4f4aeb6de"
+
+    def test_trailer_matches_reference_crc(self, tmp_path):
+        path = tmp_path / "env.rcmenv"
+        save_environment(sample_environment(BoxGeometry(3, 6), 1.5, 4), path)
+        blob = path.read_bytes()
+        assert int.from_bytes(blob[-8:], "little") == _crc64_reference(blob[:-8])
+
+
+def _crc64_reference(data: bytes) -> int:
+    """CRC-64/ECMA-182 one byte at a time, from a bit-by-bit table (the oracle)."""
+    table = []
+    for byte in range(256):
+        crc = byte << 56
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x42F0E1EBA9EA3693 if crc & (1 << 63) else crc << 1) & 0xFFFFFFFFFFFFFFFF
+        table.append(crc)
+    crc = 0
+    for byte in data:
+        crc = (table[((crc >> 56) ^ byte) & 0xFF] ^ (crc << 8)) & 0xFFFFFFFFFFFFFFFF
+    return crc
+
+
+# up to 40 chunks of 64 bytes: six levels of the combine tree
+_CRC_MAX_LEN = 5 * 64 * 8
+
+
+class TestCrc64:
+    @pytest.mark.parametrize(
+        "length", [0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 1023, 1024, 1025, _CRC_MAX_LEN]
+    )
+    def test_chunk_boundaries(self, length):
+        data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert crc64(data) == _crc64_reference(data)
+        assert crc64(memoryview(data)) == crc64(bytearray(data)) == crc64(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=_CRC_MAX_LEN))
+    def test_matches_reference(self, data):
+        assert crc64(data) == _crc64_reference(data)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 3 * 64), st.binary(max_size=2 * 64 * 8))
+    def test_leading_zeros(self, zeros, data):
+        padded = bytes(zeros) + data
+        assert crc64(padded) == _crc64_reference(padded) == crc64(data)
+
+    @settings(deadline=None)
+    @given(st.binary(min_size=1, max_size=_CRC_MAX_LEN), st.data())
+    def test_single_bit_flip_detected(self, data, draw):
+        bit = draw.draw(st.integers(0, 8 * len(data) - 1))
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert crc64(bytes(flipped)) != crc64(data)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from rcmwalk import (
     threshold_for_density,
     write_decomposition_csv,
 )
+from rcmwalk.percolation import _CSV_BLOCK_ROWS
 
 # giant-component site fractions from large-N pilot runs (3 seeds, N=400/40)
 THETA_PILOT = {(2, 0.95): 0.99998, (3, 0.95): 0.9999999}
@@ -204,3 +206,20 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert int(first[-1]) == holey_decomp.labels[0]
+
+    @pytest.mark.parametrize("d, N", [(2, 64), (3, 13)])
+    def test_bytes_match_csv_writer(self, d, N, tmp_path):
+        env = sample_environment(BoxGeometry(d, N), 2.0, 7)
+        decomp = strong_cluster(env, threshold_for_density(2.0, 0.55))
+        geom = env.geometry
+        assert geom.n_sites > _CSV_BLOCK_ROWS  # rows cross a block boundary
+        assert decomp.holes and (decomp.labels == STRONG_LABEL).any()
+        path = tmp_path / "dec.csv"
+        write_decomposition_csv(decomp, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["site_index"] + [f"x_{i + 1}" for i in range(d)] + ["label"])
+            for s in range(geom.n_sites):
+                writer.writerow([s] + [int(c) for c in geom.all_coords[s]] + [int(decomp.labels[s])])
+        assert path.read_bytes() == reference.read_bytes()
