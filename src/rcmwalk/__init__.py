@@ -67,7 +67,6 @@ from .spectral import (
     dirichlet_form,
     eigenvalue_floor,
     exit_time_tail_check,
-    feynman_kac_krylov,
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,

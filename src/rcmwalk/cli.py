@@ -45,11 +45,20 @@ from .percolation import (
 from .spectral import OperatorSpec, eigenvalue_floor, lambda1, prescribed_killing_rate
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="experiment config file")
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least one worker process, got {value}")
+    return value
+
+
+def _common_flags(parser: argparse.ArgumentParser, config: bool = False) -> None:
+    """``--seed`` and ``--out``; ``config`` adds the config-driven ``--config`` and ``--threads``."""
+    if config:
+        parser.add_argument("--config", type=str, default=None, help="experiment config file")
+        parser.add_argument("--threads", type=_worker_count, default=1, help="worker processes for ensembles")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for ensembles")
 
 
 def _out_dir(args, default: str = "out") -> Path:
@@ -368,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.set_defaults(func=_cmd_spectrum)
 
     p_expo = sub.add_parser("exponent", help="quenched/annealed exponent study from a config")
-    _common_flags(p_expo)
+    _common_flags(p_expo, config=True)
     p_expo.add_argument("--annealed", action="store_true", help="average curves before fitting")
     p_expo.set_defaults(func=_cmd_exponent)
 
     p_bnd = sub.add_parser("bounds", help="hole/spectral/survival/exit bound suite from a config")
-    _common_flags(p_bnd)
+    _common_flags(p_bnd, config=True)
     p_bnd.set_defaults(func=_cmd_bounds)
 
     p_rep = sub.add_parser("report", help="verify manifests and summarize runs")

@@ -21,13 +21,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from . import __version__ as _package_version
-from .errors import ValidationError
+from .errors import RcmError, ValidationError
 from .heatkernel import (
     ReturnProbabilityCurve,
     box_radius_for_horizon,
@@ -327,51 +328,38 @@ def _slope_summary(gamma: float, slopes: np.ndarray, confidence: float = 0.95) -
     return AggregateSlope(gamma=gamma, slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
 
 
-def _curve_job(args) -> tuple[float, int, ReturnProbabilityCurve]:
-    (d, gamma, seed, homogeneous, t_min, t_max, per_decade, coupling_c, method, n_paths) = args
-    n_box = box_radius_for_horizon(t_max, coupling_c)
-    if homogeneous:
-        env = homogeneous_environment(d, n_box + 1)
+def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> tuple[float, int, ReturnProbabilityCurve]:
+    n_box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
+    if cfg.homogeneous:
+        env = homogeneous_environment(cfg.d, n_box + 1)
     else:
-        env = sample_environment(BoxGeometry(d, n_box + 1), gamma, seed)
-    grid = default_time_grid(t_min, t_max, per_decade)
-    if method == "exact":
+        env = sample_environment(BoxGeometry(cfg.d, n_box + 1), gamma, seed)
+    grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
+    if cfg.method == "exact":
         curve = return_prob_curve_exact(env, grid, box_radius=n_box)
     else:
         rng = np.random.default_rng([seed, 0xC0FFEE])
-        curve = return_prob_mc(env, grid, n_paths, rng, box_radius=n_box)
+        curve = return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
     return gamma, seed, curve
 
 
-def _map_jobs(fn, jobs, threads: int):
-    if threads <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+def _run_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
+    """One ensemble job; a package error is re-raised naming its gamma and seed."""
+    try:
+        return fn(cfg, gamma, seed)
+    except RcmError as exc:
+        raise type(exc)(f"gamma={gamma}, seed={seed}: {exc}") from exc
 
 
-def _ensemble_curves(cfg: ExperimentConfig, threads: int):
-    if cfg.n_environments < 1:
-        raise ValidationError("n_environments must be >= 1 for exponent studies")
+def _map_jobs(fn, cfg: ExperimentConfig, threads: int):
+    """``fn(cfg, gamma, seed)`` for every gamma and environment seed, in that order."""
     seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
-    jobs = []
-    for gamma in cfg.gammas():
-        for seed in seeds:
-            jobs.append(
-                (
-                    cfg.d,
-                    float(gamma),
-                    int(seed),
-                    cfg.homogeneous,
-                    cfg.t_min,
-                    cfg.t_max,
-                    cfg.points_per_decade,
-                    cfg.coupling_c,
-                    cfg.method,
-                    cfg.n_paths,
-                )
-            )
-    return _map_jobs(_curve_job, jobs, threads)
+    jobs = [(float(gamma), int(seed)) for gamma in cfg.gammas() for seed in seeds]
+    if threads <= 1:
+        return [_run_job(fn, cfg, gamma, seed) for gamma, seed in jobs]
+    gammas, seeds = zip(*jobs)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_run_job, repeat(fn), repeat(cfg), gammas, seeds))
 
 
 def _write_curves_csv(out: Path, results) -> str:
@@ -437,7 +425,9 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
     window = cfg.window()
-    results = _ensemble_curves(cfg, threads)
+    if cfg.n_environments < 1:
+        raise ValidationError("n_environments must be >= 1 for exponent studies")
+    results = _map_jobs(_curve_job, cfg, threads)
     box = results[0][2].N
 
     per_env = [_fit_with_marker(gamma, seed, curve, window) for gamma, seed, curve in results]
@@ -503,10 +493,10 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
 # ---------------------------------------------------------------------------
 
 
-def _bound_job(args):
-    (d, gamma, seed, p, n_max, n_list, mu, b, epsilon, n_paths) = args
+def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
+    d, n_max, mu = cfg.d, max(cfg.N_list), cfg.mu
     env = sample_environment(BoxGeometry(d, n_max + 1), gamma, seed)
-    xi = threshold_for_density(gamma, p)
+    xi = threshold_for_density(gamma, cfg.p)
     decomp = strong_cluster(env, xi)
     report = hole_volume_report(decomp)
     hole_row = (
@@ -522,19 +512,19 @@ def _bound_job(args):
 
     spectral_rows = []
     survival_rows = []
-    for n in n_list:
+    for n in cfg.N_list:
         rep, m_n, ok = lambda1_floor_check(env, decomp, n, mu=mu)
         spectral_rows.append(
             (gamma, d, n, xi, rep.lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations)
         )
-        spec = prescribed_spec(env, decomp, n, mu=mu, b=b, epsilon=epsilon)
+        spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
 
-    n_exit = min(n_list)
+    n_exit = min(cfg.N_list)
     rng = np.random.default_rng([seed, 0xE617])
     grid = np.geomspace(n_exit**2 / 16.0, n_exit**2, 8)
-    tail = exit_time_tail_check(env, n_exit, grid, n_paths, rng)
+    tail = exit_time_tail_check(env, n_exit, grid, cfg.n_paths, rng)
     exit_rows = [
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.stderr[j], tail.bound[j])
         for j in range(len(tail.t))
@@ -552,26 +542,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     start = time.monotonic()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    n_max = max(cfg.N_list)
-    seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
-    jobs = []
-    for gamma in cfg.gammas():
-        for seed in seeds:
-            jobs.append(
-                (
-                    cfg.d,
-                    float(gamma),
-                    int(seed),
-                    cfg.p,
-                    n_max,
-                    tuple(cfg.N_list),
-                    cfg.mu,
-                    cfg.b,
-                    cfg.epsilon,
-                    cfg.n_paths,
-                )
-            )
-    results = _map_jobs(_bound_job, jobs, threads)
+    results = _map_jobs(_bound_job, cfg, threads)
 
     hole_rows = [r[0] for r in results]
     spectral_rows = [row for r in results for row in r[1]]
@@ -623,7 +594,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     return ExperimentReport(
         kind="bounds",
         config_hash=config_hash(cfg),
-        box_radius=n_max,
+        box_radius=max(cfg.N_list),
         window=cfg.window(),
         pass_rates=pass_rates,
         elapsed_s=elapsed,

@@ -5,7 +5,9 @@ The continuous-time kernel is evaluated through the jump chain,
 by a Chernoff bound and the weights computed in log space.  One sparse
 propagation of the chain serves every time point of a curve, and also
 yields the discrete-time kernel and the surviving-mass monitor for the
-Dirichlet truncation error.
+Dirichlet truncation error.  The same engine uniformizes the penalized
+generator ``I - P + lam diag(phi)``, whose surviving mass is the
+Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import diags
 from scipy.special import gammaln
 
 from .errors import ValidationError
@@ -71,16 +74,37 @@ def default_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.nd
 class UniformizationCache:
     """Shared jump-chain propagation for all time points of one box.
 
-    ``a_k = P^k(0,0)`` doubles as the discrete-time return probability and
-    as the coefficient of the Poisson mixture; ``mass_k`` is the surviving
-    probability mass after k jumps (identically 1 for the free-boundary
-    chain, decreasing under killing).
+    Uniformizes ``-G = I - P + lam diag(phi)`` at rate ``1 + lam`` through
+    the substochastic matrix ``M = (P + lam diag(1 - phi)) / (1 + lam)``;
+    ``phi`` is indexed by environment site, and ``None`` means every site
+    counts (``ensemble_walk``'s convention).  ``a_k = M^k(0,0)`` doubles as
+    the discrete-time return probability and as the coefficient of the
+    Poisson mixture; ``mass_k`` is the surviving mass after k jumps
+    (identically 1 for the free-boundary chain without killing), so
+    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``chain`` reuses an
+    assembled jump chain of ``env`` instead of building one.
     """
 
-    def __init__(self, env: Environment, box_radius: int | None = None, killed: bool = True):
-        self.chain: BoxChain = transition_matrix(env, box_radius, killed)
-        self._prop = self.chain.P.T.tocsr()
-        vec = np.zeros(self.chain.P.shape[0])
+    def __init__(
+        self,
+        env: Environment,
+        box_radius: int | None = None,
+        killed: bool = True,
+        lam: float = 0.0,
+        phi: np.ndarray | None = None,
+        chain: BoxChain | None = None,
+    ):
+        if not lam >= 0:
+            raise ValidationError("killing rate must be >= 0")
+        self.chain: BoxChain = transition_matrix(env, box_radius, killed) if chain is None else chain
+        self.lam = float(lam)
+        M = self.chain.P
+        if lam > 0:
+            if phi is not None:
+                M = M + diags(lam * (1.0 - phi[self.chain.sites]))
+            M = M / (1.0 + lam)
+        self._prop = M.T.tocsr()
+        vec = np.zeros(M.shape[0])
         vec[self.chain.origin] = 1.0
         self._vec = vec
         self.a = [1.0]
@@ -92,25 +116,26 @@ class UniformizationCache:
             self.a.append(float(self._vec[self.chain.origin]))
             self.mass.append(float(self._vec.sum()))
 
-    def return_prob(self, t: float, tol: float = 1e-12) -> float:
+    def _weights(self, t: float, tol: float) -> np.ndarray:
+        """Poisson weights at rate ``(1 + lam) t``, truncated within ``tol``."""
         if t < 0:
             raise ValidationError("time must be >= 0")
-        k = poisson_truncation_k(t, tol)
-        self.ensure(k)
-        w = poisson_weights(t, k)
-        return float(w @ np.asarray(self.a[: k + 1]))
+        rate = (1.0 + self.lam) * t
+        return poisson_weights(rate, poisson_truncation_k(rate, tol))
+
+    def return_prob(self, t: float, tol: float = 1e-12) -> float:
+        w = self._weights(t, tol)
+        self.ensure(len(w) - 1)
+        return float(w @ np.asarray(self.a[: len(w)]))
 
     def survival(self, t: float, tol: float = 1e-12) -> float:
-        """P(walk still alive at time t) under the chain's killing."""
-        if t < 0:
-            raise ValidationError("time must be >= 0")
-        k = poisson_truncation_k(t, tol)
-        self.ensure(k)
-        w = poisson_weights(t, k)
-        return float(w @ np.asarray(self.mass[: k + 1]))
+        """P(walk still alive at time t), weighted by ``exp(-lam A(t))``."""
+        w = self._weights(t, tol)
+        self.ensure(len(w) - 1)
+        return float(w @ np.asarray(self.mass[: len(w)]))
 
     def discrete(self, n: int) -> float:
-        """Discrete-time return probability ``P^n(0,0)``."""
+        """Discrete-time return probability ``M^n(0,0)``."""
         if n < 0:
             raise ValidationError("step count must be >= 0")
         self.ensure(n)
@@ -118,14 +143,11 @@ class UniformizationCache:
 
     def distribution(self, t: float, tol: float = 1e-12) -> np.ndarray:
         """Full law ``P(X_t = y)`` over the box sites (fresh propagation)."""
-        if t < 0:
-            raise ValidationError("time must be >= 0")
-        k_max = poisson_truncation_k(t, tol)
-        w = poisson_weights(t, k_max)
-        vec = np.zeros(self.chain.P.shape[0])
+        w = self._weights(t, tol)
+        vec = np.zeros(self._prop.shape[0])
         vec[self.chain.origin] = 1.0
         out = w[0] * vec
-        for k in range(1, k_max + 1):
+        for k in range(1, len(w)):
             vec = self._prop @ vec
             out += w[k] * vec
         return out
@@ -260,28 +282,21 @@ def discrete_return_prob(
     return cache.discrete(n)
 
 
-def poissonization_lower_bound(cache: UniformizationCache, t: float, parity: bool = True) -> tuple[float, float]:
+def poissonization_lower_bound(cache: UniformizationCache, t: float) -> tuple[float, float]:
     """Exact pieces of the discrete-time lower bound at ``n = floor(t)``.
 
-    With ``parity=True`` (the rigorous form) returns
-    ``(P^{2n}(0,0), P(Poisson(t) <= 2n and even))`` whose product is a true
-    lower bound for ``p(t)``: the continuous-time kernel mixes only
-    even-step returns (the lattice is bipartite, odd-step returns vanish),
-    and the even-step sequence is nonincreasing.
-
-    ``parity=False`` returns the full Poisson CDF instead.  That variant
-    bounds nothing: it silently treats the zero odd-step returns as if they
-    dominated ``P^{2n}(0,0)``, and it is violated numerically even on the
-    all-ones lattice.  It is kept for comparison only.
+    Returns ``(P^{2n}(0,0), P(Poisson(t) <= 2n and even))`` whose product
+    is a true lower bound for ``p(t)``: the continuous-time kernel mixes
+    only even-step returns (the lattice is bipartite, odd-step returns
+    vanish), and the even-step sequence is nonincreasing.  The full Poisson
+    CDF in place of the even part bounds nothing: it is violated even on
+    the all-ones lattice.
     """
+    if cache.lam:
+        raise ValidationError("the discrete-time bound needs the unpenalized chain")
     n = int(math.floor(t))
     disc = cache.discrete(2 * n)
-    if parity:
-        w = poisson_weights(t, 2 * n)
-        tail = float(w[::2].sum())
-    else:
-        tail = float(stats.poisson.cdf(2 * n, t))
-    return disc, tail
+    return disc, float(poisson_weights(t, 2 * n)[::2].sum())
 
 
 @dataclass

@@ -7,15 +7,16 @@ cluster.  All eigensolves run on the symmetrized matrix
 ``delta - omega_xy / sqrt(pi_x pi_y)`` are assembled directly from the
 bonds so symmetry is exact.
 
-The value ``E[exp(-lam A(t)); t < tau]`` is available three ways: spectral
-expansion (dense boxes), uniformization of the penalized semigroup (any
-box, error controlled by the Poisson truncation), and Monte Carlo.
+The value ``E[exp(-lam A(t)); t < tau]`` comes from the uniformization
+engine of ``heatkernel`` (any box, error controlled by the Poisson
+truncation), from Monte Carlo, and, as an oracle on small boxes, from the
+dense spectral expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -23,7 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
-from .heatkernel import poisson_truncation_k, poisson_weights
+from .heatkernel import UniformizationCache
 from .lattice import Environment
 from .percolation import ClusterDecomposition
 from .walk import BoxChain, _restrict, ensemble_walk, transition_matrix
@@ -55,7 +56,8 @@ class OperatorSpec:
     ``decomp=None`` means ``phi`` is identically one (every site counts as
     strong cluster), the natural degenerate case for homogeneous controls.
     ``mu``, ``b`` and ``epsilon`` are the slack, horizon-coupling and
-    time-split exponents used by the derived bound checks.
+    time-split exponents used by the derived bound checks.  Derived
+    operators are cached per instance, outside ``replace`` and ``==``.
     """
 
     env: Environment
@@ -65,7 +67,7 @@ class OperatorSpec:
     mu: float = 0.1
     b: float = 1.5
     epsilon: float = 0.9
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.box_radius is None:
@@ -103,6 +105,14 @@ class OperatorSpec:
     @property
     def n_sites(self) -> int:
         return len(self.chain.sites)
+
+    @property
+    def engine(self) -> UniformizationCache:
+        """Uniformization of the penalized semigroup on ``chain``."""
+        if "engine" not in self._cache:
+            phi = None if self.decomp is None else self.decomp.in_cluster
+            self._cache["engine"] = UniformizationCache(self.env, lam=self.lam, phi=phi, chain=self.chain)
+        return self._cache["engine"]
 
     def coupled_horizon(self) -> float:
         """The horizon ``t = N^2 (log N)^{-b}`` matched to the box radius."""
@@ -143,11 +153,6 @@ def _symmetrized(spec: OperatorSpec):
     return spec._cache["sym"]
 
 
-def _start_vector(sqrt_pi: np.ndarray) -> np.ndarray:
-    """Fixed Lanczos start ``sqrt(pi) / ||sqrt(pi)||``, close to the ground state."""
-    return sqrt_pi / np.linalg.norm(sqrt_pi)
-
-
 def _dense_eig(spec: OperatorSpec):
     """Full eigendecomposition of the symmetrized operator (dense boxes)."""
     if "eig" in spec._cache:
@@ -155,7 +160,7 @@ def _dense_eig(spec: OperatorSpec):
     if spec.n_sites > DENSE_EIG_CUTOFF:
         raise ValidationError(
             f"box has {spec.n_sites} sites, above the dense cutoff {DENSE_EIG_CUTOFF}; "
-            "use the uniformization or Krylov paths"
+            "use feynman_kac_uniformization"
         )
     S, sqrt_pi = _symmetrized(spec)
     lams, vecs = np.linalg.eigh(S.toarray())
@@ -234,7 +239,8 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> Spec
         opinv = LinearOperator(S.shape, matvec=op)
         try:
             vals, vecs = eigsh(
-                S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=maxiter, v0=_start_vector(sqrt_pi)
+                S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=maxiter,
+                v0=sqrt_pi / np.linalg.norm(sqrt_pi),  # fixed start, close to the ground state
             )
         except Exception as exc:  # ARPACK non-convergence
             raise NumericalError(f"principal eigensolve failed: {exc}") from exc
@@ -272,59 +278,13 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     return float(np.sum(np.exp(-lams * t) * coeff * vecs[origin, :]) / sqrt_pi[origin])
 
 
-def feynman_kac_krylov(spec: OperatorSpec, t: float, n_terms: int = 16) -> tuple[float, float]:
-    """Truncated eigen-expansion with a certified remainder bound.
-
-    Returns ``(value, remainder_bound)`` where the bound is
-    ``exp(-Lambda_{k+1} t) ||1||_pi / sqrt(pi(0))``.
-    """
-    if t < 0:
-        raise ValidationError("time must be >= 0")
-    S, sqrt_pi = _symmetrized(spec)
-    k = min(n_terms + 1, S.shape[0] - 2)
-    if k < 2:
-        raise ValidationError("box too small for the Krylov path; use the dense expansion")
-    solver = splu(S)
-    opinv = LinearOperator(S.shape, matvec=solver.solve)
-    try:
-        vals, vecs = eigsh(S, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=_start_vector(sqrt_pi))
-    except Exception as exc:
-        raise NumericalError(f"Krylov eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    origin = spec.chain.origin
-    lead = vals[:-1]
-    lead_vecs = vecs[:, :-1]
-    coeff = lead_vecs.T @ sqrt_pi
-    value = float(np.sum(np.exp(-lead * t) * coeff * lead_vecs[origin, :]) / sqrt_pi[origin])
-    norm_one = math.sqrt(float((sqrt_pi * sqrt_pi).sum()))
-    bound = math.exp(-vals[-1] * t) * norm_one / float(sqrt_pi[origin])
-    return value, bound
-
-
 def feynman_kac_uniformization(spec: OperatorSpec, t: float, tol: float = 1e-40) -> float:
     """``E[exp(-lam A(t)); t < tau]`` by uniformizing the penalized chain.
 
-    Writes ``G = M - (1 + lam) I`` with the nonnegative matrix
-    ``M = P + lam diag(1 - phi)`` and sums the Poisson mixture in log-safe
-    form; works at any box size.
+    The penalized survival of ``spec.engine``, with the Poisson truncation
+    error below ``tol``; works at any box size.
     """
-    if t < 0:
-        raise ValidationError("time must be >= 0")
-    if t == 0:
-        return 1.0
-    chain = spec.chain
-    c = 1.0 + spec.lam
-    rate = c * t
-    k_max = poisson_truncation_k(rate, tol)
-    w = poisson_weights(rate, k_max)
-    slack = spec.lam * (1.0 - spec.phi_box) / c
-    u = np.ones(len(chain.sites))
-    total = w[0] * u[chain.origin]
-    for k in range(1, k_max + 1):
-        u = chain.P @ u / c + slack * u
-        total += w[k] * u[chain.origin]
-    return float(total)
+    return spec.engine.survival(t, tol)
 
 
 def feynman_kac_mc(
@@ -410,11 +370,7 @@ def perturbation_identity_check(
     lam = spec.lam
     phi = spec.phi_box
     lams_g, vecs_g, sqrt_pi = _dense_eig(spec)
-    plain = OperatorSpec(
-        env=spec.env, decomp=spec.decomp, box_radius=spec.box_radius, lam=0.0,
-        mu=spec.mu, b=spec.b, epsilon=spec.epsilon,
-    )
-    lams_p, vecs_p, _ = _dense_eig(plain)
+    lams_p, vecs_p, _ = _dense_eig(replace(spec, lam=0.0))
     origin = spec.chain.origin
     r_origin, r_full = _semigroup_origin_factory(lams_g, vecs_g, sqrt_pi, origin)
     p_origin, p_full = _semigroup_origin_factory(lams_p, vecs_p, sqrt_pi, origin)
@@ -464,9 +420,9 @@ class SurvivalBoundReport:
 def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> SurvivalBoundReport:
     """Check ``e^{lam t^eps} E[e^{-lam A}; t<tau] <= (2^{d+2} d)^{1/2} N^{d/2} e^{-t m(N)/2}``.
 
-    The left side uses the dense spectral expansion when the box allows it
-    and the uniformized semigroup otherwise; both sides are compared in log
-    form since the horizon makes the raw values underflow.
+    The left side comes from the uniformized penalized semigroup; both sides
+    are compared in log form since the horizon makes the raw values
+    underflow.
     """
     env = spec.env
     d = env.geometry.d
@@ -476,10 +432,7 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
     if t <= 0:
         raise ValidationError("horizon must be positive")
     m_n = eigenvalue_floor(d, env.gamma, n, spec.mu)
-    if spec.n_sites <= DENSE_EIG_CUTOFF:
-        fk = feynman_kac_spectral(spec, t)
-    else:
-        fk = feynman_kac_uniformization(spec, t)
+    fk = feynman_kac_uniformization(spec, t)
     lhs_log = spec.lam * t**spec.epsilon + (math.log(fk) if fk > 0 else -math.inf)
     rhs_log = 0.5 * ((d + 2) * math.log(2.0) + math.log(d)) + 0.5 * d * math.log(n) - 0.5 * t * m_n
     return SurvivalBoundReport(

@@ -120,6 +120,25 @@ class TestConfigCommands:
             main(["exact", "--frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["generate", "decompose", "simulate", "exact", "spectrum", "report"])
+    @pytest.mark.parametrize("flag", [["--config", "demo.cfg"], ["--threads", "1"]])
+    def test_config_flags_only_where_used(self, command, flag):
+        # only the config-driven commands read a config or start workers
+        with pytest.raises(SystemExit) as err:
+            main([command, *flag])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["exponent", "bounds"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(FAST_CFG.format(out=tmp_path / "out"))
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(cfg), "--threads", threads])
+        assert err.value.code == 2
+        assert "worker" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReport:
     def test_verifies_hashes(self, tmp_path, capsys):

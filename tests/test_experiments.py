@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcmwalk import ValidationError
+from rcmwalk import (
+    EmptyClusterError,
+    NumericalError,
+    ValidationError,
+    derive_environment_seeds,
+    experiments,
+    return_prob_curve_exact,
+)
+from rcmwalk.cli import main
 from rcmwalk.experiments import (
     ExperimentConfig,
     config_hash,
@@ -116,6 +124,34 @@ class TestQuenchedRunner:
         run_exponent(_cfg(tmp_path, "t"), threads=2)
         assert (tmp_path / "s" / "curves.csv").read_bytes() == (tmp_path / "t" / "curves.csv").read_bytes()
 
+    def test_cli_bytes_pinned(self, tmp_path):
+        # sha256 of the files written by the seed implementation for this config
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CFG.format(out=tmp_path / "unused"))
+        assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        pinned = {
+            "curves.csv": "58685c76978dd011a6994cc0065ad6d6af80d5b8e233cf9c46e687869d8be34f",
+            "exponent_fits.csv": "093947fd3b5d183f3cdc6a241eb6d4887493c863da0af034537ddb72f21f7a8f",
+            "exponent_report.csv": "94585eb364ea3846f83e71def8f529a0ad6079f8e488db29d35b0fc3e7e5e7b6",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+    def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
+        cfg = _cfg(tmp_path)
+        seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
+        calls = []
+
+        def fail_on_second(env, grid, tol=1e-12, box_radius=None):
+            calls.append(env.seed)
+            if len(calls) == 2:
+                raise NumericalError("solver gave up")
+            return return_prob_curve_exact(env, grid, tol, box_radius)
+
+        monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
+        with pytest.raises(NumericalError, match=rf"^gamma=2\.0, seed={seeds[1]}: solver gave up$"):
+            run_exponent(cfg, threads=1)
+
     def test_manifest_hashes(self, tmp_path):
         cfg = _cfg(tmp_path)
         rep = run_exponent(cfg)
@@ -204,6 +240,17 @@ class TestBoundSuite:
             assert (out / name).is_file()
         header = (out / "spectral_report.csv").read_text().splitlines()[0]
         assert header == "gamma,d,N,xi_hat,lambda,Lambda1,bound_m_N,pass,residual,iterations"
+
+    def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
+        cfg = _cfg(tmp_path)
+        first = derive_environment_seeds(cfg.master_seed, cfg.n_environments)[0]
+
+        def no_cluster(env, xi):
+            raise EmptyClusterError("no strong bond")
+
+        monkeypatch.setattr(experiments, "strong_cluster", no_cluster)
+        with pytest.raises(EmptyClusterError, match=rf"^gamma=2\.0, seed={first}: no strong bond$"):
+            run_bound_suite(cfg, threads=1)
 
     def test_homogeneous_rejected(self, tmp_path):
         cfg = _cfg(tmp_path)

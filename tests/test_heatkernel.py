@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import ive
 from scipy.stats import poisson
@@ -154,10 +156,55 @@ class TestDiscreteKernel:
         # bipartite lattice and cannot be bounded by P^{2n}(0,0)
         env = homogeneous_environment(2, 20)
         cache = UniformizationCache(env, 19)
-        disc, full_tail = poissonization_lower_bound(cache, 15.9, parity=False)
-        assert cache.return_prob(15.9) < disc * full_tail
-        disc_ok, even_tail = poissonization_lower_bound(cache, 15.9, parity=True)
-        assert cache.return_prob(15.9) >= disc_ok * even_tail
+        disc, even_tail = poissonization_lower_bound(cache, 15.9)
+        assert cache.return_prob(15.9) < disc * poisson.cdf(2 * 15, 15.9)
+        assert cache.return_prob(15.9) >= disc * even_tail
+
+    def test_penalized_cache_rejected(self, small_env):
+        with pytest.raises(ValidationError):
+            poissonization_lower_bound(UniformizationCache(small_env, lam=0.5), 4.0)
+
+
+class TestPenalizedEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.integers(0, 3),
+        seed=st.integers(0, 2**31),
+        lam=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 20.0),
+        phi_seed=st.none() | st.integers(0, 2**31),
+    )
+    def test_survival_matches_expm(self, radius, seed, lam, t, phi_seed):
+        env = sample_environment(BoxGeometry(2, radius + 1), 2.0, seed)
+        phi = None
+        if phi_seed is not None:  # a random strong-cluster indicator over the environment
+            phi = np.random.default_rng(phi_seed).random(env.geometry.n_sites) < 0.5
+        engine = UniformizationCache(env, radius, lam=lam, phi=phi)
+        chain = engine.chain
+        phi_box = np.ones(len(chain.sites)) if phi is None else phi[chain.sites]
+        G = chain.P.toarray() - np.eye(len(chain.sites)) - lam * np.diag(phi_box)
+        exact = float((expm(t * G) @ np.ones(len(chain.sites)))[chain.origin])
+        assert abs(engine.survival(t, tol=1e-15) - exact) <= 1e-12
+
+    def test_zero_rate_is_the_plain_cache(self, small_env, holey_decomp):
+        plain = UniformizationCache(small_env, 6)
+        engine = UniformizationCache(small_env, 6, lam=0.0, phi=holey_decomp.in_cluster)
+        reference = plain.chain.P.T.tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(engine._prop, name), getattr(reference, name))
+        for t in (0.0, 0.7, 5.0, 31.0):
+            assert engine.survival(t) == plain.survival(t)
+            assert engine.return_prob(t) == plain.return_prob(t)
+
+    def test_full_cluster_factorizes(self, small_env):
+        plain = UniformizationCache(small_env, 6)
+        engine = UniformizationCache(small_env, 6, lam=0.8)
+        for t in (0.3, 2.0, 9.5, 40.0):
+            assert engine.survival(t) == pytest.approx(math.exp(-0.8 * t) * plain.survival(t), rel=1e-12)
+
+    def test_negative_rate_rejected(self, small_env):
+        with pytest.raises(ValidationError):
+            UniformizationCache(small_env, 3, lam=-0.1)
 
 
 class TestFitExponent:

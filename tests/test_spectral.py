@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from rcmwalk import (
     dirichlet_form,
     eigenvalue_floor,
     exit_time_tail_check,
-    feynman_kac_krylov,
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,
@@ -185,14 +185,14 @@ class TestFeynmanKac:
         est, se = feynman_kac_mc(spec, 2.0, 40_000, np.random.default_rng(17))
         assert abs(est - exact) <= 4 * se
 
-    def test_krylov_with_certificate(self):
-        env = sample_environment(BoxGeometry(2, 13), 2.0, 31)
-        dec = strong_cluster(env, threshold_for_density(2.0, 0.9))
-        spec = OperatorSpec(env=env, decomp=dec, box_radius=12, lam=0.1)
-        t = 30.0
-        dense = feynman_kac_spectral(spec, t)
-        approx, bound = feynman_kac_krylov(spec, t, n_terms=12)
-        assert abs(approx - dense) <= bound + 1e-14
+    def test_uniformization_reuses_the_spec_chain(self, rand_env, rand_decomp):
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.3)
+        chain = spec.chain
+        feynman_kac_uniformization(spec, 2.0)
+        assert spec.engine.chain is chain
+        assert feynman_kac_uniformization(spec, 0.0) == 1.0
+        with pytest.raises(ValidationError):
+            feynman_kac_uniformization(spec, -1.0)
 
     def test_dense_cutoff_guard(self):
         env = homogeneous_environment(2, 40)
@@ -202,6 +202,26 @@ class TestFeynmanKac:
         # the uniformization route still works at this size
         val = feynman_kac_uniformization(spec, 1.0)
         assert 0.0 < val < 1.0
+
+
+class TestOperatorSpecCaches:
+    def test_replace_starts_fresh(self, rand_env, rand_decomp):
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.5)
+        lambda1(spec)
+        feynman_kac_uniformization(spec, 2.0)
+        plain = replace(spec, lam=0.0)
+        fresh = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.0)
+        assert lambda1(plain).Lambda1 == lambda1(fresh).Lambda1
+        assert feynman_kac_uniformization(plain, 2.0) == feynman_kac_uniformization(fresh, 2.0)
+
+    def test_equality_ignores_caches(self, rand_env, rand_decomp):
+        a = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.5)
+        b = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.5)
+        lambda1(a)
+        lambda1(b)
+        feynman_kac_spectral(a, 1.0)
+        assert a == b
+        assert a != replace(a, lam=0.25)
 
 
 class TestPerturbationIdentities:
