@@ -36,7 +36,8 @@ print(f"all-ones box N={N}: Lambda1 = {rep.Lambda1:.10f}  "
 
 env = sample_environment(BoxGeometry(2, 33), 2.0, 9)
 dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-gap_report, m_n, ok = lambda1_floor_check(env, dec, 32, mu=0.1)
+pspec = prescribed_spec(env, dec, 32, mu=0.1)
+gap_report, m_n, ok = lambda1_floor_check(pspec)
 print(f"random env N=32 at the prescribed rate {gap_report.lam:.4f}: "
       f"Lambda1 = {gap_report.Lambda1:.5f} >= m(N) = {m_n:.5f}  -> {ok}")
 
@@ -55,8 +56,7 @@ pert = perturbation_identity_check(spec, [t], n_nodes=256)
 print(f"perturbation identities deviate by {pert.max_deviation:.2e} "
       f"(quadrature estimate {pert.quadrature_error:.2e})")
 
-# --- survival bound at the coupled horizon -----------------------------------
-pspec = prescribed_spec(env, dec, 32)
+# --- survival bound at the coupled horizon (same operator as the floor) -------
 sb = survival_bound_check(pspec)
 print(f"\nsurvival envelope at t = {sb.t:.0f} (coupled to N=32): "
       f"log lhs = {sb.lhs_log:.2f} <= log rhs = {sb.rhs_log:.2f}  -> {sb.passed}")

@@ -42,7 +42,7 @@ from .percolation import (
     threshold_for_density,
     write_decomposition_csv,
 )
-from .spectral import OperatorSpec, eigenvalue_floor, lambda1, prescribed_killing_rate
+from .spectral import OperatorSpec, lambda1_floor_check, prescribed_killing_rate
 
 
 def _worker_count(text: str) -> int:
@@ -224,16 +224,14 @@ def _cmd_spectrum(args) -> int:
     else:
         lam = 0.0
     spec = OperatorSpec(env=env, decomp=decomp, box_radius=box, lam=lam, mu=args.mu)
-    rep = lambda1(spec, tol=args.tol)
-    m_n = eigenvalue_floor(d, env.gamma, box, args.mu)
-    ok = rep.Lambda1 >= m_n
+    rep, m_n, ok = lambda1_floor_check(spec, tol=args.tol)
     write_csv(
         out / "spectral_report.csv",
         ["gamma", "d", "N", "xi_hat", "lambda", "Lambda1", "bound_m_N", "pass", "residual", "iterations"],
         [[env.gamma, d, box, xi if xi is not None else "", lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations]],
     )
     write_manifest(out, "spectrum", None, ["spectral_report.csv"], time.monotonic() - start)
-    print(f"Lambda1 = {rep.Lambda1!r} (floor m(N) = {m_n!r}, pass = {bool(ok)})")
+    print(f"Lambda1 = {rep.Lambda1!r} (floor m(N) = {m_n!r}, pass = {ok})")
     return 0
 
 
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.set_defaults(func=_cmd_bounds)
 
     p_rep = sub.add_parser("report", help="verify manifests and summarize runs")
-    _common_flags(p_rep)
+    p_rep.add_argument("--out", type=str, default=None, help="directory searched for manifests")
     p_rep.set_defaults(func=_cmd_report)
 
     return parser

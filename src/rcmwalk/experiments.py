@@ -25,7 +25,7 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import __version__ as _package_version
 from .errors import RcmError, ValidationError
@@ -321,7 +321,7 @@ def _slope_summary(gamma: float, slopes: np.ndarray, confidence: float = 0.95) -
     mean = float(np.mean(slopes))
     if m > 1:
         se = float(np.std(slopes, ddof=1) / math.sqrt(m))
-        tq = float(stats.t.ppf(0.5 + confidence / 2, m - 1))
+        tq = float(stdtrit(m - 1, 0.5 + confidence / 2))
         half = tq * se
     else:
         half = 0.0
@@ -513,11 +513,11 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
     spectral_rows = []
     survival_rows = []
     for n in cfg.N_list:
-        rep, m_n, ok = lambda1_floor_check(env, decomp, n, mu=mu)
+        spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
+        rep, m_n, ok = lambda1_floor_check(spec)
         spectral_rows.append(
             (gamma, d, n, xi, rep.lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations)
         )
-        spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
 
@@ -601,19 +601,3 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
         files=files + ["manifest.txt"],
     )
 
-
-def exploratory_small_gamma_config() -> ExperimentConfig:
-    """Annealed preset probing the small-gamma regime.
-
-    Desk-scale horizons do not reach the asymptotic annealed exponent for
-    small gamma; results from this preset are trend reports, not checks.
-    """
-    return ExperimentConfig(
-        d=2,
-        gamma=0.4,
-        t_min=20.0,
-        t_max=800.0,
-        n_environments=50,
-        master_seed=7,
-        directory="out-exploratory",
-    )

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.sparse import diags
-from scipy.special import gammaln
+from scipy.special import gammaln, stdtrit
 
 from .errors import ValidationError
 from .lattice import Environment
@@ -348,7 +347,7 @@ def fit_exponent(curve: ReturnProbabilityCurve, window: tuple[float, float], con
     s2 = float(resid @ (wts * resid)) / dof
     cov = s2 * np.linalg.inv(XtW @ X)
     se = math.sqrt(max(cov[1, 1], 0.0))
-    tq = float(stats.t.ppf(0.5 + confidence / 2, dof))
+    tq = float(stdtrit(dof, 0.5 + confidence / 2))
     return ExponentFit(
         slope=float(beta[1]),
         intercept=float(beta[0]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import (
     ChecksumError,
@@ -172,13 +172,6 @@ class ConductanceLaw:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-
-    def cdf(self, a):
-        a = np.asarray(a, dtype=float)
-        return np.clip(a, 0.0, 1.0) ** self.gamma
-
-    def inverse_cdf(self, u):
-        return np.asarray(u, dtype=float) ** (1.0 / self.gamma)
 
     def min_median(self, m: int) -> float:
         """Median of the minimum of m i.i.d. draws (order-statistics closed form)."""
@@ -364,7 +357,7 @@ def min_conductance_scaling(
     mean = float(slopes.mean())
     if len(seeds) > 1:
         se = float(slopes.std(ddof=1) / math.sqrt(len(seeds)))
-        tq = float(stats.t.ppf(0.5 + confidence / 2, len(seeds) - 1))
+        tq = float(stdtrit(len(seeds) - 1, 0.5 + confidence / 2))
         half = tq * se
     else:
         # single seed: use the regression's own residual CI
@@ -373,7 +366,7 @@ def min_conductance_scaling(
         dof = len(radii) - 2
         s2 = float(res[0]) / dof if len(res) else 0.0
         cov = s2 * np.linalg.inv(x.T @ x)
-        tq = float(stats.t.ppf(0.5 + confidence / 2, dof))
+        tq = float(stdtrit(dof, 0.5 + confidence / 2))
         half = tq * math.sqrt(cov[1, 1])
     return SlopeEstimate(mean, mean - half, mean + half, slopes, radii)
 

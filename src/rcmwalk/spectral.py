@@ -16,10 +16,10 @@ dense spectral expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -67,7 +67,6 @@ class OperatorSpec:
     mu: float = 0.1
     b: float = 1.5
     epsilon: float = 0.9
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.box_radius is None:
@@ -85,34 +84,50 @@ class OperatorSpec:
         if not 0 < self.epsilon < 1:
             raise ValidationError("epsilon must lie in (0, 1)")
 
-    @property
+    @cached_property
     def chain(self) -> BoxChain:
-        if "chain" not in self._cache:
-            self._cache["chain"] = transition_matrix(self.env, self.box_radius, killed=True)
-        return self._cache["chain"]
+        return transition_matrix(self.env, self.box_radius, killed=True)
 
-    @property
+    @cached_property
     def phi_box(self) -> np.ndarray:
         """Strong-cluster indicator over the operator box sites."""
-        if "phi" not in self._cache:
-            if self.decomp is None:
-                phi = np.ones(len(self.chain.sites))
-            else:
-                phi = self.decomp.in_cluster[self.chain.sites].astype(np.float64)
-            self._cache["phi"] = phi
-        return self._cache["phi"]
+        if self.decomp is None:
+            return np.ones(len(self.chain.sites))
+        return self.decomp.in_cluster[self.chain.sites].astype(np.float64)
 
     @property
     def n_sites(self) -> int:
         return len(self.chain.sites)
 
-    @property
+    @cached_property
     def engine(self) -> UniformizationCache:
         """Uniformization of the penalized semigroup on ``chain``."""
-        if "engine" not in self._cache:
-            phi = None if self.decomp is None else self.decomp.in_cluster
-            self._cache["engine"] = UniformizationCache(self.env, lam=self.lam, phi=phi, chain=self.chain)
-        return self._cache["engine"]
+        phi = None if self.decomp is None else self.decomp.in_cluster
+        return UniformizationCache(self.env, lam=self.lam, phi=phi, chain=self.chain)
+
+    @cached_property
+    def symmetrized(self):
+        """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
+        chain = self.chain
+        (row, col, w), _ = _restrict(self.env, chain.sites, inverse_index=True)
+        sqrt_pi = np.sqrt(chain.pi)
+        m = len(chain.sites)
+        off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
+        diag = 1.0 + self.lam * self.phi_box
+        S = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
+        return S, sqrt_pi
+
+    @cached_property
+    def dense_eig(self):
+        """Full eigendecomposition of the symmetrized operator (dense boxes)."""
+        if self.n_sites > DENSE_EIG_CUTOFF:
+            raise ValidationError(
+                f"box has {self.n_sites} sites, above the dense cutoff {DENSE_EIG_CUTOFF}; "
+                "use feynman_kac_uniformization"
+            )
+        S, sqrt_pi = self.symmetrized
+        lams, vecs = np.linalg.eigh(S.toarray())
+        return lams, vecs, sqrt_pi
 
     def coupled_horizon(self) -> float:
         """The horizon ``t = N^2 (log N)^{-b}`` matched to the box radius."""
@@ -136,36 +151,6 @@ def prescribed_spec(
     n = env.geometry.N - 1 if box_radius is None else int(box_radius)
     lam = prescribed_killing_rate(env.geometry.d, env.gamma, n, mu, decomp.threshold)
     return OperatorSpec(env=env, decomp=decomp, box_radius=n, lam=lam, mu=mu, b=b, epsilon=epsilon)
-
-
-def _symmetrized(spec: OperatorSpec):
-    """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
-    if "sym" in spec._cache:
-        return spec._cache["sym"]
-    chain = spec.chain
-    (row, col, w), _ = _restrict(spec.env, chain.sites, inverse_index=True)
-    sqrt_pi = np.sqrt(chain.pi)
-    m = len(chain.sites)
-    off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
-    diag = 1.0 + spec.lam * spec.phi_box
-    S = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
-    spec._cache["sym"] = (S, sqrt_pi)
-    return spec._cache["sym"]
-
-
-def _dense_eig(spec: OperatorSpec):
-    """Full eigendecomposition of the symmetrized operator (dense boxes)."""
-    if "eig" in spec._cache:
-        return spec._cache["eig"]
-    if spec.n_sites > DENSE_EIG_CUTOFF:
-        raise ValidationError(
-            f"box has {spec.n_sites} sites, above the dense cutoff {DENSE_EIG_CUTOFF}; "
-            "use feynman_kac_uniformization"
-        )
-    S, sqrt_pi = _symmetrized(spec)
-    lams, vecs = np.linalg.eigh(S.toarray())
-    spec._cache["eig"] = (lams, vecs, sqrt_pi)
-    return spec._cache["eig"]
 
 
 def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
@@ -217,14 +202,15 @@ class SpectralReport:
 def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> SpectralReport:
     """Smallest eigenvalue of ``-G`` on the pi-weighted box.
 
-    Small boxes take the dense route; otherwise a shift-invert Lanczos
-    iteration around zero (the operator is positive definite), started from
-    ``sqrt(pi)`` so that repeated runs take the same iterations.
+    Boxes of at most 128 sites read the spec's ``dense_eig``; otherwise a
+    shift-invert Lanczos iteration around zero (the operator is positive
+    definite), started from ``sqrt(pi)`` so that repeated runs take the same
+    iterations.
     """
-    S, sqrt_pi = _symmetrized(spec)
+    S, sqrt_pi = spec.symmetrized
     m = S.shape[0]
     if m <= 128:
-        lams, vecs = np.linalg.eigh(S.toarray())
+        lams, vecs, _ = spec.dense_eig
         lam1 = float(lams[0])
         v = vecs[:, 0]
         iters = 0
@@ -272,7 +258,7 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     """
     if t < 0:
         raise ValidationError("time must be >= 0")
-    lams, vecs, sqrt_pi = _dense_eig(spec)
+    lams, vecs, sqrt_pi = spec.dense_eig
     origin = spec.chain.origin
     coeff = vecs.T @ sqrt_pi  # <1, psi_i>_pi in the symmetrized frame
     return float(np.sum(np.exp(-lams * t) * coeff * vecs[origin, :]) / sqrt_pi[origin])
@@ -369,8 +355,10 @@ def perturbation_identity_check(
         raise ValidationError("need an even node count >= 8")
     lam = spec.lam
     phi = spec.phi_box
-    lams_g, vecs_g, sqrt_pi = _dense_eig(spec)
-    lams_p, vecs_p, _ = _dense_eig(replace(spec, lam=0.0))
+    from scipy.integrate import simpson
+
+    lams_g, vecs_g, sqrt_pi = spec.dense_eig
+    lams_p, vecs_p, _ = replace(spec, lam=0.0).dense_eig
     origin = spec.chain.origin
     r_origin, r_full = _semigroup_origin_factory(lams_g, vecs_g, sqrt_pi, origin)
     p_origin, p_full = _semigroup_origin_factory(lams_p, vecs_p, sqrt_pi, origin)
@@ -523,20 +511,14 @@ def exit_time_tail_check(
     )
 
 
-def lambda1_floor_check(
-    env: Environment,
-    decomp: ClusterDecomposition,
-    box_radius: int,
-    mu: float = 0.1,
-    tol: float = 1e-10,
-) -> tuple[SpectralReport, float, bool]:
-    """Principal eigenvalue at the prescribed killing rate against ``m(N)``.
+def lambda1_floor_check(spec: OperatorSpec, tol: float = 1e-10) -> tuple[SpectralReport, float, bool]:
+    """Principal eigenvalue of ``spec`` against the floor ``m(N)`` at its box radius and ``mu``.
 
-    Returns ``(report, m_N, passed)`` with ``passed = Lambda1 >= m_N``.
+    Returns ``(report, m_N, passed)`` with ``passed = Lambda1 >= m_N``; the
+    floor holds at the killing rate of ``prescribed_spec``.
     """
-    spec = prescribed_spec(env, decomp, box_radius, mu=mu)
     report = lambda1(spec, tol=tol)
-    m_n = eigenvalue_floor(env.geometry.d, env.gamma, box_radius, mu)
+    m_n = eigenvalue_floor(spec.env.geometry.d, spec.env.gamma, spec.box_radius, spec.mu)
     return report, m_n, bool(report.Lambda1 >= m_n)
 
 

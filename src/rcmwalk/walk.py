@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import ValidationError
-from .lattice import Environment
+from .lattice import BoxGeometry, Environment
 from .percolation import STRONG_LABEL, ClusterDecomposition
 
 
@@ -207,6 +207,19 @@ class TrajectoryRecord:
         return out if np.ndim(t) else int(out[0])
 
 
+def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
+    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``)."""
+    if not 0 <= x0 < geom.n_sites:
+        raise ValidationError(f"start site {x0} outside the box")
+    kill = geom.N - 1 if kill_radius == "interior" else kill_radius
+    if kill is not None:
+        if not 0 <= kill <= geom.N - 1:
+            raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
+        if geom.linf_norm[x0] > kill:
+            raise ValidationError("start site outside the kill radius")
+    return kill
+
+
 def simulate_ctmc(
     env: Environment,
     x0: int,
@@ -224,19 +237,9 @@ def simulate_ctmc(
     otherwise it equals elapsed time.
     """
     geom = env.geometry
-    if not 0 <= x0 < geom.n_sites:
-        raise ValidationError(f"start site {x0} outside the box")
+    kill = _start_and_kill_radius(geom, x0, kill_radius)
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    if kill_radius == "interior":
-        kill: int | None = geom.N - 1
-    else:
-        kill = kill_radius  # type: ignore[assignment]
-    if kill is not None:
-        if not 0 <= kill <= geom.N - 1:
-            raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
-        if geom.linf_norm[x0] > kill:
-            raise ValidationError("start site outside the kill radius")
 
     phi = decomp.in_cluster.astype(np.float64) if decomp is not None else None
     cum, neigh = _walk_tables(env)
@@ -360,12 +363,6 @@ class EffectiveConductances:
     sites: np.ndarray
     values: np.ndarray
 
-    def probability(self, y: int) -> float:
-        k = int(np.searchsorted(self.sites, y))
-        if k < len(self.sites) and self.sites[k] == y:
-            return float(self.values[k] / self.eta)
-        return 0.0
-
     def weight(self, y: int) -> float:
         k = int(np.searchsorted(self.sites, y))
         if k < len(self.sites) and self.sites[k] == y:
@@ -460,18 +457,11 @@ def ensemble_walk(
     count.
     """
     geom = env.geometry
+    kill = _start_and_kill_radius(geom, x0, kill_radius)
     if n_paths < 1:
         raise ValidationError("need at least one path")
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    if kill_radius == "interior":
-        kill: int | None = geom.N - 1
-    else:
-        kill = kill_radius  # type: ignore[assignment]
-    if kill is not None and not 0 <= kill <= geom.N - 1:
-        raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
-    if kill is not None and geom.linf_norm[x0] > kill:
-        raise ValidationError("start site outside the kill radius")
 
     cum, neigh = _walk_tables(env)
     linf = geom.linf_norm

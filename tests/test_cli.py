@@ -1,8 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rcmwalk import UniformizationCache, homogeneous_environment
+from rcmwalk import (
+    BoxGeometry,
+    UniformizationCache,
+    homogeneous_environment,
+    lambda1_floor_check,
+    prescribed_spec,
+    sample_environment,
+    strong_cluster,
+    threshold_for_density,
+)
 from rcmwalk.cli import main
 
 FAST_CFG = """
@@ -79,6 +93,20 @@ class TestSpectrumSimulate:
         assert header == "gamma,d,N,xi_hat,lambda,Lambda1,bound_m_N,pass,residual,iterations"
         assert "Lambda1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [4, 12])  # dense route (81 sites) and shift-invert (625)
+    def test_spectrum_is_the_floor_check(self, tmp_path, capsys, n):
+        out = tmp_path / "spec"
+        argv = ["spectrum", "--d", "2", "--N", str(n), "--gamma", "2.0", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        env = sample_environment(BoxGeometry(2, n + 1), 2.0, 3)
+        xi = threshold_for_density(2.0, 0.95)
+        spec = prescribed_spec(env, strong_cluster(env, xi), n, mu=0.1)
+        rep, m_n, ok = lambda1_floor_check(spec, tol=1e-10)
+        expected = [2.0, 2, n, xi, spec.lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations]
+        row = (out / "spectral_report.csv").read_text().splitlines()[1]
+        assert row == ",".join(str(v) for v in expected)
+        assert f"pass = {ok})" in capsys.readouterr().out
+
     def test_simulate_schema(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--homog", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "5",
@@ -128,6 +156,11 @@ class TestConfigCommands:
             main([command, *flag])
         assert err.value.code == 2
 
+    def test_report_takes_only_out(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--out", str(tmp_path), "--seed", "5"])
+        assert err.value.code == 2
+
     @pytest.mark.parametrize("command", ["exponent", "bounds"])
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
@@ -157,3 +190,17 @@ class TestReport:
 
     def test_no_manifests(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    # both cost most of the CLI's start-up time and no command path needs them at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, rcmwalk.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -10,14 +10,15 @@ from rcmwalk import (
     ValidationError,
     derive_environment_seeds,
     experiments,
+    heatkernel,
     return_prob_curve_exact,
+    spectral,
 )
 from rcmwalk.cli import main
 from rcmwalk.experiments import (
     ExperimentConfig,
     config_hash,
     config_to_text,
-    exploratory_small_gamma_config,
     load_config,
     parse_config,
     run_bound_suite,
@@ -241,6 +242,21 @@ class TestBoundSuite:
         header = (out / "spectral_report.csv").read_text().splitlines()[0]
         assert header == "gamma,d,N,xi_hat,lambda,Lambda1,bound_m_N,pass,residual,iterations"
 
+    def test_one_chain_per_box(self, tmp_path, monkeypatch):
+        # the floor check and the survival check share one spec per box
+        cfg = _cfg(tmp_path)
+        built = []
+        assemble = spectral.transition_matrix
+
+        def counting(env, box_radius=None, killed=True):
+            built.append(box_radius)
+            return assemble(env, box_radius, killed)
+
+        monkeypatch.setattr(spectral, "transition_matrix", counting)
+        monkeypatch.setattr(heatkernel, "transition_matrix", counting)
+        run_bound_suite(cfg, threads=1)
+        assert sorted(built) == sorted(list(cfg.N_list) * cfg.n_environments)
+
     def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
         cfg = _cfg(tmp_path)
         first = derive_environment_seeds(cfg.master_seed, cfg.n_environments)[0]
@@ -263,9 +279,3 @@ class TestBoundSuite:
         cfg.n_environments = 0
         with pytest.raises(ValidationError):
             run_bound_suite(cfg)
-
-
-def test_exploratory_preset_is_valid():
-    cfg = exploratory_small_gamma_config()
-    cfg.validate()
-    assert cfg.gamma < 1.0

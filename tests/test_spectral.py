@@ -151,10 +151,34 @@ class TestLambda1:
     def test_floor_check(self):
         env = sample_environment(BoxGeometry(2, 17), 2.0, 55)
         dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-        rep, m_n, ok = lambda1_floor_check(env, dec, 16, mu=0.1)
+        rep, m_n, ok = lambda1_floor_check(prescribed_spec(env, dec, 16, mu=0.1))
         assert ok
         assert m_n == pytest.approx(eigenvalue_floor(2, 2.0, 16, 0.1))
         assert rep.lam == pytest.approx(prescribed_killing_rate(2, 2.0, 16, 0.1, dec.threshold))
+
+    def test_floor_check_reads_the_spec(self, rand_env, rand_decomp):
+        # the floor is m(N) at the spec's own box radius and mu, whatever its rate
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.2, mu=0.3)
+        rep, m_n, ok = lambda1_floor_check(spec)
+        assert m_n == eigenvalue_floor(2, 2.0, 3, 0.3)
+        assert rep.Lambda1 == lambda1(spec).Lambda1
+        assert ok == (rep.Lambda1 >= m_n)
+
+    def test_small_box_is_decomposed_once(self, rand_env, rand_decomp, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.3)
+        rep = lambda1(spec)
+        feynman_kac_spectral(spec, 2.0)
+        lambda1(spec)
+        assert calls == [(49, 49)]
+        assert rep.Lambda1 == spec.dense_eig[0][0]
 
 
 class TestFeynmanKac:

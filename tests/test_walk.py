@@ -431,6 +431,34 @@ class TestEffectiveConductances:
             effective_conductances(small_env, holey_decomp, hole_site)
 
 
+def _step(stepper, env, x0, kill_radius):
+    rng = np.random.default_rng(5)
+    if stepper == "simulate_ctmc":
+        return simulate_ctmc(env, x0, 5.0, rng, kill_radius=kill_radius)
+    return ensemble_walk(env, x0, 4, 5.0, rng, kill_radius=kill_radius)
+
+
+@pytest.mark.parametrize("stepper", ["simulate_ctmc", "ensemble_walk"])
+class TestStartSite:
+    @pytest.mark.parametrize("kill_radius", [None, "interior"])
+    @pytest.mark.parametrize("where", ["negative", "past_the_end"])
+    def test_start_outside_the_box_rejected(self, small_env, stepper, kill_radius, where):
+        # numpy would read -1 as the last site and n_sites as an IndexError
+        x0 = -1 if where == "negative" else small_env.geometry.n_sites
+        with pytest.raises(ValidationError, match="start site"):
+            _step(stepper, small_env, x0, kill_radius)
+
+    def test_interior_is_the_largest_kill_radius(self, small_env, stepper):
+        geom = small_env.geometry
+        rim = int(np.flatnonzero(geom.linf_norm == geom.N)[0])
+        with pytest.raises(ValidationError, match="kill radius"):
+            _step(stepper, small_env, rim, "interior")
+        with pytest.raises(ValidationError, match="kill radius must lie"):
+            _step(stepper, small_env, geom.origin, geom.N)
+        _step(stepper, small_env, rim, None)
+        _step(stepper, small_env, geom.origin, geom.N - 1)
+
+
 class TestEnsembleSemantics:
     def test_positions_blank_after_death(self, small_env, rng):
         grid = np.array([0.5, 2.0, 8.0, 30.0])
