@@ -62,9 +62,9 @@ print(f"\nsurvival envelope at t = {sb.t:.0f} (coupled to N=32): "
       f"log lhs = {sb.lhs_log:.2f} <= log rhs = {sb.rhs_log:.2f}  -> {sb.passed}")
 
 # --- exit-time tail against the Gaussian-shaped envelope ----------------------
-tail = exit_time_tail_check(env, 24, np.geomspace(24**2 / 16, 24**2, 8), 2000,
-                            np.random.default_rng(4))
-print(f"\nexit times from B_24: max P(tau <= t) = {tail.p_exit.max():.3f}, "
+tail = exit_time_tail_check(OperatorSpec(env=env, box_radius=24), np.geomspace(24**2 / 16, 24**2, 8))
+print(f"\nexact exit times from B_24: P(tau <= t) from {tail.p_exit.min():.2e} "
+      f"to {tail.p_exit.max():.3f}, "
       f"fitted envelope C = {tail.C:.2e}, c = {tail.c:.3f}, "
       f"dominates everywhere: {tail.all_below}")
 print(f"Gaussian-slope regression: {tail.gaussian_slope:.2f} (<= -1 keeps the bound shape)")

@@ -61,6 +61,15 @@ def _common_flags(parser: argparse.ArgumentParser, config: bool = False) -> None
     parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
+def _env_flags(parser: argparse.ArgumentParser) -> None:
+    """``--env FILE``, or ``--d`` and ``--N`` with ``--gamma`` (sampled) or ``--homog`` (all ones)."""
+    parser.add_argument("--env", type=str, default=None)
+    parser.add_argument("--d", type=int, default=None)
+    parser.add_argument("--N", type=int, default=None, help="operator box radius")
+    parser.add_argument("--gamma", type=float, default=None)
+    parser.add_argument("--homog", action="store_true")
+
+
 def _out_dir(args, default: str = "out") -> Path:
     out = Path(args.out if args.out is not None else default)
     out.mkdir(parents=True, exist_ok=True)
@@ -68,19 +77,18 @@ def _out_dir(args, default: str = "out") -> Path:
 
 
 def _load_env_arg(args):
-    if getattr(args, "env", None):
+    """The environment named by ``_env_flags``; ``--N`` is the operator box, one layer inside it."""
+    if args.env:
         return load_environment(args.env)
-    if getattr(args, "homog", False):
+    if args.homog:
         if args.d is None or args.N is None:
             raise ValidationError("--homog needs --d and --N")
-        # --N names the operator box; the stored environment is one layer wider
         return homogeneous_environment(args.d, args.N + 1)
-    if getattr(args, "d", None) is not None and getattr(args, "N", None) is not None:
-        gamma = getattr(args, "gamma", None)
-        if gamma is None:
+    if args.d is not None and args.N is not None:
+        if args.gamma is None:
             raise ValidationError("sampling an environment needs --gamma (or use --homog)")
         seed = args.seed if args.seed is not None else 1
-        return sample_environment(BoxGeometry(args.d, args.N + 1), gamma, seed)
+        return sample_environment(BoxGeometry(args.d, args.N + 1), args.gamma, seed)
     raise ValidationError("provide --env FILE, or --homog/--gamma with --d and --N")
 
 
@@ -321,22 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="strong cluster and holes of an environment")
     _common_flags(p_dec)
-    p_dec.add_argument("--env", type=str, default=None)
-    p_dec.add_argument("--d", type=int, default=None)
-    p_dec.add_argument("--N", type=int, default=None)
-    p_dec.add_argument("--gamma", type=float, default=None)
-    p_dec.add_argument("--homog", action="store_true")
+    _env_flags(p_dec)
     p_dec.add_argument("--p", type=float, default=0.95, help="strong-bond density")
     p_dec.add_argument("--xi", type=float, default=None, help="explicit threshold")
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo return-probability curve")
     _common_flags(p_sim)
-    p_sim.add_argument("--env", type=str, default=None)
-    p_sim.add_argument("--d", type=int, default=None)
-    p_sim.add_argument("--N", type=int, default=None)
-    p_sim.add_argument("--gamma", type=float, default=None)
-    p_sim.add_argument("--homog", action="store_true")
+    _env_flags(p_sim)
     p_sim.add_argument("--t-min", type=float, default=1.0)
     p_sim.add_argument("--t-max", type=float, default=50.0)
     p_sim.add_argument("--points-per-decade", type=int, default=12)
@@ -346,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("exact", help="exact return probability (uniformization)")
     _common_flags(p_ex)
-    p_ex.add_argument("--env", type=str, default=None)
-    p_ex.add_argument("--d", type=int, default=None)
-    p_ex.add_argument("--N", type=int, default=None, help="operator box radius")
-    p_ex.add_argument("--gamma", type=float, default=None)
-    p_ex.add_argument("--homog", action="store_true")
+    _env_flags(p_ex)
     p_ex.add_argument("--t", type=float, default=None, help="single time; prints the value")
     p_ex.add_argument("--t-min", type=float, default=1.0)
     p_ex.add_argument("--t-max", type=float, default=50.0)
@@ -361,11 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sp = sub.add_parser("spectrum", help="principal eigenvalue of the killed operator")
     _common_flags(p_sp)
-    p_sp.add_argument("--env", type=str, default=None)
-    p_sp.add_argument("--d", type=int, default=None)
-    p_sp.add_argument("--N", type=int, default=None, help="operator box radius")
-    p_sp.add_argument("--gamma", type=float, default=None)
-    p_sp.add_argument("--homog", action="store_true")
+    _env_flags(p_sp)
     p_sp.add_argument("--p", type=float, default=0.95)
     p_sp.add_argument("--xi", type=float, default=None)
     p_sp.add_argument("--lam", type=float, default=None, help="killing rate (default: prescribed)")

@@ -80,8 +80,10 @@ class UniformizationCache:
     the discrete-time return probability and as the coefficient of the
     Poisson mixture; ``mass_k`` is the surviving mass after k jumps
     (identically 1 for the free-boundary chain without killing), so
-    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``chain`` reuses an
-    assembled jump chain of ``env`` instead of building one.
+    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``exited_k``, the mass
+    carried over the rim within k jumps, keeps the digits that
+    ``1 - survival`` cancels.  ``chain`` reuses an assembled jump chain of
+    ``env`` instead of building one.
     """
 
     def __init__(
@@ -103,14 +105,18 @@ class UniformizationCache:
                 M = M + diags(lam * (1.0 - phi[self.chain.sites]))
             M = M / (1.0 + lam)
         self._prop = M.T.tocsr()
+        self._rim = np.flatnonzero(self.chain.exit)
+        self._rim_exit = self.chain.exit[self._rim] / (1.0 + self.lam)
         vec = np.zeros(M.shape[0])
         vec[self.chain.origin] = 1.0
         self._vec = vec
         self.a = [1.0]
         self.mass = [1.0]
+        self.exited = [0.0]
 
     def ensure(self, k_max: int) -> None:
         while len(self.a) <= k_max:
+            self.exited.append(self.exited[-1] + float(self._vec[self._rim] @ self._rim_exit))
             self._vec = self._prop @ self._vec
             self.a.append(float(self._vec[self.chain.origin]))
             self.mass.append(float(self._vec.sum()))
@@ -122,16 +128,22 @@ class UniformizationCache:
         rate = (1.0 + self.lam) * t
         return poisson_weights(rate, poisson_truncation_k(rate, tol))
 
-    def return_prob(self, t: float, tol: float = 1e-12) -> float:
+    def _mixture(self, seq: list, t: float, tol: float) -> float:
+        """Poisson mixture at time ``t`` of a per-jump sequence (``a``, ``mass`` or ``exited``)."""
         w = self._weights(t, tol)
         self.ensure(len(w) - 1)
-        return float(w @ np.asarray(self.a[: len(w)]))
+        return float(w @ np.asarray(seq[: len(w)]))
+
+    def return_prob(self, t: float, tol: float = 1e-12) -> float:
+        return self._mixture(self.a, t, tol)
 
     def survival(self, t: float, tol: float = 1e-12) -> float:
         """P(walk still alive at time t), weighted by ``exp(-lam A(t))``."""
-        w = self._weights(t, tol)
-        self.ensure(len(w) - 1)
-        return float(w @ np.asarray(self.mass[: len(w)]))
+        return self._mixture(self.mass, t, tol)
+
+    def exit_prob(self, t: float, tol: float = 1e-12) -> float:
+        """P(walk has left the box by time t), weighted by ``exp(-lam A(tau))``."""
+        return self._mixture(self.exited, t, tol)
 
     def discrete(self, n: int) -> float:
         """Discrete-time return probability ``M^n(0,0)``."""

@@ -10,7 +10,8 @@ bonds so symmetry is exact.
 The value ``E[exp(-lam A(t)); t < tau]`` comes from the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
 truncation), from Monte Carlo, and, as an oracle on small boxes, from the
-dense spectral expansion.
+dense spectral expansion.  The exit-time tail ``P(tau_N <= t)`` is the
+exit mass of the plain killed walk from the same engine.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .percolation import ClusterDecomposition
 from .walk import BoxChain, _restrict, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
+_EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
 
 
 def eigenvalue_floor(d: int, gamma: float, N: int, mu: float) -> float:
@@ -49,7 +51,7 @@ def prescribed_killing_rate(d: int, gamma: float, N: int, mu: float, xi_hat: flo
     return eigenvalue_floor(d, gamma, N, mu) * (1.0 + 8.0 * d * d / xi_hat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorSpec:
     """Killed box operator with strong-cluster killing rate ``lam``.
 
@@ -57,7 +59,8 @@ class OperatorSpec:
     strong cluster), the natural degenerate case for homogeneous controls.
     ``mu``, ``b`` and ``epsilon`` are the slack, horizon-coupling and
     time-split exponents used by the derived bound checks.  Derived
-    operators are cached per instance, outside ``replace`` and ``==``.
+    operators are cached per instance, outside ``replace`` and ``==``, on
+    frozen fields.
     """
 
     env: Environment
@@ -70,7 +73,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.box_radius is None:
-            self.box_radius = self.env.geometry.N - 1
+            object.__setattr__(self, "box_radius", self.env.geometry.N - 1)
         if not 0 <= self.box_radius <= self.env.geometry.N - 1:
             raise ValidationError(
                 f"operator box radius must lie in [0, {self.env.geometry.N - 1}]"
@@ -436,49 +439,39 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
 
 @dataclass
 class ExitTailReport:
-    """Monte Carlo exit-time tail with a fitted Gaussian-shaped envelope."""
+    """Exact exit-time tail ``P(tau_N <= t)`` with a fitted Gaussian-shaped envelope."""
 
     t: np.ndarray
     p_exit: np.ndarray
-    stderr: np.ndarray
     bound: np.ndarray
     C: float
     c: float
     all_below: bool
     gaussian_slope: float | None  # slope of log P(tau <= t) against N^2/(4t)
     N: int
-    n_paths: int
 
 
-def exit_time_tail_check(
-    env: Environment,
-    N: int,
-    t_grid,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> ExitTailReport:
-    """Estimate ``P(tau_N <= t)`` and fit ``C t N^{d-1} e^{-N^2/4t} + e^{-ct}`` over it.
+def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
+    """Exact ``P(tau_N <= t)`` with its envelope ``C t N^{d-1} e^{-N^2/4t} + e^{-ct}``.
 
-    The free constants are chosen as the tightest dominating envelope on
-    the grid (reported, never assumed).  The Gaussian-slope regression of
-    ``log P`` against ``N^2/(4t)`` should stay above -1 when the bound
-    shape is respected.
+    ``N`` is ``spec.box_radius``.  The tail is the mass the plain killed walk
+    on ``spec.chain`` has carried over the rim, with Poisson truncation error
+    below ``_EXIT_TOL`` (the spec's killing rate plays no part).  The free
+    constants are chosen as the tightest dominating envelope over the grid
+    points with ``p_exit > 0`` (reported, never assumed).  The Gaussian-slope
+    regression of ``log P`` against ``N^2/(4t)`` over the same points should
+    stay below -1 when the bound shape is respected.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValidationError("t grid must be positive and increasing")
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
-    geom = env.geometry
-    if not 0 <= N <= geom.N - 1:
-        raise ValidationError(f"exit box radius must lie in [0, {geom.N - 1}]")
-    res = ensemble_walk(env, geom.origin, n_paths, float(t.max()), rng, kill_radius=N)
-    p_exit = np.array([(res.tau <= tj).mean() for tj in t])
-    stderr = np.sqrt(np.maximum(p_exit * (1 - p_exit), 0.0) / n_paths)
+    N = spec.box_radius
+    engine = UniformizationCache(spec.env, chain=spec.chain)
+    p_exit = np.array([engine.exit_prob(tj, _EXIT_TOL) for tj in t])
 
-    d = geom.d
+    d = spec.env.geometry.d
     shape = t * float(N) ** (d - 1) * np.exp(-N * N / (4.0 * t))
-    floor = 1.0 / (10.0 * n_paths)
+    positive = p_exit > 0
     best: tuple[float, float, float] | None = None
     for c in np.geomspace(1e-4, 10.0, 41):
         resid = p_exit - np.exp(-c * t)
@@ -486,13 +479,12 @@ def exit_time_tail_check(
             need = np.where(resid > 0, resid / shape, 0.0)
         C = float(np.max(need)) if np.any(need > 0) else 0.0
         bound = C * shape + np.exp(-c * t)
-        gap = float(np.max(np.log(bound / np.maximum(p_exit, floor))))
+        gap = float(np.max(np.log(bound[positive] / p_exit[positive]))) if positive.any() else 0.0
         if best is None or gap < best[0]:
             best = (gap, float(c), C)
     _, c_fit, C_fit = best
     bound = C_fit * shape + np.exp(-c_fit * t)
 
-    positive = p_exit > 0
     slope = None
     if positive.sum() >= 2:
         x = N * N / (4.0 * t[positive])
@@ -500,14 +492,12 @@ def exit_time_tail_check(
     return ExitTailReport(
         t=t,
         p_exit=p_exit,
-        stderr=stderr,
         bound=bound,
         C=C_fit,
         c=c_fit,
         all_below=bool(np.all(p_exit <= bound * (1 + 1e-12))),
         gaussian_slope=slope,
         N=int(N),
-        n_paths=n_paths,
     )
 
 

@@ -81,14 +81,16 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
 class BoxChain:
     """Transition matrix of the walk restricted to ``B_n``.
 
-    ``killed=True`` rows use the full invariant measure, so row sums below 1
-    are the per-jump exit probabilities (Dirichlet killing).  ``killed=False``
-    is the free-boundary chain on the whole environment box (stochastic).
+    ``killed=True`` rows use the full invariant measure, so row sums fall
+    below 1 by ``exit``, the per-jump exit probability (Dirichlet killing,
+    exactly 0 off the rim).  ``killed=False`` is the free-boundary chain on
+    the whole environment box (stochastic, ``exit`` identically 0).
     """
 
     P: csr_matrix
     sites: np.ndarray  # environment site indices, canonical sub-box order
     pi: np.ndarray
+    exit: np.ndarray  # P(the next jump leaves B_n), per site
     origin: int  # position of the lattice origin among ``sites``
     box_radius: int
     killed: bool
@@ -114,12 +116,13 @@ def transition_matrix(env: Environment, box_radius: int | None = None, killed: b
 
     sub = geom.sub_box_indices(n)
     pi = env.pi_all[sub]
-    (row, col, w), _ = _restrict(env, sub, inverse_index=True)
+    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub, inverse_index=True)
     P = coo_matrix((w / pi[row], (row, col)), shape=(len(sub), len(sub))).tocsr()
     return BoxChain(
         P=P,
         sites=sub,
         pi=pi,
+        exit=np.bincount(rim_row, weights=rim_w, minlength=len(sub)) / pi,
         origin=(len(sub) - 1) // 2,
         box_radius=n,
         killed=killed,

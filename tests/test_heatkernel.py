@@ -186,6 +186,23 @@ class TestPenalizedEngine:
         exact = float((expm(t * G) @ np.ones(len(chain.sites)))[chain.origin])
         assert abs(engine.survival(t, tol=1e-15) - exact) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radius=st.integers(0, 3),
+        seed=st.integers(0, 2**31),
+        lam=st.floats(0.0, 3.0),
+        t=st.floats(0.0, 20.0),
+    )
+    def test_exit_prob_matches_expm(self, radius, seed, lam, t):
+        # E[exp(-lam A(tau)); tau <= t] = (int_0^t e^{sG} ds exit)(0) = (G^{-1} (e^{tG} - I) exit)(0)
+        env = sample_environment(BoxGeometry(2, radius + 1), 2.0, seed)
+        engine = UniformizationCache(env, radius, lam=lam)
+        chain = engine.chain
+        G = chain.P.toarray() - (1.0 + lam) * np.eye(len(chain.sites))
+        flux = (expm(t * G) - np.eye(len(chain.sites))) @ chain.exit
+        exact = float(np.linalg.solve(G, flux)[chain.origin])
+        assert abs(engine.exit_prob(t, tol=1e-15) - exact) <= 1e-12
+
     def test_zero_rate_is_the_plain_cache(self, small_env, holey_decomp):
         plain = UniformizationCache(small_env, 6)
         engine = UniformizationCache(small_env, 6, lam=0.0, phi=holey_decomp.in_cluster)

@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 from rcmwalk import (
     BoxGeometry,
@@ -12,6 +13,7 @@ from rcmwalk import (
     ValidationError,
     dirichlet_form,
     eigenvalue_floor,
+    ensemble_walk,
     exit_time_tail_check,
     feynman_kac_mc,
     feynman_kac_spectral,
@@ -298,25 +300,55 @@ class TestSurvivalBound:
 
 
 class TestExitTimeTail:
-    def test_gaussian_regime_no_exits(self, rng):
+    def test_gaussian_regime_no_exits(self):
+        # the walk needs N + 1 jumps to leave B_N, so P(Poisson(t) >= N + 1) bounds the tail;
+        # the four straight runs to the rim (4 * 4^-25) bound it from below, where 1 - survival reads 0
         env = homogeneous_environment(2, 25)
-        # t far below N^2 / (4 log n_paths): no path escapes
-        rep = exit_time_tail_check(env, 24, np.array([1.0, 2.0, 4.0]), 400, rng)
-        assert np.all(rep.p_exit == 0.0)
+        t = np.array([1.0, 2.0, 4.0])
+        rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=24), t)
+        assert np.all(rep.p_exit >= 0.0)
+        assert np.all(rep.p_exit <= gammainc(25, t))
+        assert np.all(rep.p_exit >= 4.0**-24 * gammainc(25, t))
         assert rep.all_below
 
     def test_homogeneous_envelope(self):
         env = homogeneous_environment(2, 33)
         grid = np.geomspace(32**2 / 16, 32**2, 8)
-        rep = exit_time_tail_check(env, 32, grid, 1500, np.random.default_rng(4))
+        rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=32), grid)
         assert rep.all_below
         assert rep.p_exit.max() > 0.05
         # decay at least as fast as the e^{-N^2/4t} envelope shape
         assert rep.gaussian_slope is not None and rep.gaussian_slope <= -1.0
 
-    def test_validation(self, small_env, rng):
+    def test_matches_dense_oracle(self):
+        # 1 - P(alive at t) from the dense killed semigroup
+        t = np.array([0.5, 2.0, 10.0, 40.0, 100.0])
+        for seed in range(5):
+            env = sample_environment(BoxGeometry(2, 7), 2.0, 500 + seed)
+            spec = OperatorSpec(env=env, box_radius=6)
+            rep = exit_time_tail_check(spec, t)
+            P = spec.chain.P.toarray()
+            oracle = [1.0 - expm(tj * (P - np.eye(len(P))))[spec.chain.origin].sum() for tj in t]
+            np.testing.assert_allclose(rep.p_exit, oracle, rtol=0, atol=1e-12)
+
+    def test_matches_monte_carlo_exit_times(self):
+        env = sample_environment(BoxGeometry(2, 17), 2.0, 41)
+        grid = np.geomspace(16**2 / 16, 16**2, 8)
+        rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=16), grid)
+        n_paths = 4000
+        res = ensemble_walk(
+            env, env.geometry.origin, n_paths, float(grid.max()), np.random.default_rng(7), kill_radius=16
+        )
+        for tj, p in zip(grid, rep.p_exit):
+            mc = float((res.tau <= tj).mean())
+            sigma = math.sqrt(p * (1 - p) / n_paths)
+            assert abs(mc - p) <= 4 * sigma
+
+    def test_validation(self, small_env):
         with pytest.raises(ValidationError):
-            exit_time_tail_check(small_env, small_env.geometry.N, [1.0, 2.0], 10, rng)
+            exit_time_tail_check(OperatorSpec(env=small_env, box_radius=small_env.geometry.N), [1.0, 2.0])
+        with pytest.raises(ValidationError):
+            exit_time_tail_check(OperatorSpec(env=small_env), [2.0, 1.0])
 
 
 class TestOperatorSpecValidation:
@@ -331,6 +363,12 @@ class TestOperatorSpecValidation:
             OperatorSpec(env=rand_env, epsilon=1.0)
         with pytest.raises(ValidationError):
             OperatorSpec(env=rand_env, box_radius=rand_env.geometry.N)
+
+    def test_fields_are_frozen(self, rand_env):
+        spec = OperatorSpec(env=rand_env, lam=0.5)
+        assert spec.box_radius == rand_env.geometry.N - 1
+        with pytest.raises(FrozenInstanceError):
+            spec.lam = 0.0
 
     def test_prescribed_needs_finite_gamma(self):
         env = homogeneous_environment(2, 5)

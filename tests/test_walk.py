@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 
 from rcmwalk import (
     BoxGeometry,
     Environment,
+    OperatorSpec,
     STRONG_LABEL,
     TrajectoryRecord,
     ValidationError,
@@ -142,6 +145,53 @@ class TestDetailedBalance:
     def test_killed_radius_validation(self, small_env):
         with pytest.raises(ValidationError):
             transition_matrix(small_env, small_env.geometry.N)
+
+
+@st.composite
+def _chains(draw, killed=st.booleans()):
+    """A killed or free jump chain on a small random d=2 or d=3 box."""
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 4 if d == 2 else 3))
+    env = sample_environment(BoxGeometry(d, N), draw(st.floats(0.5, 8.0)), draw(st.integers(0, 2**31)))
+    if draw(killed):
+        return env, transition_matrix(env, draw(st.integers(0, N - 1)))
+    return env, transition_matrix(env, killed=False)
+
+
+class TestChainProperties:
+    ULP = 4 * np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains())
+    def test_rows_and_exit_sum_to_one(self, case):
+        _, chain = case
+        rows = np.asarray(chain.P.sum(axis=1)).ravel() + chain.exit
+        assert np.all(np.abs(rows - 1.0) <= self.ULP)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains())
+    def test_exit_only_over_the_rim(self, case):
+        env, chain = case
+        rim = env.geometry.linf_norm[chain.sites] == chain.box_radius
+        if chain.killed:
+            assert np.all(chain.exit[~rim] == 0.0)
+            assert np.all(chain.exit[rim] > 0.0)
+        else:
+            assert np.all(chain.exit == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains())
+    def test_pi_reversible(self, case):
+        _, chain = case
+        flow = chain.pi[:, None] * chain.P.toarray()
+        np.testing.assert_allclose(flow, flow.T, rtol=self.ULP, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains(killed=st.just(True)), lam=st.floats(0.0, 3.0))
+    def test_symmetrized_is_exactly_symmetric(self, case, lam):
+        env, chain = case
+        S, _ = OperatorSpec(env=env, box_radius=chain.box_radius, lam=lam).symmetrized
+        assert np.array_equal(S.toarray(), S.T.toarray())
 
 
 class TestSimulateCtmc:
