@@ -60,6 +60,7 @@ from .percolation import (
 )
 from .spectral import (
     ExitTailReport,
+    FloorCertificate,
     OperatorSpec,
     PerturbationReport,
     SpectralReport,
@@ -73,6 +74,7 @@ from .spectral import (
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
+    negative_pivots,
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,

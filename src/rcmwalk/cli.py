@@ -42,7 +42,7 @@ from .percolation import (
     threshold_for_density,
     write_decomposition_csv,
 )
-from .spectral import OperatorSpec, lambda1_floor_check, prescribed_killing_rate
+from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_killing_rate
 
 
 def _worker_count(text: str) -> int:
@@ -232,14 +232,17 @@ def _cmd_spectrum(args) -> int:
     else:
         lam = 0.0
     spec = OperatorSpec(env=env, decomp=decomp, box_radius=box, lam=lam, mu=args.mu)
-    rep, m_n, ok = lambda1_floor_check(spec, tol=args.tol)
+    rep = lambda1(spec, tol=args.tol)
+    cert = lambda1_floor_check(spec, tol=args.tol)
+    row = [env.gamma, d, box, xi if xi is not None else "", lam]
+    row += [rep.Lambda1, cert.m_N, cert.passed, rep.residual, rep.iterations]
     write_csv(
         out / "spectral_report.csv",
         ["gamma", "d", "N", "xi_hat", "lambda", "Lambda1", "bound_m_N", "pass", "residual", "iterations"],
-        [[env.gamma, d, box, xi if xi is not None else "", lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations]],
+        [row],
     )
     write_manifest(out, "spectrum", None, ["spectral_report.csv"], time.monotonic() - start)
-    print(f"Lambda1 = {rep.Lambda1!r} (floor m(N) = {m_n!r}, pass = {ok})")
+    print(f"Lambda1 = {rep.Lambda1!r} (floor m(N) = {cert.m_N!r}, pass = {cert.passed})")
     return 0
 
 
@@ -300,7 +303,7 @@ def _cmd_report(args) -> int:
                 else:
                     status = "ok"
                 lines.append(f"  {name}: {status}")
-            elif raw.startswith(("command=", "config_hash=", "master_seed=", "pass_rate_")):
+            elif raw.startswith(("command=", "config_hash=", "master_seed=", "pass_rate_", "floor_eigsh_fallbacks=")):
                 lines.append(f"  {raw}")
         lines.append("")
     text = "\n".join(lines)

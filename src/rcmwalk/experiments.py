@@ -110,7 +110,7 @@ class ExperimentConfig:
             raise ValidationError("epsilon must lie in (0, 1)")
         if self.n_environments < 0:
             raise ValidationError("n_environments must be >= 0")
-        if self.n_paths < 1:
+        if self.method == "mc" and self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError("master_seed must fit in 64 bits")
@@ -222,12 +222,16 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """sha256 of the canonical config text, blind to ``[output] directory``.
+    """sha256 of the canonical config text, blind to what a run does not read.
 
     Where a run writes does not change what it computes, so one config and
-    seed hash the same in every output directory.
+    seed hash the same in every output directory.  ``n_paths`` counts only
+    for ``method = mc``; under any other method it hashes as its default.
     """
-    return hashlib.sha256(config_to_text(replace(cfg, directory="")).encode()).hexdigest()
+    blind = replace(cfg, directory="")
+    if cfg.method != "mc":
+        blind = replace(blind, n_paths=ExperimentConfig.n_paths)
+    return hashlib.sha256(config_to_text(blind).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +516,15 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
 
     spectral_rows = []
     survival_rows = []
+    fallbacks = 0
     n_exit = min(cfg.N_list)
     for n in cfg.N_list:
         spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
-        rep, m_n, ok = lambda1_floor_check(spec)
+        cert = lambda1_floor_check(spec)
         spectral_rows.append(
-            (gamma, d, n, xi, rep.lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations)
+            (gamma, d, n, xi, spec.lam, cert.m_N, cert.passed, cert.neg_pivots, cert.iterations)
         )
+        fallbacks += cert.method == "eigsh"
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
         if n == n_exit:
@@ -528,7 +534,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
         for j in range(len(tail.t))
     ]
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below)
+    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), fallbacks
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -548,6 +554,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     survival_rows = [row for r in results for row in r[2]]
     exit_rows = [row for r in results for row in r[3]]
     exit_ok = [r[4] for r in results]
+    fallbacks = sum(r[5] for r in results)
 
     files = []
     write_csv(
@@ -558,7 +565,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     files.append("holes.csv")
     write_csv(
         out / "spectral_report.csv",
-        ["gamma", "d", "N", "xi_hat", "lambda", "Lambda1", "bound_m_N", "pass", "residual", "iterations"],
+        ["gamma", "d", "N", "xi_hat", "lambda", "bound_m_N", "pass", "neg_pivots", "iterations"],
         spectral_rows,
     )
     files.append("spectral_report.csv")
@@ -577,7 +584,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
 
     pass_rates = {
         "hole_volume": float(np.mean([row[-1] for row in hole_rows])),
-        "lambda1_floor": float(np.mean([row[7] for row in spectral_rows])),
+        "lambda1_floor": float(np.mean([row[6] for row in spectral_rows])),
         "survival_bound": float(np.mean([row[-1] for row in survival_rows])),
         "exit_tail": float(np.mean(exit_ok)),
     }
@@ -588,7 +595,10 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
         cfg,
         files,
         elapsed,
-        extra={f"pass_rate_{k}": str(v) for k, v in pass_rates.items()},
+        extra={
+            **{f"pass_rate_{k}": str(v) for k, v in pass_rates.items()},
+            "floor_eigsh_fallbacks": str(fallbacks),
+        },
     )
     return ExperimentReport(
         kind="bounds",

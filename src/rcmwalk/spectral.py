@@ -7,6 +7,13 @@ cluster.  All eigensolves run on the symmetrized matrix
 ``delta - omega_xy / sqrt(pi_x pi_y)`` are assembled directly from the
 bonds so symmetry is exact.
 
+The spectral-gap floor ``Lambda1 >= m(N)`` is certified without an
+eigensolve: one symmetric LDL^T factorization of ``S - m(N) I`` with no
+pivots below zero proves it, by Sylvester's law of inertia (the factor's
+pivots and the eigenvalues of ``S - m(N) I`` have the same signs).  Any
+other outcome of the factorization is settled by the principal eigenvalue,
+so a failing verdict always rests on an eigensolve.
+
 The value ``E[exp(-lam A(t)); t < tau]`` comes from the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
 truncation), from Monte Carlo, and, as an oracle on small boxes, from the
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
@@ -197,9 +204,7 @@ class SpectralReport:
     Lambda1: float
     psi1: np.ndarray  # unit pi-norm, nonnegative entries, over box sites
     residual: float
-    lam: float
     iterations: int
-    box_radius: int
 
 
 def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> SpectralReport:
@@ -243,14 +248,7 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> Spec
         raise NumericalError(f"principal eigenpair residual {resid:.2e} above tolerance")
     psi = v / sqrt_pi
     psi = psi / math.sqrt(float((psi * psi * spec.chain.pi).sum()))
-    return SpectralReport(
-        Lambda1=lam1,
-        psi1=psi,
-        residual=resid,
-        lam=spec.lam,
-        iterations=iters,
-        box_radius=spec.box_radius,
-    )
+    return SpectralReport(Lambda1=lam1, psi1=psi, residual=resid, iterations=iters)
 
 
 def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
@@ -501,15 +499,68 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
     )
 
 
-def lambda1_floor_check(spec: OperatorSpec, tol: float = 1e-10) -> tuple[SpectralReport, float, bool]:
-    """Principal eigenvalue of ``spec`` against the floor ``m(N)`` at its box radius and ``mu``.
+def negative_pivots(S, shift: float) -> int | None:
+    """Number of eigenvalues of the symmetric sparse ``S`` below ``shift``.
 
-    Returns ``(report, m_N, passed)`` with ``passed = Lambda1 >= m_N``; the
-    floor holds at the killing rate of ``prescribed_spec``.
+    Counts the negative pivots of an LDL^T factorization of ``S - shift I``:
+    SuperLU in symmetric mode with a fill-reducing order of ``A^T + A`` and
+    diagonal pivots only.  The count equals the number of eigenvalues below
+    ``shift`` (Sylvester's law of inertia) only when the factorization kept
+    to the diagonal, which shows as equal row and column permutations, and
+    every pivot is finite and nonzero; otherwise returns ``None``.
     """
-    report = lambda1(spec, tol=tol)
+    A = (S - shift * identity(S.shape[0], format="csc")).tocsc()
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular: shift is an eigenvalue
+        return None
+    pivots = lu.U.diagonal()
+    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(np.isfinite(pivots) & (pivots != 0)):
+        return None
+    return int(np.count_nonzero(pivots < 0))
+
+
+@dataclass(frozen=True)
+class FloorCertificate:
+    """Verdict on ``Lambda1 >= m_N`` and how it was reached.
+
+    ``method`` is ``"inertia"`` when the factorization of ``S - m_N I`` had
+    no negative pivot, and ``"eigsh"`` when the verdict came from
+    ``lambda1``.  ``neg_pivots`` is the factorization's negative-pivot count,
+    ``-1`` when it gave no valid inertia; ``iterations`` counts the
+    shift-invert solves of the eigensolve (0 on the inertia route).
+    """
+
+    m_N: float
+    passed: bool
+    neg_pivots: int
+    method: str
+    iterations: int
+
+
+def lambda1_floor_check(spec: OperatorSpec, tol: float = 1e-10) -> FloorCertificate:
+    """Certify the floor ``Lambda1 >= m(N)`` at the spec's box radius and ``mu``.
+
+    Factors ``S - m(N) I`` once, with ``S`` the spec's symmetrized
+    operator: zero negative pivots prove the floor without an eigensolve.
+    A negative pivot, or a factorization that is not a valid LDL^T (see
+    ``negative_pivots``), falls back to ``lambda1(spec, tol)``, and the
+    verdict is then ``Lambda1 >= m(N)``.  The floor holds at the killing
+    rate of ``prescribed_spec``.
+    """
     m_n = eigenvalue_floor(spec.env.geometry.d, spec.env.gamma, spec.box_radius, spec.mu)
-    return report, m_n, bool(report.Lambda1 >= m_n)
+    S, _ = spec.symmetrized
+    neg = negative_pivots(S, m_n)
+    if neg == 0:
+        return FloorCertificate(m_N=m_n, passed=True, neg_pivots=0, method="inertia", iterations=0)
+    report = lambda1(spec, tol=tol)
+    return FloorCertificate(
+        m_N=m_n,
+        passed=bool(report.Lambda1 >= m_n),
+        neg_pivots=-1 if neg is None else neg,
+        method="eigsh",
+        iterations=report.iterations,
+    )
 
 
 def homogeneous_lambda1_exact(N: int) -> float:

@@ -148,9 +148,9 @@ def test_criterion_05_spectral_gap_floor():
         for seed in derive_environment_seeds(500 + n, 20):
             env = sample_environment(BoxGeometry(2, n + 1), 2.0, int(seed))
             dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-            _, _, ok = lambda1_floor_check(prescribed_spec(env, dec, n, mu=0.1))
+            cert = lambda1_floor_check(prescribed_spec(env, dec, n, mu=0.1))
             checks += 1
-            failures += 0 if ok else 1
+            failures += 0 if cert.passed else 1
     worst_eig = 0.0
     for n in (32, 64, 128):
         env = homogeneous_environment(2, n + 1)

@@ -11,6 +11,7 @@ from rcmwalk import (
     BoxGeometry,
     UniformizationCache,
     homogeneous_environment,
+    lambda1,
     lambda1_floor_check,
     prescribed_spec,
     sample_environment,
@@ -101,11 +102,13 @@ class TestSpectrumSimulate:
         env = sample_environment(BoxGeometry(2, n + 1), 2.0, 3)
         xi = threshold_for_density(2.0, 0.95)
         spec = prescribed_spec(env, strong_cluster(env, xi), n, mu=0.1)
-        rep, m_n, ok = lambda1_floor_check(spec, tol=1e-10)
-        expected = [2.0, 2, n, xi, spec.lam, rep.Lambda1, m_n, ok, rep.residual, rep.iterations]
+        # Lambda1 and its eigensolve figures from lambda1, the verdict from the certificate
+        rep = lambda1(spec, tol=1e-10)
+        cert = lambda1_floor_check(spec, tol=1e-10)
+        expected = [2.0, 2, n, xi, spec.lam, rep.Lambda1, cert.m_N, cert.passed, rep.residual, rep.iterations]
         row = (out / "spectral_report.csv").read_text().splitlines()[1]
         assert row == ",".join(str(v) for v in expected)
-        assert f"pass = {ok})" in capsys.readouterr().out
+        assert f"pass = {cert.passed})" in capsys.readouterr().out
 
     def test_simulate_schema(self, tmp_path):
         out = tmp_path / "sim"
@@ -140,8 +143,14 @@ class TestConfigCommands:
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(FAST_CFG.format(out=out))
         assert main(["bounds", "--config", str(cfg)]) == 0
-        assert (out / "spectral_report.csv").is_file()
+        header = (out / "spectral_report.csv").read_text().splitlines()[0]
+        assert header == "gamma,d,N,xi_hat,lambda,bound_m_N,pass,neg_pivots,iterations"
         assert "pass rate" in capsys.readouterr().out
+        # the report shows the eigensolve fallbacks next to the pass rates
+        assert main(["report", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "  pass_rate_lambda1_floor=" in text
+        assert "  floor_eigsh_fallbacks=0\n" in text
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,11 @@ def _cfg(tmp_path, sub="run"):
     return parse_config(FAST_CFG.format(out=tmp_path / sub))
 
 
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = _cfg(tmp_path)
@@ -96,6 +103,19 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         b.master_seed = 43
         assert config_hash(a) != config_hash(b)
+
+    def test_hash_reads_n_paths_only_for_mc(self, tmp_path):
+        exact = _cfg(tmp_path)
+        assert exact.method == "exact"
+        assert config_hash(exact) == config_hash(replace(exact, n_paths=17))
+        mc = replace(exact, method="mc")
+        assert config_hash(mc) != config_hash(replace(mc, n_paths=17))
+
+    def test_n_paths_validated_only_for_mc(self, tmp_path):
+        cfg = parse_config(FAST_CFG.format(out=tmp_path).replace("n_paths = 300", "n_paths = 0"))
+        assert cfg.method == "exact" and cfg.n_paths == 0
+        with pytest.raises(ValidationError, match="n_paths"):
+            ExperimentConfig(method="mc", n_paths=0).validate()
 
 
 class TestQuenchedRunner:
@@ -239,8 +259,30 @@ class TestBoundSuite:
         out = Path(cfg.directory)
         for name in ("holes.csv", "spectral_report.csv", "survival.csv", "exit_tail.csv"):
             assert (out / name).is_file()
-        header = (out / "spectral_report.csv").read_text().splitlines()[0]
-        assert header == "gamma,d,N,xi_hat,lambda,Lambda1,bound_m_N,pass,residual,iterations"
+        lines = (out / "spectral_report.csv").read_text().splitlines()
+        assert lines[0] == "gamma,d,N,xi_hat,lambda,bound_m_N,pass,neg_pivots,iterations"
+        # every floor is certified by inertia: no negative pivot, no shift-invert solve
+        assert all(line.endswith(",True,0,0") for line in lines[1:])
+        assert "floor_eigsh_fallbacks=0\n" in (out / "manifest.txt").read_text()
+
+    def test_byte_determinism(self, tmp_path):
+        for sub in ("a", "b"):
+            run_bound_suite(_cfg(tmp_path, sub))
+        for name in ("holes.csv", "spectral_report.csv", "survival.csv", "exit_tail.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_manifest_counts_eigsh_fallbacks(self, tmp_path, monkeypatch):
+        # with no valid inertia every floor goes to the eigensolve, and the verdicts stand
+        run_bound_suite(_cfg(tmp_path, "inertia"))
+        monkeypatch.setattr(spectral, "negative_pivots", lambda S, shift: None)
+        cfg = _cfg(tmp_path, "eigsh")
+        run_bound_suite(cfg)
+        out = Path(cfg.directory)
+        assert f"floor_eigsh_fallbacks={cfg.n_environments * len(cfg.N_list)}\n" in (out / "manifest.txt").read_text()
+        rows = _read_rows(out / "spectral_report.csv")
+        assert all(r["neg_pivots"] == "-1" and int(r["iterations"]) > 0 for r in rows)
+        inertia = _read_rows(tmp_path / "inertia" / "spectral_report.csv")
+        assert [r["pass"] for r in rows] == [r["pass"] for r in inertia]
 
     def test_one_chain_per_box(self, tmp_path, monkeypatch):
         # the floor check and the survival check share one spec per box

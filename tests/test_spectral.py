@@ -1,9 +1,13 @@
 import math
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import diags
 from scipy.special import gammainc
 
 from rcmwalk import (
@@ -11,6 +15,7 @@ from rcmwalk import (
     OperatorSpec,
     UniformizationCache,
     ValidationError,
+    derive_environment_seeds,
     dirichlet_form,
     eigenvalue_floor,
     ensemble_walk,
@@ -22,11 +27,13 @@ from rcmwalk import (
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
+    negative_pivots,
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,
     rayleigh_quotient,
     sample_environment,
+    spectral,
     strong_cluster,
     survival_bound_check,
     threshold_for_density,
@@ -153,18 +160,18 @@ class TestLambda1:
     def test_floor_check(self):
         env = sample_environment(BoxGeometry(2, 17), 2.0, 55)
         dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-        rep, m_n, ok = lambda1_floor_check(prescribed_spec(env, dec, 16, mu=0.1))
-        assert ok
-        assert m_n == pytest.approx(eigenvalue_floor(2, 2.0, 16, 0.1))
-        assert rep.lam == pytest.approx(prescribed_killing_rate(2, 2.0, 16, 0.1, dec.threshold))
+        spec = prescribed_spec(env, dec, 16, mu=0.1)
+        cert = lambda1_floor_check(spec)
+        assert cert.passed
+        assert cert.m_N == pytest.approx(eigenvalue_floor(2, 2.0, 16, 0.1))
+        assert spec.lam == pytest.approx(prescribed_killing_rate(2, 2.0, 16, 0.1, dec.threshold))
 
     def test_floor_check_reads_the_spec(self, rand_env, rand_decomp):
         # the floor is m(N) at the spec's own box radius and mu, whatever its rate
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.2, mu=0.3)
-        rep, m_n, ok = lambda1_floor_check(spec)
-        assert m_n == eigenvalue_floor(2, 2.0, 3, 0.3)
-        assert rep.Lambda1 == lambda1(spec).Lambda1
-        assert ok == (rep.Lambda1 >= m_n)
+        cert = lambda1_floor_check(spec)
+        assert cert.m_N == eigenvalue_floor(2, 2.0, 3, 0.3)
+        assert cert.passed == (lambda1(spec).Lambda1 >= cert.m_N)
 
     def test_small_box_is_decomposed_once(self, rand_env, rand_decomp, monkeypatch):
         calls = []
@@ -181,6 +188,87 @@ class TestLambda1:
         lambda1(spec)
         assert calls == [(49, 49)]
         assert rep.Lambda1 == spec.dense_eig[0][0]
+
+
+@pytest.fixture(scope="module")
+def spec_625():
+    # 625 sites: above the dense cutoff of lambda1, so the eigensolve is shift-invert
+    env = sample_environment(BoxGeometry(2, 13), 2.0, 4)
+    return prescribed_spec(env, strong_cluster(env, threshold_for_density(2.0, 0.95)), 12, mu=0.1)
+
+
+class TestFloorCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        box=st.sampled_from([(2, 1), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2)]),  # at most 169 sites
+        seed=st.integers(0, 2**31),
+        p=st.floats(0.3, 0.95),
+        lam=st.floats(0.0, 3.0),
+        u=st.floats(-0.05, 1.05),
+    )
+    def test_negative_pivots_count_eigenvalues_below_the_shift(self, box, seed, p, lam, u):
+        d, radius = box
+        env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
+        dec = strong_cluster(env, threshold_for_density(2.0, p))
+        S = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam).symmetrized[0]
+        eigs = np.linalg.eigvalsh(S.toarray())
+        shift = eigs[0] + u * (eigs[-1] - eigs[0])
+        assume(np.min(np.abs(eigs - shift)) >= 1e-8 * np.max(np.abs(eigs)))
+        assert negative_pivots(S, shift) == int((eigs < shift).sum())
+
+    def test_verdict_matches_the_eigenvalue_on_criterion_05_environments(self):
+        n = 32
+        for seed in derive_environment_seeds(500 + n, 20):
+            env = sample_environment(BoxGeometry(2, n + 1), 2.0, int(seed))
+            dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+            spec = prescribed_spec(env, dec, n, mu=0.1)
+            cert = lambda1_floor_check(spec)
+            assert cert.passed == (lambda1(spec).Lambda1 >= cert.m_N)
+            assert (cert.method, cert.neg_pivots, cert.iterations) == ("inertia", 0, 0)
+
+    def test_inertia_route_runs_no_eigensolve(self, monkeypatch, spec_625):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("the inertia route must not call lambda1")
+
+        monkeypatch.setattr(spectral, "lambda1", no_eigensolve)
+        cert = lambda1_floor_check(spec_625)
+        assert (cert.passed, cert.method, cert.neg_pivots, cert.iterations) == (True, "inertia", 0, 0)
+
+    def test_failing_floor_is_confirmed_by_eigsh(self):
+        # lam = 0 at N = 32: Lambda1 ~ 1.04e-3 lies below m(N) ~ 1.38e-3
+        env = sample_environment(BoxGeometry(2, 33), 2.0, 7)
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=32, lam=0.0, mu=0.1)
+        cert = lambda1_floor_check(spec)
+        assert cert.method == "eigsh"
+        assert not cert.passed
+        assert cert.iterations > 0
+        assert cert.neg_pivots == 1  # one eigenvalue below m(N)
+        assert lambda1(spec).Lambda1 < cert.m_N
+
+    @pytest.mark.parametrize("fault", ["perm", "zero", "nan", "singular"])
+    def test_invalid_factorization_falls_back(self, monkeypatch, spec_625, fault):
+        real = spectral.splu
+
+        def faulty(A, **kwargs):
+            lu = real(A, **kwargs)
+            if not kwargs.get("options", {}).get("SymmetricMode"):
+                return lu  # the eigensolve's own factorization
+            if fault == "singular":
+                raise RuntimeError("Factor is exactly singular")
+            pivots = lu.U.diagonal().copy()
+            perm_r = lu.perm_r.copy()
+            if fault == "perm":
+                perm_r[[0, 1]] = perm_r[[1, 0]]
+            else:
+                pivots[len(pivots) // 2] = 0.0 if fault == "zero" else np.nan
+            return SimpleNamespace(U=diags(pivots), perm_r=perm_r, perm_c=lu.perm_c)
+
+        monkeypatch.setattr(spectral, "splu", faulty)
+        assert negative_pivots(spec_625.symmetrized[0], 0.0) is None
+        cert = lambda1_floor_check(spec_625)
+        assert (cert.passed, cert.method, cert.neg_pivots) == (True, "eigsh", -1)
+        assert cert.iterations > 0
 
 
 class TestFeynmanKac:
