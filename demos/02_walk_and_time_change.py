@@ -1,9 +1,9 @@
 """The Poisson-clock walk, its strong-cluster clock, and the time-changed walk.
 
-Simulates one path and an ensemble, accumulates the additive functional
-(time spent on the strong cluster), excises hole excursions, and compares
-the exact next-cluster-point law from absorbing solves against Monte Carlo
-frequencies.
+Simulates one path, accumulates the additive functional (time spent on
+the strong cluster), excises hole excursions, prints the exact kernel of the
+time-changed walk from the origin, and compares the exact
+next-cluster-point law from the hole pass against Monte Carlo frequencies.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from rcmwalk import (
     BoxGeometry,
     effective_conductances,
+    heat_kernel_hat,
     next_point_frequencies,
     sample_environment,
     simulate_ctmc,
@@ -39,6 +40,14 @@ print(f"\npath: {traj.n_jumps} jumps in [0, {traj.end_time:.0f}], "
 hat = time_changed_trajectory(traj, dec)
 print(f"time-changed path: {len(hat.sites)} cluster visits on [0, {hat.horizon:.2f}]")
 assert np.all(dec.in_cluster[hat.sites])
+
+# the time-changed walk as an exact chain on the cluster, from the origin
+origin = env.geometry.origin
+assert dec.in_cluster[origin]
+curve = heat_kernel_hat(env, dec, origin, [1.0, 2.0, 4.0, 8.0, 16.0])
+print("exact time-changed kernel from the origin (t^(d/2) sup of order one is the t^(-d/2) decay):")
+for t, sup, rescaled in zip(curve.t, curve.sup, curve.rescaled):
+    print(f"  t = {t:4.0f}: sup_y P(Xhat_t = y) = {sup:.4f}   t^(d/2) sup = {rescaled:.3f}")
 
 # --- next-cluster-point law: exact vs Monte Carlo ---------------------------
 x = int(dec.holes[0].boundary[0])  # a site touching a hole

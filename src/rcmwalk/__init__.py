@@ -3,9 +3,10 @@
 Simulation and numerical-verification toolkit: environment sampling under
 polynomial-tail conductance laws, percolation decomposition into strong
 cluster and holes, Poisson-clock walks with time change and effective
-conductances, exact and Monte Carlo heat kernels with exponent fitting,
-and the spectral machinery (Dirichlet forms, principal eigenvalues,
-penalized semigroups) behind the quenched decay bounds.
+conductances, exact and Monte Carlo heat kernels with exponent fitting, the
+exact kernel of the time-changed walk, and the spectral machinery (Dirichlet
+forms, principal eigenvalues, penalized semigroups) behind the quenched
+decay bounds.
 """
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 from .heatkernel import (
     CltBoundReport,
     ExponentFit,
+    HeatKernelHatCurve,
     ReturnProbabilityCurve,
     UniformizationCache,
     box_radius_for_horizon,
@@ -28,6 +30,7 @@ from .heatkernel import (
     default_time_grid,
     discrete_return_prob,
     fit_exponent,
+    heat_kernel_hat,
     poisson_truncation_k,
     poisson_weights,
     poissonization_lower_bound,
@@ -85,11 +88,9 @@ from .walk import (
     BoxChain,
     EffectiveConductances,
     EnsembleResult,
-    HeatKernelHatCurve,
     TrajectoryRecord,
     effective_conductance_matrix,
     effective_conductances,
-    empirical_heat_kernel_hat,
     ensemble_walk,
     next_point_frequencies,
     simulate_ctmc,

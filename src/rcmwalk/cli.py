@@ -233,7 +233,7 @@ def _cmd_spectrum(args) -> int:
         lam = 0.0
     spec = OperatorSpec(env=env, decomp=decomp, box_radius=box, lam=lam, mu=args.mu)
     rep = lambda1(spec, tol=args.tol)
-    cert = lambda1_floor_check(spec, tol=args.tol)
+    cert = lambda1_floor_check(spec, tol=args.tol, principal=rep)
     row = [env.gamma, d, box, xi if xi is not None else "", lam]
     row += [rep.Lambda1, cert.m_N, cert.passed, rep.residual, rep.iterations]
     write_csv(

@@ -7,7 +7,8 @@ propagation of the chain serves every time point of a curve, and also
 yields the discrete-time kernel and the surviving-mass monitor for the
 Dirichlet truncation error.  The same engine uniformizes the penalized
 generator ``I - P + lam diag(phi)``, whose surviving mass is the
-Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``.
+Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``, and the time-changed
+walk's chain on the strong cluster.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import coo_matrix, diags
 from scipy.special import gammaln, stdtrit
 
 from .errors import ValidationError
 from .lattice import Environment
-from .percolation import ClusterDecomposition
-from .walk import BoxChain, ensemble_walk, transition_matrix
+from .percolation import STRONG_LABEL, ClusterDecomposition
+from .walk import BoxChain, effective_conductance_matrix, ensemble_walk, transition_matrix
 
 
 def poisson_truncation_k(rate: float, tol: float) -> int:
@@ -68,6 +69,13 @@ def default_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.nd
         raise ValidationError("need 0 < t_min < t_max")
     n = max(2, int(math.ceil(per_decade * math.log10(t_max / t_min))) + 1)
     return np.geomspace(t_min, t_max, n)
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(t < 0) or np.any(np.diff(t) <= 0):
+        raise ValidationError("t grid must be nonnegative and increasing")
+    return t
 
 
 class UniformizationCache:
@@ -203,9 +211,7 @@ def return_prob_curve_exact(
     box_radius: int | None = None,
 ) -> ReturnProbabilityCurve:
     """Exact return-probability curve; one propagation serves all times."""
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be nonnegative and increasing")
+    t = _time_grid(t_grid)
     cache = UniformizationCache(env, box_radius)
     p = np.array([cache.return_prob(tj, tol) for tj in t])
     surv = np.array([cache.survival(tj, tol) for tj in t])
@@ -234,9 +240,7 @@ def return_prob_mc(
     All grid points share the same paths (common random numbers); the walk
     is killed on leaving the same box as the exact computation.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be nonnegative and increasing")
+    t = _time_grid(t_grid)
     if n_paths < 1:
         raise ValidationError("need at least one path")
     kill = env.geometry.N - 1 if box_radius is None else int(box_radius)
@@ -308,6 +312,37 @@ def poissonization_lower_bound(cache: UniformizationCache, t: float) -> tuple[fl
     n = int(math.floor(t))
     disc = cache.discrete(2 * n)
     return disc, float(poisson_weights(t, 2 * n)[::2].sum())
+
+
+@dataclass
+class HeatKernelHatCurve:
+    """The time-changed kernel's envelope ``sup_y P(Xhat_t = y)`` on a time grid."""
+
+    t: np.ndarray
+    sup: np.ndarray
+    rescaled: np.ndarray  # t^{d/2} * sup
+
+
+def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_grid) -> HeatKernelHatCurve:
+    """Exact ``sup_y P(Xhat_t = y)`` of the time-changed walk from ``x``, with its rescaling.
+
+    The time-changed walk is the rate-1 chain on the strong cluster with jump
+    matrix ``diag(pi)^{-1} M``, ``M`` the effective-conductance matrix (a jump
+    may return to its start through a hole); its law at each ``t`` comes from
+    the uniformization engine on that chain, which has no exit.
+    """
+    if decomp.labels[x] != STRONG_LABEL:
+        raise ValidationError(f"site {x} is not on the strong cluster")
+    t = _time_grid(t_grid)
+    M = effective_conductance_matrix(env, decomp)
+    sites = np.flatnonzero(decomp.in_cluster)
+    local = np.cumsum(decomp.in_cluster) - 1  # position among the cluster sites
+    m = len(sites)
+    P = coo_matrix((M.data / env.pi_all[M.row], (local[M.row], local[M.col])), shape=(m, m)).tocsr()
+    chain = BoxChain(P, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False)
+    engine = UniformizationCache(env, chain=chain)
+    sup = np.array([engine.distribution(tj).max() for tj in t])
+    return HeatKernelHatCurve(t=t, sup=sup, rescaled=t ** (env.geometry.d / 2.0) * sup)
 
 
 @dataclass

@@ -283,6 +283,27 @@ def pi(env: Environment, x: int) -> float:
     return total
 
 
+def _restrict(env: Environment, sites: np.ndarray):
+    """Bonds of the conductance graph seen from an ascending set of sites.
+
+    Returns ``(row, col, w)``, the directed bonds inside the set in local
+    indices (each undirected bond twice, row-major in incidence order), and
+    ``(rim_row, outside, rim_w)``, the bonds from local ``rim_row`` to the
+    site ``outside`` beyond the set.  Local positions come from a full-size
+    inverse index.
+    """
+    inv = np.full(env.geometry.n_sites, -1, dtype=np.int64)
+    inv[sites] = np.arange(len(sites), dtype=np.int64)
+    neigh = env.geometry.neighbor_table[sites]
+    w = env.omega_by_direction[sites]
+    local = inv[neigh]
+    bonded = w > 0  # absent neighbors (-1) carry no conductance
+    inside = bonded & (local >= 0)
+    row, k = np.nonzero(inside)
+    rim_row, rim_k = np.nonzero(bonded & ~inside)
+    return (row, local[row, k], w[row, k]), (rim_row, neigh[rim_row, rim_k], w[rim_row, rim_k])
+
+
 def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environment:
     """Draw an environment with i.i.d. conductances ``U**(1/gamma)``.
 

@@ -9,14 +9,15 @@ the strong cluster, and a fixed anchor site on that boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyClusterError, ValidationError
-from .lattice import Environment
+from .lattice import Environment, _restrict
 
 STRONG_LABEL = -1
 
@@ -62,7 +63,6 @@ class ClusterDecomposition:
     threshold: float
     labels: np.ndarray
     holes: list[Hole]
-    _hitting_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def in_cluster(self) -> np.ndarray:
@@ -71,6 +71,74 @@ class ClusterDecomposition:
     @property
     def cluster_size(self) -> int:
         return int(self.in_cluster.sum())
+
+    @cached_property
+    def hitting(self) -> csr_matrix:
+        """``(n_sites, n_sites)``: row ``z`` of a hole site is the law of the first
+        strong-cluster site the walk from ``z`` visits (on the hole's outer
+        boundary); cluster rows are empty.  Solved for all holes on first use.
+        """
+        return _hole_pass(self)
+
+
+def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
+    """Solve ``(diag(pi) - W) H = B`` on every hole in one pass.
+
+    ``W`` holds the bonds inside a hole, ``B`` those toward its boundary
+    sites.  One bond restriction over all hole sites builds every system
+    (holes are never adjacent); holes of one size share one stacked
+    ``np.linalg.solve``, ``B`` padded with zero columns, which gives each hole
+    bit for bit its own solve.  A hole of ``m`` sites and ``nb`` boundary
+    sites takes ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
+    """
+    env = decomp.env
+    n = env.geometry.n_sites
+    holes = decomp.holes
+    if not holes:
+        return csr_matrix((n, n))
+    sites = np.flatnonzero(~decomp.in_cluster)
+    (row, col, w), (rim_row, outside, rim_w) = _restrict(env, sites)
+    label = decomp.labels[sites]
+    size = np.array([h.volume for h in holes], dtype=np.int64)
+    width = np.array([len(h.boundary) for h in holes], dtype=np.int64)
+    # sites hole by hole, each site's position in its hole, each rim bond's boundary column
+    by_hole = np.argsort(label, kind="stable")
+    first = np.cumsum(size) - size
+    pos = np.empty(len(sites), dtype=np.int64)
+    pos[by_hole] = np.arange(len(sites)) - np.repeat(first, size)
+    bdry = np.concatenate([h.boundary for h in holes])
+    bfirst = np.cumsum(width) - width
+    rim_hole = label[rim_row]
+    rim_col = np.searchsorted(np.repeat(np.arange(len(holes)), width) * n + bdry, rim_hole * n + outside)
+    rim_col -= bfirst[rim_hole]
+
+    # row z holds z's hole boundary; indices as narrow as the matrix keeps them, so it takes them uncopied
+    nnz = int(width[label].sum())
+    indptr = np.zeros(n + 1, dtype=np.int32 if max(n, nnz) < 2**31 else np.int64)
+    indptr[sites + 1] = width[label]
+    np.cumsum(indptr, out=indptr)
+    indices, data = np.empty(nnz, dtype=indptr.dtype), np.empty(nnz)
+    inner_size, rim_size = size[label[row]], size[rim_hole]
+    slot = np.empty(len(holes), dtype=np.int64)
+    for m in np.unique(size):
+        group = np.flatnonzero(size == m)
+        slot[group] = np.arange(len(group))
+        members = sites[by_hole[first[group][:, None] + np.arange(m)]]
+        A = np.zeros((len(group), m, m))
+        at = inner_size == m
+        A[slot[label[row[at]]], pos[row[at]], pos[col[at]]] = -w[at]
+        A[:, np.arange(m), np.arange(m)] = env.pi_all[members]
+        cols = np.arange(width[group].max())
+        B = np.zeros((len(group), m, len(cols)))
+        at = rim_size == m
+        B[slot[rim_hole[at]], pos[rim_row[at]], rim_col[at]] = rim_w[at]
+        H = np.linalg.solve(A, B)
+        del A, B  # the largest hole's system is the peak of the pass; the scatter need not add to it
+        keep = np.broadcast_to(cols < width[group][:, None, None], H.shape)
+        at = (indptr[members][:, :, None] + cols)[keep]
+        data[at] = H[keep]
+        indices[at] = bdry[np.broadcast_to(bfirst[group][:, None, None] + cols, H.shape)[keep]]
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
@@ -172,29 +240,19 @@ def hole_volume_report(decomp: ClusterDecomposition) -> HoleVolumeReport:
     bound = np.log(n_values.astype(float)) ** 2.5
 
     volumes = np.array([h.volume for h in decomp.holes], dtype=np.int64)
-    if len(volumes) == 0:
-        zeros = np.zeros(len(n_values), dtype=np.int64)
-        return HoleVolumeReport(0, {}, n_values, zeros, bound, np.array([], dtype=np.int64))
-
     # smallest sub-box radius each hole intersects
-    linf = geom.linf_norm
-    reach = np.array([int(linf[h.sites].min()) for h in decomp.holes], dtype=np.int64)
-    # running max volume over holes with reach <= n
-    order = np.argsort(reach, kind="stable")
-    max_by_n = np.zeros(len(n_values), dtype=np.int64)
-    running = 0
-    ptr = 0
-    for k, n in enumerate(n_values):
-        while ptr < len(order) and reach[order[ptr]] <= n:
-            running = max(running, int(volumes[order[ptr]]))
-            ptr += 1
-        max_by_n[k] = running
+    sites = np.flatnonzero(~decomp.in_cluster)
+    reach = np.full(len(volumes), geom.N, dtype=np.int64)
+    np.minimum.at(reach, decomp.labels[sites], geom.linf_norm[sites])
+    # largest volume reaching each radius, then the running max over radii
+    largest = np.zeros(geom.N + 1, dtype=np.int64)
+    np.maximum.at(largest, reach, volumes)
+    max_by_n = np.maximum.accumulate(largest)[1:]
 
-    hist: dict[int, int] = {}
-    for vol in volumes:
-        hist[int(vol)] = hist.get(int(vol), 0) + 1
+    sizes, counts = np.unique(volumes, return_counts=True)
+    hist = dict(zip(sizes.tolist(), counts.tolist()))
     flagged = n_values[max_by_n > bound]
-    return HoleVolumeReport(int(volumes.max()), hist, n_values, max_by_n, bound, flagged)
+    return HoleVolumeReport(int(largest.max()), hist, n_values, max_by_n, bound, flagged)
 
 
 def percolation_density_warning(d: int, p: float) -> str | None:

@@ -33,9 +33,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .heatkernel import UniformizationCache
-from .lattice import Environment
+from .lattice import Environment, _restrict
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, _restrict, ensemble_walk, transition_matrix
+from .walk import BoxChain, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
@@ -119,7 +119,7 @@ class OperatorSpec:
     def symmetrized(self):
         """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
         chain = self.chain
-        (row, col, w), _ = _restrict(self.env, chain.sites, inverse_index=True)
+        (row, col, w), _ = _restrict(self.env, chain.sites)
         sqrt_pi = np.sqrt(chain.pi)
         m = len(chain.sites)
         off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
@@ -178,7 +178,7 @@ def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (len(sub),):
         raise ValidationError(f"f must have one value per B_{n} site ({len(sub)}), got {f.shape}")
-    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub, inverse_index=True)
+    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub)
     df = f[row] - f[col]
     rim = np.bincount(rim_row, weights=rim_w, minlength=len(sub))
     # each inside bond appears in both directions; bonds over the rim see df = f
@@ -538,22 +538,24 @@ class FloorCertificate:
     iterations: int
 
 
-def lambda1_floor_check(spec: OperatorSpec, tol: float = 1e-10) -> FloorCertificate:
+def lambda1_floor_check(
+    spec: OperatorSpec, tol: float = 1e-10, principal: SpectralReport | None = None
+) -> FloorCertificate:
     """Certify the floor ``Lambda1 >= m(N)`` at the spec's box radius and ``mu``.
 
     Factors ``S - m(N) I`` once, with ``S`` the spec's symmetrized
     operator: zero negative pivots prove the floor without an eigensolve.
     A negative pivot, or a factorization that is not a valid LDL^T (see
-    ``negative_pivots``), falls back to ``lambda1(spec, tol)``, and the
-    verdict is then ``Lambda1 >= m(N)``.  The floor holds at the killing
-    rate of ``prescribed_spec``.
+    ``negative_pivots``), falls back to ``lambda1(spec, tol)``, or to the
+    caller's ``principal`` report of it, and the verdict is then
+    ``Lambda1 >= m(N)``.  The floor holds at the rate of ``prescribed_spec``.
     """
     m_n = eigenvalue_floor(spec.env.geometry.d, spec.env.gamma, spec.box_radius, spec.mu)
     S, _ = spec.symmetrized
     neg = negative_pivots(S, m_n)
     if neg == 0:
         return FloorCertificate(m_N=m_n, passed=True, neg_pivots=0, method="inertia", iterations=0)
-    report = lambda1(spec, tol=tol)
+    report = lambda1(spec, tol=tol) if principal is None else principal
     return FloorCertificate(
         m_N=m_n,
         passed=bool(report.Lambda1 >= m_n),

@@ -11,8 +11,8 @@ box, used for exploratory runs and mass-conservation tests only.
 The additive functional ``A(t)`` measures the time spent on the strong
 cluster; suppressing hole visits through its inverse yields the
 time-changed walk, whose one-step law from a site is the "next strong
-cluster point" distribution computed exactly by absorbing solves on the
-holes.
+cluster point" distribution: jumps into a hole fold through the hitting
+law that ``ClusterDecomposition.hitting`` solves for all holes in one pass.
 """
 
 from __future__ import annotations
@@ -24,40 +24,13 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import ValidationError
-from .lattice import BoxGeometry, Environment
+from .lattice import BoxGeometry, Environment, _restrict
 from .percolation import STRONG_LABEL, ClusterDecomposition
 
 
 # ---------------------------------------------------------------------------
 # one-step law and chain matrices
 # ---------------------------------------------------------------------------
-
-
-def _restrict(env: Environment, sites: np.ndarray, inverse_index: bool = False):
-    """Bonds of the conductance graph seen from an ascending set of sites.
-
-    Returns ``(row, col, w)``, the directed bonds inside the set in local
-    indices (each undirected bond twice, row-major in incidence order), and
-    ``(rim_row, outside, rim_w)``, the bonds from local ``rim_row`` to the
-    site ``outside`` beyond the set.  Local positions come from a full-size
-    inverse index when ``inverse_index`` is set (large sets such as ``B_n``)
-    and from a binary search otherwise (many small sets such as holes).
-    """
-    m = len(sites)
-    neigh = env.geometry.neighbor_table[sites]
-    w = env.omega_by_direction[sites]
-    if inverse_index:
-        inv = np.full(env.geometry.n_sites, -1, dtype=np.int64)
-        inv[sites] = np.arange(m, dtype=np.int64)
-        local = inv[neigh]
-    else:
-        pos = np.minimum(np.searchsorted(sites, neigh), m - 1)
-        local = np.where(sites[pos] == neigh, pos, -1)
-    bonded = w > 0  # absent neighbors (-1) carry no conductance
-    inside = bonded & (local >= 0)
-    row, k = np.nonzero(inside)
-    rim_row, rim_k = np.nonzero(bonded & ~inside)
-    return (row, local[row, k], w[row, k]), (rim_row, neigh[rim_row, rim_k], w[rim_row, rim_k])
 
 
 def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +89,7 @@ def transition_matrix(env: Environment, box_radius: int | None = None, killed: b
 
     sub = geom.sub_box_indices(n)
     pi = env.pi_all[sub]
-    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub, inverse_index=True)
+    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub)
     P = coo_matrix((w / pi[row], (row, col)), shape=(len(sub), len(sub))).tocsr()
     return BoxChain(
         P=P,
@@ -325,32 +298,6 @@ def time_changed_trajectory(traj: TrajectoryRecord, decomp: ClusterDecomposition
 # ---------------------------------------------------------------------------
 
 
-def _hole_hitting_matrix(env: Environment, decomp: ClusterDecomposition, hole_id: int):
-    """Hitting distribution on a hole's outer boundary, cached per hole.
-
-    Solves ``(diag(pi) - W) H = B`` on the hole sites, where ``W`` holds the
-    bonds inside the hole and ``B`` the conductances toward each boundary
-    site; row ``z`` of ``H`` is the distribution of the first strong-cluster
-    site reached from ``z``.  One dense solve per hole: it needs
-    ``8 m (m + nb)`` bytes, about 59 MB for a 2,632-site hole.
-    """
-    cached = decomp._hitting_cache.get(hole_id)
-    if cached is not None:
-        return cached
-    hole = decomp.holes[hole_id]
-    sites, bdry = hole.sites, hole.boundary
-    m = len(sites)
-    (row, col, w), (rim_row, outside, rim_w) = _restrict(env, sites)
-    A = np.zeros((m, m))
-    A[row, col] = -w
-    A[np.arange(m), np.arange(m)] = env.pi_all[sites]
-    B = np.zeros((m, len(bdry)))
-    B[rim_row, np.searchsorted(bdry, outside)] = rim_w
-    result = (sites, bdry, np.linalg.solve(A, B))
-    decomp._hitting_cache[hole_id] = result
-    return result
-
-
 @dataclass
 class EffectiveConductances:
     """Next-strong-cluster-point weights from a base site.
@@ -376,50 +323,62 @@ class EffectiveConductances:
         return {int(s): float(v) for s, v in zip(self.sites, self.values)}
 
 
+def _hitting(env: Environment, decomp: ClusterDecomposition) -> csr_matrix:
+    """The decomposition's hitting law, checked to belong to ``env``."""
+    if env is not decomp.env:
+        raise ValidationError("the decomposition was computed on a different environment")
+    return decomp.hitting
+
+
 def effective_conductances(env: Environment, decomp: ClusterDecomposition, x: int) -> EffectiveConductances:
     """Exact next-strong-cluster-point weights from ``x``.
 
     Direct jumps to in-cluster neighbors contribute their bond conductance;
-    jumps into a hole are folded through that hole's absorbing hitting
-    distribution.  The resulting table is symmetric across base sites up to
-    solver precision.
+    jumps into a hole are folded through the hitting law of that hole
+    (``decomp.hitting``, every hole solved once per decomposition).  The
+    resulting table is symmetric across base sites up to solver precision.
     """
-    if decomp.labels[x] != STRONG_LABEL:
+    H = _hitting(env, decomp)
+    labels = decomp.labels
+    if labels[x] != STRONG_LABEL:
         raise ValidationError(f"site {x} is not on the strong cluster")
-    geom = env.geometry
     acc: dict[int, float] = {}
-    neigh = geom.neighbor_table
-    w_dir = env.omega_by_direction
-    for col in range(2 * geom.d):
-        y = int(neigh[x, col])
-        w = float(w_dir[x, col])
+    for y, w in zip(env.geometry.neighbor_table[x].tolist(), env.omega_by_direction[x].tolist()):
         if w <= 0:
             continue
-        lab = decomp.labels[y]
-        if lab == STRONG_LABEL:
+        if labels[y] == STRONG_LABEL:
             acc[y] = acc.get(y, 0.0) + w
         else:
-            sites, bdry, H = _hole_hitting_matrix(env, decomp, int(lab))
-            z = int(np.searchsorted(sites, y))
-            for u, h in zip(bdry, H[z]):
-                acc[int(u)] = acc.get(int(u), 0.0) + w * float(h)
+            lo, hi = H.indptr[y], H.indptr[y + 1]
+            for u, h in zip(H.indices[lo:hi].tolist(), H.data[lo:hi].tolist()):
+                acc[u] = acc.get(u, 0.0) + w * h
     targets = np.array(sorted(acc), dtype=np.int64)
-    values = np.array([acc[int(t)] for t in targets], dtype=np.float64)
+    values = np.array([acc[t] for t in targets.tolist()], dtype=np.float64)
     return EffectiveConductances(x=x, eta=float(env.pi_all[x]), sites=targets, values=values)
 
 
 def effective_conductance_matrix(env: Environment, decomp: ClusterDecomposition) -> coo_matrix:
-    """Full table of effective conductances over the box (small boxes only)."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for x in np.flatnonzero(decomp.in_cluster):
-        ec = effective_conductances(env, decomp, int(x))
-        rows.extend([int(x)] * len(ec.sites))
-        cols.extend(int(s) for s in ec.sites)
-        vals.extend(float(v) for v in ec.values)
+    """Full table of effective conductances over the box (small boxes only).
+
+    Row ``x`` is ``effective_conductances`` at ``x``, bit for bit: every bond
+    out of a cluster site contributes its conductance times the
+    first-cluster-site law of its far end (a point mass on a cluster site,
+    the hitting row on a hole site), summed in the same order.
+    """
+    H = _hitting(env, decomp)
     n = env.geometry.n_sites
-    return coo_matrix((vals, (rows, cols)), shape=(n, n))
+    xs = np.flatnonzero(decomp.in_cluster)
+    fold = (H + coo_matrix((np.ones(len(xs)), (xs, xs)), shape=(n, n))).tocsr()
+    w_dir = env.omega_by_direction
+    slot_x, slot_c = np.nonzero(w_dir[xs] > 0)  # bonds by site, then in incidence order
+    x = xs[slot_x]
+    y = env.geometry.neighbor_table[x, slot_c]
+    count = np.diff(fold.indptr)[y]
+    slot = np.repeat(np.arange(len(y)), count)
+    entry = np.arange(len(slot)) + np.repeat(fold.indptr[y] - (np.cumsum(count) - count), count)
+    keys, where = np.unique(x[slot] * n + fold.indices[entry], return_inverse=True)
+    values = np.bincount(where, weights=w_dir[x, slot_c][slot] * fold.data[entry])
+    return coo_matrix((values, (keys // n, keys % n)), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +396,6 @@ class EnsembleResult:
     n_jumps: np.ndarray
     ahat_final: np.ndarray
     site_at: np.ndarray | None = None  # (n_paths, len(real_grid)), -1 after death
-    xhat_at: np.ndarray | None = None  # (n_paths, len(ahat_grid)), -1 if unreached
 
 
 def ensemble_walk(
@@ -449,15 +407,12 @@ def ensemble_walk(
     kill_radius: int | None | str = "interior",
     phi: np.ndarray | None = None,
     real_grid: np.ndarray | None = None,
-    ahat_grid: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Run ``n_paths`` independent CTMC paths with one synchronized stepper.
 
     Optionally records the occupied site when real time crosses each point
-    of ``real_grid`` and when the additive functional crosses each point of
-    ``ahat_grid`` (the time-changed position).  All paths draw from the
-    single ``rng``, so results are reproducible for a fixed seed and path
-    count.
+    of ``real_grid``.  All paths draw from the single ``rng``, so results
+    are reproducible for a fixed seed and path count.
     """
     geom = env.geometry
     kill = _start_and_kill_radius(geom, x0, kill_radius)
@@ -469,7 +424,6 @@ def ensemble_walk(
     cum, neigh = _walk_tables(env)
     linf = geom.linf_norm
     rg = None if real_grid is None else np.asarray(real_grid, dtype=float)
-    ag = None if ahat_grid is None else np.asarray(ahat_grid, dtype=float)
 
     state = np.full(n_paths, x0, dtype=np.int64)
     t_now = np.zeros(n_paths)
@@ -479,7 +433,6 @@ def ensemble_walk(
     exit_site = np.full(n_paths, -1, dtype=np.int64)
     n_jumps = np.zeros(n_paths, dtype=np.int64)
     site_at = None if rg is None else np.full((n_paths, len(rg)), -1, dtype=np.int64)
-    xhat_at = None if ag is None else np.full((n_paths, len(ag)), -1, dtype=np.int64)
 
     while True:
         act = np.flatnonzero(alive)
@@ -497,11 +450,6 @@ def ensemble_walk(
                 hit = (t_now[act] < tg) & (tg <= t_step_end)
                 if hit.any():
                     site_at[act[hit], j] = state[act[hit]]
-        if xhat_at is not None:
-            for j, av in enumerate(ag):
-                hit = (a_now[act] < av) & (av <= a_next)
-                if hit.any():
-                    xhat_at[act[hit], j] = state[act[hit]]
 
         t_now[act] = t_step_end
         a_now[act] = a_next
@@ -533,7 +481,6 @@ def ensemble_walk(
         n_jumps=n_jumps,
         ahat_final=a_now,
         site_at=site_at,
-        xhat_at=xhat_at,
     )
 
 
@@ -568,71 +515,3 @@ def next_point_frequencies(
         pending[idx] = ~in_cluster[state[idx]]
     sites, counts = np.unique(state, return_counts=True)
     return sites, counts
-
-
-@dataclass
-class HeatKernelHatCurve:
-    """Monte Carlo envelope of the time-changed kernel ``sup_y P(Xhat_t = y)``."""
-
-    t: np.ndarray
-    sup_estimate: np.ndarray
-    rescaled: np.ndarray  # t^{d/2} * sup
-    stderr: np.ndarray
-    n_paths: int
-    n_unreached: np.ndarray
-
-
-def empirical_heat_kernel_hat(
-    env: Environment,
-    decomp: ClusterDecomposition,
-    x: int,
-    t_grid,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> HeatKernelHatCurve:
-    """Estimate ``sup_y P(Xhat_t = y)`` with its ``t^{d/2}`` rescaling.
-
-    Uses the free-boundary walk so the time change is never interrupted by
-    killing; the horizon is padded so the strong-cluster clock reaches the
-    last grid point on essentially every path.
-    """
-    if decomp.labels[x] != STRONG_LABEL:
-        raise ValidationError(f"site {x} is not on the strong cluster")
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be nonnegative and increasing")
-    d = env.geometry.d
-    positive = t[t > 0]
-    horizon = float(2.0 * positive.max() + 10.0) if len(positive) else 1.0
-    res = ensemble_walk(
-        env,
-        x,
-        n_paths,
-        horizon,
-        rng,
-        kill_radius=None,
-        phi=decomp.in_cluster.astype(np.float64),
-        ahat_grid=positive,
-    )
-    sup = np.empty(len(t))
-    unreached = np.zeros(len(t), dtype=np.int64)
-    pos_index = 0
-    for j, tj in enumerate(t):
-        if tj == 0:
-            sup[j] = 1.0
-            continue
-        col = res.xhat_at[:, pos_index]
-        pos_index += 1
-        reached = col >= 0
-        unreached[j] = int((~reached).sum())
-        counts = np.bincount(col[reached])
-        sup[j] = counts.max() / n_paths if counts.size else 0.0
-    stderr = np.sqrt(np.maximum(sup * (1 - sup), 0.0) / n_paths)
-    return HeatKernelHatCurve(
-        t=t,
-        sup_estimate=sup,
-        rescaled=t ** (d / 2.0) * sup,
-        stderr=stderr,
-        n_paths=n_paths,
-        n_unreached=unreached,
-    )

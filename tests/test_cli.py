@@ -110,6 +110,32 @@ class TestSpectrumSimulate:
         assert row == ",".join(str(v) for v in expected)
         assert f"pass = {cert.passed})" in capsys.readouterr().out
 
+    def test_failing_floor_takes_one_eigensolve(self, tmp_path, monkeypatch):
+        # the printed Lambda1 also settles the floor's fallback
+        from rcmwalk import OperatorSpec, spectral
+
+        calls = []
+        eigsh = spectral.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", counting)
+        out = tmp_path / "spec"
+        argv = ["spectrum", "--d", "2", "--N", "32", "--gamma", "2.0", "--seed", "7", "--lam", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        env = sample_environment(BoxGeometry(2, 33), 2.0, 7)
+        xi = threshold_for_density(2.0, 0.95)
+        spec = OperatorSpec(env=env, decomp=strong_cluster(env, xi), box_radius=32, lam=0.0, mu=0.1)
+        rep = lambda1(spec, tol=1e-10)
+        cert = lambda1_floor_check(spec, tol=1e-10)
+        assert cert.method == "eigsh" and not cert.passed
+        expected = [2.0, 2, 32, xi, 0.0, rep.Lambda1, cert.m_N, cert.passed, rep.residual, rep.iterations]
+        row = (out / "spectral_report.csv").read_text().splitlines()[1]
+        assert row == ",".join(str(v) for v in expected)
+
     def test_simulate_schema(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--homog", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "5",

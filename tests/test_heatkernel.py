@@ -18,6 +18,7 @@ from rcmwalk import (
     default_time_grid,
     discrete_return_prob,
     fit_exponent,
+    heat_kernel_hat,
     homogeneous_environment,
     poisson_truncation_k,
     poisson_weights,
@@ -222,6 +223,61 @@ class TestPenalizedEngine:
     def test_negative_rate_rejected(self, small_env):
         with pytest.raises(ValidationError):
             UniformizationCache(small_env, 3, lam=-0.1)
+
+
+class TestHeatKernelHat:
+    def test_t_zero(self, homog_env):
+        dec = strong_cluster(homog_env, 0.5)
+        curve = heat_kernel_hat(homog_env, dec, homog_env.geometry.origin, [0.0, 2.0])
+        assert curve.sup[0] == 1.0
+
+    def test_homogeneous_rescaled_bounded(self):
+        env = homogeneous_environment(2, 14)
+        dec = strong_cluster(env, 0.5)
+        curve = heat_kernel_hat(env, dec, env.geometry.origin, [4.0, 8.0, 16.0, 32.0])
+        assert np.all(curve.rescaled <= 1.0)
+        # no blow-up: the rescaled envelope shows no increasing trend
+        trend = np.polyfit(np.log(curve.t), np.log(curve.rescaled), 1)[0]
+        assert trend <= 0.25
+        assert curve.rescaled[-1] <= 2.0 * curve.rescaled[0]
+
+    def test_full_box_sup_matches_exact_kernel(self):
+        # with no holes the time change is the identity, so the envelope at
+        # each t is the free-boundary kernel's peak, which sits at the start
+        env = homogeneous_environment(2, 14)
+        dec = strong_cluster(env, 0.5)
+        t_grid = [4.0, 8.0, 16.0]
+        curve = heat_kernel_hat(env, dec, env.geometry.origin, t_grid)
+        cache = UniformizationCache(env, killed=False)
+        for j, t in enumerate(t_grid):
+            assert abs(curve.sup[j] - cache.return_prob(t)) <= 1e-12
+
+    def test_holey_fixture_matches_dense_expm(self, small_env, holey_decomp):
+        # oracle: the trace of the walk on the cluster, from the dense Schur
+        # complement of the whole hole block, and its matrix exponential
+        geom = small_env.geometry
+        n = geom.n_sites
+        W = np.zeros((n, n))
+        W[geom.bond_u, geom.bond_v] = small_env.omega
+        W[geom.bond_v, geom.bond_u] = small_env.omega
+        c = np.flatnonzero(holey_decomp.in_cluster)
+        h = np.flatnonzero(~holey_decomp.in_cluster)
+        assert len(h) > 0
+        hole_block = np.diag(small_env.pi_all[h]) - W[np.ix_(h, h)]
+        M = W[np.ix_(c, c)] + W[np.ix_(c, h)] @ np.linalg.solve(hole_block, W[np.ix_(h, c)])
+        Q = M / small_env.pi_all[c][:, None]
+        x = int(holey_decomp.holes[0].boundary[0])
+        t_grid = [1.0, 4.0, 16.0]
+        curve = heat_kernel_hat(small_env, holey_decomp, x, t_grid)
+        start = int(np.searchsorted(c, x))
+        for j, t in enumerate(t_grid):
+            law = expm(t * (Q - np.eye(len(c))))[start]
+            assert abs(curve.sup[j] - law.max()) <= 1e-12
+            assert curve.rescaled[j] == t * curve.sup[j]
+
+    def test_off_cluster_rejected(self, small_env, holey_decomp):
+        with pytest.raises(ValidationError):
+            heat_kernel_hat(small_env, holey_decomp, int(holey_decomp.holes[0].sites[0]), [1.0])
 
 
 class TestFitExponent:

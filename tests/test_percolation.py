@@ -190,6 +190,23 @@ class TestHoleVolumeReport:
         assert not rep.exceeds_at(128)
         assert rep.max_volume <= math.log(128) ** 2.5
 
+    @pytest.mark.parametrize("p", [0.52, 0.6, 0.8])  # 0.8 leaves no hole
+    def test_matches_per_radius_loop(self, small_env, p):
+        # reference: every radius scans every hole
+        dec = strong_cluster(small_env, threshold_for_density(2.0, p))
+        rep = hole_volume_report(dec)
+        linf = small_env.geometry.linf_norm
+        volumes = [h.volume for h in dec.holes]
+        n_values = list(range(1, small_env.geometry.N + 1))
+        max_by_n = [max([h.volume for h in dec.holes if linf[h.sites].min() <= n], default=0) for n in n_values]
+        bound = [math.log(n) ** 2.5 for n in n_values]
+        assert rep.max_volume == max(volumes, default=0)
+        assert rep.histogram == {v: volumes.count(v) for v in set(volumes)}
+        assert np.array_equal(rep.n_values, n_values)
+        assert np.array_equal(rep.max_volume_by_n, max_by_n)
+        assert np.array_equal(rep.bound_by_n, bound)
+        assert np.array_equal(rep.flagged_n, [n for n, v, b in zip(n_values, max_by_n, bound) if v > b])
+
     def test_exceeds_at_unknown_radius(self, homog_env):
         rep = hole_volume_report(strong_cluster(homog_env, 0.5))
         with pytest.raises(ValidationError):

@@ -15,9 +15,7 @@ from rcmwalk import (
     ValidationError,
     effective_conductance_matrix,
     effective_conductances,
-    empirical_heat_kernel_hat,
     ensemble_walk,
-    homogeneous_environment,
     next_point_frequencies,
     sample_environment,
     simulate_ctmc,
@@ -70,19 +68,19 @@ class TestStepDistribution:
 class TestRestriction:
     def test_inside_and_rim_bonds_sum_to_pi(self, small_env, holey_decomp):
         # every bond at a site is either inside the set or over its rim
-        from rcmwalk.walk import _restrict
+        from rcmwalk.lattice import _restrict
 
         geom = small_env.geometry
         sets = [geom.sub_box_indices(n) for n in (0, 3, 7)] + [h.sites for h in holey_decomp.holes]
+        sets.append(np.flatnonzero(~holey_decomp.in_cluster))  # all holes at once
         for sites in sets:
-            for inverse_index in (False, True):
-                sub = np.sort(sites)
-                (row, col, w), (rim_row, outside, rim_w) = _restrict(small_env, sub, inverse_index)
-                total = np.bincount(row, w, len(sub)) + np.bincount(rim_row, rim_w, len(sub))
-                np.testing.assert_allclose(total, small_env.pi_all[sub], rtol=1e-15)
-                assert not np.isin(outside, sub).any()
-                assert np.array_equal(np.sort(sub[row] * geom.n_sites + sub[col]),
-                                      np.sort(sub[col] * geom.n_sites + sub[row]))
+            sub = np.sort(sites)
+            (row, col, w), (rim_row, outside, rim_w) = _restrict(small_env, sub)
+            total = np.bincount(row, w, len(sub)) + np.bincount(rim_row, rim_w, len(sub))
+            np.testing.assert_allclose(total, small_env.pi_all[sub], rtol=1e-15)
+            assert not np.isin(outside, sub).any()
+            assert np.array_equal(np.sort(sub[row] * geom.n_sites + sub[col]),
+                                  np.sort(sub[col] * geom.n_sites + sub[row]))
 
     def test_box_chain_matches_bond_list_assembly(self, small_env):
         # reference: the killed chain assembled from the canonical bond list
@@ -100,11 +98,10 @@ class TestRestriction:
             assert np.array_equal(getattr(chain.P, attr), getattr(ref, attr))
 
     def test_hole_solve_matches_loop_assembly(self, small_env, holey_decomp):
-        # reference: the hole system assembled site by site, then the same dense solve
-        from rcmwalk.walk import _hole_hitting_matrix
-
+        # reference: the hole system assembled site by site, then a dense solve
+        # of that hole alone; the hole pass stacks equal-sized holes into one solve
         geom = small_env.geometry
-        for k, hole in enumerate(holey_decomp.holes):
+        for hole in holey_decomp.holes:
             sites, bdry = hole.sites.tolist(), hole.boundary.tolist()
             A = np.zeros((len(sites), len(sites)))
             B = np.zeros((len(sites), len(bdry)))
@@ -115,8 +112,9 @@ class TestRestriction:
                         A[a, sites.index(y)] -= w
                     elif w > 0:
                         B[a, bdry.index(y)] += w
-            _, _, H = _hole_hitting_matrix(small_env, holey_decomp, k)
-            assert np.array_equal(H, np.linalg.solve(A, B))
+            rows = holey_decomp.hitting[hole.sites]
+            assert rows.nnz == A.shape[0] * B.shape[1]  # each row lives on the hole's boundary
+            assert np.array_equal(rows[:, hole.boundary].toarray(), np.linalg.solve(A, B))
 
 
 class TestDetailedBalance:
@@ -412,14 +410,12 @@ class TestEffectiveConductances:
     def test_hole_above_two_thousand_sites(self):
         # the largest hole of this box (2,632 sites, 179 boundary sites) goes
         # through the same dense solve as the single-site holes
-        from rcmwalk.walk import _hole_hitting_matrix
-
         env = sample_environment(BoxGeometry(2, 40), 2.0, 3)
         dec = strong_cluster(env, threshold_for_density(2.0, 0.52))
-        k = max(range(len(dec.holes)), key=lambda j: dec.holes[j].volume)
-        hole = dec.holes[k]
+        hole = max(dec.holes, key=lambda h: h.volume)
         assert hole.volume >= 2000
-        sites, bdry, H = _hole_hitting_matrix(env, dec, k)
+        bdry = hole.boundary
+        H = dec.hitting[hole.sites][:, bdry].toarray()
         assert H.shape == (hole.volume, len(hole.boundary))
         assert np.all(H >= 0)
         np.testing.assert_allclose(H.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -480,6 +476,53 @@ class TestEffectiveConductances:
         with pytest.raises(ValidationError):
             effective_conductances(small_env, holey_decomp, hole_site)
 
+    def test_other_environment_rejected(self, small_env, holey_decomp):
+        # the hitting law belongs to the decomposition's own environment: a
+        # table read through another one would mix the two
+        other = sample_environment(small_env.geometry, 2.0, 12)
+        x = int(holey_decomp.holes[0].boundary[0])
+        effective_conductances(small_env, holey_decomp, x)
+        with pytest.raises(ValidationError, match="different environment"):
+            effective_conductances(other, holey_decomp, x)
+        with pytest.raises(ValidationError, match="different environment"):
+            effective_conductance_matrix(other, holey_decomp)
+
+
+@st.composite
+def _decompositions(draw):
+    """A small random d=2 or d=3 box split at strong density in [0.5, 0.7]."""
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(3, 7 if d == 2 else 3))
+    env = sample_environment(BoxGeometry(d, N), 2.0, draw(st.integers(0, 2**31)))
+    return env, strong_cluster(env, threshold_for_density(2.0, draw(st.floats(0.5, 0.7))))
+
+
+class TestHolePass:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_decompositions())
+    def test_hitting_rows_are_laws(self, case):
+        _, dec = case
+        H = dec.hitting
+        assert np.all(H.data >= 0)
+        rows = np.asarray(H.sum(axis=1)).ravel()
+        assert np.all(np.abs(rows[~dec.in_cluster] - 1.0) <= 1e-12)
+        assert np.all(rows[dec.in_cluster] == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_decompositions())
+    def test_matrix_is_the_table(self, case):
+        env, dec = case
+        M = effective_conductance_matrix(env, dec).tocsr()
+        assert abs(M - M.T).max() <= 1e-12 * M.max()
+        rows = np.asarray(M.sum(axis=1)).ravel()
+        mask = dec.in_cluster
+        np.testing.assert_allclose(rows[mask], env.pi_all[mask], rtol=1e-12)
+        for x in np.flatnonzero(mask):
+            ec = effective_conductances(env, dec, int(x))
+            row = M[int(x)]
+            assert np.array_equal(row.indices, ec.sites)
+            np.testing.assert_allclose(row.data, ec.values, rtol=1e-15, atol=0)
+
 
 def _step(stepper, env, x0, kill_radius):
     rng = np.random.default_rng(5)
@@ -532,41 +575,3 @@ class TestEnsembleSemantics:
         mc = return_prob_mc(small_env, grid, 30_000, np.random.default_rng(6), box_radius=4)
         for j, t in enumerate(grid):
             assert abs(mc.p[j] - cache.return_prob(t)) <= 4 * max(mc.stderr[j], 1e-9)
-
-
-class TestEmpiricalHeatKernelHat:
-    def test_t_zero(self, homog_env, rng):
-        dec = strong_cluster(homog_env, 0.5)
-        curve = empirical_heat_kernel_hat(homog_env, dec, homog_env.geometry.origin, [0.0, 2.0], 500, rng)
-        assert curve.sup_estimate[0] == 1.0
-
-    def test_homogeneous_rescaled_bounded(self):
-        env = homogeneous_environment(2, 14)
-        dec = strong_cluster(env, 0.5)
-        curve = empirical_heat_kernel_hat(
-            env, dec, env.geometry.origin, [4.0, 8.0, 16.0, 32.0], 4000, np.random.default_rng(5)
-        )
-        assert np.all(curve.rescaled <= 1.0)
-        assert np.all(curve.n_unreached == 0)
-        # no blow-up: the rescaled envelope shows no increasing trend beyond
-        # Monte Carlo noise
-        trend = np.polyfit(np.log(curve.t), np.log(curve.rescaled), 1)[0]
-        assert trend <= 0.25
-        assert curve.rescaled[-1] <= 2.0 * curve.rescaled[0]
-
-    def test_full_box_sup_matches_exact_kernel(self):
-        # with no holes the time change is the identity, so the envelope at
-        # each t is the free-boundary kernel's peak, which sits at the start
-        from rcmwalk import UniformizationCache
-
-        env = homogeneous_environment(2, 14)
-        dec = strong_cluster(env, 0.5)
-        t_grid = [4.0, 8.0, 16.0]
-        curve = empirical_heat_kernel_hat(env, dec, env.geometry.origin, t_grid, 6000,
-                                          np.random.default_rng(11))
-        cache = UniformizationCache(env, killed=False)
-        for j, t in enumerate(t_grid):
-            exact = cache.return_prob(t)
-            # the MC sup is biased upward by at most a few bin errors
-            assert curve.sup_estimate[j] >= exact - 4 * curve.stderr[j]
-            assert curve.sup_estimate[j] <= exact + 6 * curve.stderr[j]
