@@ -1,7 +1,8 @@
 """Return-probability curves and the quenched decay exponent.
 
-Computes the exact kernel by uniformization on a Dirichlet box coupled to
-the horizon, overlays a Monte Carlo estimate, and fits the log-log slope.
+Computes the exact kernel on a Dirichlet box coupled to the horizon, as a
+Lanczos bracket (Gauss below, Gauss-Radau above) whose relative width is at
+most 1e-12, overlays a Monte Carlo estimate, and fits the log-log slope.
 For tail exponents gamma > d/2 the quenched slope sits at -d/2, as the
 homogeneous control confirms.
 """
@@ -34,6 +35,8 @@ fit = fit_exponent(curve, (10.0, t_max))
 print(f"quenched slope (gamma={gamma} > d/2): {fit.slope:.4f}  "
       f"CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}]")
 print(f"surviving mass at t_max: {curve.survival[-1]:.12f} (Dirichlet truncation monitor)")
+width = float(np.max((curve.p_hi - curve.p_lo) / curve.p_lo))
+print(f"Lanczos bracket: {curve.steps} steps, largest relative width (p_hi - p_lo) / p_lo = {width:.1e}")
 
 # homogeneous control on the same grid
 homog = homogeneous_environment(d, n_box + 1)

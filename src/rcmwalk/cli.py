@@ -24,6 +24,7 @@ from .experiments import (
     run_bound_suite,
     run_exponent,
     write_csv,
+    write_curves_csv,
     write_manifest,
 )
 from .heatkernel import default_time_grid, return_prob_curve_exact, return_prob_mc
@@ -201,12 +202,10 @@ def _cmd_exact(args) -> int:
     else:
         grid = default_time_grid(args.t_min, args.t_max, args.points_per_decade)
     curve = return_prob_curve_exact(env, grid, tol=args.tol, box_radius=box)
-    rows = [
-        [curve.t[j], curve.p[j], curve.stderr[j], curve.method, curve.d, curve.N, curve.gamma, curve.seed]
-        for j in range(len(grid))
-    ]
-    write_csv(out / "exact_curve.csv", ["t", "p", "stderr", "method", "d", "N", "gamma", "seed"], rows)
-    write_manifest(out, "exact", None, ["exact_curve.csv"], time.monotonic() - start)
+    write_curves_csv(out / "exact_curve.csv", [(curve.gamma, curve.seed, curve)])
+    write_manifest(
+        out, "exact", None, ["exact_curve.csv"], time.monotonic() - start, extra={"lanczos_steps": str(curve.steps)}
+    )
     if args.t is not None:
         print(repr(float(curve.p[0])))
     else:
@@ -303,7 +302,9 @@ def _cmd_report(args) -> int:
                 else:
                     status = "ok"
                 lines.append(f"  {name}: {status}")
-            elif raw.startswith(("command=", "config_hash=", "master_seed=", "pass_rate_", "floor_eigsh_fallbacks=")):
+            elif raw.startswith(
+                ("command=", "config_hash=", "master_seed=", "pass_rate_", "floor_eigsh_fallbacks=", "lanczos_steps=")
+            ):
                 lines.append(f"  {raw}")
         lines.append("")
     text = "\n".join(lines)
@@ -347,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dump-paths", action="store_true", help="also write raw grid positions (npz)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_ex = sub.add_parser("exact", help="exact return probability (uniformization)")
+    p_ex = sub.add_parser("exact", help="exact return probability (Lanczos quadrature bracket)")
     _common_flags(p_ex)
     _env_flags(p_ex)
     p_ex.add_argument("--t", type=float, default=None, help="single time; prints the value")
     p_ex.add_argument("--t-min", type=float, default=1.0)
     p_ex.add_argument("--t-max", type=float, default=50.0)
     p_ex.add_argument("--points-per-decade", type=int, default=12)
-    p_ex.add_argument("--tol", type=float, default=1e-12)
+    p_ex.add_argument("--tol", type=float, default=1e-12, help="relative width of the bracket on p")
     p_ex.add_argument("--box-radius", type=int, default=None)
     p_ex.set_defaults(func=_cmd_exact)
 

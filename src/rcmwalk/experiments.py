@@ -239,8 +239,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _render_field(value) -> str:
+    text = str(value)
+    if "," in text or '"' in text:  # a failure message; numbers never need quoting
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_row(row) -> str:
-    return ",".join(str(v) for v in row)
+    return ",".join(_render_field(v) for v in row)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -332,7 +339,7 @@ def _slope_summary(gamma: float, slopes: np.ndarray, confidence: float = 0.95) -
     return AggregateSlope(gamma=gamma, slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
 
 
-def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> tuple[float, int, ReturnProbabilityCurve]:
+def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> ReturnProbabilityCurve:
     n_box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
     if cfg.homogeneous:
         env = homogeneous_environment(cfg.d, n_box + 1)
@@ -340,11 +347,9 @@ def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> tuple[float, i
         env = sample_environment(BoxGeometry(cfg.d, n_box + 1), gamma, seed)
     grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
     if cfg.method == "exact":
-        curve = return_prob_curve_exact(env, grid, box_radius=n_box)
-    else:
-        rng = np.random.default_rng([seed, 0xC0FFEE])
-        curve = return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
-    return gamma, seed, curve
+        return return_prob_curve_exact(env, grid, box_radius=n_box)
+    rng = np.random.default_rng([seed, 0xC0FFEE])
+    return return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
 
 
 def _run_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
@@ -355,26 +360,50 @@ def _run_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
         raise type(exc)(f"gamma={gamma}, seed={seed}: {exc}") from exc
 
 
-def _map_jobs(fn, cfg: ExperimentConfig, threads: int):
-    """``fn(cfg, gamma, seed)`` for every gamma and environment seed, in that order."""
+def _kept_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
+    """``_run_job`` that returns the named package error in place of a result."""
+    try:
+        return _run_job(fn, cfg, gamma, seed)
+    except RcmError as exc:
+        return exc
+
+
+def _map_jobs(fn, cfg: ExperimentConfig, threads: int, keep_going: bool = False) -> list[tuple[float, int, object]]:
+    """``(gamma, seed, fn(cfg, gamma, seed))`` for every gamma and environment seed, in that order.
+
+    The first job that raises ``RcmError`` ends the map, unless ``keep_going``
+    asks for the error in place of that job's result.
+    """
+    job = _kept_job if keep_going else _run_job
     seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
     jobs = [(float(gamma), int(seed)) for gamma in cfg.gammas() for seed in seeds]
-    if threads <= 1:
-        return [_run_job(fn, cfg, gamma, seed) for gamma, seed in jobs]
     gammas, seeds = zip(*jobs)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_job, repeat(fn), repeat(cfg), gammas, seeds))
+    if threads <= 1:
+        outcomes = list(map(job, repeat(fn), repeat(cfg), gammas, seeds))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(job, repeat(fn), repeat(cfg), gammas, seeds))
+    return list(zip(gammas, seeds, outcomes))
 
 
-def _write_curves_csv(out: Path, results) -> str:
+CURVE_HEADER = ["t", "p", "p_lo", "p_hi", "stderr", "method", "d", "N", "gamma", "seed"]
+
+
+def write_curves_csv(path: Path, labelled) -> None:
+    """One row per grid point of each ``(gamma, seed, curve)``; no bracket is an empty field."""
     rows = []
-    for gamma, seed, curve in results:
+    for gamma, seed, curve in labelled:
+        lo = [""] * len(curve.t) if curve.p_lo is None else curve.p_lo
+        hi = [""] * len(curve.t) if curve.p_hi is None else curve.p_hi
         for j in range(len(curve.t)):
             rows.append(
-                [curve.t[j], curve.p[j], curve.stderr[j], curve.method, curve.d, curve.N, gamma, seed]
+                [curve.t[j], curve.p[j], lo[j], hi[j], curve.stderr[j], curve.method, curve.d, curve.N, gamma, seed]
             )
-    write_csv(out / "curves.csv", ["t", "p", "stderr", "method", "d", "N", "gamma", "seed"], rows)
-    return "curves.csv"
+    write_csv(path, CURVE_HEADER, rows)
+
+
+def _failure(gamma: float, seed: int, status: str) -> EnvironmentFit:
+    return EnvironmentFit(gamma=gamma, seed=seed, slope=math.nan, ci_low=math.nan, ci_high=math.nan, status=status)
 
 
 def _fit_with_marker(gamma: float, seed: int, curve: ReturnProbabilityCurve, window) -> EnvironmentFit:
@@ -383,10 +412,7 @@ def _fit_with_marker(gamma: float, seed: int, curve: ReturnProbabilityCurve, win
         f = fit_exponent(curve, window)
         return EnvironmentFit(gamma=gamma, seed=seed, slope=f.slope, ci_low=f.ci_low, ci_high=f.ci_high)
     except ValidationError as exc:
-        return EnvironmentFit(
-            gamma=gamma, seed=seed, slope=math.nan, ci_low=math.nan, ci_high=math.nan,
-            status=f"failed: {exc}",
-        )
+        return _failure(gamma, seed, f"failed: {exc}")
 
 
 def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[AggregateSlope, list]:
@@ -417,11 +443,12 @@ def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[A
 def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False) -> ExperimentReport:
     """Per-environment exponent fits summarized per gamma; optionally also annealed.
 
-    Environments whose fit fails (a Monte Carlo curve can estimate zero at
-    late times) are persisted with a failure marker and excluded from the
-    summary; the run errors out only when no environment survives.  The
-    quenched run writes ``exponent_fits.csv``; the annealed run instead
-    averages the curves across environments per gamma, fits once, and writes
+    Environments whose curve raises ``RcmError`` or whose fit fails (a Monte
+    Carlo curve can estimate zero at late times) are persisted in
+    ``exponent_fits.csv`` with a failure marker and excluded from the
+    summary and the annealed mean; the run errors out only when no
+    environment of a gamma survives.  The annealed run also averages the
+    curves across environments per gamma, fits once, and writes
     ``annealed_curve.csv`` and ``annealed_report.csv``.
     """
     cfg.validate()
@@ -431,15 +458,20 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     window = cfg.window()
     if cfg.n_environments < 1:
         raise ValidationError("n_environments must be >= 1 for exponent studies")
-    results = _map_jobs(_curve_job, cfg, threads)
-    box = results[0][2].N
+    outcomes = _map_jobs(_curve_job, cfg, threads, keep_going=True)
+    results = [(g, s, o) for g, s, o in outcomes if not isinstance(o, RcmError)]
+    box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
 
-    per_env = [_fit_with_marker(gamma, seed, curve, window) for gamma, seed, curve in results]
+    per_env = [
+        _failure(gamma, seed, f"failed: {o}") if isinstance(o, RcmError) else _fit_with_marker(gamma, seed, o, window)
+        for gamma, seed, o in outcomes
+    ]
     quenched = []
     for g in cfg.gammas():
         good = np.array([e.slope for e in per_env if e.gamma == g and e.status == "ok"])
         if len(good) == 0:
-            raise ValidationError(f"every environment fit failed for gamma={g}")
+            lost = [o for gamma, _, o in outcomes if gamma == g and isinstance(o, RcmError)]
+            raise lost[0] if lost else ValidationError(f"every environment fit failed for gamma={g}")
         quenched.append(_slope_summary(g, good))
 
     def summary_rows(aggregates):
@@ -449,7 +481,13 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         ]
 
     summary_header = ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"]
-    files = [_write_curves_csv(out, results)]
+    write_curves_csv(out / "curves.csv", results)
+    write_csv(
+        out / "exponent_fits.csv",
+        ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
+        [[e.gamma, cfg.d, box, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status] for e in per_env],
+    )
+    files = ["curves.csv", "exponent_fits.csv"]
     annealed_fits: list[AggregateSlope] = []
     if annealed:
         annealed_rows = []
@@ -464,20 +502,11 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         )
         write_csv(out / "annealed_report.csv", summary_header, summary_rows(annealed_fits))
         files += ["annealed_curve.csv", "annealed_report.csv"]
-    else:
-        write_csv(
-            out / "exponent_fits.csv",
-            ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
-            [
-                [e.gamma, cfg.d, box, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status]
-                for e in per_env
-            ],
-        )
-        files.append("exponent_fits.csv")
     write_csv(out / "exponent_report.csv", summary_header, summary_rows(quenched))
     files.append("exponent_report.csv")
     elapsed = time.monotonic() - start
-    write_manifest(out, "annealed" if annealed else "exponent", cfg, files, elapsed)
+    steps = {"lanczos_steps": str(max(r[2].steps for r in results))} if cfg.method == "exact" else None
+    write_manifest(out, "annealed" if annealed else "exponent", cfg, files, elapsed, extra=steps)
     return ExperimentReport(
         kind="annealed" if annealed else "quenched",
         config_hash=config_hash(cfg),
@@ -547,7 +576,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     start = time.monotonic()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_bound_job, cfg, threads)
+    results = [outcome for _, _, outcome in _map_jobs(_bound_job, cfg, threads)]
 
     hole_rows = [r[0] for r in results]
     spectral_rows = [row for r in results for row in r[1]]

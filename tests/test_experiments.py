@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from rcmwalk import (
+    BoxGeometry,
     EmptyClusterError,
     NumericalError,
     ValidationError,
     derive_environment_seeds,
     experiments,
     heatkernel,
+    UniformizationCache,
     return_prob_curve_exact,
+    sample_environment,
     spectral,
 )
 from rcmwalk.cli import main
@@ -146,32 +149,70 @@ class TestQuenchedRunner:
         assert (tmp_path / "s" / "curves.csv").read_bytes() == (tmp_path / "t" / "curves.csv").read_bytes()
 
     def test_cli_bytes_pinned(self, tmp_path):
-        # sha256 of the files written by the seed implementation for this config
+        # sha256 of the files written by the Lanczos engine for this config
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CFG.format(out=tmp_path / "unused"))
         assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         pinned = {
-            "curves.csv": "58685c76978dd011a6994cc0065ad6d6af80d5b8e233cf9c46e687869d8be34f",
-            "exponent_fits.csv": "093947fd3b5d183f3cdc6a241eb6d4887493c863da0af034537ddb72f21f7a8f",
-            "exponent_report.csv": "94585eb364ea3846f83e71def8f529a0ad6079f8e488db29d35b0fc3e7e5e7b6",
+            "curves.csv": "fd865a5897dd8f702c1349a56bde012d1cfabb4a7b2944905e051a78918ac83b",
+            "exponent_fits.csv": "a827549b78bd3f907ae7dfd2250dbac2946a435aeccba697452841f710f99a95",
+            "exponent_report.csv": "8b7e8a33c053531b74050ca3f3d425d5a24322d8cddfde3786eb36c3a6f981a3",
         }
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+        # every pinned p sits within 1e-12 relative of the uniformization engine
+        rows = _read_rows(tmp_path / "out" / "curves.csv")
+        assert {r["method"] for r in rows} == {"exact-lanczos"}
+        for seed in {r["seed"] for r in rows}:
+            mine = [r for r in rows if r["seed"] == seed]
+            n = int(mine[0]["N"])
+            env = sample_environment(BoxGeometry(2, n + 1), float(mine[0]["gamma"]), int(seed))
+            cache = UniformizationCache(env, n)
+            for r in mine:
+                assert float(r["p_lo"]) == float(r["p"]) <= float(r["p_hi"])
+                assert abs(float(r["p"]) / cache.return_prob(float(r["t"])) - 1.0) <= 1e-12
 
-    def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
+    def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch, threads=1):
+        # the failed environment becomes a marker row; the others are fitted and summarized
         cfg = _cfg(tmp_path)
         seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
-        calls = []
 
         def fail_on_second(env, grid, tol=1e-12, box_radius=None):
-            calls.append(env.seed)
-            if len(calls) == 2:
+            if env.seed == seeds[1]:
                 raise NumericalError("solver gave up")
             return return_prob_curve_exact(env, grid, tol, box_radius)
 
         monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
-        with pytest.raises(NumericalError, match=rf"^gamma=2\.0, seed={seeds[1]}: solver gave up$"):
+        rep = run_exponent(cfg, threads=threads)
+        out = Path(cfg.directory)
+        fits = _read_rows(out / "exponent_fits.csv")
+        assert [r["status"] for r in fits] == ["ok", f"failed: gamma=2.0, seed={seeds[1]}: solver gave up", "ok"]
+        assert fits[1]["slope"] == "nan"
+        assert {r["seed"] for r in _read_rows(out / "curves.csv")} == {str(seeds[0]), str(seeds[2])}
+        assert rep.quenched[0].n_envs == 2 and len(rep.curves) == 2
+
+    def test_failing_job_in_a_worker_process(self, tmp_path, monkeypatch):
+        self.test_failing_job_names_gamma_and_seed(tmp_path, monkeypatch, threads=2)
+
+    def test_every_job_failing_raises(self, tmp_path, monkeypatch):
+        cfg = _cfg(tmp_path)
+        seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
+
+        def give_up(env, grid, tol=1e-12, box_radius=None):
+            raise NumericalError("solver gave up")
+
+        monkeypatch.setattr(experiments, "return_prob_curve_exact", give_up)
+        with pytest.raises(NumericalError, match=rf"^gamma=2\.0, seed={seeds[0]}: solver gave up$") as info:
             run_exponent(cfg, threads=1)
+        assert str(info.value.__cause__) == "solver gave up"
+
+    def test_manifest_records_lanczos_steps(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path)
+        rep = run_exponent(cfg)
+        manifest = (Path(cfg.directory) / "manifest.txt").read_text()
+        assert f"lanczos_steps={max(c.steps for c in rep.curves)}\n" in manifest
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert f"  lanczos_steps={max(c.steps for c in rep.curves)}" in capsys.readouterr().out
 
     def test_manifest_hashes(self, tmp_path):
         cfg = _cfg(tmp_path)
@@ -230,6 +271,23 @@ class TestAnnealedRunner:
         out = Path(cfg.directory)
         assert (out / "annealed_curve.csv").is_file()
         assert (out / "annealed_report.csv").is_file()
+
+    def test_failed_environment_marked_and_left_out_of_the_mean(self, tmp_path, monkeypatch):
+        cfg = _cfg(tmp_path)
+        seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
+
+        def fail_on_second(env, grid, tol=1e-12, box_radius=None):
+            if env.seed == seeds[1]:
+                raise NumericalError("solver gave up")
+            return return_prob_curve_exact(env, grid, tol, box_radius)
+
+        monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
+        rep = run_exponent(cfg, annealed=True)
+        out = Path(cfg.directory)
+        fits = _read_rows(out / "exponent_fits.csv")
+        assert fits[1]["status"] == f"failed: gamma=2.0, seed={seeds[1]}: solver gave up"
+        assert rep.annealed[0].n_envs == 2
+        assert {r["n_envs"] for r in _read_rows(out / "annealed_curve.csv")} == {"2"}
 
     def test_annealed_dominates_min_quenched(self, tmp_path):
         cfg = _cfg(tmp_path)
@@ -303,12 +361,17 @@ class TestBoundSuite:
         cfg = _cfg(tmp_path)
         first = derive_environment_seeds(cfg.master_seed, cfg.n_environments)[0]
 
+        calls = []
+
         def no_cluster(env, xi):
+            calls.append(env.seed)
             raise EmptyClusterError("no strong bond")
 
         monkeypatch.setattr(experiments, "strong_cluster", no_cluster)
-        with pytest.raises(EmptyClusterError, match=rf"^gamma=2\.0, seed={first}: no strong bond$"):
+        with pytest.raises(EmptyClusterError, match=rf"^gamma=2\.0, seed={first}: no strong bond$") as info:
             run_bound_suite(cfg, threads=1)
+        assert str(info.value.__cause__) == "no strong bond"
+        assert calls == [first]  # the first failure ends the suite
 
     def test_homogeneous_rejected(self, tmp_path):
         cfg = _cfg(tmp_path)

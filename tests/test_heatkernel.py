@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,18 @@ from scipy.stats import poisson
 
 from rcmwalk import (
     BoxGeometry,
+    NumericalError,
     ReturnProbabilityCurve,
     UniformizationCache,
     ValidationError,
     box_radius_for_horizon,
     clt_lower_bound_check,
     default_time_grid,
+    derive_environment_seeds,
     discrete_return_prob,
     fit_exponent,
     heat_kernel_hat,
+    heatkernel,
     homogeneous_environment,
     poisson_truncation_k,
     poisson_weights,
@@ -30,6 +34,7 @@ from rcmwalk import (
     strong_cluster,
     threshold_for_density,
 )
+from rcmwalk.experiments import load_config
 
 
 class TestPoissonMachinery:
@@ -94,7 +99,7 @@ class TestExactKernel:
     def test_curve_provenance(self, small_env):
         grid = default_time_grid(1.0, 10.0, 6)
         curve = return_prob_curve_exact(small_env, grid)
-        assert curve.method == "exact-uniformization"
+        assert curve.method == "exact-lanczos"
         assert curve.N == small_env.geometry.N - 1
         assert curve.seed == small_env.seed
         assert curve.p[0] <= 1.0 and np.all(curve.stderr == 0)
@@ -102,6 +107,104 @@ class TestExactKernel:
     def test_tol_validation(self, small_env):
         with pytest.raises(ValidationError):
             return_prob_exact(small_env, 1.0, tol=0.0)
+
+
+# Rounding allowance of the bracket against uniformization: the Poisson mixture
+# sums K ~ t + O(sqrt(t)) jump powers, the k-th after k sparse matvecs, so its
+# relative rounding stays below about K * eps ~ 1e-13 for K <= 500 (measured
+# up to 3e-13 at t = 400); the quadrature rules add about m * eps.  The
+# reference truncates its Poisson tail at 1e-20, far below 1e-12 * p here.
+BRACKET_RTOL = 1e-12
+
+
+def _grid(scale: float, increments: list[float], from_zero: bool) -> np.ndarray:
+    """Strictly increasing times, consecutive points at least 0.05 * scale apart."""
+    t = scale * np.cumsum(increments)
+    return np.concatenate([[0.0], t]) if from_zero else t
+
+
+class TestLanczosBracket:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        radius=st.integers(0, 10),
+        gamma=st.sampled_from([0.5, 2.0, 8.0]),
+        seed=st.integers(0, 2**31),
+        increments=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+        from_zero=st.booleans(),
+    )
+    def test_bracket_contains_uniformization(self, d, radius, gamma, seed, increments, from_zero):
+        # radius 0 ends on breakdown; the next few radii take more steps than
+        # the box has sites (the recurrence exhausts the box and goes on with
+        # ghost Ritz values); larger boxes stop on the bracket width.  Horizons up
+        # to 3 (n + 1)^2 keep p above about 1e-5, where BRACKET_RTOL is
+        # meaningful.
+        radius = radius if d == 2 else radius // 2
+        env = sample_environment(BoxGeometry(d, radius + 1), gamma, seed)
+        t = _grid(3.0 * (radius + 1) ** 2 / len(increments), increments, from_zero)
+        curve = return_prob_curve_exact(env, t, box_radius=radius)
+        cache = UniformizationCache(env, radius)
+        ref = np.array([cache.return_prob(tj, tol=1e-20) for tj in t])
+        assert curve.p is curve.p_lo and curve.method == "exact-lanczos"
+        assert np.all(curve.p_lo <= ref * (1 + BRACKET_RTOL))
+        assert np.all(curve.p_hi >= ref * (1 - BRACKET_RTOL))
+        assert np.all(curve.p_hi - curve.p_lo <= 1e-12 * curve.p_lo)
+        assert np.all(np.diff(curve.p) < 0)
+        assert np.all(curve.p[t == 0] == 1.0) and np.all(curve.p_hi[t == 0] == 1.0)
+        surv = np.array([cache.survival(tj, tol=1e-20) for tj in t])
+        assert np.all(np.abs(curve.survival - surv) <= 1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        extra=st.integers(0, 8),
+        seed=st.integers(0, 2**31),
+        increments=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+    )
+    def test_short_runs_certify_the_lattice_kernel(self, d, extra, seed, increments):
+        # with steps + 1 <= n the coefficients never see the rim, so a box five
+        # layers larger (any extension of the environment) gives the same curve
+        # horizons up to 4 (d = 2) and 0.2 (d = 3) take 20-33 steps, checks
+        # included, so these radii leave one check of slack
+        n = 44 + extra if d == 2 else 31 + extra // 4
+        env = sample_environment(BoxGeometry(d, n + 6), 2.0, seed)
+        t = _grid((4.0 if d == 2 else 0.2) / len(increments), increments, False)
+        near = return_prob_curve_exact(env, t, box_radius=n)
+        far = return_prob_curve_exact(env, t, box_radius=n + 5)
+        assert near.steps + 1 <= n and far.steps == near.steps
+        for name in ("p_lo", "p_hi"):
+            assert np.all(np.abs(getattr(near, name) / getattr(far, name) - 1.0) <= 1e-13)
+
+    def test_t_zero_is_exactly_one(self, small_env):
+        curve = return_prob_curve_exact(small_env, [0.0, 1.0, 2.0])
+        assert curve.p[0] == curve.p_hi[0] == curve.survival[0] == 1.0
+
+    def test_unreachable_tolerance_raises(self, small_env):
+        with pytest.raises(NumericalError, match="did not settle within tolerance"):
+            return_prob_curve_exact(small_env, [5.0, 40.0], tol=1e-30)
+
+    def test_one_assembly_per_curve_at_the_given_radius(self, small_env, monkeypatch):
+        built = []
+        assemble = heatkernel.transition_matrix
+
+        def counting(env, box_radius=None, killed=True):
+            built.append((box_radius, killed))
+            return assemble(env, box_radius, killed)
+
+        monkeypatch.setattr(heatkernel, "transition_matrix", counting)
+        return_prob_curve_exact(small_env, default_time_grid(1.0, 30.0), box_radius=5)
+        assert built == [(5, True)]
+        return_prob_exact(small_env, 3.0, box_radius=4)
+        assert built == [(5, True), (4, True)]
+
+    def test_step_count_on_the_benchmark_curve(self):
+        # work count, not time: the first quenched_d2 environment at seed 301
+        # (n = 240, t in [20, 400]) took 168 steps when this guard was set
+        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "quenched_d2.cfg")
+        n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
+        env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, int(derive_environment_seeds(301, 1)[0]))
+        curve = return_prob_curve_exact(env, default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade), box_radius=n)
+        assert curve.steps <= 200
 
 
 class TestMonteCarloKernel:
