@@ -87,6 +87,9 @@ class ExperimentConfig:
         return lo, hi
 
     def validate(self) -> None:
+        for name in _FINITE:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 2:
             raise ValidationError("d must be >= 2")
         for g in self.gammas():
@@ -96,6 +99,11 @@ class ExperimentConfig:
             raise ValidationError("p must lie in (0, 1)")
         if not 0 < self.t_min < self.t_max:
             raise ValidationError("need 0 < t_min < t_max")
+        if self.window_t_min < 0 or self.window_t_max < 0:
+            raise ValidationError("window bounds must be >= 0 (0 means the default)")
+        lo, hi = self.window()
+        if not lo < hi:
+            raise ValidationError(f"the fit window [{lo:g}, {hi:g}] needs window_t_min < window_t_max")
         if self.points_per_decade < 2:
             raise ValidationError("points_per_decade must be >= 2")
         if self.coupling_c <= 0:
@@ -139,6 +147,8 @@ _SCHEMA: dict[str, dict[str, str]] = {
 }
 
 _FIELD_SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
+# float knobs that must be finite; gamma may be +inf, the homogeneous limit
+_FINITE = tuple(k for keys in _SCHEMA.values() for k, kind in keys.items() if kind == "float" and k != "gamma")
 
 
 def _cast(kind: str, raw: str):

@@ -8,10 +8,13 @@ bracket is narrower than a relative tolerance.  Step ``j`` touches only the
 L1 ball of radius ``j`` around the origin, and the run takes about
 ``sqrt(t)`` steps where the Poisson series takes about ``t`` full-box
 products; when ``m < n`` it never meets the rim of ``B_n`` and brackets the
-kernel of the walk on all of Z^d.  The gain rests on that ball staying
-smaller than the box: a step that covers the box costs more than one Poisson
-product, so where the ball fills the box early (d = 5, n = 6, t <= 16: 47
-steps against 54 products) a curve takes about 5% longer than the series.
+kernel of the walk on all of Z^d.  Only that ball is assembled: the chain
+on ``B_n ∩ {|x|_1 <= R}``, its sites by (L1 distance, canonical index), ``R``
+a few radii past the a priori step count and grown in place when a run
+outlasts it (68k of the 231k sites of ``B_240`` at ``t <= 400``).  Where the
+ball fills the box early (d = 5, n = 6, t <= 16: 47 steps against 54
+products) a step costs more than one Poisson product, and the curve takes
+about as long as the series.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.special import gammaln, stdtrit
@@ -71,8 +75,10 @@ def box_radius_for_horizon(t_max: float, c: float = 2.0) -> int:
     Keeps the Dirichlet truncation error far below both solver tolerance
     and Monte Carlo noise for the horizons used here.
     """
-    if t_max <= 0:
-        raise ValidationError("horizon must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {t_max!r}")
+    if not 0 < c < math.inf:
+        raise ValidationError(f"coupling constant must be positive and finite, got {c!r}")
     return max(2, int(math.ceil(c * math.sqrt(t_max) * max(math.log(t_max), 1.0))))
 
 
@@ -217,31 +223,32 @@ class ReturnProbabilityCurve:
 # _BLOCK_RADII radii at once: scipy copies a prefix shorter than half its
 # arrays when it wraps one, so a fresh cut per step cost as much as the
 # product (perfbench quenched_d2 wall_s on two cores 1.21 s against 1.10 s,
-# medians of 4 alternating pairs).
+# medians of 4 alternating pairs).  The first ball reaches _BALL_MARGIN radii
+# past the a priori step count m*, which most runs stay under: at n = 240,
+# t <= 400 (m* = 174), 232 of the 240 perfbench quenched_d2 curves at seed 302
+# took 168 steps, 7 took 178 and 1 took 188, the only one to grow its ball.
 _CHECK_EVERY = 10
 _FIRST_CHECK = 0.8
 _BREAKDOWN = 1e-14
 _BLOCK_RADII = 10
+_BALL_MARGIN = 10
 
 
-def _l1_ordered_operator(env: Environment, chain: BoxChain) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
-    """``D^(1/2) P D^(-1/2)`` with its sites sorted by L1 distance from the origin.
+def _l1_ordered_operator(env: Environment, box_radius: int, radius: int) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
+    """``D^(1/2) P D^(-1/2)`` of the chain killed on leaving ``B_n ∩ {|x|_1 <= radius}``.
 
-    Returns the matrix, ``sqrt(pi)`` in the same order, and ``ball[r]``, the
-    number of sites of the box within L1 distance ``r`` (a prefix of the
-    order).  Ties keep the canonical order, which does not depend on the box
-    radius, so two boxes share every prefix that fits in both.
+    The sites come by (L1 distance, canonical index), an order that does not
+    depend on either radius, so two balls share every prefix that fits in
+    both.  Returns the matrix, the survival weights ``sqrt(pi / pi_0)`` and
+    ``ball[r]``, the number of sites within distance ``r``, in that order.
     """
+    chain = transition_matrix(env, box_radius, l1_radius=radius)
     P = chain.P
-    l1 = np.abs(env.geometry.all_coords[chain.sites]).sum(axis=1)
-    order = np.argsort(l1, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
     sq = np.sqrt(chain.pi)
     data = P.data * (np.repeat(sq, np.diff(P.indptr)) / sq[P.indices])
-    A = csr_matrix((data, position[P.indices], P.indptr), shape=P.shape)[order]
-    ball = np.searchsorted(l1[order], np.arange(int(l1.max()) + 1), side="right")
-    return A, sq[order], ball
+    l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
+    ball = np.searchsorted(l1, np.arange(int(l1[-1]) + 1), side="right")
+    return csr_matrix((data, P.indices, P.indptr), shape=P.shape), sq / sq[0], ball
 
 
 def _quadrature(diag: np.ndarray, off: np.ndarray, t: np.ndarray, c: np.ndarray | None = None):
@@ -249,9 +256,15 @@ def _quadrature(diag: np.ndarray, off: np.ndarray, t: np.ndarray, c: np.ndarray 
 
     With ``c`` also ``e_1^T exp(-tT) c``.  LAPACK's MRRR routine is named
     because scipy's default, divide and conquer, multiplies through threaded
-    BLAS, whose idle workers then spin beside the recurrence.
+    BLAS, whose idle workers then spin beside the recurrence.  MRRR can fail
+    to converge on the clustered ghost Ritz values of a run that has
+    exhausted a tiny box (d = 2, n = 1, gamma = 8: 10 of 120 curves); the
+    implicit QL routine takes over there.
     """
-    theta, U = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    try:
+        theta, U = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    except LinAlgError:
+        theta, U = eigh_tridiagonal(diag, off, lapack_driver="stev")
     decay = np.exp(-np.multiply.outer(t, theta))
     p = (decay * (U[0] * U[0])).sum(axis=1)
     if c is None:
@@ -259,7 +272,7 @@ def _quadrature(diag: np.ndarray, off: np.ndarray, t: np.ndarray, c: np.ndarray 
     return p, (decay * (U[0] * (c[:, None] * U).sum(axis=0))).sum(axis=1)
 
 
-def _lanczos_bracket(env: Environment, chain: BoxChain, t: np.ndarray, tol: float):
+def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float):
     """Gauss and Gauss-Radau brackets of ``p(t)``, the Krylov survival, and the step count.
 
     Runs the Lanczos recurrence from ``e_0`` on the symmetrized jump matrix
@@ -272,11 +285,17 @@ def _lanczos_bracket(env: Environment, chain: BoxChain, t: np.ndarray, tol: floa
     last pivot of the LDL^T factorization of ``T_m``, updated once per step.
 
     Lanczos vector ``q_j`` lives on the L1 ball of radius ``j - 1``, so step
-    ``j`` touches only the first ``ball[j]`` rows.  While ``j <= n`` those
-    rows hold every bond of their sites, so the coefficients, and with them
-    the bracket, are those of the operator on all of Z^d.  Only the last two
-    vectors are kept.  The survival ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` is
-    read from the Krylov space through ``c_j = sqrt(pi) . q_j``.
+    ``j`` touches only the first ``ball[j]`` rows, and the operator is
+    assembled on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at
+    ``m* + _BALL_MARGIN`` (below).  A run that reaches distance ``R`` before
+    it closes goes on with the same vectors on a ball ``_BLOCK_RADII`` radii
+    larger: the smaller ball's order is a prefix of the larger one's, and
+    while ``j <= R`` the rows it reads equal those of all of ``B_n``.  While
+    ``j <= n`` those rows hold every bond of their sites, so the
+    coefficients, and with them the bracket, are those of the operator on
+    all of Z^d.  Only the last two vectors are kept.  The survival
+    ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` is read from the Krylov space
+    through ``c_j = sqrt(pi) . q_j``.
 
     Stops when the relative bracket width and the change of the survival
     since the previous check are below ``tol`` at every grid point, or on
@@ -287,17 +306,23 @@ def _lanczos_bracket(env: Environment, chain: BoxChain, t: np.ndarray, tol: floa
     eigensolves), and the run gives up, raising ``NumericalError``, after
     ``4 m* + 64`` steps.
     """
-    A, sq, ball = _l1_ordered_operator(env, chain)
-    weight = sq / sq[0]  # survival = weight . exp(-tS) e_0
-    size, rmax = A.shape[0], len(ball) - 1
-    expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / min(tol, 1.0)))
+    expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / tol))
     first, max_steps = max(_CHECK_EVERY, int(_FIRST_CHECK * expected)), 64 + 4 * math.ceil(expected)
-    q_prev, q = np.zeros(size), np.zeros(size)
+    reach = env.geometry.d * box_radius  # the L1 radius of B_n
+    radius = min(reach, max(0, math.ceil(expected) + _BALL_MARGIN))
+    A, weight, ball = _l1_ordered_operator(env, box_radius, radius)  # survival = weight . exp(-tS) e_0
+    q_prev, q = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     q[0] = 1.0
     diag, off, c = [], [], []
     beta, pivot = 0.0, 1.0
     block, surv_prev, moved = A[:0], None, math.inf
     for j in range(1, max_steps + 1):
+        if radius < min(j, reach):  # step j reads the sites at distance j
+            radius = min(reach, j + _BLOCK_RADII - 1)
+            A, weight, ball = _l1_ordered_operator(env, box_radius, radius)
+            grown = np.zeros(A.shape[0] - len(q))
+            q_prev, q, block = np.concatenate((q_prev, grown)), np.concatenate((q, grown)), A[:0]
+        size, rmax = A.shape[0], len(ball) - 1
         live, prev, rows = (ball[min(r, rmax)] for r in (j - 1, max(j - 2, 0), j))
         if rows > block.shape[0]:
             top = ball[min(j + _BLOCK_RADII - 1, rmax)]
@@ -331,7 +356,7 @@ def _lanczos_bracket(env: Environment, chain: BoxChain, t: np.ndarray, tol: floa
             return p_lo, p_hi, surv, j
     raise NumericalError(
         f"Lanczos bracket did not settle within tolerance {tol:g} in {max_steps} steps "
-        f"(box radius {chain.box_radius}, t_max {float(t.max()):g}: relative width "
+        f"(box radius {box_radius}, t_max {float(t.max()):g}: relative width "
         f"{float(np.max(np.abs(p_hi - p_lo) / p_lo)):.2e}, last survival change {moved:.2e})"
     )
 
@@ -355,21 +380,22 @@ def return_prob_curve_exact(
     """Exact return-probability curve from one Lanczos run serving every time.
 
     ``p_lo <= p(t) <= p_hi`` with ``p_hi - p_lo <= tol * p_lo`` at each grid
-    point; ``p`` is ``p_lo``.  When ``steps + 1 <= N`` the bracket holds for
-    the walk on Z^d in any extension of the environment.
+    point; ``p`` is ``p_lo``, and ``tol`` must lie in (0, 1): a relative
+    width of 1 certifies nothing.  When ``steps + 1 <= N`` the bracket holds
+    for the walk on Z^d in any extension of the environment.
     """
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tol < 1:
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
-    chain = transition_matrix(env, box_radius)
-    p_lo, p_hi, surv, steps = _lanczos_bracket(env, chain, t, tol)
+    n = env.geometry.N - 1 if box_radius is None else int(box_radius)
+    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol)
     return ReturnProbabilityCurve(
         t=t,
         p=p_lo,
         stderr=np.zeros_like(p_lo),
         method="exact-lanczos",
         d=env.geometry.d,
-        N=chain.box_radius,
+        N=n,
         gamma=env.gamma,
         seed=env.seed,
         survival=surv,

@@ -162,6 +162,32 @@ class BoxGeometry:
         sub = BoxGeometry(self.d, n)
         return np.asarray(sub.all_coords @ self.strides + self.N * self.strides.sum(), dtype=np.int64)
 
+    def l1_ball_indices(self, n: int, radius: int) -> np.ndarray:
+        """Indices of the sites of ``B_n`` within L1 distance ``radius`` of the origin.
+
+        Sorted by (L1 distance, canonical index), so the order of a smaller
+        ball is a prefix of a larger one's; radius ``d n`` gives all of ``B_n``.
+        Only the ball's own sites are enumerated: for each point of the first
+        ``d - 1`` coordinates of ``B_n`` that fits, the last coordinate runs
+        over what the L1 norm leaves.
+        """
+        if not 0 <= n <= self.N:
+            raise ValidationError(f"box radius {n} outside [0, {self.N}]")
+        if radius < 0:
+            raise ValidationError(f"L1 radius must be >= 0, got {radius}")
+        a = min(n, int(radius))
+        head = np.indices((2 * a + 1,) * (self.d - 1)).reshape(self.d - 1, -1).T - a
+        head_l1 = np.abs(head).sum(axis=1)
+        fits = head_l1 <= radius
+        head, head_l1 = head[fits], head_l1[fits]
+        reach = np.minimum(radius - head_l1, a)  # |last coordinate| <= reach
+        count = 2 * reach + 1
+        last = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count + reach, count)
+        index = np.repeat((head + self.N) @ self.strides[:-1], count) + (last + self.N)
+        l1 = np.repeat(head_l1, count) + np.abs(last)
+        # lexicographic so far; a stable sort by distance (radix on small integers) keeps that within a shell
+        return index[np.argsort(l1.astype(np.min_scalar_type(radius)), kind="stable")]
+
 
 @dataclass(frozen=True)
 class ConductanceLaw:
@@ -284,24 +310,44 @@ def pi(env: Environment, x: int) -> float:
 
 
 def _restrict(env: Environment, sites: np.ndarray):
-    """Bonds of the conductance graph seen from an ascending set of sites.
+    """Bonds of the conductance graph seen from a set of distinct sites, in the given order.
 
     Returns ``(row, col, w)``, the directed bonds inside the set in local
-    indices (each undirected bond twice, row-major in incidence order), and
-    ``(rim_row, outside, rim_w)``, the bonds from local ``rim_row`` to the
-    site ``outside`` beyond the set.  Local positions come from a full-size
+    indices (each undirected bond twice, row-major, each row by ascending
+    neighbor index: the order of a canonical CSR row), ``(rim_row, outside,
+    rim_w)``, the bonds from local ``rim_row`` to the site ``outside``
+    beyond the set (row-major in incidence order, the order ``pi`` sums
+    in), and ``pi`` of the sites, bit for bit ``env.pi_all[sites]``.  Only
+    the given sites' neighbors and conductances are read, through the
+    strides and ``bond_id_table``; local positions come from a full-size
     inverse index.
     """
-    inv = np.full(env.geometry.n_sites, -1, dtype=np.int64)
+    geom = env.geometry
+    ids = geom.bond_id_table
+    coords = geom.site_coords(sites)
+    neigh = np.full((len(sites), 2 * geom.d), -1, dtype=np.int64)
+    w = np.zeros((len(sites), 2 * geom.d))
+    for i in range(geom.d):
+        below = coords[:, i] > -geom.N
+        down = sites[below] - geom.strides[i]
+        neigh[below, 2 * i] = down
+        w[below, 2 * i] = env.omega[ids[down, i]]
+        above = coords[:, i] < geom.N
+        neigh[above, 2 * i + 1] = sites[above] + geom.strides[i]
+        w[above, 2 * i + 1] = env.omega[ids[sites[above], i]]
+    pi = np.zeros(len(sites))
+    for col in range(2 * geom.d):  # the incidence order of Environment.pi_all
+        pi += w[:, col]
+    inv = np.full(geom.n_sites, -1, dtype=np.int64)
     inv[sites] = np.arange(len(sites), dtype=np.int64)
-    neigh = env.geometry.neighbor_table[sites]
-    w = env.omega_by_direction[sites]
     local = inv[neigh]
     bonded = w > 0  # absent neighbors (-1) carry no conductance
     inside = bonded & (local >= 0)
-    row, k = np.nonzero(inside)
     rim_row, rim_k = np.nonzero(bonded & ~inside)
-    return (row, local[row, k], w[row, k]), (rim_row, neigh[rim_row, rim_k], w[rim_row, rim_k])
+    ascending = np.r_[0 : 2 * geom.d : 2, 2 * geom.d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
+    row, k = np.nonzero(inside[:, ascending])
+    k = ascending[k]
+    return (row, local[row, k], w[row, k]), (rim_row, neigh[rim_row, rim_k], w[rim_row, rim_k]), pi
 
 
 def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environment:

@@ -97,7 +97,7 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     if not holes:
         return csr_matrix((n, n))
     sites = np.flatnonzero(~decomp.in_cluster)
-    (row, col, w), (rim_row, outside, rim_w) = _restrict(env, sites)
+    (row, col, w), (rim_row, outside, rim_w), _ = _restrict(env, sites)
     label = decomp.labels[sites]
     size = np.array([h.volume for h in holes], dtype=np.int64)
     width = np.array([len(h.boundary) for h in holes], dtype=np.int64)

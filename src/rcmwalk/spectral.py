@@ -119,7 +119,7 @@ class OperatorSpec:
     def symmetrized(self):
         """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
         chain = self.chain
-        (row, col, w), _ = _restrict(self.env, chain.sites)
+        (row, col, w), _, _ = _restrict(self.env, chain.sites)
         sqrt_pi = np.sqrt(chain.pi)
         m = len(chain.sites)
         off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
@@ -178,7 +178,7 @@ def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (len(sub),):
         raise ValidationError(f"f must have one value per B_{n} site ({len(sub)}), got {f.shape}")
-    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub)
+    (row, col, w), (rim_row, _, rim_w), _ = _restrict(env, sub)
     df = f[row] - f[col]
     rim = np.bincount(rim_row, weights=rim_w, minlength=len(sub))
     # each inside bond appears in both directions; bonds over the rim see df = f

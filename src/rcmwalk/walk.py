@@ -52,28 +52,37 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class BoxChain:
-    """Transition matrix of the walk restricted to ``B_n``.
+    """Transition matrix of the walk restricted to ``B_n`` or to an L1 ball in it.
 
     ``killed=True`` rows use the full invariant measure, so row sums fall
-    below 1 by ``exit``, the per-jump exit probability (Dirichlet killing,
-    exactly 0 off the rim).  ``killed=False`` is the free-boundary chain on
-    the whole environment box (stochastic, ``exit`` identically 0).
+    below 1 by ``exit``, the per-jump probability of leaving the domain
+    (Dirichlet killing, exactly 0 off its rim).  ``killed=False`` is the
+    free-boundary chain on the whole environment box (stochastic, ``exit``
+    identically 0).  On ``B_n`` the sites come in canonical order; on the
+    ball ``B_n ∩ {|x|_1 <= l1_radius}`` they come by (L1 distance,
+    canonical index), the origin first.  Either way each row of ``P`` lists
+    its entries by ascending canonical site index.
     """
 
     P: csr_matrix
-    sites: np.ndarray  # environment site indices, canonical sub-box order
+    sites: np.ndarray  # environment site indices, in the domain's order
     pi: np.ndarray
-    exit: np.ndarray  # P(the next jump leaves B_n), per site
+    exit: np.ndarray  # P(the next jump leaves the domain), per site
     origin: int  # position of the lattice origin among ``sites``
     box_radius: int
     killed: bool
 
 
-def transition_matrix(env: Environment, box_radius: int | None = None, killed: bool = True) -> BoxChain:
-    """Assemble the (killed or free) jump matrix on ``B_n``.
+def transition_matrix(
+    env: Environment, box_radius: int | None = None, killed: bool = True, l1_radius: int | None = None
+) -> BoxChain:
+    """Assemble the (killed or free) jump matrix on ``B_n``, or killed on an L1 ball in it.
 
     Killed chains need ``n <= N - 1`` so that every living site carries all
-    of its lattice bonds inside the stored environment.
+    of its lattice bonds inside the stored environment.  With ``l1_radius``
+    the chain lives on ``B_n ∩ {|x|_1 <= l1_radius}`` and is killed on
+    leaving that set; its rows at L1 distance below ``l1_radius`` equal
+    those of the box chain, entry for entry.
     """
     geom = env.geometry
     if killed:
@@ -86,17 +95,20 @@ def transition_matrix(env: Environment, box_radius: int | None = None, killed: b
         n = geom.N if box_radius is None else int(box_radius)
         if n != geom.N:
             raise ValidationError("the free-boundary chain lives on the full environment box")
+        if l1_radius is not None:
+            raise ValidationError("the chain on an L1 ball is killed on leaving it")
 
-    sub = geom.sub_box_indices(n)
-    pi = env.pi_all[sub]
-    (row, col, w), (rim_row, _, rim_w) = _restrict(env, sub)
-    P = coo_matrix((w / pi[row], (row, col)), shape=(len(sub), len(sub))).tocsr()
+    sites = geom.sub_box_indices(n) if l1_radius is None else geom.l1_ball_indices(n, int(l1_radius))
+    (row, col, w), (rim_row, _, rim_w), pi = _restrict(env, sites)
+    m = len(sites)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
     return BoxChain(
-        P=P,
-        sites=sub,
+        P=csr_matrix((w / pi[row], col, indptr), shape=(m, m)),
+        sites=sites,
         pi=pi,
-        exit=np.bincount(rim_row, weights=rim_w, minlength=len(sub)) / pi,
-        origin=(len(sub) - 1) // 2,
+        exit=np.bincount(rim_row, weights=rim_w, minlength=m) / pi,
+        origin=(m - 1) // 2 if l1_radius is None else 0,
         box_radius=n,
         killed=killed,
     )

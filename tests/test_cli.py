@@ -59,6 +59,13 @@ class TestExact:
         assert (tmp_path / "exact_curve.csv").is_file()
         assert (tmp_path / "manifest.txt").is_file()
 
+    @pytest.mark.parametrize("tol", ["1", "inf", "0", "nan"])
+    def test_tol_outside_unit_interval_rejected(self, tmp_path, capsys, tol):
+        argv = ["exact", "--t", "40", "--homog", "--d", "2", "--N", "40", "--tol", tol, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "exact_curve.csv").exists()
+
     def test_needs_environment(self, tmp_path):
         assert main(["exact", "--t", "1", "--out", str(tmp_path)]) == 2
 

@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmwalk import (
     BoxGeometry,
@@ -92,6 +95,43 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(epsilon=2.0).validate()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_text_round_trip(self, data):
+        cfg = data.draw(_configs())
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"coupling_c": math.nan},
+            {"window_t_min": math.nan},
+            {"window_t_min": -5.0},
+            {"window_t_max": math.inf},
+            {"t_max": math.inf},
+            {"t_min": math.nan},
+            {"mu": math.inf},
+            {"b": math.inf},
+            {"gamma": -math.inf},
+            {"gamma_list": (2.0, math.nan)},
+            {"window_t_min": 300.0, "window_t_max": 100.0},
+            {"t_min": 1.0, "t_max": 8.0, "window_t_min": 0.0, "window_t_max": 0.0},  # the default starts at 10
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_values_rejected(self, tmp_path, bad):
+        # a bad value must never run as a plausible number (a default window, a NaN box radius)
+        cfg = replace(_cfg(tmp_path), **bad)
+        with pytest.raises(ValidationError):
+            cfg.validate()
+        with pytest.raises(ValidationError):
+            parse_config(config_to_text(cfg))
+
+    def test_infinite_gamma_accepted(self, tmp_path):
+        # the homogeneous limit of the conductance law
+        cfg = replace(_cfg(tmp_path), gamma=math.inf)
+        assert parse_config(config_to_text(cfg)) == cfg
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_config(tmp_path / "absent.cfg")
@@ -119,6 +159,41 @@ class TestConfig:
         assert cfg.method == "exact" and cfg.n_paths == 0
         with pytest.raises(ValidationError, match="n_paths"):
             ExperimentConfig(method="mc", n_paths=0).validate()
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with every knob drawn, the fit window either default or explicit."""
+    t_min = draw(st.floats(0.01, 100.0))
+    t_max = t_min * draw(st.floats(1.01, 1e3))
+    window = (0.0, 0.0)
+    if t_max <= max(t_min, 10.0) or draw(st.booleans()):
+        lo = draw(st.floats(t_min, t_max))
+        window = (lo, lo * draw(st.floats(1.01, 10.0)))
+    cfg = ExperimentConfig(
+        d=draw(st.integers(2, 6)),
+        gamma=draw(st.one_of(st.floats(0.01, 50.0), st.just(math.inf))),
+        gamma_list=tuple(draw(st.lists(st.floats(0.01, 50.0), max_size=3))),
+        p=draw(st.floats(0.01, 0.99)),
+        homogeneous=draw(st.booleans()),
+        t_min=t_min,
+        t_max=t_max,
+        points_per_decade=draw(st.integers(2, 40)),
+        window_t_min=window[0],
+        window_t_max=window[1],
+        coupling_c=draw(st.floats(0.1, 10.0)),
+        N_list=tuple(draw(st.lists(st.integers(2, 512), min_size=1, max_size=4))),
+        mu=draw(st.floats(1e-3, 10.0)),
+        b=draw(st.floats(1.01, 5.0)),
+        epsilon=draw(st.floats(0.01, 0.99)),
+        n_environments=draw(st.integers(0, 100)),
+        n_paths=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        method=draw(st.sampled_from(["exact", "mc"])),
+        directory=draw(st.text(alphabet="abcxyz0123456789_-./", min_size=1, max_size=20)),
+    )
+    cfg.validate()
+    return cfg
 
 
 class TestQuenchedRunner:
@@ -348,14 +423,15 @@ class TestBoundSuite:
         built = []
         assemble = spectral.transition_matrix
 
-        def counting(env, box_radius=None, killed=True):
-            built.append(box_radius)
-            return assemble(env, box_radius, killed)
+        def counting(env, box_radius=None, killed=True, l1_radius=None):
+            built.append((box_radius, l1_radius))
+            return assemble(env, box_radius, killed, l1_radius)
 
         monkeypatch.setattr(spectral, "transition_matrix", counting)
         monkeypatch.setattr(heatkernel, "transition_matrix", counting)
         run_bound_suite(cfg, threads=1)
-        assert sorted(built) == sorted(list(cfg.N_list) * cfg.n_environments)
+        # every chain is the whole box: the bound suite runs no ball-sized curve
+        assert sorted(built) == sorted([(n, None) for n in cfg.N_list] * cfg.n_environments)
 
     def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
         cfg = _cfg(tmp_path)

@@ -1,11 +1,13 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 from scipy.special import ive
 from scipy.stats import poisson
 
@@ -33,6 +35,7 @@ from rcmwalk import (
     sample_environment,
     strong_cluster,
     threshold_for_density,
+    transition_matrix,
 )
 from rcmwalk.experiments import load_config
 
@@ -105,8 +108,12 @@ class TestExactKernel:
         assert curve.p[0] <= 1.0 and np.all(curve.stderr == 0)
 
     def test_tol_validation(self, small_env):
-        with pytest.raises(ValidationError):
-            return_prob_exact(small_env, 1.0, tol=0.0)
+        # a relative width of 1 or more certifies nothing
+        for tol in (0.0, -1e-12, 1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match=r"tolerance must lie in \(0, 1\)"):
+                return_prob_exact(small_env, 1.0, tol=tol)
+            with pytest.raises(ValidationError, match=r"tolerance must lie in \(0, 1\)"):
+                return_prob_curve_exact(small_env, [1.0, 2.0], tol=tol)
 
 
 # Rounding allowance of the bracket against uniformization: the Poisson mixture
@@ -184,27 +191,146 @@ class TestLanczosBracket:
             return_prob_curve_exact(small_env, [5.0, 40.0], tol=1e-30)
 
     def test_one_assembly_per_curve_at_the_given_radius(self, small_env, monkeypatch):
-        built = []
-        assemble = heatkernel.transition_matrix
-
-        def counting(env, box_radius=None, killed=True):
-            built.append((box_radius, killed))
-            return assemble(env, box_radius, killed)
-
-        monkeypatch.setattr(heatkernel, "transition_matrix", counting)
+        # a priori step counts 48 (t <= 30) and 15 (t = 3) put the first ball
+        # past the L1 radius 2n of these boxes: the whole box, once
+        built = _count_assemblies(monkeypatch)
         return_prob_curve_exact(small_env, default_time_grid(1.0, 30.0), box_radius=5)
-        assert built == [(5, True)]
+        assert built == [(5, True, 10, 11**2)]
         return_prob_exact(small_env, 3.0, box_radius=4)
-        assert built == [(5, True), (4, True)]
+        assert built == [(5, True, 10, 11**2), (4, True, 8, 9**2)]
 
-    def test_step_count_on_the_benchmark_curve(self):
-        # work count, not time: the first quenched_d2 environment at seed 301
-        # (n = 240, t in [20, 400]) took 168 steps when this guard was set
+    def test_step_count_on_the_benchmark_curve(self, monkeypatch):
+        # work counts, not time: the first quenched_d2 environment at seed 301
+        # (n = 240, t in [20, 400]) took 168 steps when this guard was set, on
+        # the ball of radius 174 + 10 (68,081 of the box's 231,361 sites), and
+        # read no full-box neighbor, conductance or pi table
         cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "quenched_d2.cfg")
         n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
         env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, int(derive_environment_seeds(301, 1)[0]))
-        curve = return_prob_curve_exact(env, default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade), box_radius=n)
+        built = _count_assemblies(monkeypatch)
+        grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
+        curve = return_prob_curve_exact(env, grid, box_radius=n)
         assert curve.steps <= 200
+        assert len(built) == 1 and built[0][3] < 0.35 * (2 * n + 1) ** 2
+        assert "neighbor_table" not in env.geometry.__dict__
+        assert "omega_by_direction" not in env.__dict__ and "pi_all" not in env.__dict__
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        radius=st.integers(1, 30),
+        gamma=st.sampled_from([0.5, 2.0, 8.0]),
+        seed=st.integers(0, 2**31),
+        t_max=st.floats(0.5, 40.0),
+        margin=st.sampled_from([10, -12, -200]),
+    )
+    def test_ball_engine_equals_the_full_box_oracle(self, d, radius, gamma, seed, t_max, margin):
+        # margins below 0 make the run outgrow its first ball, -200 from the
+        # single site on; each larger ball continues the same recurrence
+        radius = radius if d == 2 else 1 + radius // 3
+        env = sample_environment(BoxGeometry(d, radius + 1), gamma, seed)
+        t = default_time_grid(t_max / 20.0, t_max, 6)
+        built = []
+        with mock.patch.object(heatkernel, "_BALL_MARGIN", margin), mock.patch.object(
+            heatkernel, "transition_matrix", _counting(built)
+        ):
+            curve = return_prob_curve_exact(env, t, box_radius=radius)
+        oracle = _box_oracle(env, radius, t)
+        for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
+            assert np.array_equal(getattr(curve, name), ref), name
+        # balls only grow, never past the box, and past the first only as far as the run needs
+        radii = [b[2] for b in built]
+        assert radii == sorted(set(radii)) and radii[-1] <= d * radius
+        assert len(radii) == 1 or radii[-1] <= curve.steps + heatkernel._BLOCK_RADII
+
+    def test_outgrown_ball_on_a_benchmark_environment(self, monkeypatch):
+        # repeat 12 of quenched_d2 at seed 302: 188 steps, past the first ball (radius 184)
+        env = sample_environment(BoxGeometry(2, 241), 2.0, 4985894894568800940)
+        t = default_time_grid(20.0, 400.0, 12)
+        built = _count_assemblies(monkeypatch)
+        curve = return_prob_curve_exact(env, t, box_radius=240)
+        assert curve.steps == 188
+        assert [b[2] for b in built] == [184, 185 + heatkernel._BLOCK_RADII - 1]  # grown at step 185
+        oracle = _box_oracle(env, 240, t)
+        for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
+            assert np.array_equal(getattr(curve, name), ref), name
+
+    def test_ball_filling_the_box_is_assembled_once(self, monkeypatch):
+        # d = 5, n = 6, t <= 16: the first ball (radius 54 + 10) covers B_6 (L1 radius 30)
+        env = sample_environment(BoxGeometry(5, 7), 0.8, 3)
+        built = _count_assemblies(monkeypatch)
+        return_prob_curve_exact(env, default_time_grid(2.0, 16.0, 6), box_radius=6)
+        assert built == [(6, True, 30, 13**5)]
+
+
+def _counting(built: list):
+    """``transition_matrix`` recording ``(box_radius, killed, l1_radius, sites)`` of each chain in ``built``."""
+    assemble = heatkernel.transition_matrix
+
+    def counting(env, box_radius=None, killed=True, l1_radius=None):
+        chain = assemble(env, box_radius, killed, l1_radius)
+        built.append((box_radius, killed, l1_radius, len(chain.sites)))
+        return chain
+
+    return counting
+
+
+def _count_assemblies(monkeypatch) -> list:
+    built = []
+    monkeypatch.setattr(heatkernel, "transition_matrix", _counting(built))
+    return built
+
+
+def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
+    """The Lanczos bracket on the whole of ``B_n``, its sites sorted by L1 distance.
+
+    The engine's recurrence and stopping rule on the full-box chain with the
+    rows permuted and each row's entries left in canonical order; returns
+    ``p_lo``, ``p_hi``, the survival and the step count.
+    """
+    chain = transition_matrix(env, n)
+    P = chain.P
+    l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
+    order = np.argsort(l1, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    sq = np.sqrt(chain.pi)
+    data = P.data * (np.repeat(sq, np.diff(P.indptr)) / sq[P.indices])
+    A = csr_matrix((data, position[P.indices], P.indptr), shape=P.shape)[order]
+    weight, ball = sq[order] / sq[order][0], np.searchsorted(l1[order], np.arange(l1.max() + 1), side="right")
+    expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / tol))
+    first = max(heatkernel._CHECK_EVERY, int(heatkernel._FIRST_CHECK * expected))
+    q_prev, q = np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    q[0] = 1.0
+    diag, off, c, beta, pivot, surv_prev, moved = [], [], [], 0.0, 1.0, None, math.inf
+    for j in range(1, 65 + 4 * math.ceil(expected)):
+        live, prev, rows = (ball[min(r, len(ball) - 1)] for r in (j - 1, max(j - 2, 0), j))
+        w = A[:rows] @ q
+        alpha = float((q[:live] * w[:live]).sum())
+        c.append(float((weight[:live] * q[:live]).sum()))
+        w[:live] -= alpha * q[:live]
+        w[:prev] -= beta * q_prev[:prev]
+        diag.append(1.0 - alpha)
+        pivot = diag[-1] - beta * beta / pivot
+        beta = math.sqrt(float((w * w).sum()))
+        off.append(-beta)
+        q_prev, q = q, q_prev
+        broke = beta <= heatkernel._BREAKDOWN
+        if not broke:
+            q[:rows] = w / beta
+        if (j < first or (j - first) % heatkernel._CHECK_EVERY) and not broke:
+            continue
+        p_lo, surv = heatkernel._quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c))
+        p_hi, _ = heatkernel._quadrature(np.array(diag + [beta * beta / pivot]), np.array(off), t)
+        if surv_prev is not None:
+            moved = float(np.max(np.abs(surv - surv_prev)))
+        surv_prev = surv
+        if broke or (moved <= tol and np.all(np.abs(p_hi - p_lo) <= tol * p_lo)):
+            at_zero = t == 0
+            p_hi = np.maximum(p_hi, p_lo)
+            p_lo[at_zero], p_hi[at_zero], surv[at_zero] = 1.0, 1.0, 1.0
+            return p_lo, p_hi, surv, j
+    raise AssertionError("the oracle did not close")
 
 
 class TestMonteCarloKernel:
@@ -462,3 +588,9 @@ class TestGridHelpers:
         assert box_radius_for_horizon(0.5, c=2.0) >= 2
         with pytest.raises(ValidationError):
             box_radius_for_horizon(0.0)
+
+    @pytest.mark.parametrize("t_max, c", [(math.inf, 2.0), (math.nan, 2.0), (400.0, math.nan), (400.0, 0.0),
+                                          (400.0, -1.0), (400.0, math.inf)])
+    def test_box_radius_rejects_non_finite_input(self, t_max, c):
+        with pytest.raises(ValidationError):
+            box_radius_for_horizon(t_max, c)

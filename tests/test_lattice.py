@@ -69,6 +69,22 @@ class TestBoxGeometry:
         with pytest.raises(ValidationError):
             g.sub_box_indices(3)
 
+    @pytest.mark.parametrize(
+        "d, N, n, radius",
+        [(2, 3, 3, 0), (2, 5, 4, 3), (2, 5, 4, 7), (2, 5, 4, 20), (3, 4, 2, 4), (4, 2, 2, 5), (2, 3, 0, 2)],
+    )
+    def test_l1_ball_indices(self, d, N, n, radius):
+        # reference: the whole box filtered, sorted by (L1 distance, canonical index)
+        g = BoxGeometry(d, N)
+        l1 = np.abs(g.all_coords).sum(axis=1)
+        keep = np.flatnonzero((g.linf_norm <= n) & (l1 <= radius))
+        ref = keep[np.lexsort((keep, l1[keep]))]
+        assert np.array_equal(g.l1_ball_indices(n, radius), ref)
+        with pytest.raises(ValidationError):
+            g.l1_ball_indices(n, -1)
+        with pytest.raises(ValidationError):
+            g.l1_ball_indices(N + 1, radius)
+
     def test_sub_box_indices(self):
         g = BoxGeometry(2, 3)
         sub = g.sub_box_indices(1)

@@ -73,14 +73,17 @@ class TestRestriction:
         geom = small_env.geometry
         sets = [geom.sub_box_indices(n) for n in (0, 3, 7)] + [h.sites for h in holey_decomp.holes]
         sets.append(np.flatnonzero(~holey_decomp.in_cluster))  # all holes at once
-        for sites in sets:
-            sub = np.sort(sites)
-            (row, col, w), (rim_row, outside, rim_w) = _restrict(small_env, sub)
+        sets = [np.sort(s) for s in sets] + [geom.l1_ball_indices(7, 5), geom.l1_ball_indices(8, 12)]
+        for sub in sets:
+            (row, col, w), (rim_row, outside, rim_w), pi = _restrict(small_env, sub)
+            assert np.array_equal(pi, small_env.pi_all[sub])
             total = np.bincount(row, w, len(sub)) + np.bincount(rim_row, rim_w, len(sub))
-            np.testing.assert_allclose(total, small_env.pi_all[sub], rtol=1e-15)
+            np.testing.assert_allclose(total, pi, rtol=1e-15)
             assert not np.isin(outside, sub).any()
             assert np.array_equal(np.sort(sub[row] * geom.n_sites + sub[col]),
                                   np.sort(sub[col] * geom.n_sites + sub[row]))
+            # row-major, each row by ascending neighbor index
+            assert np.all(np.diff(row) >= 0) and np.all(np.diff(sub[col])[np.diff(row) == 0] > 0)
 
     def test_box_chain_matches_bond_list_assembly(self, small_env):
         # reference: the killed chain assembled from the canonical bond list
@@ -190,6 +193,51 @@ class TestChainProperties:
         env, chain = case
         S, _ = OperatorSpec(env=env, box_radius=chain.box_radius, lam=lam).symmetrized
         assert np.array_equal(S.toarray(), S.T.toarray())
+
+
+class TestBallChain:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        N=st.integers(1, 6),
+        gamma=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_box_chain_cut_to_the_ball(self, d, N, gamma, seed, data):
+        # inside the ball the rows are the box chain's, entry for entry; on its
+        # rim the bonds that leave it turn into exit probability
+        N = N if d == 2 else 1 + N // 2
+        env = sample_environment(BoxGeometry(d, N), gamma, seed)
+        n = data.draw(st.integers(0, N - 1))
+        radius = data.draw(st.integers(0, d * n + 2))
+        box, ball = transition_matrix(env, n), transition_matrix(env, n, l1_radius=radius)
+        geom = env.geometry
+        box_l1 = np.abs(geom.site_coords(box.sites)).sum(axis=1)
+        by_distance = box.sites[np.lexsort((box.sites, box_l1))]
+        assert np.array_equal(ball.sites, by_distance[: np.count_nonzero(box_l1 <= radius)])
+        coords = geom.site_coords(ball.sites)
+        l1 = np.abs(coords).sum(axis=1)
+        assert ball.origin == 0 and ball.sites[0] == geom.origin
+        at = np.searchsorted(box.sites, ball.sites)
+        assert np.array_equal(ball.pi, box.pi[at])
+        for i, k in enumerate(at):
+            box_row = slice(box.P.indptr[k], box.P.indptr[k + 1])
+            ball_row = slice(ball.P.indptr[i], ball.P.indptr[i + 1])
+            keep = np.isin(box.sites[box.P.indices[box_row]], ball.sites)
+            assert np.array_equal(ball.sites[ball.P.indices[ball_row]], box.sites[box.P.indices[box_row]][keep])
+            assert np.array_equal(ball.P.data[ball_row], box.P.data[box_row][keep])
+            assert keep.all() or l1[i] == radius
+        rows = np.asarray(ball.P.sum(axis=1)).ravel() + ball.exit
+        assert np.all(np.abs(rows - 1.0) <= 4 * np.finfo(float).eps)
+        rim = (np.abs(coords).max(axis=1) == n) | (l1 == radius)
+        assert np.all(ball.exit[~rim] == 0.0) and np.all(ball.exit[rim] > 0.0)
+
+    def test_validation(self, small_env):
+        with pytest.raises(ValidationError, match="killed"):
+            transition_matrix(small_env, killed=False, l1_radius=3)
+        with pytest.raises(ValidationError, match="L1 radius"):
+            transition_matrix(small_env, 4, l1_radius=-1)
 
 
 class TestSimulateCtmc:
