@@ -95,9 +95,11 @@ def _load_env_arg(args):
 
 def _cmd_generate(args) -> int:
     start = time.monotonic()
-    out = _out_dir(args)
     if not args.homog and args.gamma is None:
         raise ValidationError("generate needs --gamma or --homog")
+    if args.count < 1:
+        raise ValidationError(f"generate needs --count >= 1, got {args.count}")
+    out = _out_dir(args)
     master = args.seed if args.seed is not None else 1
     names = []
     if args.homog:

@@ -1,20 +1,25 @@
 """Return probabilities: a Lanczos quadrature bracket, uniformization, Monte Carlo, fits.
 
-Exact curves come from one Lanczos run on the symmetrized jump matrix of the
-killed box chain, started at the origin.  Its tridiagonal matrix gives, for
-every time of the grid at once, a Gauss lower bound and a Gauss-Radau upper
-bound (node fixed at 0) on ``p(t) = P(X_t = 0)``, and the run stops when the
-bracket is narrower than a relative tolerance.  Step ``j`` touches only the
-L1 ball of radius ``j`` around the origin, and the run takes about
-``sqrt(t)`` steps where the Poisson series takes about ``t`` full-box
-products; when ``m < n`` it never meets the rim of ``B_n`` and brackets the
-kernel of the walk on all of Z^d.  Only that ball is assembled: the chain
-on ``B_n ∩ {|x|_1 <= R}``, its sites by (L1 distance, canonical index), ``R``
-a few radii past the a priori step count and grown in place when a run
-outlasts it (68k of the 231k sites of ``B_240`` at ``t <= 400``).  Where the
-ball fills the box early (d = 5, n = 6, t <= 16: 47 steps against 54
-products) a step costs more than one Poisson product, and the curve takes
-about as long as the series.
+Exact curves come from one Lanczos run started at the origin on the square
+of the symmetrized jump matrix of the killed box chain, restricted to the
+origin's sublattice: the walk is bipartite, so this folded run gives the
+same Gauss rule as a run on the matrix itself in half the steps, and each
+of its steps multiplies by the two parity blocks of the matrix, one row
+prefix each.  Its tridiagonal matrix gives, for every time of the grid at
+once, a Gauss lower bound and a Gauss-Radau upper bound (node fixed at 1,
+the top of the spectrum of the square) on ``p(t) = P(X_t = 0)``, and the
+run stops when the bracket is narrower than a relative tolerance.  Step
+``i`` touches only the L1 ball of radius ``2i`` around the origin, and the
+run takes about ``sqrt(t) / 2`` steps where the Poisson series takes about
+``t`` full-box products; when ``2 steps <= n`` it never meets the rim of
+``B_n`` and brackets the kernel of the walk on all of Z^d.  Only that ball
+is assembled: the chain on ``B_n ∩ {|x|_1 <= R}``, its sites by (L1
+distance, canonical index), ``R`` a few radii past the a priori reach and
+grown in place when a run outlasts it (68k of the 231k sites of ``B_240``
+at ``t <= 400``).  Where the ball fills the box early (d = 5, n = 6,
+t <= 16: 23 steps against 54 products) the assembly, which the series
+shares, takes most of the time, and the curve takes a little less than
+the series.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -45,8 +50,8 @@ from .walk import BoxChain, effective_conductance_matrix, ensemble_walk, transit
 
 def poisson_truncation_k(rate: float, tol: float) -> int:
     """Smallest Chernoff-certified K with ``P(Poisson(rate) > K) < tol``."""
-    if rate < 0:
-        raise ValidationError("rate must be >= 0")
+    if not 0 <= rate < math.inf:
+        raise ValidationError(f"rate must be finite and >= 0, got {rate!r}")
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     if rate == 0:
@@ -84,16 +89,18 @@ def box_radius_for_horizon(t_max: float, c: float = 2.0) -> int:
 
 def default_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.ndarray:
     """Geometric time grid with ``per_decade`` points per decade."""
-    if not 0 < t_min < t_max:
-        raise ValidationError("need 0 < t_min < t_max")
+    if not 0 < t_min < t_max < math.inf:
+        raise ValidationError(f"need 0 < t_min < t_max < inf, got t_min={t_min!r}, t_max={t_max!r}")
+    if per_decade < 2:
+        raise ValidationError(f"points per decade must be >= 2, got {per_decade!r}")
     n = max(2, int(math.ceil(per_decade * math.log10(t_max / t_min))) + 1)
     return np.geomspace(t_min, t_max, n)
 
 
 def _time_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be a nonempty, nonnegative, increasing sequence")
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(t < 0) or np.any(np.diff(t) <= 0):
+        raise ValidationError("t grid must be a nonempty, finite, nonnegative, increasing sequence")
     return t
 
 
@@ -216,135 +223,187 @@ class ReturnProbabilityCurve:
     steps: int = 0
 
 
-# Lanczos steps between two convergence checks, the share of the a priori
-# step count at which the first check comes, and the coefficient below which
-# the recurrence has found an invariant subspace (breakdown).  The step's
-# matrix is a row prefix of the ordered operator, cut for the next
+# Folded Lanczos steps between two convergence checks, the share of the a
+# priori step count m* (counted in steps of the unfolded recurrence, two per
+# folded step) at which the first check comes, and the coefficient below which
+# the recurrence has found an invariant subspace (breakdown).  A step's two
+# half products take row prefixes of the parity blocks, cut for the next
 # _BLOCK_RADII radii at once: scipy copies a prefix shorter than half its
-# arrays when it wraps one, so a fresh cut per step cost as much as the
+# arrays when it wraps one, so a fresh cut per product cost as much as the
 # product (perfbench quenched_d2 wall_s on two cores 1.21 s against 1.10 s,
-# medians of 4 alternating pairs).  The first ball reaches _BALL_MARGIN radii
-# past the a priori step count m*, which most runs stay under: at n = 240,
-# t <= 400 (m* = 174), 232 of the 240 perfbench quenched_d2 curves at seed 302
-# took 168 steps, 7 took 178 and 1 took 188, the only one to grow its ball.
-_CHECK_EVERY = 10
+# medians of 4 alternating pairs, measured on the unfolded recurrence).  The
+# first ball reaches _BALL_MARGIN radii past m*, which most runs stay under:
+# at n = 240, t <= 400 (m* = 174) the perfbench curves close after 84 folded
+# steps, which read L1 radius 168.
+_CHECK_EVERY = 5
 _FIRST_CHECK = 0.8
 _BREAKDOWN = 1e-14
 _BLOCK_RADII = 10
 _BALL_MARGIN = 10
 
 
-def _l1_ordered_operator(env: Environment, box_radius: int, radius: int) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
-    """``D^(1/2) P D^(-1/2)`` of the chain killed on leaving ``B_n ∩ {|x|_1 <= radius}``.
+def _folded_operator(env: Environment, box_radius: int, radius: int):
+    """The parity blocks of ``A = D^(1/2) P D^(-1/2)`` on ``B_n ∩ {|x|_1 <= radius}``.
 
-    The sites come by (L1 distance, canonical index), an order that does not
-    depend on either radius, so two balls share every prefix that fits in
-    both.  Returns the matrix, the survival weights ``sqrt(pi / pi_0)`` and
-    ``ball[r]``, the number of sites within distance ``r``, in that order.
+    The walk only jumps between sites of opposite parity (that of the L1
+    distance from the origin), so over the even sites, then the odd ones,
+    ``A = [[0, C^T], [C, 0]]``.  Each parity keeps the chain's order, (L1
+    distance, canonical index), which does not depend on either radius, so
+    two balls share every prefix that fits in both; each row keeps its
+    entries in the chain's order.  Returns, even parity first, the blocks
+    ``(C^T, C)`` (rows of one parity, columns of the other), the survival
+    weights ``sqrt(pi / pi_0)`` and ``ball[r]``, the number of sites of that
+    parity within distance ``r``.
     """
     chain = transition_matrix(env, box_radius, l1_radius=radius)
     P = chain.P
     sq = np.sqrt(chain.pi)
-    data = P.data * (np.repeat(sq, np.diff(P.indptr)) / sq[P.indices])
     l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
-    ball = np.searchsorted(l1, np.arange(int(l1[-1]) + 1), side="right")
-    return csr_matrix((data, P.indices, P.indptr), shape=P.shape), sq / sq[0], ball
+    sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
+    rank = np.empty(len(l1), dtype=P.indices.dtype)  # position among the sites of its parity
+    for rows in sides:
+        rank[rows] = np.arange(len(rows))
+    blocks, weights, balls = [], [], []
+    for rows, other in zip(sides, sides[::-1]):
+        count = np.diff(P.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=P.indptr.dtype)
+        np.cumsum(count, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(P.indptr[rows] - indptr[:-1], count)
+        cols = P.indices[take]
+        data = P.data[take] * (np.repeat(sq[rows], count) / sq[cols])
+        blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
+        weights.append(sq[rows] / sq[0])
+        balls.append(np.searchsorted(l1[rows], np.arange(radius + 1), side="right"))
+    return blocks, weights, balls
 
 
-def _quadrature(diag: np.ndarray, off: np.ndarray, t: np.ndarray, c: np.ndarray | None = None):
-    """``e_1^T exp(-tT) e_1`` for the symmetric tridiagonal ``T`` at every ``t``.
+def _row_prefix(M: csr_matrix, rows: int) -> csr_matrix:
+    """The first ``rows`` rows of ``M`` on views of its arrays."""
+    end = M.indptr[rows]
+    return csr_matrix((M.data[:end], M.indices[:end], M.indptr[: rows + 1]), shape=(rows, M.shape[1]))
 
-    With ``c`` also ``e_1^T exp(-tT) c``.  LAPACK's MRRR routine is named
-    because scipy's default, divide and conquer, multiplies through threaded
-    BLAS, whose idle workers then spin beside the recurrence.  MRRR can fail
-    to converge on the clustered ghost Ritz values of a run that has
-    exhausted a tiny box (d = 2, n = 1, gamma = 8: 10 of 120 curves); the
+
+def _quadrature(
+    diag: np.ndarray, off: np.ndarray, t: np.ndarray, c_even: np.ndarray | None = None, c_odd: np.ndarray | None = None
+):
+    """``e^{-t} e_1^T cosh(t T^(1/2)) e_1`` for the symmetric tridiagonal ``T`` at every ``t``.
+
+    With ``c_even`` and ``c_odd`` also ``e^{-t} (c_even^T cosh(t T^(1/2)) e_1
+    + c_odd^T sinh(t T^(1/2)) T^(-1/2) e_1)``.  Over the eigenvalues
+    ``theta = r^2`` both come as ``e^{-t(1 - r)}`` times a factor at most 1
+    (``T``'s spectrum lies in ``[0, 1]`` up to rounding), so nothing
+    overflows; ``1 - r`` is taken as ``(1 - theta) / (1 + r)``, which keeps
+    the digits of ``theta`` near 1.  LAPACK's MRRR routine is named because
+    scipy's default, divide and conquer, multiplies through threaded BLAS,
+    whose idle workers then spin beside the recurrence.  MRRR can fail to
+    converge on the clustered ghost Ritz values of a run that has exhausted
+    a tiny box (d = 2, n = 1, gamma = 8, t <= 400: 3 of 120 curves); the
     implicit QL routine takes over there.
     """
     try:
         theta, U = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     except LinAlgError:
         theta, U = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    decay = np.exp(-np.multiply.outer(t, theta))
-    p = (decay * (U[0] * U[0])).sum(axis=1)
-    if c is None:
+    theta = np.maximum(theta, 0.0)
+    r = np.sqrt(theta)
+    tr = np.multiply.outer(t, r)
+    slow = np.exp(-np.multiply.outer(t, (1.0 - theta) / (1.0 + r)))  # e^{-t(1 - r)}
+    cosh = 0.5 * slow * (1.0 + np.exp(-2.0 * tr))
+    p = (cosh * (U[0] * U[0])).sum(axis=1)
+    if c_even is None:
         return p, None
-    return p, (decay * (U[0] * (c[:, None] * U).sum(axis=0))).sum(axis=1)
+    # e^{-t} sinh(tr) / r, with its limit t e^{-t} at r = 0
+    sinh = np.where(r > 0, slow * -np.expm1(-2.0 * tr) / (2.0 * np.where(r > 0, r, 1.0)), (t * np.exp(-t))[:, None])
+    surv = cosh * (U[0] * (c_even[:, None] * U).sum(axis=0)) + sinh * (U[0] * (c_odd[:, None] * U).sum(axis=0))
+    return p, surv.sum(axis=1)
 
 
 def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float):
     """Gauss and Gauss-Radau brackets of ``p(t)``, the Krylov survival, and the step count.
 
-    Runs the Lanczos recurrence from ``e_0`` on the symmetrized jump matrix
-    ``A``, so that ``p(t) = e_0^T exp(-tS) e_0`` with ``S = I - A``, whose
-    spectrum lies in ``[0, 2]``.  The Gauss rule of the tridiagonal ``T_m`` is
-    a lower bound, and the Gauss-Radau rule with a node fixed at 0 an upper
-    bound, at every ``t`` (Golub & Meurant 2010): the derivatives of
-    ``exp(-ts)`` alternate in sign.  The Radau matrix is ``T_m`` bordered by
-    ``beta_m`` and the diagonal entry ``beta_m^2 / d_m``, with ``d_m`` the
-    last pivot of the LDL^T factorization of ``T_m``, updated once per step.
+    ``p(t) = e_0^T exp(-t(I - A)) e_0`` for the symmetrized jump matrix
+    ``A``.  The walk is bipartite, so the odd powers of ``A`` vanish at the
+    origin, and ``p(t) = e^{-t} e_0^T cosh(t B^(1/2)) e_0`` with ``B = A^2 =
+    C^T C`` on the even sites (``_folded_operator``), whose spectrum lies in
+    ``[0, 1]``.  The Lanczos recurrence runs on ``B`` from ``e_0``: on ``A``
+    it would have zero diagonal and keep each vector on one parity, so every
+    product would spend half its rows on zeros, and the folded run gives the
+    same Gauss rule in half the steps (Golub & Kahan 1965).
+    ``cosh(t sqrt(s))`` is absolutely monotone on ``s >= 0``, so the Gauss
+    rule of the tridiagonal ``T_m`` is a lower bound at every ``t``, and the
+    Gauss-Radau rule with a node fixed at 1, the top of the spectrum, an
+    upper bound (Golub & Meurant 2010).  The Radau matrix is ``T_m``
+    bordered by ``beta_m`` and the diagonal entry ``1 + beta_m^2 / d_m``,
+    with ``d_m`` the last pivot of the LDL^T factorization of ``T_m - I``,
+    updated once per step.
 
-    Lanczos vector ``q_j`` lives on the L1 ball of radius ``j - 1``, so step
-    ``j`` touches only the first ``ball[j]`` rows, and the operator is
-    assembled on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at
-    ``m* + _BALL_MARGIN`` (below).  A run that reaches distance ``R`` before
-    it closes goes on with the same vectors on a ball ``_BLOCK_RADII`` radii
-    larger: the smaller ball's order is a prefix of the larger one's, and
-    while ``j <= R`` the rows it reads equal those of all of ``B_n``.  While
-    ``j <= n`` those rows hold every bond of their sites, so the
-    coefficients, and with them the bracket, are those of the operator on
-    all of Z^d.  Only the last two vectors are kept.  The survival
-    ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` is read from the Krylov space
-    through ``c_j = sqrt(pi) . q_j``.
+    Step ``i`` multiplies ``u_i``, which lives on the even sites within L1
+    distance ``2i - 2``, by ``C`` (the odd rows within ``2i - 1``) and the
+    result by ``C^T`` (the even rows within ``2i``).  The operator is
+    assembled on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at ``m* +
+    _BALL_MARGIN`` (below).  A run that would read past distance ``R``
+    before it closes goes on with the same vectors on a ball that covers the
+    next ``_BLOCK_RADII`` radii: the smaller ball's order is a prefix of the
+    larger one's, and the rows it reads equal those of all of ``B_n``.
+    While ``2 i <= n`` the L1 ball of radius ``2 i`` lies in ``B_n``, so the
+    products, and with them the coefficients and the bracket, are those of
+    the operator on all of Z^d.  Only the last two vectors are kept.  The
+    survival ``pi_0^(-1/2) sqrt(pi)^T exp(-t(I - A)) e_0`` splits into the
+    even sites' ``cosh`` part and the odd sites' ``sinh(t B^(1/2))
+    B^(-1/2)`` part (``A e_0 = C e_0`` carries the odd powers), read from
+    the Krylov space through ``w_even . u_i`` and ``w_odd . C u_i``.
 
     Stops when the relative bracket width and the change of the survival
     since the previous check are below ``tol`` at every grid point, or on
     breakdown, where the Gauss rule is exact.  Let ``m*`` be the step count
     at which the Hochbruck-Lubich bound on the Krylov error of
-    ``exp(-t S) e_0`` (spectrum in ``[0, 2]``) falls below ``tol`` at the last
-    time.  The checks start at ``0.8 m*`` (each costs two tridiagonal
-    eigensolves), and the run gives up, raising ``NumericalError``, after
-    ``4 m* + 64`` steps.
+    ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol`` at
+    the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8
+    m* / 2`` (each costs two tridiagonal eigensolves), and the run gives up,
+    raising ``NumericalError``, after ``2 m* + 32`` folded steps.
     """
     expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / tol))
-    first, max_steps = max(_CHECK_EVERY, int(_FIRST_CHECK * expected)), 64 + 4 * math.ceil(expected)
+    first = max(_CHECK_EVERY, int(_FIRST_CHECK * expected / 2))
+    max_steps = 32 + 2 * math.ceil(expected)
     reach = env.geometry.d * box_radius  # the L1 radius of B_n
     radius = min(reach, max(0, math.ceil(expected) + _BALL_MARGIN))
-    A, weight, ball = _l1_ordered_operator(env, box_radius, radius)  # survival = weight . exp(-tS) e_0
-    q_prev, q = np.zeros(A.shape[0]), np.zeros(A.shape[0])
-    q[0] = 1.0
-    diag, off, c = [], [], []
+    (CT, C), (w_even, w_odd), (even, odd) = _folded_operator(env, box_radius, radius)
+    u_prev, u, z = np.zeros(CT.shape[0]), np.zeros(CT.shape[0]), np.zeros(C.shape[0])
+    u[0] = 1.0
+    diag, off, c_even, c_odd = [], [], [], []
     beta, pivot = 0.0, 1.0
-    block, surv_prev, moved = A[:0], None, math.inf
-    for j in range(1, max_steps + 1):
-        if radius < min(j, reach):  # step j reads the sites at distance j
-            radius = min(reach, j + _BLOCK_RADII - 1)
-            A, weight, ball = _l1_ordered_operator(env, box_radius, radius)
-            grown = np.zeros(A.shape[0] - len(q))
-            q_prev, q, block = np.concatenate((q_prev, grown)), np.concatenate((q, grown)), A[:0]
-        size, rmax = A.shape[0], len(ball) - 1
-        live, prev, rows = (ball[min(r, rmax)] for r in (j - 1, max(j - 2, 0), j))
-        if rows > block.shape[0]:
-            top = ball[min(j + _BLOCK_RADII - 1, rmax)]
-            end = A.indptr[top]
-            block = csr_matrix((A.data[:end], A.indices[:end], A.indptr[: top + 1]), shape=(top, size))
-        w = (block @ q)[:rows]  # rows beyond the ball of radius j meet no support of q
-        alpha = float((q[:live] * w[:live]).sum())
-        c.append(float((weight[:live] * q[:live]).sum()))
-        w[:live] -= alpha * q[:live]
-        w[:prev] -= beta * q_prev[:prev]
-        diag.append(1.0 - alpha)
-        pivot = diag[-1] - beta * beta / pivot
-        beta = math.sqrt(float((w * w).sum()))
-        off.append(-beta)
-        q_prev, q = q, q_prev
+    block_ct, block_c, surv_prev, moved = _row_prefix(CT, 0), _row_prefix(C, 0), None, math.inf
+    for i in range(1, max_steps + 1):
+        if radius < min(2 * i, reach):  # step i reads the sites at distance 2i
+            radius = min(reach, 2 * i + _BLOCK_RADII - 2)
+            (CT, C), (w_even, w_odd), (even, odd) = _folded_operator(env, box_radius, radius)
+            u_prev, u = (np.concatenate((v, np.zeros(CT.shape[0] - len(v)))) for v in (u_prev, u))
+            z = np.concatenate((z, np.zeros(C.shape[0] - len(z))))
+            block_ct, block_c = _row_prefix(CT, 0), _row_prefix(C, 0)
+        live, prev, rows = (even[min(r, radius)] for r in (2 * i - 2, max(2 * i - 4, 0), 2 * i))
+        reached = odd[min(2 * i - 1, radius)]
+        if rows > block_ct.shape[0] or reached > block_c.shape[0]:
+            top = min(2 * i + _BLOCK_RADII - 2, radius)
+            block_ct, block_c = _row_prefix(CT, even[top]), _row_prefix(C, odd[top])
+        z[:reached] = (block_c @ u)[:reached]  # rows beyond distance 2i - 1 meet no support of u
+        y = (block_ct @ z)[:rows]
+        alpha = float((u[:live] * y[:live]).sum())
+        c_even.append(float((w_even[:live] * u[:live]).sum()))
+        c_odd.append(float((w_odd[:reached] * z[:reached]).sum()))
+        y[:live] -= alpha * u[:live]
+        y[:prev] -= beta * u_prev[:prev]
+        diag.append(alpha)
+        pivot = alpha - 1.0 - beta * beta / pivot
+        beta = math.sqrt(float((y * y).sum()))
+        off.append(beta)
+        u_prev, u = u, u_prev
         broke = beta <= _BREAKDOWN
         if not broke:
-            q[:rows] = w / beta
-        if (j < first or (j - first) % _CHECK_EVERY) and not broke:
+            u[:rows] = y / beta
+        if (i < first or (i - first) % _CHECK_EVERY) and not broke:
             continue
-        p_lo, surv = _quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c))
-        p_hi, _ = _quadrature(np.array(diag + [beta * beta / pivot]), np.array(off), t)
+        p_lo, surv = _quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c_even), np.array(c_odd))
+        p_hi, _ = _quadrature(np.array(diag + [1.0 + beta * beta / pivot]), np.array(off), t)
         if surv_prev is not None:
             moved = float(np.max(np.abs(surv - surv_prev)))
         surv_prev = surv
@@ -353,7 +412,7 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
             p_hi = np.maximum(p_hi, p_lo)
             at_zero = t == 0
             p_lo[at_zero], p_hi[at_zero], surv[at_zero] = 1.0, 1.0, 1.0
-            return p_lo, p_hi, surv, j
+            return p_lo, p_hi, surv, i
     raise NumericalError(
         f"Lanczos bracket did not settle within tolerance {tol:g} in {max_steps} steps "
         f"(box radius {box_radius}, t_max {float(t.max()):g}: relative width "
@@ -381,7 +440,8 @@ def return_prob_curve_exact(
 
     ``p_lo <= p(t) <= p_hi`` with ``p_hi - p_lo <= tol * p_lo`` at each grid
     point; ``p`` is ``p_lo``, and ``tol`` must lie in (0, 1): a relative
-    width of 1 certifies nothing.  When ``steps + 1 <= N`` the bracket holds
+    width of 1 certifies nothing.  ``steps`` counts folded Lanczos steps,
+    each of two half products.  When ``2 * steps <= N`` the bracket holds
     for the walk on Z^d in any extension of the environment.
     """
     if not 0 < tol < 1:

@@ -69,6 +69,19 @@ class TestExact:
     def test_needs_environment(self, tmp_path):
         assert main(["exact", "--t", "1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, capsys, t):
+        assert main(["exact", f"--t={t}", "--homog", "--d", "2", "--N", "4", "--out", str(tmp_path)]) == 2
+        assert "t grid must be a nonempty, finite" in capsys.readouterr().err
+        assert not (tmp_path / "exact_curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["exact", "simulate"])
+    @pytest.mark.parametrize("per_decade", ["0", "-3"])
+    def test_points_per_decade_below_two_rejected(self, tmp_path, capsys, command, per_decade):
+        argv = [command, "--homog", "--d", "2", "--N", "4", "--points-per-decade", per_decade, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "points per decade must be >= 2" in capsys.readouterr().err
+
 
 class TestGenerateDecompose:
     def test_pipeline(self, tmp_path):
@@ -83,6 +96,13 @@ class TestGenerateDecompose:
         assert lines[0] == "site_index,x_1,x_2,label"
         assert len(lines) == 17 * 17 + 1
         assert (dec / "holes_report.csv").is_file()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_generate_needs_one_environment(self, tmp_path, capsys, count):
+        argv = ["generate", "--d", "2", "--N", "4", "--gamma", "2.0", "--count", count, "--out", str(tmp_path / "g")]
+        assert main(argv) == 2
+        assert "--count >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_generate_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

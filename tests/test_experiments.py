@@ -224,14 +224,14 @@ class TestQuenchedRunner:
         assert (tmp_path / "s" / "curves.csv").read_bytes() == (tmp_path / "t" / "curves.csv").read_bytes()
 
     def test_cli_bytes_pinned(self, tmp_path):
-        # sha256 of the files written by the Lanczos engine for this config
+        # sha256 of the files written by the folded Lanczos engine for this config
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CFG.format(out=tmp_path / "unused"))
         assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         pinned = {
-            "curves.csv": "fd865a5897dd8f702c1349a56bde012d1cfabb4a7b2944905e051a78918ac83b",
-            "exponent_fits.csv": "a827549b78bd3f907ae7dfd2250dbac2946a435aeccba697452841f710f99a95",
-            "exponent_report.csv": "8b7e8a33c053531b74050ca3f3d425d5a24322d8cddfde3786eb36c3a6f981a3",
+            "curves.csv": "175546fda7d846a339a04ad80910ffd66a1a6a2ab3411d647c7820faaa7db80f",
+            "exponent_fits.csv": "d3983ef5b89e60c2041413890c656afd8ecf92d8a273512b619d6394ad08b2ea",
+            "exponent_report.csv": "fdc629bc1e53a509ce4a9f57249d11b6c24c5f611a7ec062a52cfa9cfd586ad1",
         }
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest

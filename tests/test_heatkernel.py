@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.special import ive
@@ -58,6 +59,9 @@ class TestPoissonMachinery:
             poisson_truncation_k(-1.0, 1e-6)
         with pytest.raises(ValidationError):
             poisson_truncation_k(1.0, 0.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="rate must be finite"):
+                poisson_truncation_k(rate, 1e-12)
 
 
 class TestExactKernel:
@@ -169,18 +173,22 @@ class TestLanczosBracket:
         increments=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
     )
     def test_short_runs_certify_the_lattice_kernel(self, d, extra, seed, increments):
-        # with steps + 1 <= n the coefficients never see the rim, so a box five
-        # layers larger (any extension of the environment) gives the same curve
-        # horizons up to 4 (d = 2) and 0.2 (d = 3) take 20-33 steps, checks
-        # included, so these radii leave one check of slack
-        n = 44 + extra if d == 2 else 31 + extra // 4
+        # folded step i reads the L1 ball of radius 2i, so with 2 steps <= n the
+        # products never see the rim, and a box five layers larger (any
+        # extension of the environment) gives the same curve bit for bit, as
+        # does the box of radius exactly 2 steps; horizons up to 4 (d = 2) and
+        # 0.2 (d = 3) take 10-16 folded steps, checks included, so these radii
+        # leave one check of slack
+        n = 42 + extra if d == 2 else 30 + extra // 4
         env = sample_environment(BoxGeometry(d, n + 6), 2.0, seed)
         t = _grid((4.0 if d == 2 else 0.2) / len(increments), increments, False)
         near = return_prob_curve_exact(env, t, box_radius=n)
         far = return_prob_curve_exact(env, t, box_radius=n + 5)
-        assert near.steps + 1 <= n and far.steps == near.steps
+        edge = return_prob_curve_exact(env, t, box_radius=2 * near.steps)
+        assert 2 * near.steps <= n and far.steps == near.steps == edge.steps
         for name in ("p_lo", "p_hi"):
-            assert np.all(np.abs(getattr(near, name) / getattr(far, name) - 1.0) <= 1e-13)
+            assert np.array_equal(getattr(near, name), getattr(far, name))
+            assert np.array_equal(getattr(edge, name), getattr(far, name))
 
     def test_t_zero_is_exactly_one(self, small_env):
         curve = return_prob_curve_exact(small_env, [0.0, 1.0, 2.0])
@@ -189,6 +197,27 @@ class TestLanczosBracket:
     def test_unreachable_tolerance_raises(self, small_env):
         with pytest.raises(NumericalError, match="did not settle within tolerance"):
             return_prob_curve_exact(small_env, [5.0, 40.0], tol=1e-30)
+
+    def test_mrrr_failure_falls_back_to_implicit_ql(self, small_env, monkeypatch):
+        # MRRR can fail on the ghost Ritz values of a run that exhausted a tiny
+        # box (d = 2, n = 1, gamma = 8, t <= 400: 3 of 120 curves); forced to
+        # fail everywhere, every check runs on implicit QL and the bracket holds
+        t = default_time_grid(1.0, 30.0, 6)
+        plain = return_prob_curve_exact(small_env, t)
+        drivers, eig = [], heatkernel.eigh_tridiagonal
+
+        def without_mrrr(diag, off, lapack_driver):
+            drivers.append(lapack_driver)
+            if lapack_driver == "stemr":
+                raise LinAlgError("forced")
+            return eig(diag, off, lapack_driver=lapack_driver)
+
+        monkeypatch.setattr(heatkernel, "eigh_tridiagonal", without_mrrr)
+        curve = return_prob_curve_exact(small_env, t)
+        assert drivers[::2] == ["stemr"] * (len(drivers) // 2) and drivers[1::2] == ["stev"] * (len(drivers) // 2)
+        assert curve.steps == plain.steps
+        assert np.all(curve.p_lo <= plain.p_hi * (1 + BRACKET_RTOL))
+        assert np.all(curve.p_hi >= plain.p_lo * (1 - BRACKET_RTOL))
 
     def test_one_assembly_per_curve_at_the_given_radius(self, small_env, monkeypatch):
         # a priori step counts 48 (t <= 30) and 15 (t = 3) put the first ball
@@ -201,16 +230,17 @@ class TestLanczosBracket:
 
     def test_step_count_on_the_benchmark_curve(self, monkeypatch):
         # work counts, not time: the first quenched_d2 environment at seed 301
-        # (n = 240, t in [20, 400]) took 168 steps when this guard was set, on
-        # the ball of radius 174 + 10 (68,081 of the box's 231,361 sites), and
-        # read no full-box neighbor, conductance or pi table
+        # (n = 240, t in [20, 400]) took 84 folded steps when this guard was
+        # set (168 unfolded ones before), on the ball of radius 174 + 10 (68,081
+        # of the box's 231,361 sites), and read no full-box neighbor,
+        # conductance or pi table
         cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "quenched_d2.cfg")
         n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
         env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, int(derive_environment_seeds(301, 1)[0]))
         built = _count_assemblies(monkeypatch)
         grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
         curve = return_prob_curve_exact(env, grid, box_radius=n)
-        assert curve.steps <= 200
+        assert curve.steps <= 100
         assert len(built) == 1 and built[0][3] < 0.35 * (2 * n + 1) ** 2
         assert "neighbor_table" not in env.geometry.__dict__
         assert "omega_by_direction" not in env.__dict__ and "pi_all" not in env.__dict__
@@ -241,19 +271,27 @@ class TestLanczosBracket:
         # balls only grow, never past the box, and past the first only as far as the run needs
         radii = [b[2] for b in built]
         assert radii == sorted(set(radii)) and radii[-1] <= d * radius
-        assert len(radii) == 1 or radii[-1] <= curve.steps + heatkernel._BLOCK_RADII
+        assert len(radii) == 1 or radii[-1] <= 2 * curve.steps + heatkernel._BLOCK_RADII - 2
 
     def test_outgrown_ball_on_a_benchmark_environment(self, monkeypatch):
-        # repeat 12 of quenched_d2 at seed 302: 188 steps, past the first ball (radius 184)
+        # repeat 12 of quenched_d2 at seed 302, which took 188 unfolded steps
+        # and grew its ball at step 185; folded, it closes after 84 steps
+        # (L1 radius 168) inside the first ball (radius 184), as every curve of
+        # 60 repeats at seeds 301-303 did.  A first ball 24 radii smaller
+        # makes it grow at step 81, the first to read past radius 160.
         env = sample_environment(BoxGeometry(2, 241), 2.0, 4985894894568800940)
         t = default_time_grid(20.0, 400.0, 12)
         built = _count_assemblies(monkeypatch)
         curve = return_prob_curve_exact(env, t, box_radius=240)
-        assert curve.steps == 188
-        assert [b[2] for b in built] == [184, 185 + heatkernel._BLOCK_RADII - 1]  # grown at step 185
+        assert curve.steps == 84 and [b[2] for b in built] == [184]
+        built.clear()
+        monkeypatch.setattr(heatkernel, "_BALL_MARGIN", heatkernel._BALL_MARGIN - 24)
+        grown = return_prob_curve_exact(env, t, box_radius=240)
+        assert [b[2] for b in built] == [160, 2 * 81 + heatkernel._BLOCK_RADII - 2]
         oracle = _box_oracle(env, 240, t)
         for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
             assert np.array_equal(getattr(curve, name), ref), name
+            assert np.array_equal(getattr(grown, name), ref), name
 
     def test_ball_filling_the_box_is_assembled_once(self, monkeypatch):
         # d = 5, n = 6, t <= 16: the first ball (radius 54 + 10) covers B_6 (L1 radius 30)
@@ -261,6 +299,32 @@ class TestLanczosBracket:
         built = _count_assemblies(monkeypatch)
         return_prob_curve_exact(env, default_time_grid(2.0, 16.0, 6), box_radius=6)
         assert built == [(6, True, 30, 13**5)]
+
+    def test_step_count_where_the_ball_fills_the_box(self, monkeypatch):
+        # work counts, not time: the first environment of the d = 5 demo, where
+        # every step multiplies the whole box, took 23 folded steps (47 unfolded
+        # ones before) when this guard was set
+        cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "quenched_d5_smallgamma.cfg")
+        n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
+        seed = int(derive_environment_seeds(cfg.master_seed, 1)[0])
+        env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, seed)
+        built = _count_assemblies(monkeypatch)
+        grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
+        curve = return_prob_curve_exact(env, grid, box_radius=n)
+        assert curve.steps <= 30
+        assert built == [(n, True, cfg.d * n, (2 * n + 1) ** cfg.d)]
+
+    def test_heavy_tail_width_is_not_a_rounding_floor(self):
+        # environment 41 of demos/annealed_small_gamma.cfg (gamma = 0.4, n = 379,
+        # t <= 800) read width 7.3e-13 on the unfolded recurrence, the rounding
+        # of its two eigensolves; folded it read 1.5e-15 when this guard was set
+        cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "annealed_small_gamma.cfg")
+        n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
+        seed = int(derive_environment_seeds(cfg.master_seed, cfg.n_environments)[41])
+        env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, seed)
+        grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
+        curve = return_prob_curve_exact(env, grid, box_radius=n)
+        assert np.max((curve.p_hi - curve.p_lo) / curve.p_lo) <= 1.5e-14
 
 
 def _counting(built: list):
@@ -282,11 +346,12 @@ def _count_assemblies(monkeypatch) -> list:
 
 
 def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
-    """The Lanczos bracket on the whole of ``B_n``, its sites sorted by L1 distance.
+    """The folded Lanczos bracket on the whole of ``B_n``, its sites sorted by L1 distance.
 
     The engine's recurrence and stopping rule on the full-box chain with the
-    rows permuted and each row's entries left in canonical order; returns
-    ``p_lo``, ``p_hi``, the survival and the step count.
+    rows permuted, each row's entries left in canonical order, and the
+    parity blocks cut by scipy's row and column indexing; returns ``p_lo``,
+    ``p_hi``, the survival and the step count.
     """
     chain = transition_matrix(env, n)
     P = chain.P
@@ -297,31 +362,39 @@ def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
     sq = np.sqrt(chain.pi)
     data = P.data * (np.repeat(sq, np.diff(P.indptr)) / sq[P.indices])
     A = csr_matrix((data, position[P.indices], P.indptr), shape=P.shape)[order]
-    weight, ball = sq[order] / sq[order][0], np.searchsorted(l1[order], np.arange(l1.max() + 1), side="right")
+    l1, weight = l1[order], sq[order] / sq[order][0]
+    even, odd = np.flatnonzero(l1 % 2 == 0), np.flatnonzero(l1 % 2 == 1)
+    w_even, w_odd = weight[even], weight[odd]
+    CT, C = A[even][:, odd], A[odd][:, even]
+    ball_e, ball_o = (np.searchsorted(l1[side], np.arange(l1.max() + 1), side="right") for side in (even, odd))
+    rmax = int(l1.max())
     expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / tol))
-    first = max(heatkernel._CHECK_EVERY, int(heatkernel._FIRST_CHECK * expected))
-    q_prev, q = np.zeros(A.shape[0]), np.zeros(A.shape[0])
-    q[0] = 1.0
-    diag, off, c, beta, pivot, surv_prev, moved = [], [], [], 0.0, 1.0, None, math.inf
-    for j in range(1, 65 + 4 * math.ceil(expected)):
-        live, prev, rows = (ball[min(r, len(ball) - 1)] for r in (j - 1, max(j - 2, 0), j))
-        w = A[:rows] @ q
-        alpha = float((q[:live] * w[:live]).sum())
-        c.append(float((weight[:live] * q[:live]).sum()))
-        w[:live] -= alpha * q[:live]
-        w[:prev] -= beta * q_prev[:prev]
-        diag.append(1.0 - alpha)
-        pivot = diag[-1] - beta * beta / pivot
-        beta = math.sqrt(float((w * w).sum()))
-        off.append(-beta)
-        q_prev, q = q, q_prev
+    first = max(heatkernel._CHECK_EVERY, int(heatkernel._FIRST_CHECK * expected / 2))
+    u_prev, u, z = np.zeros(len(even)), np.zeros(len(even)), np.zeros(len(odd))
+    u[0] = 1.0
+    diag, off, c_even, c_odd, beta, pivot, surv_prev, moved = [], [], [], [], 0.0, 1.0, None, math.inf
+    for i in range(1, 33 + 2 * math.ceil(expected)):
+        live, prev, rows = (ball_e[min(r, rmax)] for r in (2 * i - 2, max(2 * i - 4, 0), 2 * i))
+        reached = ball_o[min(2 * i - 1, rmax)]
+        z[:reached] = C[:reached] @ u
+        y = CT[:rows] @ z
+        alpha = float((u[:live] * y[:live]).sum())
+        c_even.append(float((w_even[:live] * u[:live]).sum()))
+        c_odd.append(float((w_odd[:reached] * z[:reached]).sum()))
+        y[:live] -= alpha * u[:live]
+        y[:prev] -= beta * u_prev[:prev]
+        diag.append(alpha)
+        pivot = alpha - 1.0 - beta * beta / pivot
+        beta = math.sqrt(float((y * y).sum()))
+        off.append(beta)
+        u_prev, u = u, u_prev
         broke = beta <= heatkernel._BREAKDOWN
         if not broke:
-            q[:rows] = w / beta
-        if (j < first or (j - first) % heatkernel._CHECK_EVERY) and not broke:
+            u[:rows] = y / beta
+        if (i < first or (i - first) % heatkernel._CHECK_EVERY) and not broke:
             continue
-        p_lo, surv = heatkernel._quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c))
-        p_hi, _ = heatkernel._quadrature(np.array(diag + [beta * beta / pivot]), np.array(off), t)
+        p_lo, surv = heatkernel._quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c_even), np.array(c_odd))
+        p_hi, _ = heatkernel._quadrature(np.array(diag + [1.0 + beta * beta / pivot]), np.array(off), t)
         if surv_prev is not None:
             moved = float(np.max(np.abs(surv - surv_prev)))
         surv_prev = surv
@@ -329,7 +402,7 @@ def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
             at_zero = t == 0
             p_hi = np.maximum(p_hi, p_lo)
             p_lo[at_zero], p_hi[at_zero], surv[at_zero] = 1.0, 1.0, 1.0
-            return p_lo, p_hi, surv, j
+            return p_lo, p_hi, surv, i
     raise AssertionError("the oracle did not close")
 
 
@@ -582,6 +655,19 @@ class TestGridHelpers:
         assert grid[0] == pytest.approx(10)
         assert grid[-1] == pytest.approx(1000)
         assert len(grid) == 25
+
+    @pytest.mark.parametrize("bad", [[math.nan], [1.0, math.inf], [-math.inf, 1.0], [0.0, math.nan, 2.0]])
+    def test_time_grid_rejects_non_finite_times(self, small_env, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            return_prob_curve_exact(small_env, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            return_prob_mc(small_env, bad, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("t_min, t_max, per_decade", [(1.0, math.inf, 12), (1.0, 10.0, 1), (1.0, 10.0, 0),
+                                                          (1.0, 10.0, -3), (math.nan, 10.0, 12)])
+    def test_time_grid_rule_rejects_bad_input(self, t_min, t_max, per_decade):
+        with pytest.raises(ValidationError):
+            default_time_grid(t_min, t_max, per_decade)
 
     def test_box_radius_rule(self):
         assert box_radius_for_horizon(400.0) == 240

@@ -335,6 +335,36 @@ class TestTimeChange:
         assert again.horizon == pytest.approx(hat.horizon, abs=1e-12)
         assert hat.A_hat(hat.end_time) == pytest.approx(hat.end_time, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        radius=st.integers(2, 8),
+        density=st.sampled_from([0.5, 0.6, 0.8, 0.95]),
+        horizon=st.floats(0.0, 60.0),
+        killed=st.booleans(),
+        pick=st.integers(0, 2**16),
+    )
+    def test_time_change_is_idempotent(self, seed, radius, density, horizon, killed, pick):
+        # a time-changed record lives on the strong cluster and runs on its own
+        # clock, so a second time change keeps its sites and increments bit for
+        # bit, and its additive functional at the end is the end time
+        env = sample_environment(BoxGeometry(2, radius), 2.0, seed)
+        dec = strong_cluster(env, threshold_for_density(2.0, density))
+        cluster = np.flatnonzero(dec.in_cluster)
+        if killed:
+            cluster = cluster[env.geometry.linf_norm[cluster] <= radius - 1]
+        if not len(cluster):
+            return
+        rng = np.random.default_rng(seed)
+        traj = simulate_ctmc(env, int(cluster[pick % len(cluster)]), horizon, rng, decomp=dec,
+                             kill_radius="interior" if killed else None)
+        hat = time_changed_trajectory(traj, dec)
+        again = time_changed_trajectory(hat, dec)
+        assert np.array_equal(again.sites, hat.sites)
+        assert np.array_equal(again.increments, hat.increments)
+        assert again.horizon == pytest.approx(hat.horizon, rel=1e-12, abs=0.0)
+        assert hat.A_hat(hat.end_time) == hat.end_time
+
     def test_start_in_hole_rejected(self, small_env, holey_decomp, rng):
         hole_site = int(holey_decomp.holes[0].sites[0])
         traj = simulate_ctmc(small_env, hole_site, 5.0, rng, kill_radius=None)
