@@ -3,7 +3,7 @@
 Shows the principal eigenvalue of the killed operator (against the closed
 form on the all-ones box and against the N^(-(d/gamma+mu))/(8d) floor at
 the prescribed killing rate, with the inertia certificate of the floor),
-evaluates the penalized survival value three
+evaluates the penalized survival value four
 ways, and runs the survival and exit-time envelope checks.
 """
 
@@ -13,6 +13,7 @@ from rcmwalk import (
     BoxGeometry,
     OperatorSpec,
     exit_time_tail_check,
+    feynman_kac_lanczos,
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,
@@ -44,16 +45,18 @@ print(f"random env N=32 at the prescribed rate {pspec.lam:.4f}: "
 print(f"  certified by {cert.method}: {cert.neg_pivots} negative pivots in S - m(N) I, "
       f"{cert.iterations} shift-invert solves")
 
-# --- penalized survival value, three ways ------------------------------------
+# --- penalized survival value, four ways -------------------------------------
 small = sample_environment(BoxGeometry(2, 5), 2.0, 3)
 sdec = strong_cluster(small, threshold_for_density(2.0, 0.6))
 spec = OperatorSpec(env=small, decomp=sdec, box_radius=4, lam=0.3)
 t = 2.0
 v_spectral = feynman_kac_spectral(spec, t)
 v_uniform = feynman_kac_uniformization(spec, t)
+v_lanczos, steps = feynman_kac_lanczos(spec, t)
 v_mc, se = feynman_kac_mc(spec, t, 40_000, np.random.default_rng(17))
 print(f"\nE[exp(-lam A); alive] at t={t}: spectral {v_spectral:.6f}, "
-      f"uniformized {v_uniform:.6f}, MC {v_mc:.6f} (+/- {se:.6f})")
+      f"uniformized {v_uniform:.6f}, Lanczos {v_lanczos:.6f} ({steps} steps), "
+      f"MC {v_mc:.6f} (+/- {se:.6f})")
 
 pert = perturbation_identity_check(spec, [t], n_nodes=256)
 print(f"perturbation identities deviate by {pert.max_deviation:.2e} "
@@ -62,7 +65,8 @@ print(f"perturbation identities deviate by {pert.max_deviation:.2e} "
 # --- survival bound at the coupled horizon (same operator as the floor) -------
 sb = survival_bound_check(pspec)
 print(f"\nsurvival envelope at t = {sb.t:.0f} (coupled to N=32): "
-      f"log lhs = {sb.lhs_log:.2f} <= log rhs = {sb.rhs_log:.2f}  -> {sb.passed}")
+      f"log lhs = {sb.lhs_log:.2f} <= log rhs = {sb.rhs_log:.2f}  -> {sb.passed} "
+      f"({sb.steps} Lanczos steps)")
 
 # --- exit-time tail against the Gaussian-shaped envelope ----------------------
 tail = exit_time_tail_check(OperatorSpec(env=env, box_radius=24), np.geomspace(24**2 / 16, 24**2, 8))

@@ -305,7 +305,15 @@ def _cmd_report(args) -> int:
                     status = "ok"
                 lines.append(f"  {name}: {status}")
             elif raw.startswith(
-                ("command=", "config_hash=", "master_seed=", "pass_rate_", "floor_eigsh_fallbacks=", "lanczos_steps=")
+                (
+                    "command=",
+                    "config_hash=",
+                    "master_seed=",
+                    "pass_rate_",
+                    "floor_eigsh_fallbacks=",
+                    "survival_lanczos_steps=",
+                    "lanczos_steps=",
+                )
             ):
                 lines.append(f"  {raw}")
         lines.append("")

@@ -555,7 +555,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
 
     spectral_rows = []
     survival_rows = []
-    fallbacks = 0
+    fallbacks = survival_steps = 0
     n_exit = min(cfg.N_list)
     for n in cfg.N_list:
         spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
@@ -566,6 +566,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         fallbacks += cert.method == "eigsh"
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
+        survival_steps += sb.steps
         if n == n_exit:
             tail = exit_time_tail_check(spec, np.geomspace(n**2 / 16.0, n**2, 8))
 
@@ -573,7 +574,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
         for j in range(len(tail.t))
     ]
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), fallbacks
+    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), fallbacks, survival_steps
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -594,6 +595,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     exit_rows = [row for r in results for row in r[3]]
     exit_ok = [r[4] for r in results]
     fallbacks = sum(r[5] for r in results)
+    survival_steps = sum(r[6] for r in results)
 
     files = []
     write_csv(
@@ -637,6 +639,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
         extra={
             **{f"pass_rate_{k}": str(v) for k, v in pass_rates.items()},
             "floor_eigsh_fallbacks": str(fallbacks),
+            "survival_lanczos_steps": str(survival_steps),
         },
     )
     return ExperimentReport(

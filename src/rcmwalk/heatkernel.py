@@ -25,10 +25,12 @@ the series.
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
 it is the independent oracle of the bracket, and it serves what needs the
 jump powers or the whole law, namely the discrete-time kernel and its
-Poisson-mixture lower bound, the full distribution, the exit mass, the
-penalized generator ``I - P + lam diag(phi)`` (whose surviving mass is the
-Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``) and the time-changed
-walk's chain on the strong cluster.
+Poisson-mixture lower bound, the full distribution, the exit mass and the
+time-changed walk's chain on the strong cluster.  On the penalized generator
+``I - P + lam diag(phi)`` its surviving mass is the Feynman-Kac value
+``E[exp(-lam A(t)); t < tau]``, the oracle of ``spectral.feynman_kac_lanczos``,
+which shares this module's step estimate, check schedule and tridiagonal
+eigensolve.
 """
 
 from __future__ import annotations
@@ -226,10 +228,11 @@ class ReturnProbabilityCurve:
 # Folded Lanczos steps between two convergence checks, the share of the a
 # priori step count m* (counted in steps of the unfolded recurrence, two per
 # folded step) at which the first check comes, and the coefficient below which
-# the recurrence has found an invariant subspace (breakdown).  A step's two
-# half products take row prefixes of the parity blocks, cut for the next
-# _BLOCK_RADII radii at once: scipy copies a prefix shorter than half its
-# arrays when it wraps one, so a fresh cut per product cost as much as the
+# the recurrence has found an invariant subspace (breakdown); the unfolded
+# run of spectral.feynman_kac_lanczos takes the same three, in its own steps.
+# A step's two half products take row prefixes of the parity blocks, cut for
+# the next _BLOCK_RADII radii at once: scipy copies a prefix shorter than half
+# its arrays when it wraps one, so a fresh cut per product cost as much as the
 # product (perfbench quenched_d2 wall_s on two cores 1.21 s against 1.10 s,
 # medians of 4 alternating pairs, measured on the unfolded recurrence).  The
 # first ball reaches _BALL_MARGIN radii past m*, which most runs stay under:
@@ -283,6 +286,31 @@ def _row_prefix(M: csr_matrix, rows: int) -> csr_matrix:
     return csr_matrix((M.data[:end], M.indices[:end], M.indptr[: rows + 1]), shape=(rows, M.shape[1]))
 
 
+def _krylov_steps(t_max: float, tol: float, width: float = 2.0) -> float:
+    """Lanczos steps that bring ``exp(-tH) v`` within ``tol`` at every ``t <= t_max``.
+
+    The Hochbruck-Lubich bound (SIAM J. Numer. Anal. 1997) for a symmetric
+    ``H`` whose spectrum lies in an interval of length ``width``.
+    """
+    return math.sqrt(1.25 * width * t_max * math.log(10.0 / tol))
+
+
+def _ritz(diag: np.ndarray, off: np.ndarray):
+    """Eigenvalues and eigenvectors of the symmetric tridiagonal matrix ``(diag, off)``.
+
+    LAPACK's MRRR routine is named because scipy's default, divide and
+    conquer, multiplies through threaded BLAS, whose idle workers then spin
+    beside the recurrence.  MRRR can fail to converge on clustered ghost Ritz
+    values, which a run that went on past an exhausted box produced (d = 2,
+    n = 1, gamma = 8, t <= 400: 3 of 120 curves before such runs stopped at
+    the dimension of the box); the implicit QL routine takes over there.
+    """
+    try:
+        return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    except LinAlgError:
+        return eigh_tridiagonal(diag, off, lapack_driver="stev")
+
+
 def _quadrature(
     diag: np.ndarray, off: np.ndarray, t: np.ndarray, c_even: np.ndarray | None = None, c_odd: np.ndarray | None = None
 ):
@@ -293,17 +321,9 @@ def _quadrature(
     ``theta = r^2`` both come as ``e^{-t(1 - r)}`` times a factor at most 1
     (``T``'s spectrum lies in ``[0, 1]`` up to rounding), so nothing
     overflows; ``1 - r`` is taken as ``(1 - theta) / (1 + r)``, which keeps
-    the digits of ``theta`` near 1.  LAPACK's MRRR routine is named because
-    scipy's default, divide and conquer, multiplies through threaded BLAS,
-    whose idle workers then spin beside the recurrence.  MRRR can fail to
-    converge on the clustered ghost Ritz values of a run that has exhausted
-    a tiny box (d = 2, n = 1, gamma = 8, t <= 400: 3 of 120 curves); the
-    implicit QL routine takes over there.
+    the digits of ``theta`` near 1.
     """
-    try:
-        theta, U = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    except LinAlgError:
-        theta, U = eigh_tridiagonal(diag, off, lapack_driver="stev")
+    theta, U = _ritz(diag, off)
     theta = np.maximum(theta, 0.0)
     r = np.sqrt(theta)
     tr = np.multiply.outer(t, r)
@@ -355,17 +375,22 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
 
     Stops when the relative bracket width and the change of the survival
     since the previous check are below ``tol`` at every grid point, or on
-    breakdown, where the Gauss rule is exact.  Let ``m*`` be the step count
-    at which the Hochbruck-Lubich bound on the Krylov error of
+    breakdown, where the Gauss rule is exact.  Step ``i`` equal to the
+    number of even sites of ``B_n`` counts as breakdown: the Krylov space is
+    then the whole sublattice, and a run that went on would only add ghost
+    Ritz values.  Let ``m*`` be the step count at which the Hochbruck-Lubich
+    bound (``_krylov_steps``) on the Krylov error of
     ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol`` at
     the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8
     m* / 2`` (each costs two tridiagonal eigensolves), and the run gives up,
     raising ``NumericalError``, after ``2 m* + 32`` folded steps.
     """
-    expected = math.sqrt(2.5 * float(t.max()) * math.log(10.0 / tol))
+    expected = _krylov_steps(float(t.max()), tol)
     first = max(_CHECK_EVERY, int(_FIRST_CHECK * expected / 2))
     max_steps = 32 + 2 * math.ceil(expected)
-    reach = env.geometry.d * box_radius  # the L1 radius of B_n
+    d = env.geometry.d
+    reach = d * box_radius  # the L1 radius of B_n
+    dim = ((2 * box_radius + 1) ** d + (-1) ** (box_radius * d)) // 2  # the even sites of B_n
     radius = min(reach, max(0, math.ceil(expected) + _BALL_MARGIN))
     (CT, C), (w_even, w_odd), (even, odd) = _folded_operator(env, box_radius, radius)
     u_prev, u, z = np.zeros(CT.shape[0]), np.zeros(CT.shape[0]), np.zeros(C.shape[0])
@@ -394,7 +419,7 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
         y[:prev] -= beta * u_prev[:prev]
         diag.append(alpha)
         pivot = alpha - 1.0 - beta * beta / pivot
-        beta = math.sqrt(float((y * y).sum()))
+        beta = 0.0 if i == dim else math.sqrt(float((y * y).sum()))  # i == dim: the space is exhausted
         off.append(beta)
         u_prev, u = u, u_prev
         broke = beta <= _BREAKDOWN

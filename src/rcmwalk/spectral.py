@@ -14,11 +14,14 @@ pivots and the eigenvalues of ``S - m(N) I`` have the same signs).  Any
 other outcome of the factorization is settled by the principal eigenvalue,
 so a failing verdict always rests on an eigensolve.
 
-The value ``E[exp(-lam A(t)); t < tau]`` comes from the uniformization
+The value ``E[exp(-lam A(t)); t < tau]`` comes from one Lanczos run on the
+symmetrized matrix, the one the floor check factors
+(``feynman_kac_lanczos``: about ``sqrt((2 + lam) t)`` products where the
+Poisson series takes ``(1 + lam) t``).  Its oracles are the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
-truncation), from Monte Carlo, and, as an oracle on small boxes, from the
-dense spectral expansion.  The exit-time tail ``P(tau_N <= t)`` is the
-exit mass of the plain killed walk from the same engine.
+truncation), Monte Carlo, and, on small boxes, the dense spectral
+expansion.  The exit-time tail ``P(tau_N <= t)`` is the exit mass of the
+plain killed walk from the uniformization engine.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
-from .heatkernel import UniformizationCache
+from .heatkernel import _BREAKDOWN, _CHECK_EVERY, _FIRST_CHECK, UniformizationCache, _krylov_steps, _ritz
 from .lattice import Environment, _restrict
 from .percolation import ClusterDecomposition
 from .walk import BoxChain, ensemble_walk, transition_matrix
@@ -110,12 +113,6 @@ class OperatorSpec:
         return len(self.chain.sites)
 
     @cached_property
-    def engine(self) -> UniformizationCache:
-        """Uniformization of the penalized semigroup on ``chain``."""
-        phi = None if self.decomp is None else self.decomp.in_cluster
-        return UniformizationCache(self.env, lam=self.lam, phi=phi, chain=self.chain)
-
-    @cached_property
     def symmetrized(self):
         """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
         chain = self.chain
@@ -133,7 +130,7 @@ class OperatorSpec:
         if self.n_sites > DENSE_EIG_CUTOFF:
             raise ValidationError(
                 f"box has {self.n_sites} sites, above the dense cutoff {DENSE_EIG_CUTOFF}; "
-                "use feynman_kac_uniformization"
+                "use feynman_kac_lanczos"
             )
         S, sqrt_pi = self.symmetrized
         lams, vecs = np.linalg.eigh(S.toarray())
@@ -265,13 +262,78 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     return float(np.sum(np.exp(-lams * t) * coeff * vecs[origin, :]) / sqrt_pi[origin])
 
 
+def feynman_kac_lanczos(spec: OperatorSpec, t: float, tol: float = 1e-12) -> tuple[float, int]:
+    """``E[exp(-lam A(t)); t < tau]`` from one Lanczos run on ``spec.symmetrized``.
+
+    The value is ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` with ``S`` the
+    symmetrized operator, whose spectrum lies in ``[0, 2 + lam]``.  The
+    three-term recurrence runs on ``S`` from ``e_0`` and keeps two vectors
+    and the scalars ``c_j = sqrt(pi) . q_j``; a check reads the value as
+    ``c^T U diag(e^{-t theta}) U[0] / sqrt(pi_0)`` from the Ritz pairs
+    ``(theta, U)`` of the tridiagonal matrix.  The penalty breaks the
+    bipartite structure, so the recurrence is not folded.  ``S`` is
+    symmetric bit for bit, so the products take ``S.T``, a row-major view of
+    the column-major matrix.  Checks follow the curve engine's schedule,
+    with the a priori step count ``m*`` taken for the spectrum width
+    ``2 + lam``; the run stops when the value moved by at most ``tol``
+    relative since the previous check, or on breakdown, which includes a
+    step count equal to the number of box sites (the Krylov space is then
+    exhausted), and raises ``NumericalError`` after ``2 m* + 32`` steps.
+    Returns the value and the step count.
+    """
+    if not (math.isfinite(t) and t > 0):
+        raise ValidationError(f"horizon must be positive and finite, got {t!r}")
+    if not 0 < tol < 1:
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
+    S, sqrt_pi = spec.symmetrized
+    A = S.T  # CSR view; S == S.T
+    origin = spec.chain.origin
+    dim = S.shape[0]
+    expected = _krylov_steps(t, tol, 2.0 + spec.lam)
+    first = max(_CHECK_EVERY, int(_FIRST_CHECK * expected))
+    max_steps = 32 + 2 * math.ceil(expected)
+    q_prev, q = np.zeros(dim), np.zeros(dim)
+    q[origin] = 1.0
+    diag, off, c = [], [], []
+    beta, prev, moved = 0.0, None, math.inf
+    # elementwise products and sums, not @: a BLAS dot on the long vectors wakes its threads
+    for i in range(1, max_steps + 1):
+        y = A @ q
+        alpha = float((q * y).sum())
+        c.append(float((sqrt_pi * q).sum()))
+        y -= alpha * q
+        y -= beta * q_prev
+        diag.append(alpha)
+        beta = 0.0 if i == dim else math.sqrt(float((y * y).sum()))  # i == dim: the space is exhausted
+        off.append(beta)
+        q_prev, q = q, q_prev
+        broke = beta <= _BREAKDOWN
+        if not broke:
+            np.divide(y, beta, out=q)
+        if (i < first or (i - first) % _CHECK_EVERY) and not broke:
+            continue
+        theta, U = _ritz(np.array(diag), np.array(off[:-1]))
+        value = float(((np.array(c)[:, None] * U).sum(axis=0) * np.exp(-t * theta) * U[0]).sum() / sqrt_pi[origin])
+        if prev is not None:
+            moved = abs(value - prev)
+        if broke or moved <= tol * abs(value):  # a value that underflowed to 0 stays 0
+            return value, i
+        prev = value
+    raise NumericalError(
+        f"penalized Lanczos run did not settle within tolerance {tol:g} in {max_steps} steps "
+        f"(box radius {spec.box_radius}, lam {spec.lam:g}, t {t:g}: value {value:.3e}, last change {moved:.2e})"
+    )
+
+
 def feynman_kac_uniformization(spec: OperatorSpec, t: float, tol: float = 1e-40) -> float:
     """``E[exp(-lam A(t)); t < tau]`` by uniformizing the penalized chain.
 
-    The penalized survival of ``spec.engine``, with the Poisson truncation
-    error below ``tol``; works at any box size.
+    The penalized survival of a ``UniformizationCache`` on ``spec.chain``,
+    with the Poisson truncation error below ``tol``; works at any box size.
+    The oracle of ``feynman_kac_lanczos``.
     """
-    return spec.engine.survival(t, tol)
+    phi = None if spec.decomp is None else spec.decomp.in_cluster
+    return UniformizationCache(spec.env, lam=spec.lam, phi=phi, chain=spec.chain).survival(t, tol)
 
 
 def feynman_kac_mc(
@@ -404,24 +466,27 @@ class SurvivalBoundReport:
     rhs_log: float
     passed: bool
     fk_value: float
+    steps: int  # Lanczos steps behind fk_value
 
 
 def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> SurvivalBoundReport:
     """Check ``e^{lam t^eps} E[e^{-lam A}; t<tau] <= (2^{d+2} d)^{1/2} N^{d/2} e^{-t m(N)/2}``.
 
-    The left side comes from the uniformized penalized semigroup; both sides
-    are compared in log form since the horizon makes the raw values
-    underflow.
+    The left side comes from one Lanczos run on the spec's symmetrized
+    operator (``feynman_kac_lanczos``), the matrix the floor check factors;
+    both sides are compared in log form since the horizon makes the raw
+    values underflow.  ``t`` defaults to the coupled horizon and must be
+    positive and finite.
     """
     env = spec.env
     d = env.geometry.d
     n = spec.box_radius
     if t is None:
         t = spec.coupled_horizon()
-    if t <= 0:
-        raise ValidationError("horizon must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValidationError(f"horizon must be positive and finite, got {t!r}")
     m_n = eigenvalue_floor(d, env.gamma, n, spec.mu)
-    fk = feynman_kac_uniformization(spec, t)
+    fk, steps = feynman_kac_lanczos(spec, t)
     lhs_log = spec.lam * t**spec.epsilon + (math.log(fk) if fk > 0 else -math.inf)
     rhs_log = 0.5 * ((d + 2) * math.log(2.0) + math.log(d)) + 0.5 * d * math.log(n) - 0.5 * t * m_n
     return SurvivalBoundReport(
@@ -432,6 +497,7 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
         rhs_log=rhs_log,
         passed=bool(lhs_log <= rhs_log),
         fk_value=fk,
+        steps=steps,
     )
 
 

@@ -199,11 +199,12 @@ class TestConfigCommands:
         header = (out / "spectral_report.csv").read_text().splitlines()[0]
         assert header == "gamma,d,N,xi_hat,lambda,bound_m_N,pass,neg_pivots,iterations"
         assert "pass rate" in capsys.readouterr().out
-        # the report shows the eigensolve fallbacks next to the pass rates
+        # the report shows the eigensolve fallbacks and the survival's Lanczos steps next to the pass rates
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "  pass_rate_lambda1_floor=" in text
         assert "  floor_eigsh_fallbacks=0\n" in text
+        assert "  survival_lanczos_steps=" in text
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -398,6 +398,20 @@ class TestBoundSuite:
         assert all(line.endswith(",True,0,0") for line in lines[1:])
         assert "floor_eigsh_fallbacks=0\n" in (out / "manifest.txt").read_text()
 
+    def test_manifest_counts_survival_lanczos_steps(self, tmp_path, monkeypatch):
+        steps, lanczos = [], spectral.feynman_kac_lanczos
+
+        def counted(spec, t, tol=1e-12):
+            value, k = lanczos(spec, t, tol)
+            steps.append(k)
+            return value, k
+
+        monkeypatch.setattr(spectral, "feynman_kac_lanczos", counted)
+        cfg = _cfg(tmp_path)
+        run_bound_suite(cfg)
+        assert len(steps) == cfg.n_environments * len(cfg.N_list) and min(steps) > 0
+        assert f"survival_lanczos_steps={sum(steps)}\n" in (Path(cfg.directory) / "manifest.txt").read_text()
+
     def test_byte_determinism(self, tmp_path):
         for sub in ("a", "b"):
             run_bound_suite(_cfg(tmp_path, sub))

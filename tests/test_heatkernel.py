@@ -145,9 +145,9 @@ class TestLanczosBracket:
         from_zero=st.booleans(),
     )
     def test_bracket_contains_uniformization(self, d, radius, gamma, seed, increments, from_zero):
-        # radius 0 ends on breakdown; the next few radii take more steps than
-        # the box has sites (the recurrence exhausts the box and goes on with
-        # ghost Ritz values); larger boxes stop on the bracket width.  Horizons up
+        # radius 0 ends on breakdown; the next few radii (d = 2 up to 3, d = 3
+        # up to 1) stop when the step count reaches the box's even sites, an
+        # exhausted Krylov space; larger boxes stop on the bracket width.  Horizons up
         # to 3 (n + 1)^2 keep p above about 1e-5, where BRACKET_RTOL is
         # meaningful.
         radius = radius if d == 2 else radius // 2
@@ -190,18 +190,35 @@ class TestLanczosBracket:
             assert np.array_equal(getattr(near, name), getattr(far, name))
             assert np.array_equal(getattr(edge, name), getattr(far, name))
 
+    @pytest.mark.parametrize("seed", [5, 10])
+    def test_exhausted_box_ends_the_run(self, seed):
+        # B_1 in d = 2 has 5 even sites, so the folded Krylov space is full after
+        # 5 steps and the Gauss rule is exact; these runs took 74 steps of ghost
+        # Ritz values before a step count equal to the dimension ended them
+        env = sample_environment(BoxGeometry(2, 2), 8.0, seed)
+        t = default_time_grid(1.0, 400.0)
+        curve = return_prob_curve_exact(env, t, box_radius=1)
+        cache = UniformizationCache(env, 1)
+        assert curve.steps <= 5
+        assert np.all(np.abs(curve.p - [cache.return_prob(tj, tol=1e-20) for tj in t]) <= 1e-12 * curve.p)
+        assert np.all(curve.p_hi == curve.p_lo)
+        assert np.all(np.abs(curve.survival - [cache.survival(tj, tol=1e-20) for tj in t]) <= 1e-12)
+
     def test_t_zero_is_exactly_one(self, small_env):
         curve = return_prob_curve_exact(small_env, [0.0, 1.0, 2.0])
         assert curve.p[0] == curve.p_hi[0] == curve.survival[0] == 1.0
 
-    def test_unreachable_tolerance_raises(self, small_env):
+    def test_unreachable_tolerance_raises(self):
+        # the box needs more even sites (481 in B_15) than the step cap (202),
+        # or the run ends on its exhausted Krylov space first
+        env = sample_environment(BoxGeometry(2, 16), 2.0, 11)
         with pytest.raises(NumericalError, match="did not settle within tolerance"):
-            return_prob_curve_exact(small_env, [5.0, 40.0], tol=1e-30)
+            return_prob_curve_exact(env, [5.0, 40.0], tol=1e-30)
 
     def test_mrrr_failure_falls_back_to_implicit_ql(self, small_env, monkeypatch):
-        # MRRR can fail on the ghost Ritz values of a run that exhausted a tiny
-        # box (d = 2, n = 1, gamma = 8, t <= 400: 3 of 120 curves); forced to
-        # fail everywhere, every check runs on implicit QL and the bracket holds
+        # MRRR can fail on clustered ghost Ritz values (d = 2, n = 1, gamma = 8,
+        # t <= 400: 3 of 120 curves before runs stopped at the box's dimension);
+        # forced to fail everywhere, every check runs on implicit QL and the bracket holds
         t = default_time_grid(1.0, 30.0, 6)
         plain = return_prob_curve_exact(small_env, t)
         drivers, eig = [], heatkernel.eigh_tridiagonal
@@ -385,7 +402,7 @@ def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
         y[:prev] -= beta * u_prev[:prev]
         diag.append(alpha)
         pivot = alpha - 1.0 - beta * beta / pivot
-        beta = math.sqrt(float((y * y).sum()))
+        beta = 0.0 if i == len(even) else math.sqrt(float((y * y).sum()))
         off.append(beta)
         u_prev, u = u, u_prev
         broke = beta <= heatkernel._BREAKDOWN

@@ -12,6 +12,7 @@ from scipy.special import gammainc
 
 from rcmwalk import (
     BoxGeometry,
+    NumericalError,
     OperatorSpec,
     UniformizationCache,
     ValidationError,
@@ -20,9 +21,11 @@ from rcmwalk import (
     eigenvalue_floor,
     ensemble_walk,
     exit_time_tail_check,
+    feynman_kac_lanczos,
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,
+    heatkernel,
     homogeneous_environment,
     homogeneous_lambda1_exact,
     lambda1,
@@ -277,11 +280,83 @@ class TestFeynmanKac:
         t = 2.0
         fk_s = feynman_kac_spectral(spec, t)
         fk_u = feynman_kac_uniformization(spec, t)
+        fk_l, _ = feynman_kac_lanczos(spec, t)
         chain = spec.chain
         G = (chain.P.toarray() - np.eye(spec.n_sites)) - 0.3 * np.diag(spec.phi_box)
         fk_e = float((expm(t * G) @ np.ones(spec.n_sites))[chain.origin])
         assert fk_s == pytest.approx(fk_e, abs=1e-12)
         assert fk_u == pytest.approx(fk_e, abs=1e-12)
+        assert fk_l == pytest.approx(fk_e, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        radius=st.integers(2, 8),
+        seed=st.integers(0, 2**31),
+        p=st.floats(0.5, 0.7),
+        lam=st.floats(0.0, 3.0),
+        t=st.floats(0.5, 60.0),
+    )
+    def test_lanczos_equals_uniformization(self, d, radius, seed, p, lam, t):
+        # relative error: at lam = 3, t = 60 the value can fall far below
+        # 1e-16, where both routes keep their relative digits; the smaller
+        # boxes stop when the step count reaches the number of sites
+        env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
+        dec = strong_cluster(env, threshold_for_density(2.0, p))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam)
+        value, steps = feynman_kac_lanczos(spec, t)
+        ref = feynman_kac_uniformization(spec, t)
+        assert abs(value - ref) <= 1e-10 * ref
+        assert steps <= spec.n_sites
+
+    @pytest.fixture(scope="class")
+    def bench_specs(self):
+        # the environments of perfbench's bounds workload (first repeat) at seeds 301-303
+        specs = []
+        for seed in (301, 302, 303):
+            for env_seed in derive_environment_seeds(seed, 3):
+                env = sample_environment(BoxGeometry(2, 65), 2.0, int(env_seed))
+                dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+                specs.append([prescribed_spec(env, dec, n, mu=0.1, b=1.5, epsilon=0.9) for n in (32, 64)])
+        return specs
+
+    def test_lanczos_on_benchmark_boxes(self, bench_specs):
+        for pair in bench_specs:
+            for spec in pair:
+                t = spec.coupled_horizon()
+                value, _ = feynman_kac_lanczos(spec, t)
+                ref = feynman_kac_uniformization(spec, t)
+                assert abs(value - ref) <= 1e-11 * ref
+
+    def test_lanczos_step_count_on_a_benchmark_box(self, bench_specs):
+        # work counts, not time: the first environment at seed 301, N = 64
+        # (16,641 sites, t = 482.9), took 165 steps when this guard was set
+        # (the uniformization took 885 products); one check of slack
+        spec = bench_specs[0][1]
+        _, steps = feynman_kac_lanczos(spec, spec.coupled_horizon())
+        assert steps <= 165 + heatkernel._CHECK_EVERY
+
+    def test_lanczos_unreachable_tolerance_raises(self, spec_625):
+        # the step cap (about 90 at t = 5) lies below the box's 625 sites
+        with pytest.raises(NumericalError, match="did not settle within tolerance"):
+            feynman_kac_lanczos(spec_625, 5.0, tol=1e-30)
+
+    def test_lanczos_value_that_underflows(self):
+        # phi = 1 puts every eigenvalue of S above lam, so the value is below
+        # e^{-1200} and reads 0 at every check; the box's 289 sites outlast them
+        spec = OperatorSpec(env=homogeneous_environment(2, 9), decomp=None, box_radius=8, lam=3.0)
+        value, steps = feynman_kac_lanczos(spec, 400.0)
+        assert value == feynman_kac_uniformization(spec, 400.0) == 0.0 and steps < spec.n_sites
+        assert survival_bound_check(spec, t=400.0).lhs_log == -math.inf
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_bad_horizon_raises_before_any_product(self, rand_env, rand_decomp, monkeypatch, t):
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.3)
+        monkeypatch.setattr(OperatorSpec, "symmetrized", property(lambda self: pytest.fail("operator used")))
+        with pytest.raises(ValidationError, match="horizon"):
+            feynman_kac_lanczos(spec, t)
+        with pytest.raises(ValidationError, match="horizon"):
+            survival_bound_check(spec, t=t)
 
     def test_no_killing_equals_survival(self, rand_env, rand_decomp):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.0)
@@ -299,11 +374,11 @@ class TestFeynmanKac:
         est, se = feynman_kac_mc(spec, 2.0, 40_000, np.random.default_rng(17))
         assert abs(est - exact) <= 4 * se
 
-    def test_uniformization_reuses_the_spec_chain(self, rand_env, rand_decomp):
+    def test_uniformization_reuses_the_spec_chain(self, rand_env, rand_decomp, monkeypatch):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.3)
-        chain = spec.chain
-        feynman_kac_uniformization(spec, 2.0)
-        assert spec.engine.chain is chain
+        spec.chain
+        monkeypatch.setattr(heatkernel, "transition_matrix", lambda *a, **k: pytest.fail("second assembly"))
+        assert 0.0 < feynman_kac_uniformization(spec, 2.0) < 1.0
         assert feynman_kac_uniformization(spec, 0.0) == 1.0
         with pytest.raises(ValidationError):
             feynman_kac_uniformization(spec, -1.0)
