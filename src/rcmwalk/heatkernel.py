@@ -378,7 +378,14 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     breakdown, where the Gauss rule is exact.  Step ``i`` equal to the
     number of even sites of ``B_n`` counts as breakdown: the Krylov space is
     then the whole sublattice, and a run that went on would only add ghost
-    Ritz values.  Let ``m*`` be the step count at which the Hochbruck-Lubich
+    Ritz values.  That closure is taken, not checked: ``T_dim`` is exact in
+    exact arithmetic, but in floating point ``beta_dim`` is not zero, and the
+    Radau rule bordered by it does not close (relative width up to 1e20 at
+    t = 400 on ``B_1`` in d = 2), so the run returns ``p_hi = p_lo``.  On
+    443 curves that ended so (``B_1`` to ``B_4`` in d = 2, ``B_1`` and
+    ``B_2`` in d = 3, gamma 0.5, 2 and 8, t up to 400) the Gauss value was
+    within 2.8e-13 relative, and the survival within 1.5e-14, of the
+    uniformization engine at tol 1e-20.  Let ``m*`` be the step count at which the Hochbruck-Lubich
     bound (``_krylov_steps``) on the Krylov error of
     ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol`` at
     the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8

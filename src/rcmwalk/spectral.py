@@ -42,6 +42,7 @@ from .walk import BoxChain, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
+_FK_TOL = 1e-12  # relative change between two checks that ends a penalized Lanczos run
 
 
 def eigenvalue_floor(d: int, gamma: float, N: int, mu: float) -> float:
@@ -262,7 +263,7 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     return float(np.sum(np.exp(-lams * t) * coeff * vecs[origin, :]) / sqrt_pi[origin])
 
 
-def feynman_kac_lanczos(spec: OperatorSpec, t: float, tol: float = 1e-12) -> tuple[float, int]:
+def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
     """``E[exp(-lam A(t)); t < tau]`` from one Lanczos run on ``spec.symmetrized``.
 
     The value is ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` with ``S`` the
@@ -276,15 +277,20 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float, tol: float = 1e-12) -> tup
     the column-major matrix.  Checks follow the curve engine's schedule,
     with the a priori step count ``m*`` taken for the spectrum width
     ``2 + lam``; the run stops when the value moved by at most ``tol``
-    relative since the previous check, or on breakdown, which includes a
-    step count equal to the number of box sites (the Krylov space is then
-    exhausted), and raises ``NumericalError`` after ``2 m* + 32`` steps.
-    Returns the value and the step count.
+    relative since the previous check, or on breakdown, and raises
+    ``NumericalError`` after ``2 m* + 32`` steps.  ``tol`` is ``_FK_TOL``
+    or, at long horizons, the rounding of the value: an error of ``eps (2 +
+    lam)`` in a Ritz value moves ``e^{-t theta}`` by ``t eps (2 + lam)``
+    relative, and at N = 256 (perfbench's environment law, t = 5019, 263,169
+    sites) the settled value wandered between checks by up to 1.3 times
+    that, so the tolerance is at least four times it.  A step count equal to
+    the number of box sites also ends the run, unchecked: the Krylov space
+    is then exhausted, and in exact arithmetic ``T_dim`` has the spectrum of
+    ``S``.  Returns the value and the step count.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"horizon must be positive and finite, got {t!r}")
-    if not 0 < tol < 1:
-        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
+    tol = max(_FK_TOL, 4.0 * t * np.finfo(float).eps * (2.0 + spec.lam))
     S, sqrt_pi = spec.symmetrized
     A = S.T  # CSR view; S == S.T
     origin = spec.chain.origin

@@ -401,8 +401,8 @@ class TestBoundSuite:
     def test_manifest_counts_survival_lanczos_steps(self, tmp_path, monkeypatch):
         steps, lanczos = [], spectral.feynman_kac_lanczos
 
-        def counted(spec, t, tol=1e-12):
-            value, k = lanczos(spec, t, tol)
+        def counted(spec, t):
+            value, k = lanczos(spec, t)
             steps.append(k)
             return value, k
 

@@ -336,10 +336,24 @@ class TestFeynmanKac:
         _, steps = feynman_kac_lanczos(spec, spec.coupled_horizon())
         assert steps <= 165 + heatkernel._CHECK_EVERY
 
-    def test_lanczos_unreachable_tolerance_raises(self, spec_625):
-        # the step cap (about 90 at t = 5) lies below the box's 625 sites
+    def test_lanczos_step_cap_raises(self, spec_625, monkeypatch):
+        # t = 50 settles after 60 steps; an a priori count of 0 caps the run at 32
+        monkeypatch.setattr(spectral, "_krylov_steps", lambda *args: 0.0)
         with pytest.raises(NumericalError, match="did not settle within tolerance"):
-            feynman_kac_lanczos(spec_625, 5.0, tol=1e-30)
+            feynman_kac_lanczos(spec_625, 50.0)
+
+    def test_lanczos_closes_at_a_long_horizon(self):
+        # N = 256 under the bounds workload's law (263,169 sites, t = 5019):
+        # the settled value wanders between checks by up to 3e-12 relative,
+        # above _FK_TOL, and the run stops on the rounding floor after 489
+        # steps of its 1,264-step cap
+        env = sample_environment(BoxGeometry(2, 257), 2.0, int(derive_environment_seeds(301, 3)[0]))
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+        spec = prescribed_spec(env, dec, 256, mu=0.1, b=1.5, epsilon=0.9)
+        t = spec.coupled_horizon()
+        value, steps = feynman_kac_lanczos(spec, t)
+        assert abs(value - feynman_kac_uniformization(spec, t)) <= 1e-10 * value
+        assert steps <= 489 + heatkernel._CHECK_EVERY
 
     def test_lanczos_value_that_underflows(self):
         # phi = 1 puts every eigenvalue of S above lam, so the value is below
