@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--t-min", type=float, default=1.0)
     p_ex.add_argument("--t-max", type=float, default=50.0)
     p_ex.add_argument("--points-per-decade", type=int, default=12)
-    p_ex.add_argument("--tol", type=float, default=1e-12, help="relative width of the bracket on p")
+    p_ex.add_argument("--tol", type=float, default=1e-12,
+                      help="relative bracket width on p; below ~1e-13 at t near 800 a run may wander to its step cap")
     p_ex.add_argument("--box-radius", type=int, default=None)
     p_ex.set_defaults(func=_cmd_exact)
 

@@ -37,7 +37,7 @@ from .heatkernel import (
     return_prob_curve_exact,
     return_prob_mc,
 )
-from .lattice import BoxGeometry, derive_environment_seeds, homogeneous_environment, sample_environment
+from .lattice import _CONFIDENCE, BoxGeometry, derive_environment_seeds, homogeneous_environment, sample_environment
 from .percolation import hole_volume_report, strong_cluster, threshold_for_density
 from .spectral import (
     exit_time_tail_check,
@@ -202,8 +202,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     lines = []
     by_section: dict[str, list[str]] = {s: [] for s in _SCHEMA}
     for f in fields(cfg):
-        if f.name.startswith("_"):
-            continue
         section = _FIELD_SECTION[f.name]
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
@@ -337,12 +335,12 @@ class ExperimentReport:
     curves: list[ReturnProbabilityCurve] = field(default_factory=list)
 
 
-def _slope_summary(gamma: float, slopes: np.ndarray, confidence: float = 0.95) -> AggregateSlope:
+def _slope_summary(gamma: float, slopes: np.ndarray) -> AggregateSlope:
     m = len(slopes)
     mean = float(np.mean(slopes))
     if m > 1:
         se = float(np.std(slopes, ddof=1) / math.sqrt(m))
-        tq = float(stdtrit(m - 1, 0.5 + confidence / 2))
+        tq = float(stdtrit(m - 1, 0.5 + _CONFIDENCE / 2))
         half = tq * se
     else:
         half = 0.0

@@ -16,10 +16,8 @@ run takes about ``sqrt(t) / 2`` steps where the Poisson series takes about
 is assembled: the chain on ``B_n ∩ {|x|_1 <= R}``, its sites by (L1
 distance, canonical index), ``R`` a few radii past the a priori reach and
 grown in place when a run outlasts it (68k of the 231k sites of ``B_240``
-at ``t <= 400``).  Where the ball fills the box early (d = 5, n = 6,
-t <= 16: 23 steps against 54 products) the assembly, which the series
-shares, takes most of the time, and the curve takes a little less than
-the series.
+at ``t <= 400``), and the parity blocks scale its conductances ``W``
+without building its jump matrix.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -45,7 +43,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.special import gammaln, stdtrit
 
 from .errors import NumericalError, ValidationError
-from .lattice import Environment
+from .lattice import _CONFIDENCE, Environment
 from .percolation import STRONG_LABEL, ClusterDecomposition
 from .walk import BoxChain, effective_conductance_matrix, ensemble_walk, transition_matrix
 
@@ -118,8 +116,9 @@ class UniformizationCache:
     (identically 1 for the free-boundary chain without killing), so
     ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``exited_k``, the mass
     carried over the rim within k jumps, keeps the digits that
-    ``1 - survival`` cancels.  ``chain`` reuses an assembled jump chain of
-    ``env`` instead of building one.
+    ``1 - survival`` cancels.  ``chain`` reuses an assembled chain of ``env``
+    instead of building one; ``env`` is kept, so a check can refuse a cache
+    built on another environment.
     """
 
     def __init__(
@@ -133,6 +132,7 @@ class UniformizationCache:
     ):
         if not lam >= 0:
             raise ValidationError("killing rate must be >= 0")
+        self.env = env
         self.chain: BoxChain = transition_matrix(env, box_radius, killed) if chain is None else chain
         self.lam = float(lam)
         M = self.chain.P
@@ -259,21 +259,22 @@ def _folded_operator(env: Environment, box_radius: int, radius: int):
     parity within distance ``r``.
     """
     chain = transition_matrix(env, box_radius, l1_radius=radius)
-    P = chain.P
-    sq = np.sqrt(chain.pi)
+    W, pi = chain.W, chain.pi
+    sq = np.sqrt(pi)
     l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
     sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
-    rank = np.empty(len(l1), dtype=P.indices.dtype)  # position among the sites of its parity
+    rank = np.empty(len(l1), dtype=W.indices.dtype)  # position among the sites of its parity
     for rows in sides:
         rank[rows] = np.arange(len(rows))
     blocks, weights, balls = [], [], []
     for rows, other in zip(sides, sides[::-1]):
-        count = np.diff(P.indptr)[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=P.indptr.dtype)
+        count = np.diff(W.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=W.indptr.dtype)
         np.cumsum(count, out=indptr[1:])
-        take = np.arange(indptr[-1]) + np.repeat(P.indptr[rows] - indptr[:-1], count)
-        cols = P.indices[take]
-        data = P.data[take] * (np.repeat(sq[rows], count) / sq[cols])
+        take = np.arange(indptr[-1]) + np.repeat(W.indptr[rows] - indptr[:-1], count)
+        cols = W.indices[take]
+        row = np.repeat(rows, count)
+        data = W.data[take] / pi[row] * (sq[row] / sq[cols])  # the bits of P, then the similarity
         blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
         weights.append(sq[rows] / sq[0])
         balls.append(np.searchsorted(l1[rows], np.arange(radius + 1), side="right"))
@@ -381,14 +382,12 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     Ritz values.  That closure is taken, not checked: ``T_dim`` is exact in
     exact arithmetic, but in floating point ``beta_dim`` is not zero, and the
     Radau rule bordered by it does not close (relative width up to 1e20 at
-    t = 400 on ``B_1`` in d = 2), so the run returns ``p_hi = p_lo``.  On
-    443 curves that ended so (``B_1`` to ``B_4`` in d = 2, ``B_1`` and
-    ``B_2`` in d = 3, gamma 0.5, 2 and 8, t up to 400) the Gauss value was
-    within 2.8e-13 relative, and the survival within 1.5e-14, of the
-    uniformization engine at tol 1e-20.  Let ``m*`` be the step count at which the Hochbruck-Lubich
-    bound (``_krylov_steps``) on the Krylov error of
-    ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol`` at
-    the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8
+    t = 400 on ``B_1`` in d = 2), so the run returns ``p_hi = p_lo``, which
+    on 443 tiny-box curves (d = 2 and 3, t up to 400) stayed within 2.8e-13
+    relative of the uniformization engine.  Let ``m*`` be the step count at
+    which the Hochbruck-Lubich bound (``_krylov_steps``) on the Krylov error
+    of ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol``
+    at the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8
     m* / 2`` (each costs two tridiagonal eigensolves), and the run gives up,
     raising ``NumericalError``, after ``2 m* + 32`` folded steps.
     """
@@ -474,7 +473,11 @@ def return_prob_curve_exact(
     point; ``p`` is ``p_lo``, and ``tol`` must lie in (0, 1): a relative
     width of 1 certifies nothing.  ``steps`` counts folded Lanczos steps,
     each of two half products.  When ``2 * steps <= N`` the bracket holds
-    for the walk on Z^d in any extension of the environment.
+    for the walk on Z^d in any extension of the environment.  Below about
+    ``1e-13`` at ``t`` near 800 the width and the survival change wander on
+    rounding noise, and a run can go on to near its step cap (environment 3
+    of ``demos/annealed_small_gamma.cfg`` took 530 of 558 folded steps at
+    ``tol = 1e-14``, 112 at the default).
     """
     if not 0 < tol < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
@@ -513,33 +516,16 @@ def return_prob_mc(
     if n_paths < 1:
         raise ValidationError("need at least one path")
     kill = env.geometry.N - 1 if box_radius is None else int(box_radius)
-    positive = t[t > 0]
+    positive = t > 0
     origin = env.geometry.origin
-    p = np.empty(len(t))
-    se = np.empty(len(t))
-    if len(positive):
-        res = ensemble_walk(
-            env,
-            origin,
-            n_paths,
-            float(positive.max()),
-            rng,
-            kill_radius=kill,
-            real_grid=positive,
-        )
-        hits = (res.site_at == origin).mean(axis=0)
-    pos_index = 0
-    for j, tj in enumerate(t):
-        if tj == 0:
-            p[j], se[j] = 1.0, 0.0
-        else:
-            p[j] = hits[pos_index]
-            se[j] = math.sqrt(max(p[j] * (1 - p[j]), 0.0) / n_paths)
-            pos_index += 1
+    p = np.ones(len(t))  # p(0) = 1, with stderr 0
+    if positive.any():
+        res = ensemble_walk(env, origin, n_paths, float(t[-1]), rng, kill_radius=kill, real_grid=t[positive])
+        p[positive] = (res.site_at == origin).mean(axis=0)
     return ReturnProbabilityCurve(
         t=t,
         p=p,
-        stderr=se,
+        stderr=np.sqrt(np.maximum(p * (1 - p), 0.0) / n_paths),
         method="monte-carlo",
         d=env.geometry.d,
         N=kill,
@@ -578,6 +564,8 @@ def poissonization_lower_bound(cache: UniformizationCache, t: float) -> tuple[fl
     """
     if cache.lam:
         raise ValidationError("the discrete-time bound needs the unpenalized chain")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"time must be finite and >= 0, got {t!r}")
     n = int(math.floor(t))
     disc = cache.discrete(2 * n)
     return disc, float(poisson_weights(t, 2 * n)[::2].sum())
@@ -607,8 +595,8 @@ def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_gr
     sites = np.flatnonzero(decomp.in_cluster)
     local = np.cumsum(decomp.in_cluster) - 1  # position among the cluster sites
     m = len(sites)
-    P = coo_matrix((M.data / env.pi_all[M.row], (local[M.row], local[M.col])), shape=(m, m)).tocsr()
-    chain = BoxChain(P, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False)
+    W = coo_matrix((M.data, (local[M.row], local[M.col])), shape=(m, m)).tocsr()
+    chain = BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False)
     engine = UniformizationCache(env, chain=chain)
     sup = np.array([engine.distribution(tj).max() for tj in t])
     return HeatKernelHatCurve(t=t, sup=sup, rescaled=t ** (env.geometry.d / 2.0) * sup)
@@ -628,11 +616,11 @@ class ExponentFit:
     n_points: int
 
 
-def fit_exponent(curve: ReturnProbabilityCurve, window: tuple[float, float], confidence: float = 0.95) -> ExponentFit:
+def fit_exponent(curve: ReturnProbabilityCurve, window: tuple[float, float]) -> ExponentFit:
     """Weighted least-squares slope of ``log p`` against ``log t``.
 
     Exact curves are fitted unweighted; Monte Carlo curves use inverse
-    variances of ``log p``.  The confidence interval comes from the
+    variances of ``log p``.  The 95% confidence interval comes from the
     residual variance with a Student-t quantile.
     """
     t_lo, t_hi = window
@@ -663,7 +651,7 @@ def fit_exponent(curve: ReturnProbabilityCurve, window: tuple[float, float], con
     s2 = float(resid @ (wts * resid)) / dof
     cov = s2 * np.linalg.inv(XtW @ X)
     se = math.sqrt(max(cov[1, 1], 0.0))
-    tq = float(stdtrit(dof, 0.5 + confidence / 2))
+    tq = float(stdtrit(dof, 0.5 + _CONFIDENCE / 2))
     return ExponentFit(
         slope=float(beta[1]),
         intercept=float(beta[0]),
@@ -692,26 +680,28 @@ def clt_lower_bound_check(
     env: Environment,
     decomp: ClusterDecomposition,
     t: float,
-    tol: float = 1e-12,
     box_radius: int | None = None,
     cache: UniformizationCache | None = None,
 ) -> CltBoundReport:
     """Check ``P(X_t=0) >= P(|X_{t/2}| <= sqrt(t))^2 (pi(0)/2d) / |C ∩ ball|``.
 
-    Both sides are computed by exact vector propagation on the killed box.
+    Both sides come from exact propagation on the killed box (Poisson tails below 1e-12).
     """
     geom = env.geometry
+    decomp.check_env(env)
     if not decomp.in_cluster[geom.origin]:
         raise ValidationError("origin is not on the strong cluster")
-    if t <= 0:
-        raise ValidationError("time must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValidationError(f"time must be positive and finite, got {t!r}")
     if cache is None:
         cache = UniformizationCache(env, box_radius)
+    elif cache.env is not env:
+        raise ValidationError("the uniformization cache was built on a different environment")
     r = int(math.floor(math.sqrt(t)))
     if r > cache.chain.box_radius:
         raise ValidationError("sqrt(t) ball does not fit in the operator box")
-    lhs = cache.return_prob(t, tol)
-    q = cache.distribution(t / 2.0, tol)
+    lhs = cache.return_prob(t)
+    q = cache.distribution(t / 2.0)
     ball = geom.linf_norm[cache.chain.sites] <= r
     prob_ball = float(q[ball].sum())
     ball_sites = geom.sub_box_indices(r)

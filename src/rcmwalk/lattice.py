@@ -32,6 +32,7 @@ from .errors import (
 
 _ENV_MAGIC = b"RCMENV1"
 _ENV_HEADER = struct.Struct("<IIdQQ")  # d, N, gamma, seed, bond count
+_CONFIDENCE = 0.95  # two-sided level of every confidence interval the package reports
 
 
 @dataclass(frozen=True)
@@ -395,7 +396,6 @@ def min_conductance_scaling(
     gamma: float,
     N_list,
     seeds,
-    confidence: float = 0.95,
 ) -> SlopeEstimate:
     """Scaling exponent of the minimal conductance in growing boxes.
 
@@ -424,7 +424,7 @@ def min_conductance_scaling(
     mean = float(slopes.mean())
     if len(seeds) > 1:
         se = float(slopes.std(ddof=1) / math.sqrt(len(seeds)))
-        tq = float(stdtrit(len(seeds) - 1, 0.5 + confidence / 2))
+        tq = float(stdtrit(len(seeds) - 1, 0.5 + _CONFIDENCE / 2))
         half = tq * se
     else:
         # single seed: use the regression's own residual CI
@@ -433,7 +433,7 @@ def min_conductance_scaling(
         dof = len(radii) - 2
         s2 = float(res[0]) / dof if len(res) else 0.0
         cov = s2 * np.linalg.inv(x.T @ x)
-        tq = float(stdtrit(dof, 0.5 + confidence / 2))
+        tq = float(stdtrit(dof, 0.5 + _CONFIDENCE / 2))
         half = tq * math.sqrt(cov[1, 1])
     return SlopeEstimate(mean, mean - half, mean + half, slopes, radii)
 

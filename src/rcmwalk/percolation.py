@@ -72,6 +72,11 @@ class ClusterDecomposition:
     def cluster_size(self) -> int:
         return int(self.in_cluster.sum())
 
+    def check_env(self, env: Environment) -> None:
+        """Raise unless the decomposition was computed on ``env`` itself."""
+        if env is not self.env:
+            raise ValidationError("the decomposition was computed on a different environment")
+
     @cached_property
     def hitting(self) -> csr_matrix:
         """``(n_sites, n_sites)``: row ``z`` of a hole site is the law of the first

@@ -4,8 +4,9 @@ The operator of interest is ``-G = (I - P_N) + lam * diag(phi)`` acting on
 the box with Dirichlet exterior, where ``phi`` indicates the strong
 cluster.  All eigensolves run on the symmetrized matrix
 ``D^{1/2} (-G) D^{-1/2}`` with ``D = diag(pi)``, whose entries
-``delta - omega_xy / sqrt(pi_x pi_y)`` are assembled directly from the
-bonds so symmetry is exact.
+``delta - omega_xy / sqrt(pi_x pi_y)`` scale the box chain's conductance
+matrix ``W``, so symmetry is exact; ``P_N`` and the Dirichlet form read the
+same ``W``.
 
 The spectral-gap floor ``Lambda1 >= m(N)`` is certified without an
 eigensolve: one symmetric LDL^T factorization of ``S - m(N) I`` with no
@@ -31,18 +32,20 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .heatkernel import _BREAKDOWN, _CHECK_EVERY, _FIRST_CHECK, UniformizationCache, _krylov_steps, _ritz
-from .lattice import Environment, _restrict
+from .lattice import Environment
 from .percolation import ClusterDecomposition
 from .walk import BoxChain, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
 _FK_TOL = 1e-12  # relative change between two checks that ends a penalized Lanczos run
+_EIGSH_MAXITER = 5000  # ARPACK update iterations allowed to the shift-invert principal eigensolve
+_QUAD_TOL = 1e-6  # Richardson estimate of the Simpson error above which an identity check flags its nodes
 
 
 def eigenvalue_floor(d: int, gamma: float, N: int, mu: float) -> float:
@@ -86,9 +89,9 @@ class OperatorSpec:
         if self.box_radius is None:
             object.__setattr__(self, "box_radius", self.env.geometry.N - 1)
         if not 0 <= self.box_radius <= self.env.geometry.N - 1:
-            raise ValidationError(
-                f"operator box radius must lie in [0, {self.env.geometry.N - 1}]"
-            )
+            raise ValidationError(f"operator box radius must lie in [0, {self.env.geometry.N - 1}]")
+        if self.decomp is not None:
+            self.decomp.check_env(self.env)
         if self.lam < 0:
             raise ValidationError("killing rate must be >= 0")
         if not self.mu > 0:
@@ -116,13 +119,11 @@ class OperatorSpec:
     @cached_property
     def symmetrized(self):
         """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
-        chain = self.chain
-        (row, col, w), _, _ = _restrict(self.env, chain.sites)
-        sqrt_pi = np.sqrt(chain.pi)
-        m = len(chain.sites)
-        off = coo_matrix((w / (sqrt_pi[row] * sqrt_pi[col]), (row, col)), shape=(m, m))
-        diag = 1.0 + self.lam * self.phi_box
-        S = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
+        W = self.chain.W
+        sqrt_pi = np.sqrt(self.chain.pi)
+        scale = np.repeat(sqrt_pi, np.diff(W.indptr)) * sqrt_pi[W.indices]
+        off = csr_matrix((W.data / scale, W.indices, W.indptr), shape=W.shape)
+        S = (diags(1.0 + self.lam * self.phi_box) - off).tocsc()
         return S, sqrt_pi
 
     @cached_property
@@ -166,33 +167,31 @@ def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
 
     ``f`` lives on the ``B_n`` sites (canonical order) and is extended by
     zero outside, so bonds crossing the rim contribute ``f^2 omega``.  This
-    normalization satisfies ``E(f, f) = <f, -L f>_pi`` exactly.
+    normalization satisfies ``E(f, f) = <f, -L f>_pi`` exactly.  The bonds
+    are the ``W`` of the killed chain ``transition_matrix(env, n)``, the rim
+    conductances its ``pi * exit``.
     """
-    geom = env.geometry
-    n = int(box_radius)
-    if not 0 <= n <= geom.N - 1:
-        raise ValidationError(f"operator box radius must lie in [0, {geom.N - 1}]")
-    sub = geom.sub_box_indices(n)
+    chain = transition_matrix(env, box_radius)
+    W = chain.W
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (len(sub),):
-        raise ValidationError(f"f must have one value per B_{n} site ({len(sub)}), got {f.shape}")
-    (row, col, w), (rim_row, _, rim_w), _ = _restrict(env, sub)
-    df = f[row] - f[col]
-    rim = np.bincount(rim_row, weights=rim_w, minlength=len(sub))
+    if f.shape != (W.shape[0],):
+        raise ValidationError(f"f must have one value per B_{chain.box_radius} site ({W.shape[0]}), got {f.shape}")
+    df = np.repeat(f, np.diff(W.indptr)) - f[W.indices]
     # each inside bond appears in both directions; bonds over the rim see df = f
-    return float(0.5 * np.sum(df * df * w) + np.sum(rim * f * f))
+    return float(0.5 * np.sum(df * df * W.data) + np.sum(chain.pi * chain.exit * f * f))
 
 
 def rayleigh_quotient(spec: OperatorSpec, f: np.ndarray) -> float:
-    """``(E(f,f) + lam sum_cluster f^2 pi) / pi(f^2)`` for ``f`` on the box."""
-    chain = spec.chain
+    """``(E(f,f) + lam sum_cluster f^2 pi) / pi(f^2)`` on the box, as ``<g, S g> / <g, g>``, ``g = sqrt(pi) f``."""
+    S, sqrt_pi = spec.symmetrized
     f = np.asarray(f, dtype=np.float64)
-    energy = dirichlet_form(spec.env, spec.box_radius, f)
-    weight = chain.pi * f * f
-    denom = float(weight.sum())
+    if f.shape != sqrt_pi.shape:
+        raise ValidationError(f"f must have one value per box site ({spec.n_sites}), got {f.shape}")
+    g = sqrt_pi * f
+    denom = float((g * g).sum())
     if denom == 0:
         raise ValidationError("f must not vanish identically")
-    return (energy + spec.lam * float((spec.phi_box * weight).sum())) / denom
+    return float((g * (S @ g)).sum()) / denom
 
 
 @dataclass
@@ -205,7 +204,7 @@ class SpectralReport:
     iterations: int
 
 
-def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> SpectralReport:
+def lambda1(spec: OperatorSpec, tol: float = 1e-10) -> SpectralReport:
     """Smallest eigenvalue of ``-G`` on the pi-weighted box.
 
     Boxes of at most 128 sites read the spec's ``dense_eig``; otherwise a
@@ -231,7 +230,7 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10, maxiter: int = 5000) -> Spec
         opinv = LinearOperator(S.shape, matvec=op)
         try:
             vals, vecs = eigsh(
-                S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=maxiter,
+                S, k=1, sigma=0.0, which="LM", OPinv=opinv, tol=tol, maxiter=_EIGSH_MAXITER,
                 v0=sqrt_pi / np.linalg.norm(sqrt_pi),  # fixed start, close to the ground state
             )
         except Exception as exc:  # ARPACK non-convergence
@@ -255,8 +254,8 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     Expands the penalized semigroup applied to the constant function in the
     operator's eigenbasis; raises when the box exceeds the dense cutoff.
     """
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"time must be finite and >= 0, got {t!r}")
     lams, vecs, sqrt_pi = spec.dense_eig
     origin = spec.chain.origin
     coeff = vecs.T @ sqrt_pi  # <1, psi_i>_pi in the symmetrized frame
@@ -281,12 +280,11 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
     ``NumericalError`` after ``2 m* + 32`` steps.  ``tol`` is ``_FK_TOL``
     or, at long horizons, the rounding of the value: an error of ``eps (2 +
     lam)`` in a Ritz value moves ``e^{-t theta}`` by ``t eps (2 + lam)``
-    relative, and at N = 256 (perfbench's environment law, t = 5019, 263,169
-    sites) the settled value wandered between checks by up to 1.3 times
-    that, so the tolerance is at least four times it.  A step count equal to
-    the number of box sites also ends the run, unchecked: the Krylov space
-    is then exhausted, and in exact arithmetic ``T_dim`` has the spectrum of
-    ``S``.  Returns the value and the step count.
+    relative; at N = 256 (t = 5019) the settled value wandered between checks
+    by 1.3 times that, so the tolerance is at least four times it.  A step
+    count equal to the number of box sites also ends the run, unchecked: the
+    Krylov space is then exhausted, and in exact arithmetic ``T_dim`` has the
+    spectrum of ``S``.  Returns the value and the step count.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"horizon must be positive and finite, got {t!r}")
@@ -349,8 +347,8 @@ def feynman_kac_mc(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo estimate and standard error of the penalized survival value."""
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"time must be finite and >= 0, got {t!r}")
     if n_paths < 1:
         raise ValidationError("need at least one path")
     env = spec.env
@@ -408,7 +406,6 @@ def perturbation_identity_check(
     spec: OperatorSpec,
     t_values,
     n_nodes: int = 512,
-    quad_tol: float = 1e-6,
 ) -> PerturbationReport:
     """Verify both Duhamel-type identities linking the penalized semigroup.
 
@@ -418,8 +415,8 @@ def perturbation_identity_check(
     halving estimate flags an insufficient node count.
     """
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValidationError("identity check needs positive times")
+    if not np.all(np.isfinite(t_arr) & (t_arr > 0)):
+        raise ValidationError("identity check needs positive finite times")
     if n_nodes < 8 or n_nodes % 2:
         raise ValidationError("need an even node count >= 8")
     lam = spec.lam
@@ -456,7 +453,7 @@ def perturbation_identity_check(
         deviations_first=dev1,
         deviations_second=dev2,
         quadrature_error=quad_err,
-        quadrature_ok=bool(quad_err <= quad_tol),
+        quadrature_ok=bool(quad_err <= _QUAD_TOL),
         t_values=t_arr,
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -50,21 +51,24 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
     return geom.neighbor_table[x][keep], w[keep] / total
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxChain:
-    """Transition matrix of the walk restricted to ``B_n`` or to an L1 ball in it.
+    """The walk restricted to ``B_n`` or to an L1 ball in it, as the conductances of its bonds.
 
-    ``killed=True`` rows use the full invariant measure, so row sums fall
-    below 1 by ``exit``, the per-jump probability of leaving the domain
-    (Dirichlet killing, exactly 0 off its rim).  ``killed=False`` is the
-    free-boundary chain on the whole environment box (stochastic, ``exit``
-    identically 0).  On ``B_n`` the sites come in canonical order; on the
-    ball ``B_n ∩ {|x|_1 <= l1_radius}`` they come by (L1 distance,
-    canonical index), the origin first.  Either way each row of ``P`` lists
-    its entries by ascending canonical site index.
+    ``W`` holds ``omega_xy`` for each bond between two sites of the domain, in
+    the domain's order (symmetric bit for bit on an environment's box or
+    ball); the jump matrix ``P = diag(pi)^-1 W`` and the symmetrized
+    operators are scalings of it.  ``killed=True`` rows use the full
+    invariant measure, so the rows of ``P`` fall below 1 by ``exit``, the
+    per-jump probability of leaving the domain (Dirichlet killing, exactly 0
+    off its rim); ``killed=False`` is the free-boundary chain on the whole
+    environment box (``exit`` identically 0).  On ``B_n`` the sites come in
+    canonical order, on the ball ``B_n ∩ {|x|_1 <= l1_radius}`` by (L1
+    distance, canonical index), the origin first; each row lists its entries
+    by ascending canonical site index.
     """
 
-    P: csr_matrix
+    W: csr_matrix
     sites: np.ndarray  # environment site indices, in the domain's order
     pi: np.ndarray
     exit: np.ndarray  # P(the next jump leaves the domain), per site
@@ -72,11 +76,17 @@ class BoxChain:
     box_radius: int
     killed: bool
 
+    @cached_property
+    def P(self) -> csr_matrix:
+        """The jump matrix ``w / pi[row]``, on ``W``'s index arrays."""
+        W = self.W
+        return csr_matrix((W.data / np.repeat(self.pi, np.diff(W.indptr)), W.indices, W.indptr), shape=W.shape)
+
 
 def transition_matrix(
     env: Environment, box_radius: int | None = None, killed: bool = True, l1_radius: int | None = None
 ) -> BoxChain:
-    """Assemble the (killed or free) jump matrix on ``B_n``, or killed on an L1 ball in it.
+    """The (killed or free) chain on ``B_n``, or the killed one on an L1 ball in it.
 
     Killed chains need ``n <= N - 1`` so that every living site carries all
     of its lattice bonds inside the stored environment.  With ``l1_radius``
@@ -104,7 +114,7 @@ def transition_matrix(
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
     return BoxChain(
-        P=csr_matrix((w / pi[row], col, indptr), shape=(m, m)),
+        W=csr_matrix((w, col, indptr), shape=(m, m)),
         sites=sites,
         pi=pi,
         exit=np.bincount(rim_row, weights=rim_w, minlength=m) / pi,
@@ -185,15 +195,6 @@ class TrajectoryRecord:
         out = self.A_at_jumps[k] + self.phi_sites[k] * (t_arr - seg_start)
         return out if np.ndim(t) else float(out[0])
 
-    def position(self, t) -> np.ndarray | int:
-        """Occupied site at time ``t``."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0) or np.any(t_arr > self.end_time + 1e-12):
-            raise ValidationError("time outside the recorded range")
-        k = np.searchsorted(self.jump_times, t_arr, side="right")
-        out = self.sites[k]
-        return out if np.ndim(t) else int(out[0])
-
 
 def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
     """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``)."""
@@ -226,8 +227,8 @@ def simulate_ctmc(
     """
     geom = env.geometry
     kill = _start_and_kill_radius(geom, x0, kill_radius)
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValidationError(f"horizon must be finite and >= 0, got {horizon!r}")
 
     phi = decomp.in_cluster.astype(np.float64) if decomp is not None else None
     cum, neigh = _walk_tables(env)
@@ -335,13 +336,6 @@ class EffectiveConductances:
         return {int(s): float(v) for s, v in zip(self.sites, self.values)}
 
 
-def _hitting(env: Environment, decomp: ClusterDecomposition) -> csr_matrix:
-    """The decomposition's hitting law, checked to belong to ``env``."""
-    if env is not decomp.env:
-        raise ValidationError("the decomposition was computed on a different environment")
-    return decomp.hitting
-
-
 def effective_conductances(env: Environment, decomp: ClusterDecomposition, x: int) -> EffectiveConductances:
     """Exact next-strong-cluster-point weights from ``x``.
 
@@ -350,7 +344,8 @@ def effective_conductances(env: Environment, decomp: ClusterDecomposition, x: in
     (``decomp.hitting``, every hole solved once per decomposition).  The
     resulting table is symmetric across base sites up to solver precision.
     """
-    H = _hitting(env, decomp)
+    decomp.check_env(env)
+    H = decomp.hitting
     labels = decomp.labels
     if labels[x] != STRONG_LABEL:
         raise ValidationError(f"site {x} is not on the strong cluster")
@@ -377,7 +372,8 @@ def effective_conductance_matrix(env: Environment, decomp: ClusterDecomposition)
     first-cluster-site law of its far end (a point mass on a cluster site,
     the hitting row on a hole site), summed in the same order.
     """
-    H = _hitting(env, decomp)
+    decomp.check_env(env)
+    H = decomp.hitting
     n = env.geometry.n_sites
     xs = np.flatnonzero(decomp.in_cluster)
     fold = (H + coo_matrix((np.ones(len(xs)), (xs, xs)), shape=(n, n))).tocsr()
@@ -430,8 +426,8 @@ def ensemble_walk(
     kill = _start_and_kill_radius(geom, x0, kill_radius)
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValidationError(f"horizon must be finite and >= 0, got {horizon!r}")
 
     cum, neigh = _walk_tables(env)
     linf = geom.linf_norm
@@ -516,9 +512,8 @@ def next_point_frequencies(
     cum, neigh = _walk_tables(env)
     in_cluster = decomp.in_cluster
 
-    u = rng.random(n_paths)
-    state = neigh[x, (u[:, None] > cum[np.full(n_paths, x)]).sum(axis=1)]
-    pending = ~in_cluster[state]
+    state = np.full(n_paths, x)
+    pending = np.ones(n_paths, dtype=bool)  # the first jump is taken from x whatever it is
     while pending.any():
         idx = np.flatnonzero(pending)
         u = rng.random(len(idx))

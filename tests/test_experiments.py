@@ -18,9 +18,11 @@ from rcmwalk import (
     experiments,
     heatkernel,
     UniformizationCache,
+    percolation,
     return_prob_curve_exact,
     sample_environment,
     spectral,
+    walk,
 )
 from rcmwalk.cli import main
 from rcmwalk.experiments import (
@@ -432,20 +434,30 @@ class TestBoundSuite:
         assert [r["pass"] for r in rows] == [r["pass"] for r in inertia]
 
     def test_one_chain_per_box(self, tmp_path, monkeypatch):
-        # the floor check and the survival check share one spec per box
+        # the floor check and the survival check share one spec per box, and
+        # the chain, the symmetrized operator and the exit tail one restriction
         cfg = _cfg(tmp_path)
-        built = []
-        assemble = spectral.transition_matrix
+        built, restricted = [], []
+        assemble, restrict = spectral.transition_matrix, walk._restrict
 
         def counting(env, box_radius=None, killed=True, l1_radius=None):
             built.append((box_radius, l1_radius))
             return assemble(env, box_radius, killed, l1_radius)
 
+        def counting_restrict(env, sites):
+            restricted.append(len(sites))
+            return restrict(env, sites)
+
         monkeypatch.setattr(spectral, "transition_matrix", counting)
         monkeypatch.setattr(heatkernel, "transition_matrix", counting)
+        for module in (walk, percolation):
+            monkeypatch.setattr(module, "_restrict", counting_restrict)
+        assert not hasattr(spectral, "_restrict")
         run_bound_suite(cfg, threads=1)
         # every chain is the whole box: the bound suite runs no ball-sized curve
-        assert sorted(built) == sorted([(n, None) for n in cfg.N_list] * cfg.n_environments)
+        boxes = list(cfg.N_list) * cfg.n_environments
+        assert sorted(built) == sorted((n, None) for n in boxes)
+        assert sorted(restricted) == sorted((2 * n + 1) ** cfg.d for n in boxes)
 
     def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
         cfg = _cfg(tmp_path)

@@ -665,6 +665,21 @@ class TestCltLowerBound:
         with pytest.raises(ValidationError):
             clt_lower_bound_check(small_env, holey_decomp, 400.0)
 
+    def test_decomposition_of_another_environment_rejected(self):
+        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
+        dec_b = strong_cluster(b, threshold_for_density(2.0, 0.95))
+        with pytest.raises(ValidationError, match="different environment"):
+            clt_lower_bound_check(a, dec_b, 9.0)
+
+    def test_cache_of_another_environment_rejected(self):
+        # the other environment's cache read 0.04545 where this one's reads 0.04984
+        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
+        dec_a = strong_cluster(a, threshold_for_density(2.0, 0.95))
+        with pytest.raises(ValidationError, match="different environment"):
+            clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(b, 7))
+        rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, 7))
+        assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
+
 
 class TestGridHelpers:
     def test_time_grid_density(self):

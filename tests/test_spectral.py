@@ -36,6 +36,7 @@ from rcmwalk import (
     prescribed_spec,
     rayleigh_quotient,
     sample_environment,
+    simulate_ctmc,
     spectral,
     strong_cluster,
     survival_bound_check,
@@ -552,3 +553,39 @@ class TestOperatorSpecValidation:
         dec = strong_cluster(env, 0.5)
         with pytest.raises(ValidationError):
             prescribed_spec(env, dec, 4)
+
+    def test_decomposition_of_another_environment_rejected(self):
+        # the penalty would sit on the other environment's cluster
+        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
+        dec_b = strong_cluster(b, threshold_for_density(2.0, 0.95))
+        with pytest.raises(ValidationError, match="different environment"):
+            prescribed_spec(a, dec_b, 7)
+        with pytest.raises(ValidationError, match="different environment"):
+            OperatorSpec(env=a, decomp=dec_b, box_radius=7, lam=0.5)
+        assert prescribed_spec(b, dec_b, 7).decomp is dec_b
+
+
+def _time_entry_points():
+    """Every entry point that takes one time or horizon, as ``call(t)``."""
+    env = homogeneous_environment(2, 4)
+    dec = strong_cluster(env, 0.5)
+    spec = OperatorSpec(env=env, decomp=dec, box_radius=3, lam=0.3)
+    origin = env.geometry.origin
+    rng = np.random.default_rng(0)
+    return {
+        "clt_lower_bound_check": lambda t: heatkernel.clt_lower_bound_check(env, dec, t),
+        "poissonization_lower_bound": lambda t: heatkernel.poissonization_lower_bound(UniformizationCache(env, 3), t),
+        "feynman_kac_spectral": lambda t: feynman_kac_spectral(spec, t),
+        "feynman_kac_mc": lambda t: feynman_kac_mc(spec, t, 50, rng),
+        "perturbation_identity_check": lambda t: perturbation_identity_check(spec, [t]),
+        "ensemble_walk": lambda t: ensemble_walk(env, origin, 10, t, rng),
+        "simulate_ctmc": lambda t: simulate_ctmc(env, origin, t, rng, kill_radius=None),
+    }
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(_time_entry_points()))
+def test_non_finite_or_negative_time_rejected(entry, t):
+    # without the check these returned nan, 0.0 or a passing report, or looped forever
+    with pytest.raises(ValidationError):
+        _time_entry_points()[entry](t)

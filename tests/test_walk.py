@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from rcmwalk import (
     BoxGeometry,
@@ -25,6 +25,8 @@ from rcmwalk import (
     time_changed_trajectory,
     transition_matrix,
 )
+from rcmwalk.heatkernel import _folded_operator
+from rcmwalk.lattice import _restrict
 
 
 def _env_with_bonds(d, N, default, overrides):
@@ -68,8 +70,6 @@ class TestStepDistribution:
 class TestRestriction:
     def test_inside_and_rim_bonds_sum_to_pi(self, small_env, holey_decomp):
         # every bond at a site is either inside the set or over its rim
-        from rcmwalk.lattice import _restrict
-
         geom = small_env.geometry
         sets = [geom.sub_box_indices(n) for n in (0, 3, 7)] + [h.sites for h in holey_decomp.holes]
         sets.append(np.flatnonzero(~holey_decomp.in_cluster))  # all holes at once
@@ -188,11 +188,77 @@ class TestChainProperties:
         np.testing.assert_allclose(flow, flow.T, rtol=self.ULP, atol=0)
 
     @settings(max_examples=60, deadline=None)
+    @given(case=_chains())
+    def test_conductances_are_exactly_symmetric(self, case):
+        _, chain = case
+        assert np.array_equal(chain.W.toarray(), chain.W.T.toarray())
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains())
+    def test_jump_matrix_is_w_over_pi(self, case):
+        # reference: the jump matrix assembled straight from the restriction
+        env, chain = case
+        (row, col, w), _, pi = _restrict(env, chain.sites)
+        m = len(chain.sites)
+        ref = coo_matrix((w / pi[row], (row, col)), shape=(m, m)).tocsr()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(chain.P, attr), getattr(ref, attr))
+
+    @settings(max_examples=60, deadline=None)
     @given(case=_chains(killed=st.just(True)), lam=st.floats(0.0, 3.0))
     def test_symmetrized_is_exactly_symmetric(self, case, lam):
         env, chain = case
-        S, _ = OperatorSpec(env=env, box_radius=chain.box_radius, lam=lam).symmetrized
+        spec = OperatorSpec(env=env, box_radius=chain.box_radius, lam=lam)
+        S, sqrt_pi = spec.symmetrized
         assert np.array_equal(S.toarray(), S.T.toarray())
+        # reference: the operator assembled from its own restriction of the box
+        (row, col, w), _, pi = _restrict(env, chain.sites)
+        m = len(chain.sites)
+        ref_sqrt = np.sqrt(pi)
+        off = coo_matrix((w / (ref_sqrt[row] * ref_sqrt[col]), (row, col)), shape=(m, m))
+        diag = 1.0 + lam * spec.phi_box
+        ref = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
+        assert np.array_equal(sqrt_pi, ref_sqrt)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(S, attr), getattr(ref, attr))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chains(killed=st.just(True)), data=st.data())
+    def test_folded_blocks_scale_w(self, case, data):
+        env, chain = case
+        n = chain.box_radius
+        radius = data.draw(st.integers(0, env.geometry.d * n + 2))
+        blocks, weights, balls = _folded_operator(env, n, radius)
+        ref_blocks, ref_weights, ref_balls = _folded_blocks_from_p(env, n, radius)
+        for block, ref in zip(blocks, ref_blocks):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(block, attr), getattr(ref, attr))
+        for got, ref in zip(weights + balls, ref_weights + ref_balls):
+            assert np.array_equal(got, ref)
+
+
+def _folded_blocks_from_p(env, box_radius, radius):
+    """Reference parity blocks of ``D^(1/2) P D^(-1/2)``, read off the ball chain's jump matrix."""
+    chain = transition_matrix(env, box_radius, l1_radius=radius)
+    P = chain.P
+    sq = np.sqrt(chain.pi)
+    l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
+    sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
+    rank = np.empty(len(l1), dtype=P.indices.dtype)
+    for rows in sides:
+        rank[rows] = np.arange(len(rows))
+    blocks, weights, balls = [], [], []
+    for rows, other in zip(sides, sides[::-1]):
+        count = np.diff(P.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=P.indptr.dtype)
+        np.cumsum(count, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(P.indptr[rows] - indptr[:-1], count)
+        cols = P.indices[take]
+        data = P.data[take] * (np.repeat(sq[rows], count) / sq[cols])
+        blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
+        weights.append(sq[rows] / sq[0])
+        balls.append(np.searchsorted(l1[rows], np.arange(radius + 1), side="right"))
+    return blocks, weights, balls
 
 
 class TestBallChain:
