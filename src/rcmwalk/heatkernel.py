@@ -44,8 +44,10 @@ from scipy.special import gammaln, stdtrit
 
 from .errors import NumericalError, ValidationError
 from .lattice import _CONFIDENCE, Environment
-from .percolation import STRONG_LABEL, ClusterDecomposition
-from .walk import BoxChain, effective_conductance_matrix, ensemble_walk, transition_matrix
+from .percolation import ClusterDecomposition
+from .walk import BoxChain, _cluster_site, effective_conductance_matrix, ensemble_walk, transition_matrix
+
+_LAW_TOL = 1e-12  # Poisson mass left out of a full law ``UniformizationCache.distribution``
 
 
 def poisson_truncation_k(rate: float, tol: float) -> int:
@@ -117,8 +119,9 @@ class UniformizationCache:
     ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``exited_k``, the mass
     carried over the rim within k jumps, keeps the digits that
     ``1 - survival`` cancels.  ``chain`` reuses an assembled chain of ``env``
-    instead of building one; ``env`` is kept, so a check can refuse a cache
-    built on another environment.
+    instead of building one, and a chain of another environment is refused;
+    ``env`` is kept, so a check can refuse a cache built on another
+    environment.
     """
 
     def __init__(
@@ -130,8 +133,10 @@ class UniformizationCache:
         phi: np.ndarray | None = None,
         chain: BoxChain | None = None,
     ):
-        if not lam >= 0:
-            raise ValidationError("killing rate must be >= 0")
+        if not 0 <= lam < math.inf:
+            raise ValidationError(f"killing rate must be finite and >= 0, got {lam!r}")
+        if chain is not None and chain.env is not env:
+            raise ValidationError("the chain was restricted from a different environment")
         self.env = env
         self.chain: BoxChain = transition_matrix(env, box_radius, killed) if chain is None else chain
         self.lam = float(lam)
@@ -188,9 +193,9 @@ class UniformizationCache:
         self.ensure(n)
         return self.a[n]
 
-    def distribution(self, t: float, tol: float = 1e-12) -> np.ndarray:
-        """Full law ``P(X_t = y)`` over the box sites (fresh propagation)."""
-        w = self._weights(t, tol)
+    def distribution(self, t: float) -> np.ndarray:
+        """Full law ``P(X_t = y)`` over the box sites (fresh propagation), Poisson tail below ``_LAW_TOL``."""
+        w = self._weights(t, _LAW_TOL)
         vec = np.zeros(self._prop.shape[0])
         vec[self.chain.origin] = 1.0
         out = w[0] * vec
@@ -534,22 +539,15 @@ def return_prob_mc(
     )
 
 
-def discrete_return_prob(
-    env: Environment,
-    n: int,
-    box_radius: int | None = None,
-    cache: UniformizationCache | None = None,
-) -> float:
-    """Discrete-time return probability ``P^n(0,0)`` for even ``n``.
+def discrete_return_prob(env: Environment, n: int) -> float:
+    """Discrete-time return probability ``P^n(0,0)`` for even ``n``, on ``B_{N-1}``.
 
     Odd step counts are rejected: the lattice is bipartite, so odd-step
     returns vanish identically and carry no information.
     """
     if n < 0 or n % 2 != 0:
         raise ValidationError(f"step count must be even and >= 0, got {n}")
-    if cache is None:
-        cache = UniformizationCache(env, box_radius)
-    return cache.discrete(n)
+    return UniformizationCache(env).discrete(n)
 
 
 def poissonization_lower_bound(cache: UniformizationCache, t: float) -> tuple[float, float]:
@@ -588,15 +586,14 @@ def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_gr
     may return to its start through a hole); its law at each ``t`` comes from
     the uniformization engine on that chain, which has no exit.
     """
-    if decomp.labels[x] != STRONG_LABEL:
-        raise ValidationError(f"site {x} is not on the strong cluster")
+    _cluster_site(env, decomp, x)
     t = _time_grid(t_grid)
     M = effective_conductance_matrix(env, decomp)
     sites = np.flatnonzero(decomp.in_cluster)
     local = np.cumsum(decomp.in_cluster) - 1  # position among the cluster sites
     m = len(sites)
     W = coo_matrix((M.data, (local[M.row], local[M.col])), shape=(m, m)).tocsr()
-    chain = BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False)
+    chain = BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False, env=env)
     engine = UniformizationCache(env, chain=chain)
     sup = np.array([engine.distribution(tj).max() for tj in t])
     return HeatKernelHatCurve(t=t, sup=sup, rescaled=t ** (env.geometry.d / 2.0) * sup)

@@ -18,7 +18,7 @@ law that ``ClusterDecomposition.hitting`` solves for all holes in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +51,15 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
     return geom.neighbor_table[x][keep], w[keep] / total
 
 
+def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> None:
+    """Refuse ``x`` unless it is a box site on the strong cluster of ``decomp``, computed on ``env``."""
+    decomp.check_env(env)
+    if not 0 <= x < env.geometry.n_sites:  # numpy would read -1 as the last site
+        raise ValidationError(f"site {x} outside the box")
+    if decomp.labels[x] != STRONG_LABEL:
+        raise ValidationError(f"site {x} is not on the strong cluster")
+
+
 @dataclass(frozen=True)
 class BoxChain:
     """The walk restricted to ``B_n`` or to an L1 ball in it, as the conductances of its bonds.
@@ -65,7 +74,8 @@ class BoxChain:
     environment box (``exit`` identically 0).  On ``B_n`` the sites come in
     canonical order, on the ball ``B_n ∩ {|x|_1 <= l1_radius}`` by (L1
     distance, canonical index), the origin first; each row lists its entries
-    by ascending canonical site index.
+    by ascending canonical site index.  ``env`` is the environment the chain
+    was restricted from, kept out of ``==`` and ``repr``.
     """
 
     W: csr_matrix
@@ -75,6 +85,7 @@ class BoxChain:
     origin: int  # position of the lattice origin among ``sites``
     box_radius: int
     killed: bool
+    env: Environment = field(compare=False, repr=False)
 
     @cached_property
     def P(self) -> csr_matrix:
@@ -121,6 +132,7 @@ def transition_matrix(
         origin=(m - 1) // 2 if l1_radius is None else 0,
         box_radius=n,
         killed=killed,
+        env=env,
     )
 
 
@@ -344,11 +356,9 @@ def effective_conductances(env: Environment, decomp: ClusterDecomposition, x: in
     (``decomp.hitting``, every hole solved once per decomposition).  The
     resulting table is symmetric across base sites up to solver precision.
     """
-    decomp.check_env(env)
+    _cluster_site(env, decomp, x)
     H = decomp.hitting
     labels = decomp.labels
-    if labels[x] != STRONG_LABEL:
-        raise ValidationError(f"site {x} is not on the strong cluster")
     acc: dict[int, float] = {}
     for y, w in zip(env.geometry.neighbor_table[x].tolist(), env.omega_by_direction[x].tolist()):
         if w <= 0:
@@ -505,8 +515,7 @@ def next_point_frequencies(
     cluster after one jump from ``x`` (free-boundary dynamics, matching the
     absorbing-solve computation).  Returns (sites, counts).
     """
-    if decomp.labels[x] != STRONG_LABEL:
-        raise ValidationError(f"site {x} is not on the strong cluster")
+    _cluster_site(env, decomp, x)
     if n_paths < 1:
         raise ValidationError("need at least one path")
     cum, neigh = _walk_tables(env)

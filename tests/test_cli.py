@@ -111,6 +111,15 @@ class TestGenerateDecompose:
         assert (a / "env_0000.rcmenv").read_bytes() == (b / "env_0000.rcmenv").read_bytes()
 
 
+    @pytest.mark.parametrize("p, warned", [("0.45", True), ("0.95", False)])
+    def test_subcritical_density_warns(self, tmp_path, capsys, p, warned):
+        argv = ["decompose", "--d", "2", "--N", "8", "--gamma", "2", "--p", p, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert ("at or below the d=2 percolation threshold 0.5" in err) == warned
+        assert warned or "warning" not in err
+
+
 class TestSpectrumSimulate:
     def test_spectrum_schema(self, tmp_path, capsys):
         gen = tmp_path / "envs"
@@ -136,6 +145,14 @@ class TestSpectrumSimulate:
         row = (out / "spectral_report.csv").read_text().splitlines()[1]
         assert row == ",".join(str(v) for v in expected)
         assert f"pass = {cert.passed})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_killing_rate_rejected(self, tmp_path, capsys, lam):
+        # a nan rate died in the factorization, an infinite one in ARPACK (exit 3)
+        argv = ["spectrum", "--d", "2", "--N", "6", "--gamma", "2", "--lam", lam, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "killing rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "spectral_report.csv").exists()
 
     def test_failing_floor_takes_one_eigensolve(self, tmp_path, monkeypatch):
         # the printed Lambda1 also settles the floor's fallback

@@ -680,6 +680,15 @@ class TestCltLowerBound:
         rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, 7))
         assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
 
+    def test_chain_of_another_environment_rejected(self):
+        # a cache on a's environment but b's chain read b's 0.04545
+        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
+        dec_a = strong_cluster(a, threshold_for_density(2.0, 0.95))
+        with pytest.raises(ValidationError, match="different environment"):
+            UniformizationCache(a, chain=transition_matrix(b, 7))
+        rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, chain=transition_matrix(a, 7)))
+        assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
+
 
 class TestGridHelpers:
     def test_time_grid_density(self):

@@ -18,6 +18,7 @@ from rcmwalk import (
     ValidationError,
     derive_environment_seeds,
     dirichlet_form,
+    effective_conductances,
     eigenvalue_floor,
     ensemble_walk,
     exit_time_tail_check,
@@ -25,12 +26,14 @@ from rcmwalk import (
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,
+    heat_kernel_hat,
     heatkernel,
     homogeneous_environment,
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
     negative_pivots,
+    next_point_frequencies,
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,
@@ -428,26 +431,67 @@ class TestOperatorSpecCaches:
         assert a != replace(a, lam=0.25)
 
 
+def _simpson_identity_oracle(spec, t, n_nodes):
+    """Both identity residuals from composite Simpson over dense ``expm`` semigroups.
+
+    Returns, per identity, ``R_t 1 - (P_t 1 - lam I)`` at the origin with
+    ``I`` the Richardson-extrapolated Simpson integral, and the Richardson
+    estimate ``lam |I_h - I_2h| / 15`` of the Simpson error.
+    """
+    from scipy.integrate import simpson
+
+    P = spec.chain.P.toarray()
+    plain = P - np.eye(len(P))
+    penalized = plain - spec.lam * np.diag(spec.phi_box)
+    o, ones, phi = spec.chain.origin, np.ones(len(P)), spec.phi_box
+    s = np.linspace(0.0, t, n_nodes + 1)
+    first = [(expm(sj * plain) @ (phi * (expm((t - sj) * penalized) @ ones)))[o] for sj in s]
+    second = [(expm(sj * penalized) @ (phi * (expm((t - sj) * plain) @ ones)))[o] for sj in s]
+    r_t, p_t = (expm(t * penalized) @ ones)[o], (expm(t * plain) @ ones)[o]
+    out = []
+    for g in (np.array(first), np.array(second)):
+        fine, coarse = simpson(g, x=s), simpson(g[::2], x=s[::2])
+        out.append((r_t - (p_t - spec.lam * (fine + (fine - coarse) / 15.0)), spec.lam * abs(fine - coarse) / 15.0))
+    return out
+
+
 class TestPerturbationIdentities:
     def test_zero_killing_reduces_to_plain_semigroup(self, rand_env, rand_decomp):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=2, lam=0.0)
-        rep = perturbation_identity_check(spec, [1.0], n_nodes=32)
-        assert rep.max_deviation <= 1e-14
+        rep = perturbation_identity_check(spec, [1.0])
+        assert rep.max_deviation == 0.0
 
     def test_five_by_five_box(self):
         env = sample_environment(BoxGeometry(2, 3), 2.0, 21)
         dec = strong_cluster(env, threshold_for_density(2.0, 0.6))
         spec = OperatorSpec(env=env, decomp=dec, box_radius=2, lam=0.3)
-        rep = perturbation_identity_check(spec, [2.0], n_nodes=512)
-        assert rep.max_deviation <= 1e-6
-        assert rep.quadrature_ok
+        rep = perturbation_identity_check(spec, [2.0])
+        assert rep.max_deviation <= 1e-13
         # both identities agree with each other at the same tolerance
-        assert np.max(np.abs(rep.deviations_first - rep.deviations_second)) <= 1e-6
+        assert np.max(np.abs(rep.deviations_first - rep.deviations_second)) <= 1e-13
 
-    def test_node_validation(self, rand_env, rand_decomp):
-        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=2, lam=0.3)
-        with pytest.raises(ValidationError):
-            perturbation_identity_check(spec, [1.0], n_nodes=7)
+    def test_agrees_with_simpson_oracle(self):
+        # the closed form satisfies both identities to rounding; the quadrature oracle's
+        # extrapolated integral satisfies them within its own Richardson estimate
+        env = sample_environment(BoxGeometry(2, 3), 2.0, 21)
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.6))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=2, lam=0.3)
+        rep = perturbation_identity_check(spec, [2.0])
+        for closed, (residual, estimate) in zip(
+            (rep.deviations_first[0], rep.deviations_second[0]), _simpson_identity_oracle(spec, 2.0, 32)
+        ):
+            assert estimate > 1e-12  # the quadrature error is above rounding, so the comparison means something
+            assert abs(abs(residual) - closed) <= estimate
+
+    def test_strong_killing_and_long_horizons(self):
+        # composite Simpson on 512 nodes read 1.3e-5 here at lam = 2
+        env = sample_environment(BoxGeometry(2, 9), 0.7, 3)
+        dec = strong_cluster(env, threshold_for_density(0.7, 0.6))
+        for lam in (2.0, 0.05):
+            spec = OperatorSpec(env=env, decomp=dec, box_radius=8, lam=lam)
+            assert perturbation_identity_check(spec, [0.5, 5.0, 60.0, 5000.0]).max_deviation <= 1e-13
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=8, lam=0.0)
+        assert perturbation_identity_check(spec, [0.5, 5.0, 60.0]).max_deviation == 0.0
 
 
 class TestSurvivalBound:
@@ -589,3 +633,32 @@ def test_non_finite_or_negative_time_rejected(entry, t):
     # without the check these returned nan, 0.0 or a passing report, or looped forever
     with pytest.raises(ValidationError):
         _time_entry_points()[entry](t)
+
+
+def _bad_input_calls():
+    """Calls on input outside each entry point's domain, by name."""
+    env = sample_environment(BoxGeometry(2, 5), 2.0, 7)
+    dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+    spec = OperatorSpec(env=env, decomp=dec, box_radius=3, lam=0.3)
+    n, rng = env.geometry.n_sites, np.random.default_rng(0)
+    calls = {}
+    for name, x in (("negative_site", -1), ("site_past_the_end", n)):
+        calls[f"effective_conductances-{name}"] = lambda x=x: effective_conductances(env, dec, x)
+        calls[f"heat_kernel_hat-{name}"] = lambda x=x: heat_kernel_hat(env, dec, x, [1.0])
+        calls[f"next_point_frequencies-{name}"] = lambda x=x: next_point_frequencies(env, dec, x, 10, rng)
+    for lam in (math.nan, math.inf):
+        calls[f"operator_spec-lam_{lam}"] = lambda lam=lam: OperatorSpec(env=env, decomp=dec, box_radius=3, lam=lam)
+        calls[f"uniformization_cache-lam_{lam}"] = lambda lam=lam: UniformizationCache(env, 3, lam=lam)
+    calls["exit_time_tail_check-empty_grid"] = lambda: exit_time_tail_check(spec, [])
+    calls["exit_time_tail_check-2d_grid"] = lambda: exit_time_tail_check(spec, [[1.0, 2.0]])
+    calls["perturbation_identity_check-empty_grid"] = lambda: perturbation_identity_check(spec, [])
+    calls["perturbation_identity_check-2d_grid"] = lambda: perturbation_identity_check(spec, [[1.0, 2.0]])
+    return calls
+
+
+@pytest.mark.parametrize("call", sorted(_bad_input_calls()))
+def test_bad_input_rejected(call):
+    # without the checks a site of -1 read the last site, n_sites raised IndexError, a nan or
+    # infinite rate returned nan or died in the solver, and an empty grid passed or raised ValueError
+    with pytest.raises(ValidationError):
+        _bad_input_calls()[call]()
