@@ -21,6 +21,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from . import __version__ as _package_version
 from .errors import RcmError, ValidationError
 from .heatkernel import (
     ReturnProbabilityCurve,
+    _sharing_patterns,
     box_radius_for_horizon,
     default_time_grid,
     fit_exponent,
@@ -347,7 +349,8 @@ def _slope_summary(gamma: float, slopes: np.ndarray) -> AggregateSlope:
     return AggregateSlope(gamma=gamma, slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
 
 
-def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> ReturnProbabilityCurve:
+def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int, patterns: dict) -> ReturnProbabilityCurve:
+    """One environment's curve; an exact one reads and fills the run's ball ``patterns``."""
     n_box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
     if cfg.homogeneous:
         env = homogeneous_environment(cfg.d, n_box + 1)
@@ -355,7 +358,8 @@ def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int) -> ReturnProbabil
         env = sample_environment(BoxGeometry(cfg.d, n_box + 1), gamma, seed)
     grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
     if cfg.method == "exact":
-        return return_prob_curve_exact(env, grid, box_radius=n_box)
+        with _sharing_patterns(patterns):
+            return return_prob_curve_exact(env, grid, box_radius=n_box)
     rng = np.random.default_rng([seed, 0xC0FFEE])
     return return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
 
@@ -466,7 +470,8 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     window = cfg.window()
     if cfg.n_environments < 1:
         raise ValidationError("n_environments must be >= 1 for exponent studies")
-    outcomes = _map_jobs(_curve_job, cfg, threads, keep_going=True)
+    # one ball pattern cache per call; a process pool pickles it, empty, into each task
+    outcomes = _map_jobs(partial(_curve_job, patterns={}), cfg, threads, keep_going=True)
     results = [(g, s, o) for g, s, o in outcomes if not isinstance(o, RcmError)]
     box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
 

@@ -13,11 +13,19 @@ run stops when the bracket is narrower than a relative tolerance.  Step
 run takes about ``sqrt(t) / 2`` steps where the Poisson series takes about
 ``t`` full-box products; when ``2 steps <= n`` it never meets the rim of
 ``B_n`` and brackets the kernel of the walk on all of Z^d.  Only that ball
-is assembled: the chain on ``B_n ∩ {|x|_1 <= R}``, its sites by (L1
-distance, canonical index), ``R`` a few radii past the a priori reach and
-grown in place when a run outlasts it (68k of the 231k sites of ``B_240``
-at ``t <= 400``), and the parity blocks scale its conductances ``W``
-without building its jump matrix.
+is read: the chain killed on leaving ``B_n ∩ {|x|_1 <= R}``, its sites by
+(L1 distance, canonical index), ``R`` a few radii past the a priori reach
+and grown in place when a run outlasts it (68k of the 231k sites of
+``B_240`` at ``t <= 400``).  Its parity blocks come in two parts.  The
+pattern (``_ball_pattern``) depends on ``(d, N, n, R)`` alone: each site's
+bond ids, and each block's rows, columns and entry bonds.  The gather
+(``_folded_operator``) reads one environment's conductances through it
+into ``pi`` and the scaled blocks.  The environments of one exponent run
+share the box and the radii, so the run builds each pattern once
+(``_sharing_patterns``) and drops it when it returns; a pattern that
+outlived the run would make a later run in the same process cheaper than a
+fresh one.  A curve computed on its own builds its patterns and drops them
+on return.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -34,6 +42,8 @@ eigensolve.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +53,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.special import gammaln, stdtrit
 
 from .errors import NumericalError, ValidationError
-from .lattice import _CONFIDENCE, Environment
+from .lattice import _CONFIDENCE, BoxGeometry, Environment, _integral_radius
 from .percolation import ClusterDecomposition
 from .walk import BoxChain, _cluster_site, effective_conductance_matrix, ensemble_walk, transition_matrix
 
@@ -249,41 +259,120 @@ _BREAKDOWN = 1e-14
 _BLOCK_RADII = 10
 _BALL_MARGIN = 10
 
+# The ball patterns that exact curves share, set only inside ``_sharing_patterns``;
+# outside one, each curve builds its own and drops it on return.
+_SHARED_PATTERNS: ContextVar[dict | None] = ContextVar("_SHARED_PATTERNS", default=None)
 
-def _folded_operator(env: Environment, box_radius: int, radius: int):
-    """The parity blocks of ``A = D^(1/2) P D^(-1/2)`` on ``B_n ∩ {|x|_1 <= radius}``.
+
+@contextmanager
+def _sharing_patterns(patterns: dict):
+    """Let the exact curves computed inside the block read and fill ``patterns``.
+
+    The caller owns the dict and so decides how long the patterns live: an
+    exponent run keeps one for the run, and nothing survives it.  The dict
+    travels in a context variable because the curves go through
+    ``return_prob_curve_exact``, whose signature does not carry it.
+    """
+    token = _SHARED_PATTERNS.set(patterns)
+    try:
+        yield
+    finally:
+        _SHARED_PATTERNS.reset(token)
+
+
+@dataclass(frozen=True)
+class _BallPattern:
+    """The structure of the folded operator's parity blocks on ``B_n ∩ {|x|_1 <= R}``, without conductances.
+
+    Only ``(d, N, n, R)`` determines it.  Per parity, even first, over that
+    parity's sites in (L1 distance, canonical index) order: ``site_bonds``,
+    the ``(2d, sites)`` bond ids of each site in incidence order, which
+    ``pi`` sums in; the block whose rows are those sites and whose columns
+    are the other parity's, as CSR ``indptr`` and ``indices`` with each
+    entry's bond id ``entry_bonds`` (each row by ascending canonical
+    neighbor index); and ``balls[r]``, the number of its sites within L1
+    distance ``r``.  Index arrays are ``int32`` and read-only: the blocks of
+    every environment share them.
+    """
+
+    site_bonds: tuple[np.ndarray, np.ndarray]
+    indptr: tuple[np.ndarray, np.ndarray]
+    indices: tuple[np.ndarray, np.ndarray]
+    entry_bonds: tuple[np.ndarray, np.ndarray]
+    balls: tuple[np.ndarray, np.ndarray]
+
+
+def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPattern:
+    """The pattern of the parity blocks on ``B_n ∩ {|x|_1 <= radius}``, from the strides and ``bond_id_table``.
+
+    The walk is killed on leaving that set; ``n <= N - 1`` gives every site
+    all ``2d`` of its bonds inside the stored environment, so ``pi`` is the
+    full invariant measure.  Each parity keeps the ball's order, (L1
+    distance, canonical index), which does not depend on either radius, so
+    two balls share every prefix that fits in both.
+    """
+    n = _integral_radius(box_radius)
+    if not 0 <= n <= geom.N - 1:
+        raise ValidationError(f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
+    d, ids, strides = geom.d, geom.bond_id_table, geom.strides
+    sites = geom.l1_ball_indices(n, radius)
+    l1 = np.abs(geom.site_coords(sites)).sum(axis=1)
+    neigh = np.empty((2 * d, len(sites)), dtype=np.int64)
+    bonds = np.empty((2 * d, len(sites)), dtype=np.int32)
+    for i in range(d):  # the incidence order -e_1, +e_1, -e_2, ...
+        neigh[2 * i], neigh[2 * i + 1] = sites - strides[i], sites + strides[i]
+        bonds[2 * i], bonds[2 * i + 1] = ids[neigh[2 * i], i], ids[sites, i]
+    sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
+    rank = np.full(geom.n_sites, -1, dtype=np.int32)  # position among the ball's sites of its parity
+    for rows in sides:
+        rank[sites[rows]] = np.arange(len(rows))
+    ascending = np.r_[0 : 2 * d : 2, 2 * d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
+    neigh, entry_bonds = neigh[ascending], bonds[ascending]  # by ascending neighbor index
+    parts = []
+    for rows in sides:
+        cols = rank[neigh[:, rows].T]  # a neighbor's parity is the other one
+        inside = cols >= 0
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        side = (bonds[:, rows], indptr, cols[inside], entry_bonds[:, rows].T[inside])
+        for array in side:
+            array.flags.writeable = False
+        parts.append(side + (np.searchsorted(l1[rows], np.arange(radius + 1), side="right"),))
+    return _BallPattern(*(tuple(part) for part in zip(*parts)))
+
+
+def _folded_operator(env: Environment, pattern: _BallPattern):
+    """The parity blocks of ``A = D^(1/2) P D^(-1/2)`` on the pattern's ball, read from ``env``'s conductances.
 
     The walk only jumps between sites of opposite parity (that of the L1
     distance from the origin), so over the even sites, then the odd ones,
-    ``A = [[0, C^T], [C, 0]]``.  Each parity keeps the chain's order, (L1
-    distance, canonical index), which does not depend on either radius, so
-    two balls share every prefix that fits in both; each row keeps its
-    entries in the chain's order.  Returns, even parity first, the blocks
-    ``(C^T, C)`` (rows of one parity, columns of the other), the survival
-    weights ``sqrt(pi / pi_0)`` and ``ball[r]``, the number of sites of that
-    parity within distance ``r``.
+    ``A = [[0, C^T], [C, 0]]``.  ``pi`` sums each site's conductances in the
+    incidence order of ``Environment.pi_all`` and each entry is ``omega /
+    pi[row] * (sqrt(pi[row]) / sqrt(pi[col]))``, the bits of the jump matrix
+    and then the similarity, so the blocks are those of the killed chain on
+    the ball bit for bit.  Returns, even parity first, the blocks ``(C^T,
+    C)`` on the pattern's index arrays, the survival weights ``sqrt(pi /
+    pi_0)`` and the pattern's ``balls``.  The pattern costs about three
+    gathers to build (n = 240, R = 184, on two cores: 16-18 ms against 5-7
+    ms), so an exponent run builds it once for all its environments, and
+    keeps it no longer than the run, so every run pays the same cold build.
     """
-    chain = transition_matrix(env, box_radius, l1_radius=radius)
-    W, pi = chain.W, chain.pi
-    sq = np.sqrt(pi)
-    l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
-    sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
-    rank = np.empty(len(l1), dtype=W.indices.dtype)  # position among the sites of its parity
-    for rows in sides:
-        rank[rows] = np.arange(len(rows))
-    blocks, weights, balls = [], [], []
-    for rows, other in zip(sides, sides[::-1]):
-        count = np.diff(W.indptr)[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=W.indptr.dtype)
-        np.cumsum(count, out=indptr[1:])
-        take = np.arange(indptr[-1]) + np.repeat(W.indptr[rows] - indptr[:-1], count)
-        cols = W.indices[take]
-        row = np.repeat(rows, count)
-        data = W.data[take] / pi[row] * (sq[row] / sq[cols])  # the bits of P, then the similarity
-        blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
-        weights.append(sq[rows] / sq[0])
-        balls.append(np.searchsorted(l1[rows], np.arange(radius + 1), side="right"))
-    return blocks, weights, balls
+    omega = env.omega
+    pis = []
+    for site_bonds in pattern.site_bonds:
+        pi = np.zeros(site_bonds.shape[1])
+        for bonds in site_bonds:
+            pi += omega[bonds]
+        pis.append(pi)
+    sqs = [np.sqrt(pi) for pi in pis]
+    blocks = []
+    for parity in (0, 1):
+        pi, sq, indptr, indices = pis[parity], sqs[parity], pattern.indptr[parity], pattern.indices[parity]
+        count = np.diff(indptr)
+        pi_row, sq_row = np.repeat(pi, count), np.repeat(sq, count)
+        data = omega[pattern.entry_bonds[parity]] / pi_row * (sq_row / sqs[1 - parity][indices])
+        blocks.append(csr_matrix((data, indices, indptr), shape=(len(pi), len(pis[1 - parity]))))
+    return blocks, [sq / sqs[0][0] for sq in sqs], list(pattern.balls)
 
 
 def _row_prefix(M: csr_matrix, rows: int) -> csr_matrix:
@@ -344,7 +433,7 @@ def _quadrature(
     return p, surv.sum(axis=1)
 
 
-def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float):
+def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float, patterns: dict):
     """Gauss and Gauss-Radau brackets of ``p(t)``, the Krylov survival, and the step count.
 
     ``p(t) = e_0^T exp(-t(I - A)) e_0`` for the symmetrized jump matrix
@@ -366,7 +455,7 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     Step ``i`` multiplies ``u_i``, which lives on the even sites within L1
     distance ``2i - 2``, by ``C`` (the odd rows within ``2i - 1``) and the
     result by ``C^T`` (the even rows within ``2i``).  The operator is
-    assembled on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at ``m* +
+    read on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at ``m* +
     _BALL_MARGIN`` (below).  A run that would read past distance ``R``
     before it closes goes on with the same vectors on a ball that covers the
     next ``_BLOCK_RADII`` radii: the smaller ball's order is a prefix of the
@@ -378,6 +467,8 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     even sites' ``cosh`` part and the odd sites' ``sinh(t B^(1/2))
     B^(-1/2)`` part (``A e_0 = C e_0`` carries the odd powers), read from
     the Krylov space through ``w_even . u_i`` and ``w_odd . C u_i``.
+    Each ball's pattern is looked up in ``patterns`` by ``(d, N, n, R)``
+    and built there when missing (``_ball_pattern``).
 
     Stops when the relative bracket width and the change of the survival
     since the previous check are below ``tol`` at every grid point, or on
@@ -403,7 +494,14 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     reach = d * box_radius  # the L1 radius of B_n
     dim = ((2 * box_radius + 1) ** d + (-1) ** (box_radius * d)) // 2  # the even sites of B_n
     radius = min(reach, max(0, math.ceil(expected) + _BALL_MARGIN))
-    (CT, C), (w_even, w_odd), (even, odd) = _folded_operator(env, box_radius, radius)
+
+    def folded():
+        key = (d, env.geometry.N, box_radius, radius)
+        if key not in patterns:
+            patterns[key] = _ball_pattern(env.geometry, box_radius, radius)
+        return _folded_operator(env, patterns[key])
+
+    (CT, C), (w_even, w_odd), (even, odd) = folded()
     u_prev, u, z = np.zeros(CT.shape[0]), np.zeros(CT.shape[0]), np.zeros(C.shape[0])
     u[0] = 1.0
     diag, off, c_even, c_odd = [], [], [], []
@@ -412,7 +510,7 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     for i in range(1, max_steps + 1):
         if radius < min(2 * i, reach):  # step i reads the sites at distance 2i
             radius = min(reach, 2 * i + _BLOCK_RADII - 2)
-            (CT, C), (w_even, w_odd), (even, odd) = _folded_operator(env, box_radius, radius)
+            (CT, C), (w_even, w_odd), (even, odd) = folded()
             u_prev, u = (np.concatenate((v, np.zeros(CT.shape[0] - len(v)))) for v in (u_prev, u))
             z = np.concatenate((z, np.zeros(C.shape[0] - len(z))))
             block_ct, block_c = _row_prefix(CT, 0), _row_prefix(C, 0)
@@ -487,8 +585,9 @@ def return_prob_curve_exact(
     if not 0 < tol < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
-    n = env.geometry.N - 1 if box_radius is None else int(box_radius)
-    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol)
+    n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
+    shared = _SHARED_PATTERNS.get()
+    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, {} if shared is None else shared)
     return ReturnProbabilityCurve(
         t=t,
         p=p_lo,
@@ -520,7 +619,7 @@ def return_prob_mc(
     t = _time_grid(t_grid)
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    kill = env.geometry.N - 1 if box_radius is None else int(box_radius)
+    kill = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
     positive = t > 0
     origin = env.geometry.origin
     p = np.ones(len(t))  # p(0) = 1, with stderr 0

@@ -15,6 +15,7 @@ share read-only across workers.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -33,6 +34,17 @@ from .errors import (
 _ENV_MAGIC = b"RCMENV1"
 _ENV_HEADER = struct.Struct("<IIdQQ")  # d, N, gamma, seed, bond count
 _CONFIDENCE = 0.95  # two-sided level of every confidence interval the package reports
+
+
+def _integral_radius(value) -> int:
+    """A box radius as an ``int``, refusing what is not an integer (no truncation of 2.7, no parsing of "3").
+
+    NumPy integers pass; the range is the caller's to check.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"box radius must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
 from .heatkernel import _BREAKDOWN, _CHECK_EVERY, _FIRST_CHECK, UniformizationCache, _krylov_steps, _ritz
-from .lattice import Environment
+from .lattice import Environment, _integral_radius
 from .percolation import ClusterDecomposition
 from .walk import BoxChain, ensemble_walk, transition_matrix
 
@@ -90,9 +90,9 @@ class OperatorSpec:
     epsilon: float = 0.9
 
     def __post_init__(self):
-        if self.box_radius is None:
-            object.__setattr__(self, "box_radius", self.env.geometry.N - 1)
-        if not 0 <= self.box_radius <= self.env.geometry.N - 1:
+        n = self.env.geometry.N - 1 if self.box_radius is None else _integral_radius(self.box_radius)
+        object.__setattr__(self, "box_radius", n)
+        if not 0 <= n <= self.env.geometry.N - 1:
             raise ValidationError(f"operator box radius must lie in [0, {self.env.geometry.N - 1}]")
         if self.decomp is not None:
             self.decomp.check_env(self.env)
@@ -161,7 +161,7 @@ def prescribed_spec(
     """Operator spec at the killing rate prescribed by the gap bound."""
     if not math.isfinite(env.gamma):
         raise ValidationError("the prescribed rate needs a finite tail exponent")
-    n = env.geometry.N - 1 if box_radius is None else int(box_radius)
+    n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
     lam = prescribed_killing_rate(env.geometry.d, env.gamma, n, mu, decomp.threshold)
     return OperatorSpec(env=env, decomp=decomp, box_radius=n, lam=lam, mu=mu, b=b, epsilon=epsilon)
 

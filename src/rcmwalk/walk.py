@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import ValidationError
-from .lattice import BoxGeometry, Environment, _restrict
+from .lattice import BoxGeometry, Environment, _integral_radius, _restrict
 from .percolation import STRONG_LABEL, ClusterDecomposition
 
 
@@ -62,20 +62,19 @@ def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> Non
 
 @dataclass(frozen=True)
 class BoxChain:
-    """The walk restricted to ``B_n`` or to an L1 ball in it, as the conductances of its bonds.
+    """The walk restricted to ``B_n`` or to another domain, as the conductances of its bonds.
 
     ``W`` holds ``omega_xy`` for each bond between two sites of the domain, in
-    the domain's order (symmetric bit for bit on an environment's box or
-    ball); the jump matrix ``P = diag(pi)^-1 W`` and the symmetrized
-    operators are scalings of it.  ``killed=True`` rows use the full
+    the domain's order (symmetric bit for bit on an environment's box); the
+    jump matrix ``P = diag(pi)^-1 W`` and the symmetrized operators are
+    scalings of it.  ``killed=True`` rows use the full
     invariant measure, so the rows of ``P`` fall below 1 by ``exit``, the
     per-jump probability of leaving the domain (Dirichlet killing, exactly 0
     off its rim); ``killed=False`` is the free-boundary chain on the whole
     environment box (``exit`` identically 0).  On ``B_n`` the sites come in
-    canonical order, on the ball ``B_n ∩ {|x|_1 <= l1_radius}`` by (L1
-    distance, canonical index), the origin first; each row lists its entries
-    by ascending canonical site index.  ``env`` is the environment the chain
-    was restricted from, kept out of ``==`` and ``repr``.
+    canonical order; each row lists its entries by ascending canonical site
+    index.  ``env`` is the environment the chain was restricted from, kept
+    out of ``==`` and ``repr``.
     """
 
     W: csr_matrix
@@ -94,32 +93,25 @@ class BoxChain:
         return csr_matrix((W.data / np.repeat(self.pi, np.diff(W.indptr)), W.indices, W.indptr), shape=W.shape)
 
 
-def transition_matrix(
-    env: Environment, box_radius: int | None = None, killed: bool = True, l1_radius: int | None = None
-) -> BoxChain:
-    """The (killed or free) chain on ``B_n``, or the killed one on an L1 ball in it.
+def transition_matrix(env: Environment, box_radius: int | None = None, killed: bool = True) -> BoxChain:
+    """The killed or the free chain on ``B_n``.
 
     Killed chains need ``n <= N - 1`` so that every living site carries all
-    of its lattice bonds inside the stored environment.  With ``l1_radius``
-    the chain lives on ``B_n ∩ {|x|_1 <= l1_radius}`` and is killed on
-    leaving that set; its rows at L1 distance below ``l1_radius`` equal
-    those of the box chain, entry for entry.
+    of its lattice bonds inside the stored environment.
     """
     geom = env.geometry
     if killed:
-        n = geom.N - 1 if box_radius is None else int(box_radius)
+        n = geom.N - 1 if box_radius is None else _integral_radius(box_radius)
         if not 0 <= n <= geom.N - 1:
             raise ValidationError(
                 f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})"
             )
     else:
-        n = geom.N if box_radius is None else int(box_radius)
+        n = geom.N if box_radius is None else _integral_radius(box_radius)
         if n != geom.N:
             raise ValidationError("the free-boundary chain lives on the full environment box")
-        if l1_radius is not None:
-            raise ValidationError("the chain on an L1 ball is killed on leaving it")
 
-    sites = geom.sub_box_indices(n) if l1_radius is None else geom.l1_ball_indices(n, int(l1_radius))
+    sites = geom.sub_box_indices(n)
     (row, col, w), (rim_row, _, rim_w), pi = _restrict(env, sites)
     m = len(sites)
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -129,7 +121,7 @@ def transition_matrix(
         sites=sites,
         pi=pi,
         exit=np.bincount(rim_row, weights=rim_w, minlength=m) / pi,
-        origin=(m - 1) // 2 if l1_radius is None else 0,
+        origin=(m - 1) // 2,
         box_radius=n,
         killed=killed,
         env=env,

@@ -440,9 +440,9 @@ class TestBoundSuite:
         built, restricted = [], []
         assemble, restrict = spectral.transition_matrix, walk._restrict
 
-        def counting(env, box_radius=None, killed=True, l1_radius=None):
-            built.append((box_radius, l1_radius))
-            return assemble(env, box_radius, killed, l1_radius)
+        def counting(env, box_radius=None, killed=True):
+            built.append(box_radius)
+            return assemble(env, box_radius, killed)
 
         def counting_restrict(env, sites):
             restricted.append(len(sites))
@@ -450,13 +450,14 @@ class TestBoundSuite:
 
         monkeypatch.setattr(spectral, "transition_matrix", counting)
         monkeypatch.setattr(heatkernel, "transition_matrix", counting)
+        monkeypatch.setattr(heatkernel, "_ball_pattern", lambda geom, n, radius: built.append(("ball", n, radius)))
         for module in (walk, percolation):
             monkeypatch.setattr(module, "_restrict", counting_restrict)
         assert not hasattr(spectral, "_restrict")
         run_bound_suite(cfg, threads=1)
         # every chain is the whole box: the bound suite runs no ball-sized curve
         boxes = list(cfg.N_list) * cfg.n_environments
-        assert sorted(built) == sorted((n, None) for n in boxes)
+        assert sorted(built) == sorted(boxes)
         assert sorted(restricted) == sorted((2 * n + 1) ** cfg.d for n in boxes)
 
     def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from scipy.stats import poisson
 from rcmwalk import (
     BoxGeometry,
     NumericalError,
+    OperatorSpec,
     ReturnProbabilityCurve,
     UniformizationCache,
     ValidationError,
@@ -30,6 +32,7 @@ from rcmwalk import (
     poisson_truncation_k,
     poisson_weights,
     poissonization_lower_bound,
+    prescribed_spec,
     return_prob_curve_exact,
     return_prob_exact,
     return_prob_mc,
@@ -38,7 +41,7 @@ from rcmwalk import (
     threshold_for_density,
     transition_matrix,
 )
-from rcmwalk.experiments import load_config
+from rcmwalk.experiments import load_config, parse_config, run_exponent
 
 
 class TestPoissonMachinery:
@@ -241,9 +244,9 @@ class TestLanczosBracket:
         # past the L1 radius 2n of these boxes: the whole box, once
         built = _count_assemblies(monkeypatch)
         return_prob_curve_exact(small_env, default_time_grid(1.0, 30.0), box_radius=5)
-        assert built == [(5, True, 10, 11**2)]
+        assert built == [(5, 10, 11**2)]
         return_prob_exact(small_env, 3.0, box_radius=4)
-        assert built == [(5, True, 10, 11**2), (4, True, 8, 9**2)]
+        assert built == [(5, 10, 11**2), (4, 8, 9**2)]
 
     def test_step_count_on_the_benchmark_curve(self, monkeypatch):
         # work counts, not time: the first quenched_d2 environment at seed 301
@@ -258,7 +261,7 @@ class TestLanczosBracket:
         grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
         curve = return_prob_curve_exact(env, grid, box_radius=n)
         assert curve.steps <= 100
-        assert len(built) == 1 and built[0][3] < 0.35 * (2 * n + 1) ** 2
+        assert len(built) == 1 and built[0][2] < 0.35 * (2 * n + 1) ** 2
         assert "neighbor_table" not in env.geometry.__dict__
         assert "omega_by_direction" not in env.__dict__ and "pi_all" not in env.__dict__
 
@@ -279,14 +282,14 @@ class TestLanczosBracket:
         t = default_time_grid(t_max / 20.0, t_max, 6)
         built = []
         with mock.patch.object(heatkernel, "_BALL_MARGIN", margin), mock.patch.object(
-            heatkernel, "transition_matrix", _counting(built)
+            heatkernel, "_ball_pattern", _counting(built)
         ):
             curve = return_prob_curve_exact(env, t, box_radius=radius)
         oracle = _box_oracle(env, radius, t)
         for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
             assert np.array_equal(getattr(curve, name), ref), name
         # balls only grow, never past the box, and past the first only as far as the run needs
-        radii = [b[2] for b in built]
+        radii = [b[1] for b in built]
         assert radii == sorted(set(radii)) and radii[-1] <= d * radius
         assert len(radii) == 1 or radii[-1] <= 2 * curve.steps + heatkernel._BLOCK_RADII - 2
 
@@ -300,11 +303,11 @@ class TestLanczosBracket:
         t = default_time_grid(20.0, 400.0, 12)
         built = _count_assemblies(monkeypatch)
         curve = return_prob_curve_exact(env, t, box_radius=240)
-        assert curve.steps == 84 and [b[2] for b in built] == [184]
+        assert curve.steps == 84 and [b[1] for b in built] == [184]
         built.clear()
         monkeypatch.setattr(heatkernel, "_BALL_MARGIN", heatkernel._BALL_MARGIN - 24)
         grown = return_prob_curve_exact(env, t, box_radius=240)
-        assert [b[2] for b in built] == [160, 2 * 81 + heatkernel._BLOCK_RADII - 2]
+        assert [b[1] for b in built] == [160, 2 * 81 + heatkernel._BLOCK_RADII - 2]
         oracle = _box_oracle(env, 240, t)
         for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
             assert np.array_equal(getattr(curve, name), ref), name
@@ -315,7 +318,7 @@ class TestLanczosBracket:
         env = sample_environment(BoxGeometry(5, 7), 0.8, 3)
         built = _count_assemblies(monkeypatch)
         return_prob_curve_exact(env, default_time_grid(2.0, 16.0, 6), box_radius=6)
-        assert built == [(6, True, 30, 13**5)]
+        assert built == [(6, 30, 13**5)]
 
     def test_step_count_where_the_ball_fills_the_box(self, monkeypatch):
         # work counts, not time: the first environment of the d = 5 demo, where
@@ -329,7 +332,35 @@ class TestLanczosBracket:
         grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
         curve = return_prob_curve_exact(env, grid, box_radius=n)
         assert curve.steps <= 30
-        assert built == [(n, True, cfg.d * n, (2 * n + 1) ** cfg.d)]
+        assert built == [(n, cfg.d * n, (2 * n + 1) ** cfg.d)]
+
+    def test_one_pattern_per_ball_per_run_and_none_kept(self, tmp_path, monkeypatch):
+        # the curves of one exponent run share each ball's pattern, and the
+        # patterns go with the run; a direct curve builds its own and keeps none
+        cfg = parse_config(
+            "[grid]\nt_min = 1.0\nt_max = 30.0\n[ensemble]\nn_environments = 3\nmethod = exact\n"
+            f"[output]\ndirectory = {tmp_path}\n"
+        )
+        refs, gathered = [], []
+        built = _count_assemblies(monkeypatch, refs)
+        gather = heatkernel._folded_operator
+
+        def counting_gather(env, pattern):
+            gathered.append(env.seed)
+            return gather(env, pattern)
+
+        monkeypatch.setattr(heatkernel, "_folded_operator", counting_gather)
+        report = run_exponent(cfg, threads=1)
+        balls = [(box_radius, radius) for box_radius, radius, _ in built]  # every curve has the same (d, N)
+        assert len(report.curves) == 3 and len(set(gathered)) == 3
+        assert len(balls) == len(set(balls)) and len(balls) < len(gathered)
+        assert refs and all(ref() is None for ref in refs)
+        refs.clear()
+        n = report.box_radius
+        env = sample_environment(BoxGeometry(2, n + 1), 2.0, 5)
+        return_prob_curve_exact(env, default_time_grid(1.0, 30.0), box_radius=n)
+        assert len(refs) == 1 and refs[0]() is None
+        assert heatkernel._SHARED_PATTERNS.get() is None
 
     def test_heavy_tail_width_is_not_a_rounding_floor(self):
         # environment 41 of demos/annealed_small_gamma.cfg (gamma = 0.4, n = 379,
@@ -344,21 +375,26 @@ class TestLanczosBracket:
         assert np.max((curve.p_hi - curve.p_lo) / curve.p_lo) <= 1.5e-14
 
 
-def _counting(built: list):
-    """``transition_matrix`` recording ``(box_radius, killed, l1_radius, sites)`` of each chain in ``built``."""
-    assemble = heatkernel.transition_matrix
+def _counting(built: list, patterns: list | None = None):
+    """``_ball_pattern`` recording ``(box_radius, radius, sites)`` of each pattern in ``built``.
 
-    def counting(env, box_radius=None, killed=True, l1_radius=None):
-        chain = assemble(env, box_radius, killed, l1_radius)
-        built.append((box_radius, killed, l1_radius, len(chain.sites)))
-        return chain
+    ``patterns`` also gets a weak reference to each pattern.
+    """
+    build = heatkernel._ball_pattern
+
+    def counting(geom, box_radius, radius):
+        pattern = build(geom, box_radius, radius)
+        built.append((box_radius, radius, sum(bonds.shape[1] for bonds in pattern.site_bonds)))
+        if patterns is not None:
+            patterns.append(weakref.ref(pattern))
+        return pattern
 
     return counting
 
 
-def _count_assemblies(monkeypatch) -> list:
+def _count_assemblies(monkeypatch, patterns: list | None = None) -> list:
     built = []
-    monkeypatch.setattr(heatkernel, "transition_matrix", _counting(built))
+    monkeypatch.setattr(heatkernel, "_ball_pattern", _counting(built, patterns))
     return built
 
 
@@ -721,3 +757,43 @@ class TestGridHelpers:
     def test_box_radius_rejects_non_finite_input(self, t_max, c):
         with pytest.raises(ValidationError):
             box_radius_for_horizon(t_max, c)
+
+
+
+# 6 is the radius N of the environment below, one past the largest killed box
+_NON_RADII = [2.7, "3", math.nan, math.inf, -1, 6]
+_RADIUS_ENTRY_POINTS = {
+    "transition_matrix": lambda env, decomp, r: transition_matrix(env, r),
+    "UniformizationCache": lambda env, decomp, r: UniformizationCache(env, box_radius=r),
+    "clt_lower_bound_check": lambda env, decomp, r: clt_lower_bound_check(env, decomp, 4.0, box_radius=r),
+    "ball_pattern": lambda env, decomp, r: heatkernel._ball_pattern(env.geometry, r, 4),
+    "return_prob_curve_exact": lambda env, decomp, r: return_prob_curve_exact(env, [1.0, 2.0], box_radius=r),
+    "return_prob_mc": lambda env, decomp, r: return_prob_mc(env, [1.0], 10, np.random.default_rng(0), box_radius=r),
+    "prescribed_spec": lambda env, decomp, r: prescribed_spec(env, decomp, box_radius=r),
+    "OperatorSpec": lambda env, decomp, r: OperatorSpec(env, decomp, box_radius=r, lam=1.0),
+}
+
+
+class TestBoxRadius:
+    @pytest.fixture(scope="class")
+    def case(self):
+        env = sample_environment(BoxGeometry(2, 6), 2.0, 1)
+        decomp = strong_cluster(env, threshold_for_density(2.0, 0.95))
+        assert decomp.in_cluster[env.geometry.origin]  # else the CLT check refuses for another reason
+        return env, decomp
+
+    @pytest.mark.parametrize("entry", list(_RADIUS_ENTRY_POINTS))
+    @pytest.mark.parametrize("radius", _NON_RADII, ids=["fractional", "string", "nan", "inf", "negative", "N"])
+    def test_refused_not_truncated(self, case, entry, radius):
+        # a fractional radius used to run on its integer part (a curve with N = 2
+        # from 2.7), "3" read as 3, and inf and nan raised bare Python errors
+        with pytest.raises(ValidationError):
+            _RADIUS_ENTRY_POINTS[entry](*case, radius)
+
+    def test_numpy_integers_accepted(self, case):
+        env, decomp = case
+        curve = return_prob_curve_exact(env, [1.0, 2.0], box_radius=np.int64(3))
+        assert curve.N == 3 and type(curve.N) is int
+        spec = OperatorSpec(env, decomp, box_radius=np.int32(3), lam=1.0)
+        assert spec.box_radius == 3 and type(spec.box_radius) is int
+        assert transition_matrix(env, np.uint8(3)).box_radius == 3

@@ -13,10 +13,12 @@ from rcmwalk import (
     STRONG_LABEL,
     TrajectoryRecord,
     ValidationError,
+    default_time_grid,
     effective_conductance_matrix,
     effective_conductances,
     ensemble_walk,
     next_point_frequencies,
+    return_prob_curve_exact,
     sample_environment,
     simulate_ctmc,
     step_distribution,
@@ -25,7 +27,8 @@ from rcmwalk import (
     time_changed_trajectory,
     transition_matrix,
 )
-from rcmwalk.heatkernel import _folded_operator
+from rcmwalk import heatkernel
+from rcmwalk.heatkernel import _ball_pattern, _folded_operator
 from rcmwalk.lattice import _restrict
 
 
@@ -228,37 +231,79 @@ class TestChainProperties:
         env, chain = case
         n = chain.box_radius
         radius = data.draw(st.integers(0, env.geometry.d * n + 2))
-        blocks, weights, balls = _folded_operator(env, n, radius)
-        ref_blocks, ref_weights, ref_balls = _folded_blocks_from_p(env, n, radius)
-        for block, ref in zip(blocks, ref_blocks):
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(block, attr), getattr(ref, attr))
-        for got, ref in zip(weights + balls, ref_weights + ref_balls):
-            assert np.array_equal(got, ref)
+        got = _folded_operator(env, _ball_pattern(env.geometry, n, radius))
+        _assert_same_blocks(got, _folded_blocks_from_p(env, n, radius))
 
 
 def _folded_blocks_from_p(env, box_radius, radius):
-    """Reference parity blocks of ``D^(1/2) P D^(-1/2)``, read off the ball chain's jump matrix."""
-    chain = transition_matrix(env, box_radius, l1_radius=radius)
+    """Reference parity blocks of ``D^(1/2) P D^(-1/2)`` on the ball, cut from the full-box chain.
+
+    The ball's sites in (L1 distance, canonical index) order, split by
+    parity; each row keeps the box row's entries to sites of the ball, in
+    the box row's order.
+    """
+    chain = transition_matrix(env, box_radius)
     P = chain.P
     sq = np.sqrt(chain.pi)
     l1 = np.abs(env.geometry.site_coords(chain.sites)).sum(axis=1)
-    sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
-    rank = np.empty(len(l1), dtype=P.indices.dtype)
+    order = np.argsort(l1, kind="stable")  # the box's sites come in canonical order
+    order = order[l1[order] <= radius]
+    sides = [order[l1[order] % 2 == parity] for parity in (0, 1)]
+    rank = np.full(len(l1), -1)  # position among the ball's sites of its parity
     for rows in sides:
         rank[rows] = np.arange(len(rows))
     blocks, weights, balls = [], [], []
     for rows, other in zip(sides, sides[::-1]):
         count = np.diff(P.indptr)[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=P.indptr.dtype)
-        np.cumsum(count, out=indptr[1:])
-        take = np.arange(indptr[-1]) + np.repeat(P.indptr[rows] - indptr[:-1], count)
+        take = np.arange(count.sum()) + np.repeat(P.indptr[rows] - (np.cumsum(count) - count), count)
+        local = np.repeat(np.arange(len(rows)), count)
+        keep = rank[P.indices[take]] >= 0
+        take, local = take[keep], local[keep]
         cols = P.indices[take]
-        data = P.data[take] * (np.repeat(sq[rows], count) / sq[cols])
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(local, minlength=len(rows)), out=indptr[1:])
+        data = P.data[take] * (sq[rows[local]] / sq[cols])
         blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
-        weights.append(sq[rows] / sq[0])
+        weights.append(sq[rows] / sq[order[0]])
         balls.append(np.searchsorted(l1[rows], np.arange(radius + 1), side="right"))
     return blocks, weights, balls
+
+
+def _assert_same_blocks(got, ref):
+    """Blocks, weights and balls equal bit for bit, index dtypes included."""
+    (blocks, weights, balls), (ref_blocks, ref_weights, ref_balls) = got, ref
+    for block, expected in zip(blocks, ref_blocks):
+        assert block.shape == expected.shape
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(block, attr), getattr(expected, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    for a, b in zip(weights + balls, ref_weights + ref_balls):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestFoldedGather:
+    @pytest.mark.parametrize("d, N, n", [(2, 7, 6), (3, 5, 4), (5, 3, 2)])
+    def test_gather_equals_the_full_box_restriction(self, d, N, n, monkeypatch):
+        # a ball inside the box, one filling it (R >= d n), and the balls of a
+        # run that grows its ball in place, each against the full box cut to it
+        env = sample_environment(BoxGeometry(d, N), 1.0, 17 + d)
+        for radius in (d * n // 2, d * n + 2):
+            _assert_same_blocks(
+                _folded_operator(env, _ball_pattern(env.geometry, n, radius)), _folded_blocks_from_p(env, n, radius)
+            )
+        gathered, gather = [], heatkernel._folded_operator
+
+        def recording(env, pattern):
+            blocks = gather(env, pattern)
+            gathered.append((len(pattern.balls[0]) - 1, blocks))
+            return blocks
+
+        monkeypatch.setattr(heatkernel, "_folded_operator", recording)
+        monkeypatch.setattr(heatkernel, "_BALL_MARGIN", -200)  # the first ball is the origin alone
+        return_prob_curve_exact(env, default_time_grid(1.0, 10.0, 6), box_radius=n)
+        assert [radius for radius, _ in gathered][:2] == [0, min(d * n, heatkernel._BLOCK_RADII)]
+        for radius, blocks in gathered:
+            _assert_same_blocks(blocks, _folded_blocks_from_p(env, n, radius))
 
 
 class TestBallChain:
@@ -271,39 +316,33 @@ class TestBallChain:
         data=st.data(),
     )
     def test_box_chain_cut_to_the_ball(self, d, N, gamma, seed, data):
-        # inside the ball the rows are the box chain's, entry for entry; on its
-        # rim the bonds that leave it turn into exit probability
+        # inside the ball the rows of the folded blocks are the box chain's,
+        # entry for entry; on its rim the bonds that leave it are dropped
         N = N if d == 2 else 1 + N // 2
         env = sample_environment(BoxGeometry(d, N), gamma, seed)
         n = data.draw(st.integers(0, N - 1))
         radius = data.draw(st.integers(0, d * n + 2))
-        box, ball = transition_matrix(env, n), transition_matrix(env, n, l1_radius=radius)
+        box = transition_matrix(env, n)
+        (CT, C), weights, balls = _folded_operator(env, _ball_pattern(env.geometry, n, radius))
         geom = env.geometry
         box_l1 = np.abs(geom.site_coords(box.sites)).sum(axis=1)
-        by_distance = box.sites[np.lexsort((box.sites, box_l1))]
-        assert np.array_equal(ball.sites, by_distance[: np.count_nonzero(box_l1 <= radius)])
-        coords = geom.site_coords(ball.sites)
-        l1 = np.abs(coords).sum(axis=1)
-        assert ball.origin == 0 and ball.sites[0] == geom.origin
-        at = np.searchsorted(box.sites, ball.sites)
-        assert np.array_equal(ball.pi, box.pi[at])
-        for i, k in enumerate(at):
-            box_row = slice(box.P.indptr[k], box.P.indptr[k + 1])
-            ball_row = slice(ball.P.indptr[i], ball.P.indptr[i + 1])
-            keep = np.isin(box.sites[box.P.indices[box_row]], ball.sites)
-            assert np.array_equal(ball.sites[ball.P.indices[ball_row]], box.sites[box.P.indices[box_row]][keep])
-            assert np.array_equal(ball.P.data[ball_row], box.P.data[box_row][keep])
-            assert keep.all() or l1[i] == radius
-        rows = np.asarray(ball.P.sum(axis=1)).ravel() + ball.exit
-        assert np.all(np.abs(rows - 1.0) <= 4 * np.finfo(float).eps)
-        rim = (np.abs(coords).max(axis=1) == n) | (l1 == radius)
-        assert np.all(ball.exit[~rim] == 0.0) and np.all(ball.exit[rim] > 0.0)
-
-    def test_validation(self, small_env):
-        with pytest.raises(ValidationError, match="killed"):
-            transition_matrix(small_env, killed=False, l1_radius=3)
-        with pytest.raises(ValidationError, match="L1 radius"):
-            transition_matrix(small_env, 4, l1_radius=-1)
+        ball = box.sites[np.lexsort((box.sites, box_l1))][: np.count_nonzero(box_l1 <= radius)]
+        l1 = np.abs(geom.site_coords(ball)).sum(axis=1)
+        sides = [ball[l1 % 2 == parity] for parity in (0, 1)]
+        assert sides[0][0] == geom.origin
+        assert [len(b) for b in balls] == [radius + 1] * 2 and [b[-1] for b in balls] == [len(s) for s in sides]
+        sq = np.sqrt(box.pi)
+        for block, rows, cols, weight in ((CT, sides[0], sides[1], weights[0]), (C, sides[1], sides[0], weights[1])):
+            at = np.searchsorted(box.sites, rows)
+            assert np.array_equal(weight, sq[at] / sq[box.origin])
+            for i, k in enumerate(at):
+                box_row = slice(box.P.indptr[k], box.P.indptr[k + 1])
+                neighbors = box.P.indices[box_row]
+                keep = np.isin(box.sites[neighbors], ball)
+                row = slice(block.indptr[i], block.indptr[i + 1])
+                assert np.array_equal(cols[block.indices[row]], box.sites[neighbors][keep])
+                assert np.array_equal(block.data[row], (box.P.data[box_row] * (sq[k] / sq[neighbors]))[keep])
+                assert keep.all() or np.abs(geom.site_coords(rows[i])).sum() == radius
 
 
 class TestSimulateCtmc:
