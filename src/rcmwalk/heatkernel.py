@@ -25,7 +25,10 @@ share the box and the radii, so the run builds each pattern once
 (``_sharing_patterns``) and drops it when it returns; a pattern that
 outlived the run would make a later run in the same process cheaper than a
 fresh one.  A curve computed on its own builds its patterns and drops them
-on return.
+on return, except a ball that is all of ``B_n``: that one it cuts from the
+killed box chain of ``walk.transition_matrix`` (``_box_operator``), the
+assembly that perfbench's operator counters trace, at about three times
+the cost of a whole-box pattern used once.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -375,6 +378,38 @@ def _folded_operator(env: Environment, pattern: _BallPattern):
     return blocks, [sq / sqs[0][0] for sq in sqs], list(pattern.balls)
 
 
+def _box_operator(chain: BoxChain):
+    """``_folded_operator``'s blocks, weights and balls on all of ``B_n``, cut from the killed box chain.
+
+    A ball of L1 radius ``d n`` is the whole box, and its killed chain is
+    ``transition_matrix(env, n)``: its ``W`` and ``pi`` carry the bits the
+    gather reads, its rows list their entries by ascending canonical
+    neighbor index, and a stable sort of its canonical sites by L1 distance
+    gives the ball's order, so the result equals the gather bit for bit.
+    """
+    W, pi, geom = chain.W, chain.pi, chain.env.geometry
+    l1 = np.abs(geom.site_coords(chain.sites)).sum(axis=1)
+    order = np.argsort(l1, kind="stable")
+    sides = [order[l1[order] % 2 == parity] for parity in (0, 1)]
+    sq = np.sqrt(pi)
+    rank = np.empty(len(l1), dtype=W.indices.dtype)  # position among the sites of its parity
+    for rows in sides:
+        rank[rows] = np.arange(len(rows))
+    blocks, weights, balls = [], [], []
+    for rows, other in zip(sides, sides[::-1]):
+        count = np.diff(W.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=W.indptr.dtype)
+        np.cumsum(count, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(W.indptr[rows] - indptr[:-1], count)
+        cols = W.indices[take]
+        row = np.repeat(rows, count)
+        data = W.data[take] / pi[row] * (sq[row] / sq[cols])  # the bits of P, then the similarity
+        blocks.append(csr_matrix((data, rank[cols], indptr), shape=(len(rows), len(other))))
+        weights.append(sq[rows] / sq[chain.origin])
+        balls.append(np.searchsorted(l1[rows], np.arange(geom.d * chain.box_radius + 1), side="right"))
+    return blocks, weights, balls
+
+
 def _row_prefix(M: csr_matrix, rows: int) -> csr_matrix:
     """The first ``rows`` rows of ``M`` on views of its arrays."""
     end = M.indptr[rows]
@@ -433,7 +468,7 @@ def _quadrature(
     return p, surv.sum(axis=1)
 
 
-def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float, patterns: dict):
+def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: float, patterns: dict | None):
     """Gauss and Gauss-Radau brackets of ``p(t)``, the Krylov survival, and the step count.
 
     ``p(t) = e_0^T exp(-t(I - A)) e_0`` for the symmetrized jump matrix
@@ -468,7 +503,10 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     B^(-1/2)`` part (``A e_0 = C e_0`` carries the odd powers), read from
     the Krylov space through ``w_even . u_i`` and ``w_odd . C u_i``.
     Each ball's pattern is looked up in ``patterns`` by ``(d, N, n, R)``
-    and built there when missing (``_ball_pattern``).
+    and built there when missing (``_ball_pattern``).  ``patterns=None``
+    marks a curve computed on its own: its patterns live in the call, and a
+    ball that is all of ``B_n`` is cut from the killed box chain instead
+    (``_box_operator``), once, since the ball grows no further.
 
     Stops when the relative bracket width and the change of the survival
     since the previous check are below ``tol`` at every grid point, or on
@@ -494,8 +532,12 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     reach = d * box_radius  # the L1 radius of B_n
     dim = ((2 * box_radius + 1) ** d + (-1) ** (box_radius * d)) // 2  # the even sites of B_n
     radius = min(reach, max(0, math.ceil(expected) + _BALL_MARGIN))
+    alone = patterns is None
+    patterns = {} if alone else patterns
 
     def folded():
+        if alone and radius == reach:
+            return _box_operator(transition_matrix(env, box_radius))
         key = (d, env.geometry.N, box_radius, radius)
         if key not in patterns:
             patterns[key] = _ball_pattern(env.geometry, box_radius, radius)
@@ -586,8 +628,7 @@ def return_prob_curve_exact(
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
     n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
-    shared = _SHARED_PATTERNS.get()
-    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, {} if shared is None else shared)
+    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, _SHARED_PATTERNS.get())
     return ReturnProbabilityCurve(
         t=t,
         p=p_lo,

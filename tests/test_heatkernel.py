@@ -283,7 +283,7 @@ class TestLanczosBracket:
         built = []
         with mock.patch.object(heatkernel, "_BALL_MARGIN", margin), mock.patch.object(
             heatkernel, "_ball_pattern", _counting(built)
-        ):
+        ), mock.patch.object(heatkernel, "transition_matrix", _counting_box_chains(built)):
             curve = return_prob_curve_exact(env, t, box_radius=radius)
         oracle = _box_oracle(env, radius, t)
         for name, ref in zip(("p_lo", "p_hi", "survival", "steps"), oracle):
@@ -319,6 +319,23 @@ class TestLanczosBracket:
         built = _count_assemblies(monkeypatch)
         return_prob_curve_exact(env, default_time_grid(2.0, 16.0, 6), box_radius=6)
         assert built == [(6, 30, 13**5)]
+
+    def test_lone_whole_box_curve_reads_the_killed_box_chain(self, monkeypatch):
+        # on its own, a curve whose ball is all of B_n cuts it from one
+        # transition_matrix chain; in a run the same ball is a shared pattern
+        env = sample_environment(BoxGeometry(2, 9), 2.0, 11)
+        grid = default_time_grid(1.0, 30.0, 6)
+        patterns, chains = [], []
+        monkeypatch.setattr(heatkernel, "_ball_pattern", _counting(patterns))
+        monkeypatch.setattr(heatkernel, "transition_matrix", _counting_box_chains(chains))
+        alone = return_prob_curve_exact(env, grid, box_radius=8)
+        assert chains == [(8, 16, 17**2)] and patterns == []
+        shared = {}
+        with heatkernel._sharing_patterns(shared):
+            in_run = return_prob_curve_exact(env, grid, box_radius=8)
+        assert chains == [(8, 16, 17**2)] and patterns == [(8, 16, 17**2)] and list(shared) == [(2, 9, 8, 16)]
+        for name in ("p_lo", "p_hi", "survival", "steps"):
+            assert np.array_equal(getattr(alone, name), getattr(in_run, name)), name
 
     def test_step_count_where_the_ball_fills_the_box(self, monkeypatch):
         # work counts, not time: the first environment of the d = 5 demo, where
@@ -392,9 +409,26 @@ def _counting(built: list, patterns: list | None = None):
     return counting
 
 
+def _counting_box_chains(built: list):
+    """``transition_matrix`` recording each killed box chain as ``(box_radius, d box_radius, sites)``.
+
+    The record of a pattern of the same ball, the whole box.
+    """
+    assemble = heatkernel.transition_matrix
+
+    def counting(env, box_radius=None, killed=True):
+        chain = assemble(env, box_radius, killed)
+        built.append((chain.box_radius, env.geometry.d * chain.box_radius, len(chain.sites)))
+        return chain
+
+    return counting
+
+
 def _count_assemblies(monkeypatch, patterns: list | None = None) -> list:
+    """Every operator the curves read: a ball's pattern, or the box chain of a lone curve's whole-box ball."""
     built = []
     monkeypatch.setattr(heatkernel, "_ball_pattern", _counting(built, patterns))
+    monkeypatch.setattr(heatkernel, "transition_matrix", _counting_box_chains(built))
     return built
 
 

@@ -291,19 +291,33 @@ class TestFoldedGather:
             _assert_same_blocks(
                 _folded_operator(env, _ball_pattern(env.geometry, n, radius)), _folded_blocks_from_p(env, n, radius)
             )
-        gathered, gather = [], heatkernel._folded_operator
+        gathered, gather, cut = [], heatkernel._folded_operator, heatkernel._box_operator
 
         def recording(env, pattern):
             blocks = gather(env, pattern)
             gathered.append((len(pattern.balls[0]) - 1, blocks))
             return blocks
 
+        def recording_cut(chain):  # a lone curve's whole-box ball
+            blocks = cut(chain)
+            gathered.append((d * chain.box_radius, blocks))
+            return blocks
+
         monkeypatch.setattr(heatkernel, "_folded_operator", recording)
+        monkeypatch.setattr(heatkernel, "_box_operator", recording_cut)
         monkeypatch.setattr(heatkernel, "_BALL_MARGIN", -200)  # the first ball is the origin alone
         return_prob_curve_exact(env, default_time_grid(1.0, 10.0, 6), box_radius=n)
         assert [radius for radius, _ in gathered][:2] == [0, min(d * n, heatkernel._BLOCK_RADII)]
         for radius, blocks in gathered:
             _assert_same_blocks(blocks, _folded_blocks_from_p(env, n, radius))
+
+
+    @pytest.mark.parametrize("d, N, n", [(2, 7, 6), (2, 7, 0), (3, 5, 4), (5, 3, 2)])
+    def test_box_cut_equals_the_whole_box_gather(self, d, N, n):
+        env = sample_environment(BoxGeometry(d, N), 1.0, 23 + d)
+        cut = heatkernel._box_operator(transition_matrix(env, n))
+        _assert_same_blocks(cut, _folded_operator(env, _ball_pattern(env.geometry, n, d * n)))
+        _assert_same_blocks(cut, _folded_blocks_from_p(env, n, d * n))
 
 
 class TestBallChain:
