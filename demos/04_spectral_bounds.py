@@ -2,7 +2,7 @@
 
 Shows the principal eigenvalue of the killed operator (against the closed
 form on the all-ones box and against the N^(-(d/gamma+mu))/(8d) floor at
-the prescribed killing rate, with the inertia certificate of the floor),
+the prescribed killing rate, with the route that certified the floor),
 evaluates the penalized survival value four
 ways, and runs the survival and exit-time envelope checks.
 """
@@ -42,7 +42,7 @@ pspec = prescribed_spec(env, dec, 32, mu=0.1)
 cert = lambda1_floor_check(pspec)
 print(f"random env N=32 at the prescribed rate {pspec.lam:.4f}: "
       f"Lambda1 = {lambda1(pspec).Lambda1:.5f} >= m(N) = {cert.m_N:.5f}  -> {cert.passed}")
-print(f"  certified by {cert.method}: {cert.neg_pivots} negative pivots in S - m(N) I, "
+print(f"  certified on the {cert.method} route: {cert.neg_pivots} eigenvalues below m(N), "
       f"{cert.iterations} shift-invert solves")
 
 # --- penalized survival value, four ways -------------------------------------

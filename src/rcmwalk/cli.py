@@ -310,6 +310,7 @@ def _cmd_report(args) -> int:
                     "config_hash=",
                     "master_seed=",
                     "pass_rate_",
+                    "floor_inertia_fallbacks=",
                     "floor_eigsh_fallbacks=",
                     "survival_lanczos_steps=",
                     "lanczos_steps=",

@@ -558,7 +558,8 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
 
     spectral_rows = []
     survival_rows = []
-    fallbacks = survival_steps = 0
+    routes = []
+    survival_steps = 0
     n_exit = min(cfg.N_list)
     for n in cfg.N_list:
         spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
@@ -566,7 +567,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         spectral_rows.append(
             (gamma, d, n, xi, spec.lam, cert.m_N, cert.passed, cert.neg_pivots, cert.iterations)
         )
-        fallbacks += cert.method == "eigsh"
+        routes.append(cert.method)
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
         survival_steps += sb.steps
@@ -577,7 +578,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
         for j in range(len(tail.t))
     ]
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), fallbacks, survival_steps
+    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival_steps
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -597,7 +598,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     survival_rows = [row for r in results for row in r[2]]
     exit_rows = [row for r in results for row in r[3]]
     exit_ok = [r[4] for r in results]
-    fallbacks = sum(r[5] for r in results)
+    routes = [method for r in results for method in r[5]]
     survival_steps = sum(r[6] for r in results)
 
     files = []
@@ -641,7 +642,8 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
         elapsed,
         extra={
             **{f"pass_rate_{k}": str(v) for k, v in pass_rates.items()},
-            "floor_eigsh_fallbacks": str(fallbacks),
+            "floor_inertia_fallbacks": str(sum(method != "barta" for method in routes)),
+            "floor_eigsh_fallbacks": str(routes.count("eigsh")),
             "survival_lanczos_steps": str(survival_steps),
         },
     )

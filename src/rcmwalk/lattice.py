@@ -36,15 +36,16 @@ _ENV_HEADER = struct.Struct("<IIdQQ")  # d, N, gamma, seed, bond count
 _CONFIDENCE = 0.95  # two-sided level of every confidence interval the package reports
 
 
-def _integral_radius(value) -> int:
-    """A box radius as an ``int``, refusing what is not an integer (no truncation of 2.7, no parsing of "3").
+def _integral_radius(value, what: str = "box radius") -> int:
+    """A box radius (or the ``what`` named) as an ``int``, refusing what is not an integer.
 
-    NumPy integers pass; the range is the caller's to check.
+    No truncation of 2.7, no parsing of "3"; NumPy integers pass.  The range
+    is the caller's to check.
     """
     try:
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"box radius must be an integer, got {value!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class BoxGeometry:
     N: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integral_radius(self.d, "dimension"))
+        object.__setattr__(self, "N", _integral_radius(self.N))
         if self.d < 2:
             raise ValidationError(f"dimension must be >= 2, got {self.d}")
         if self.N < 0:

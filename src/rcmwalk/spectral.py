@@ -8,15 +8,20 @@ cluster.  All eigensolves run on the symmetrized matrix
 matrix ``W``, so symmetry is exact; ``P_N`` and the Dirichlet form read the
 same ``W``.
 
-The spectral-gap floor ``Lambda1 >= m(N)`` is certified without an
-eigensolve: one symmetric LDL^T factorization of ``S - m(N) I`` with no
+The spectral-gap floor ``Lambda1 >= m(N)`` is certified on the first of
+three routes that settles it.  First a positive test vector: ``S`` has
+nonpositive off-diagonal entries, so ``lambda_min(S) >= min_x (S v)_x / v_x``
+for any ``v > 0`` (Collatz 1942, Wielandt 1950; Barta's inequality in the
+continuum), and ``v = sqrt(pi)`` on the strong cluster, completed by one
+sparse solve on the holes, proves the floor with a few sparse products.
+Failing that, one symmetric LDL^T factorization of ``S - m(N) I`` with no
 pivots below zero proves it, by Sylvester's law of inertia (the factor's
 pivots and the eigenvalues of ``S - m(N) I`` have the same signs).  Any
 other outcome of the factorization is settled by the principal eigenvalue,
 so a failing verdict always rests on an eigensolve.
 
 The value ``E[exp(-lam A(t)); t < tau]`` comes from one Lanczos run on the
-symmetrized matrix, the one the floor check factors
+symmetrized matrix, the one the floor check reads
 (``feynman_kac_lanczos``: about ``sqrt((2 + lam) t)`` products where the
 Poisson series takes ``(1 + lam) t``).  Its oracles are the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
@@ -462,7 +467,7 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
     """Check ``e^{lam t^eps} E[e^{-lam A}; t<tau] <= (2^{d+2} d)^{1/2} N^{d/2} e^{-t m(N)/2}``.
 
     The left side comes from one Lanczos run on the spec's symmetrized
-    operator (``feynman_kac_lanczos``), the matrix the floor check factors;
+    operator (``feynman_kac_lanczos``), the matrix the floor check reads;
     both sides are compared in log form since the horizon makes the raw
     values underflow.  ``t`` defaults to the coupled horizon and must be
     positive and finite.
@@ -575,15 +580,53 @@ def negative_pivots(S, shift: float) -> int | None:
     return int(np.count_nonzero(pivots < 0))
 
 
+def _test_vector_floor(spec: OperatorSpec, shift: float) -> bool:
+    """Whether a positive test vector proves that every eigenvalue of ``S`` exceeds ``shift``.
+
+    ``S`` is the spec's symmetrized operator, whose off-diagonal entries are
+    nonpositive, so ``lambda_min(S) >= min_x (S v)_x / v_x`` for every
+    ``v > 0`` (Collatz-Wielandt).  ``v = sqrt(pi)`` on the strong cluster,
+    where ``(S v)_x / v_x = lam + exit_x >= lam`` away from the holes; on
+    the hole sites (``phi_box == 0``) ``v`` solves
+    ``(S_HH - 2 shift I) v_H = -S_HC v_C``, so there ``(S v)_x = 2 shift v_x``.
+    No solve runs on a box without hole sites.  The proof holds when
+    ``v > 0`` and ``(S - shift I) v`` exceeds, on every row, the rounding
+    bound of its ``2d + 2`` products and sums,
+    ``(2d + 3) eps (|S| v + |shift| v)`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1).  A singular hole block, a
+    nonpositive entry of ``v`` or a row at or below the bound declines.
+    """
+    S, sqrt_pi = spec.symmetrized
+    v = sqrt_pi.copy()
+    hole = np.flatnonzero(spec.phi_box == 0)
+    if hole.size:
+        rows = S.T[hole]  # CSR view; S == S.T
+        v_cluster = v.copy()
+        v_cluster[hole] = 0.0
+        block = (rows[:, hole] - 2.0 * shift * identity(hole.size)).tocsc()
+        try:
+            v[hole] = splu(block).solve(-(rows @ v_cluster))
+        except RuntimeError:  # exactly singular hole block
+            return False
+        if not np.all(v[hole] > 0):  # also refuses nan
+            return False
+    bound = (2 * spec.env.geometry.d + 3) * np.finfo(float).eps * (abs(S) @ v + abs(shift) * v)
+    return bool(np.all(S @ v - shift * v > bound))
+
+
 @dataclass(frozen=True)
 class FloorCertificate:
     """Verdict on ``Lambda1 >= m_N`` and how it was reached.
 
-    ``method`` is ``"inertia"`` when the factorization of ``S - m_N I`` had
-    no negative pivot, and ``"eigsh"`` when the verdict came from
-    ``lambda1``.  ``neg_pivots`` is the factorization's negative-pivot count,
-    ``-1`` when it gave no valid inertia; ``iterations`` counts the
-    shift-invert solves of the eigensolve (0 on the inertia route).
+    ``method`` names the route that settled it: ``"barta"`` when a positive
+    test vector proved the floor (``_test_vector_floor``), ``"inertia"``
+    when the factorization of ``S - m_N I`` had no negative pivot, and
+    ``"eigsh"`` when the verdict came from ``lambda1``.  ``neg_pivots``
+    counts the eigenvalues below ``m_N``: 0 on the first two routes (proven
+    by the test vector, or read off the pivots), the factorization's
+    negative-pivot count on the eigsh route, ``-1`` there when it gave no
+    valid inertia.  ``iterations`` counts the shift-invert solves of the
+    eigensolve (0 on the first two routes).
     """
 
     m_N: float
@@ -598,14 +641,24 @@ def lambda1_floor_check(
 ) -> FloorCertificate:
     """Certify the floor ``Lambda1 >= m(N)`` at the spec's box radius and ``mu``.
 
-    Factors ``S - m(N) I`` once, with ``S`` the spec's symmetrized
-    operator: zero negative pivots prove the floor without an eigensolve.
-    A negative pivot, or a factorization that is not a valid LDL^T (see
-    ``negative_pivots``), falls back to ``lambda1(spec, tol)``, or to the
-    caller's ``principal`` report of it, and the verdict is then
-    ``Lambda1 >= m(N)``.  The floor holds at the rate of ``prescribed_spec``.
+    Three routes, each tried only when the one before declines, with ``S``
+    the spec's symmetrized operator:
+
+    1. ``"barta"``: a positive test vector proves every eigenvalue of ``S``
+       above ``m(N)`` with a few sparse products (``_test_vector_floor``);
+    2. ``"inertia"``: one factorization of ``S - m(N) I`` with zero
+       negative pivots proves the floor without an eigensolve;
+    3. ``"eigsh"``: a negative pivot, or a factorization that is not a valid
+       LDL^T (see ``negative_pivots``), falls back to ``lambda1(spec, tol)``,
+       or to the caller's ``principal`` report of it, and the verdict is
+       then ``Lambda1 >= m(N)``.
+
+    So only a passing verdict skips the eigensolve.  The floor holds at the
+    rate of ``prescribed_spec``.
     """
     m_n = eigenvalue_floor(spec.env.geometry.d, spec.env.gamma, spec.box_radius, spec.mu)
+    if _test_vector_floor(spec, m_n):
+        return FloorCertificate(m_N=m_n, passed=True, neg_pivots=0, method="barta", iterations=0)
     S, _ = spec.symmetrized
     neg = negative_pivots(S, m_n)
     if neg == 0:

@@ -396,9 +396,10 @@ class TestBoundSuite:
             assert (out / name).is_file()
         lines = (out / "spectral_report.csv").read_text().splitlines()
         assert lines[0] == "gamma,d,N,xi_hat,lambda,bound_m_N,pass,neg_pivots,iterations"
-        # every floor is certified by inertia: no negative pivot, no shift-invert solve
+        # every floor is certified by the test vector: no eigenvalue below m(N), no shift-invert solve
         assert all(line.endswith(",True,0,0") for line in lines[1:])
-        assert "floor_eigsh_fallbacks=0\n" in (out / "manifest.txt").read_text()
+        manifest = (out / "manifest.txt").read_text()
+        assert "floor_inertia_fallbacks=0\nfloor_eigsh_fallbacks=0\n" in manifest
 
     def test_manifest_counts_survival_lanczos_steps(self, tmp_path, monkeypatch):
         steps, lanczos = [], spectral.feynman_kac_lanczos
@@ -421,17 +422,33 @@ class TestBoundSuite:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_manifest_counts_eigsh_fallbacks(self, tmp_path, monkeypatch):
-        # with no valid inertia every floor goes to the eigensolve, and the verdicts stand
-        run_bound_suite(_cfg(tmp_path, "inertia"))
+        # with no test vector and no valid inertia every floor goes to the eigensolve, and the verdicts stand
+        run_bound_suite(_cfg(tmp_path, "barta"))
+        monkeypatch.setattr(spectral, "_test_vector_floor", lambda spec, shift: False)
         monkeypatch.setattr(spectral, "negative_pivots", lambda S, shift: None)
         cfg = _cfg(tmp_path, "eigsh")
         run_bound_suite(cfg)
         out = Path(cfg.directory)
-        assert f"floor_eigsh_fallbacks={cfg.n_environments * len(cfg.N_list)}\n" in (out / "manifest.txt").read_text()
+        boxes = cfg.n_environments * len(cfg.N_list)
+        manifest = (out / "manifest.txt").read_text()
+        assert f"floor_inertia_fallbacks={boxes}\nfloor_eigsh_fallbacks={boxes}\n" in manifest
         rows = _read_rows(out / "spectral_report.csv")
         assert all(r["neg_pivots"] == "-1" and int(r["iterations"]) > 0 for r in rows)
-        inertia = _read_rows(tmp_path / "inertia" / "spectral_report.csv")
-        assert [r["pass"] for r in rows] == [r["pass"] for r in inertia]
+        barta = _read_rows(tmp_path / "barta" / "spectral_report.csv")
+        assert [r["pass"] for r in rows] == [r["pass"] for r in barta]
+
+    def test_manifest_counts_inertia_fallbacks(self, tmp_path, monkeypatch):
+        # with the test vector off every floor is factored, the CSV keeps its bytes
+        run_bound_suite(_cfg(tmp_path, "barta"))
+        monkeypatch.setattr(spectral, "_test_vector_floor", lambda spec, shift: False)
+        cfg = _cfg(tmp_path, "inertia")
+        run_bound_suite(cfg)
+        out = Path(cfg.directory)
+        boxes = cfg.n_environments * len(cfg.N_list)
+        manifest = (out / "manifest.txt").read_text()
+        assert f"floor_inertia_fallbacks={boxes}\nfloor_eigsh_fallbacks=0\n" in manifest
+        name = "spectral_report.csv"
+        assert (out / name).read_bytes() == (tmp_path / "barta" / name).read_bytes()
 
     def test_one_chain_per_box(self, tmp_path, monkeypatch):
         # the floor check and the survival check share one spec per box, and

@@ -70,6 +70,22 @@ class TestBoxGeometry:
             g.sub_box_indices(3)
 
     @pytest.mark.parametrize(
+        "d, N, match",
+        [(2, 2.5, "box radius"), (2.5, 2, "dimension"), (2, 2.0, "box radius"), (2, "3", "box radius"),
+         (2, math.nan, "box radius"), ("2", 3, "dimension")],
+    )
+    def test_non_integer_dimension_or_radius_rejected(self, d, N, match):
+        # BoxGeometry(2, 2.5) once built with n_sites = 36.0, and (2.5, 2) with 55.9
+        with pytest.raises(ValidationError, match=f"{match} must be an integer"):
+            BoxGeometry(d, N)
+
+    def test_numpy_integers_accepted(self):
+        g = BoxGeometry(np.int64(2), np.int32(3))
+        assert g == BoxGeometry(2, 3)
+        assert type(g.d) is int and type(g.N) is int and type(g.n_sites) is int
+        assert sample_environment(g, 2.0, 1) == sample_environment(BoxGeometry(2, 3), 2.0, 1)
+
+    @pytest.mark.parametrize(
         "d, N, n, radius",
         [(2, 3, 3, 0), (2, 5, 4, 3), (2, 5, 4, 7), (2, 5, 4, 20), (3, 4, 2, 4), (4, 2, 2, 5), (2, 3, 0, 2)],
     )

@@ -223,7 +223,70 @@ class TestFloorCertificate:
         assume(np.min(np.abs(eigs - shift)) >= 1e-8 * np.max(np.abs(eigs)))
         assert negative_pivots(S, shift) == int((eigs < shift).sum())
 
-    def test_verdict_matches_the_eigenvalue_on_criterion_05_environments(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        box=st.sampled_from([(2, 1), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2)]),
+        seed=st.integers(0, 2**31),
+        p=st.floats(0.3, 0.95),
+        lam=st.floats(0.0, 3.0),
+        u=st.floats(-0.05, 1.05),
+        r=st.floats(0.0, 1.1),
+    )
+    def test_test_vector_never_certifies_a_shift_above_the_lowest_eigenvalue(self, box, seed, p, lam, u, r):
+        # shifts across the spectrum, and shifts r * lambda_min near its bottom,
+        # where the test vector certifies most of them; eigvalsh's own rounding
+        # is the only slack
+        d, radius = box
+        env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
+        dec = strong_cluster(env, threshold_for_density(2.0, p))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam)
+        eigs = np.linalg.eigvalsh(spec.symmetrized[0].toarray())
+        slack = 8 * np.finfo(float).eps * eigs[-1]
+        for shift in (eigs[0] + u * (eigs[-1] - eigs[0]), r * eigs[0]):
+            if spectral._test_vector_floor(spec, shift):
+                assert eigs[0] >= shift - slack
+
+    def test_test_vector_certifies_the_benchmark_boxes_with_and_without_holes(self):
+        # perfbench's bounds boxes (seed 301) at p = 0.95 have no hole sites;
+        # at p = 0.6 they have 214-1,070, and one solve on them still certifies
+        for p in (0.95, 0.6):
+            for seed in derive_environment_seeds(301, 3):
+                env = sample_environment(BoxGeometry(2, 65), 2.0, int(seed))
+                dec = strong_cluster(env, threshold_for_density(2.0, p))
+                for n in (32, 64):
+                    spec = prescribed_spec(env, dec, n, mu=0.1)
+                    assert (spec.phi_box == 0).any() == (p == 0.6)
+                    m_n = eigenvalue_floor(2, 2.0, n, 0.1)
+                    assert spectral._test_vector_floor(spec, m_n)
+
+    def test_test_vector_declines_without_killing(self, spec_625):
+        # lam = 0: (S sqrt(pi))_x = exit_x * sqrt(pi_x) vanishes inside the box
+        spec = replace(spec_625, lam=0.0)
+        assert not spectral._test_vector_floor(spec, lambda1_floor_check(spec).m_N)
+        assert not spectral._test_vector_floor(replace(spec_625, decomp=None, lam=0.0), 1e-9)
+
+    def test_no_solve_on_a_box_without_hole_sites(self, monkeypatch, spec_625):
+        assert not (spec_625.phi_box == 0).any()
+        monkeypatch.setattr(spectral, "splu", lambda *a, **k: pytest.fail("solve on a box without holes"))
+        assert spectral._test_vector_floor(spec_625, 0.5 * spec_625.lam)
+        assert spectral._test_vector_floor(replace(spec_625, decomp=None), 0.5 * spec_625.lam)
+
+    def test_hole_solve_is_one_factorization_of_the_hole_block(self, monkeypatch, rand_env, rand_decomp):
+        spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=2.0)
+        holes = int((spec.phi_box == 0).sum())
+        assert holes > 0
+        sizes, real = [], spectral.splu
+
+        def counted(A, **kwargs):
+            sizes.append(A.shape)
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", counted)
+        assert spectral._test_vector_floor(spec, 1e-3)
+        assert sizes == [(holes, holes)]
+
+    def test_verdict_matches_the_eigenvalue_on_criterion_05_environments(self, monkeypatch):
+        # each environment settled on the test-vector route, and again with that route off
         n = 32
         for seed in derive_environment_seeds(500 + n, 20):
             env = sample_environment(BoxGeometry(2, n + 1), 2.0, int(seed))
@@ -231,12 +294,25 @@ class TestFloorCertificate:
             spec = prescribed_spec(env, dec, n, mu=0.1)
             cert = lambda1_floor_check(spec)
             assert cert.passed == (lambda1(spec).Lambda1 >= cert.m_N)
-            assert (cert.method, cert.neg_pivots, cert.iterations) == ("inertia", 0, 0)
+            assert (cert.method, cert.neg_pivots, cert.iterations) == ("barta", 0, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_test_vector_floor", lambda spec, shift: False)
+                assert lambda1_floor_check(spec) == replace(cert, method="inertia")
+
+    def test_test_vector_route_runs_no_factorization(self, monkeypatch, spec_625):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the test-vector route must neither factor S - m(N) I nor call lambda1")
+
+        monkeypatch.setattr(spectral, "negative_pivots", refuse)
+        monkeypatch.setattr(spectral, "lambda1", refuse)
+        cert = lambda1_floor_check(spec_625)
+        assert (cert.passed, cert.method, cert.neg_pivots, cert.iterations) == (True, "barta", 0, 0)
 
     def test_inertia_route_runs_no_eigensolve(self, monkeypatch, spec_625):
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("the inertia route must not call lambda1")
 
+        monkeypatch.setattr(spectral, "_test_vector_floor", lambda spec, shift: False)
         monkeypatch.setattr(spectral, "lambda1", no_eigensolve)
         cert = lambda1_floor_check(spec_625)
         assert (cert.passed, cert.method, cert.neg_pivots, cert.iterations) == (True, "inertia", 0, 0)
@@ -272,6 +348,7 @@ class TestFloorCertificate:
             return SimpleNamespace(U=diags(pivots), perm_r=perm_r, perm_c=lu.perm_c)
 
         monkeypatch.setattr(spectral, "splu", faulty)
+        monkeypatch.setattr(spectral, "_test_vector_floor", lambda spec, shift: False)
         assert negative_pivots(spec_625.symmetrized[0], 0.0) is None
         cert = lambda1_floor_check(spec_625)
         assert (cert.passed, cert.method, cert.neg_pivots) == (True, "eigsh", -1)
