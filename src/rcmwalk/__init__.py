@@ -29,6 +29,7 @@ from .heatkernel import (
     clt_lower_bound_check,
     default_time_grid,
     discrete_return_prob,
+    exit_mass,
     fit_exponent,
     heat_kernel_hat,
     poisson_truncation_k,

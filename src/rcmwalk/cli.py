@@ -313,6 +313,7 @@ def _cmd_report(args) -> int:
                     "floor_inertia_fallbacks=",
                     "floor_eigsh_fallbacks=",
                     "survival_lanczos_steps=",
+                    "exit_tail_products=",
                     "lanczos_steps=",
                 )
             ):

@@ -578,7 +578,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
         for j in range(len(tail.t))
     ]
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival_steps
+    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival_steps, tail.products
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -600,6 +600,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     exit_ok = [r[4] for r in results]
     routes = [method for r in results for method in r[5]]
     survival_steps = sum(r[6] for r in results)
+    exit_products = sum(r[7] for r in results)
 
     files = []
     write_csv(
@@ -645,6 +646,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
             "floor_inertia_fallbacks": str(sum(method != "barta" for method in routes)),
             "floor_eigsh_fallbacks": str(routes.count("eigsh")),
             "survival_lanczos_steps": str(survival_steps),
+            "exit_tail_products": str(exit_products),
         },
     )
     return ExperimentReport(

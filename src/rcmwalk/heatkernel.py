@@ -34,12 +34,14 @@ the cost of a whole-box pattern used once.
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
 it is the independent oracle of the bracket, and it serves what needs the
 jump powers or the whole law, namely the discrete-time kernel and its
-Poisson-mixture lower bound, the full distribution, the exit mass and the
-time-changed walk's chain on the strong cluster.  On the penalized generator
-``I - P + lam diag(phi)`` its surviving mass is the Feynman-Kac value
-``E[exp(-lam A(t)); t < tau]``, the oracle of ``spectral.feynman_kac_lanczos``,
-which shares this module's step estimate, check schedule and tridiagonal
-eigensolve.
+Poisson-mixture lower bound, the full laws on a time grid and the
+time-changed walk's chain on the strong cluster.  ``exit_mass`` propagates
+the killed box chain's mass over the rim, the exit-time tail's per-jump
+sequence, on the half of the box the walk can occupy after each jump.  On
+the penalized generator ``I - P + lam diag(phi)`` the engine's surviving
+mass is the Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``, the oracle of
+``spectral.feynman_kac_lanczos``, which shares this module's step estimate,
+check schedule and tridiagonal eigensolve.
 """
 
 from __future__ import annotations
@@ -58,7 +60,15 @@ from scipy.special import gammaln, stdtrit
 from .errors import NumericalError, ValidationError
 from .lattice import _CONFIDENCE, BoxGeometry, Environment, _integral_radius
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, _cluster_site, effective_conductance_matrix, ensemble_walk, transition_matrix
+from .walk import (
+    BoxChain,
+    _banded,
+    _box_offsets,
+    _cluster_site,
+    effective_conductance_matrix,
+    ensemble_walk,
+    transition_matrix,
+)
 
 _LAW_TOL = 1e-12  # Poisson mass left out of a full law ``UniformizationCache.distribution``
 
@@ -129,12 +139,11 @@ class UniformizationCache:
     the discrete-time return probability and as the coefficient of the
     Poisson mixture; ``mass_k`` is the surviving mass after k jumps
     (identically 1 for the free-boundary chain without killing), so
-    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  ``exited_k``, the mass
-    carried over the rim within k jumps, keeps the digits that
-    ``1 - survival`` cancels.  ``chain`` reuses an assembled chain of ``env``
-    instead of building one, and a chain of another environment is refused;
-    ``env`` is kept, so a check can refuse a cache built on another
-    environment.
+    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  The mass carried over
+    the rim, which keeps the digits that ``1 - survival`` cancels, is
+    ``exit_mass``'s.  ``chain`` reuses an assembled chain of ``env`` instead
+    of building one, and a chain of another environment is refused; ``env``
+    is kept, so a check can refuse a cache built on another environment.
     """
 
     def __init__(
@@ -159,18 +168,14 @@ class UniformizationCache:
                 M = M + diags(lam * (1.0 - phi[self.chain.sites]))
             M = M / (1.0 + lam)
         self._prop = M.T.tocsr()
-        self._rim = np.flatnonzero(self.chain.exit)
-        self._rim_exit = self.chain.exit[self._rim] / (1.0 + self.lam)
         vec = np.zeros(M.shape[0])
         vec[self.chain.origin] = 1.0
         self._vec = vec
         self.a = [1.0]
         self.mass = [1.0]
-        self.exited = [0.0]
 
     def ensure(self, k_max: int) -> None:
         while len(self.a) <= k_max:
-            self.exited.append(self.exited[-1] + float(self._vec[self._rim] @ self._rim_exit))
             self._vec = self._prop @ self._vec
             self.a.append(float(self._vec[self.chain.origin]))
             self.mass.append(float(self._vec.sum()))
@@ -183,7 +188,7 @@ class UniformizationCache:
         return poisson_weights(rate, poisson_truncation_k(rate, tol))
 
     def _mixture(self, seq: list, t: float, tol: float) -> float:
-        """Poisson mixture at time ``t`` of a per-jump sequence (``a``, ``mass`` or ``exited``)."""
+        """Poisson mixture at time ``t`` of a per-jump sequence (``a`` or ``mass``)."""
         w = self._weights(t, tol)
         self.ensure(len(w) - 1)
         return float(w @ np.asarray(seq[: len(w)]))
@@ -195,10 +200,6 @@ class UniformizationCache:
         """P(walk still alive at time t), weighted by ``exp(-lam A(t))``."""
         return self._mixture(self.mass, t, tol)
 
-    def exit_prob(self, t: float, tol: float = 1e-12) -> float:
-        """P(walk has left the box by time t), weighted by ``exp(-lam A(tau))``."""
-        return self._mixture(self.exited, t, tol)
-
     def discrete(self, n: int) -> float:
         """Discrete-time return probability ``M^n(0,0)``."""
         if n < 0:
@@ -206,16 +207,73 @@ class UniformizationCache:
         self.ensure(n)
         return self.a[n]
 
-    def distribution(self, t: float) -> np.ndarray:
-        """Full law ``P(X_t = y)`` over the box sites (fresh propagation), Poisson tail below ``_LAW_TOL``."""
-        w = self._weights(t, _LAW_TOL)
+    def distribution(self, t_grid) -> np.ndarray:
+        """Full laws ``P(X_t = y)`` over the box sites, one row per time of ``t_grid``, Poisson tails below ``_LAW_TOL``.
+
+        One propagation, to the truncation of the last time, serves every
+        row, and each row adds the same terms in the same order as a
+        propagation for its time alone would.  The propagation is fresh:
+        it does not extend the cached sequences.
+        """
+        weights = [self._weights(tj, _LAW_TOL) for tj in _time_grid(t_grid)]
         vec = np.zeros(self._prop.shape[0])
         vec[self.chain.origin] = 1.0
-        out = w[0] * vec
-        for k in range(1, len(w)):
+        out = np.array([w[0] * vec for w in weights])
+        for k in range(1, len(weights[-1])):
             vec = self._prop @ vec
-            out += w[k] * vec
+            for row, w in zip(out, weights):
+                if k < len(w):
+                    row += w[k] * vec
         return out
+
+
+def exit_mass(chain: BoxChain, k_max: int) -> np.ndarray:
+    """The mass the walk on ``chain`` has carried over the rim within ``k`` jumps, for ``k = 0..k_max``.
+
+    Entry ``k`` is ``sum_{j < k} (P^j exit)(0)``, the probability that the
+    jump chain started at the origin has left ``B_n`` by its ``k``-th jump,
+    so its Poisson mixture at rate ``t`` is ``P(tau_n <= t)``.  The chain
+    has no holding, so after ``j`` jumps it sits on the sites whose L1
+    parity is that of ``j``.  The box side ``2n + 1`` is odd, hence so is
+    every stride, and a site's parity is that of its canonical index: the
+    two halves are ``[0::2]`` and ``[1::2]``, and the origin's is ``origin
+    % 2``.  The propagated vector holds only the live half, and each of the
+    ``k_max - 1`` products (none for ``k_max <= 1``) multiplies it by a half
+    block ``P^T[p::2, 1-p::2]`` stored by its ``2d`` diagonals
+    (``walk._banded``).  Each step's rim flux is one dot product over the
+    whole rim, the other half's rim sites held at zero, so the sequence is
+    bit for bit that of propagating the full vector.  ``chain`` must cover
+    all of ``B_n`` in canonical order, as ``transition_matrix``'s chains do.
+    """
+    k_max = _integral_radius(k_max, "jump count")
+    if k_max < 0:
+        raise ValidationError(f"jump count must be >= 0, got {k_max}")
+    d, n, m = chain.env.geometry.d, chain.box_radius, len(chain.sites)
+    if m != (2 * n + 1) ** d:
+        raise ValidationError(f"the exit mass needs a chain on all of B_{n} ({(2 * n + 1) ** d} sites), got {m}")
+    prop = chain.P.T.tocsr()
+    steps = _box_offsets(d, n)
+    steps = steps[steps != 0]  # the walk never stays put
+    # blocks[p] takes the half of parity 1 - p to the half of parity p
+    blocks = [_banded(prop[p::2, 1 - p :: 2], (steps - 1 + 2 * p) // 2) for p in (0, 1)]
+    rim = np.flatnonzero(chain.exit)
+    rim_exit = chain.exit[rim]
+    halves = [(at, rim[at] // 2) for at in (np.flatnonzero(rim % 2 == p) for p in (0, 1))]  # rim places, half indices
+    padded = [np.zeros(len(rim)), np.zeros(len(rim))]  # the whole rim, the other half's sites held at zero
+    p = chain.origin % 2
+    live = np.zeros((m + 1 - p) // 2)
+    live[chain.origin // 2] = 1.0
+    out = np.zeros(k_max + 1)
+    exited = 0.0
+    for k in range(1, k_max + 1):
+        at, pos = halves[p]
+        padded[p][at] = live[pos]
+        exited += float(padded[p] @ rim_exit)
+        out[k] = exited
+        if k < k_max:
+            p = 1 - p
+            live = blocks[p] @ live
+    return out
 
 
 @dataclass
@@ -718,24 +776,33 @@ class HeatKernelHatCurve:
     rescaled: np.ndarray  # t^{d/2} * sup
 
 
-def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_grid) -> HeatKernelHatCurve:
-    """Exact ``sup_y P(Xhat_t = y)`` of the time-changed walk from ``x``, with its rescaling.
+def _time_changed_chain(env: Environment, decomp: ClusterDecomposition, x: int) -> BoxChain:
+    """The time-changed walk's chain on the strong cluster, started at ``x``: conductances ``M``, no exit.
 
-    The time-changed walk is the rate-1 chain on the strong cluster with jump
-    matrix ``diag(pi)^{-1} M``, ``M`` the effective-conductance matrix (a jump
-    may return to its start through a hole); its law at each ``t`` comes from
-    the uniformization engine on that chain, which has no exit.
+    ``M`` is the effective-conductance matrix over the cluster sites in
+    canonical order; a jump may return to its start through a hole.
     """
     _cluster_site(env, decomp, x)
-    t = _time_grid(t_grid)
     M = effective_conductance_matrix(env, decomp)
     sites = np.flatnonzero(decomp.in_cluster)
     local = np.cumsum(decomp.in_cluster) - 1  # position among the cluster sites
     m = len(sites)
     W = coo_matrix((M.data, (local[M.row], local[M.col])), shape=(m, m)).tocsr()
-    chain = BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False, env=env)
-    engine = UniformizationCache(env, chain=chain)
-    sup = np.array([engine.distribution(tj).max() for tj in t])
+    return BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False, env=env)
+
+
+def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_grid) -> HeatKernelHatCurve:
+    """Exact ``sup_y P(Xhat_t = y)`` of the time-changed walk from ``x``, with its rescaling.
+
+    The time-changed walk is the rate-1 chain on the strong cluster with jump
+    matrix ``diag(pi)^{-1} M``, ``M`` the effective-conductance matrix
+    (``_time_changed_chain``); its laws on the grid come from one
+    propagation of the uniformization engine on that chain, which has no
+    exit.
+    """
+    chain = _time_changed_chain(env, decomp, x)
+    t = _time_grid(t_grid)
+    sup = UniformizationCache(env, chain=chain).distribution(t).max(axis=1)
     return HeatKernelHatCurve(t=t, sup=sup, rescaled=t ** (env.geometry.d / 2.0) * sup)
 
 
@@ -838,7 +905,7 @@ def clt_lower_bound_check(
     if r > cache.chain.box_radius:
         raise ValidationError("sqrt(t) ball does not fit in the operator box")
     lhs = cache.return_prob(t)
-    q = cache.distribution(t / 2.0)
+    q = cache.distribution([t / 2.0])[0]
     ball = geom.linf_norm[cache.chain.sites] <= r
     prob_ball = float(q[ball].sum())
     ball_sites = geom.sub_box_indices(r)

@@ -26,8 +26,11 @@ symmetrized matrix, the one the floor check reads
 Poisson series takes ``(1 + lam) t``).  Its oracles are the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
 truncation), Monte Carlo, and, on small boxes, the dense spectral
-expansion.  The exit-time tail ``P(tau_N <= t)`` is the exit mass of the
-plain killed walk from the uniformization engine.
+expansion.  The exit-time tail ``P(tau_N <= t)`` mixes the per-jump exit
+mass of the plain killed walk (``heatkernel.exit_mass``, one propagation on
+the live parity for the whole grid) with Poisson weights.  Both long loops
+multiply by a box operator stored by its diagonals (``walk._banded``), bit
+for bit the sparse-row products.
 
 The Duhamel identities linking the penalized semigroup to the plain one
 are checked on small boxes with both integrals in closed form: each is a
@@ -46,10 +49,20 @@ from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
-from .heatkernel import _BREAKDOWN, _CHECK_EVERY, _FIRST_CHECK, UniformizationCache, _krylov_steps, _ritz
+from .heatkernel import (
+    _BREAKDOWN,
+    _CHECK_EVERY,
+    _FIRST_CHECK,
+    UniformizationCache,
+    _krylov_steps,
+    _ritz,
+    exit_mass,
+    poisson_truncation_k,
+    poisson_weights,
+)
 from .lattice import Environment, _integral_radius
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, ensemble_walk, transition_matrix
+from .walk import BoxChain, _banded, _box_offsets, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
@@ -282,24 +295,26 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
     ``(theta, U)`` of the tridiagonal matrix.  The penalty breaks the
     bipartite structure, so the recurrence is not folded.  ``S`` is
     symmetric bit for bit, so the products take ``S.T``, a row-major view of
-    the column-major matrix.  Checks follow the curve engine's schedule,
-    with the a priori step count ``m*`` taken for the spectrum width
-    ``2 + lam``; the run stops when the value moved by at most ``tol``
-    relative since the previous check, or on breakdown, and raises
-    ``NumericalError`` after ``2 m* + 32`` steps.  ``tol`` is ``_FK_TOL``
-    or, at long horizons, the rounding of the value: an error of ``eps (2 +
-    lam)`` in a Ritz value moves ``e^{-t theta}`` by ``t eps (2 + lam)``
-    relative; at N = 256 (t = 5019) the settled value wandered between checks
-    by 1.3 times that, so the tolerance is at least four times it.  A step
-    count equal to the number of box sites also ends the run, unchecked: the
-    Krylov space is then exhausted, and in exact arithmetic ``T_dim`` has the
-    spectrum of ``S``.  Returns the value and the step count.
+    the column-major matrix, stored by its ``2d + 1`` diagonals
+    (``walk._banded``, whose products are bit for bit the row-major ones).
+    Checks follow the curve engine's schedule, with the a priori step count
+    ``m*`` taken for the spectrum width ``2 + lam``; the run stops when the
+    value moved by at most ``tol`` relative since the previous check, or on
+    breakdown, and raises ``NumericalError`` after ``2 m* + 32`` steps.
+    ``tol`` is ``_FK_TOL`` or, at long horizons, the rounding of the value:
+    an error of ``eps (2 + lam)`` in a Ritz value moves ``e^{-t theta}`` by
+    ``t eps (2 + lam)`` relative; at N = 256 (t = 5019) the settled value
+    wandered between checks by 1.3 times that, so the tolerance is at least
+    four times it.  A step count equal to the number of box sites also ends
+    the run, unchecked: the Krylov space is then exhausted, and in exact
+    arithmetic ``T_dim`` has the spectrum of ``S``.  Returns the value and
+    the step count.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"horizon must be positive and finite, got {t!r}")
     tol = max(_FK_TOL, 4.0 * t * np.finfo(float).eps * (2.0 + spec.lam))
     S, sqrt_pi = spec.symmetrized
-    A = S.T  # CSR view; S == S.T
+    A = _banded(S.T, _box_offsets(spec.env.geometry.d, spec.box_radius))  # S.T: a CSR view, S == S.T
     origin = spec.chain.origin
     dim = S.shape[0]
     expected = _krylov_steps(t, tol, 2.0 + spec.lam)
@@ -507,6 +522,7 @@ class ExitTailReport:
     all_below: bool
     gaussian_slope: float | None  # slope of log P(tau <= t) against N^2/(4t)
     N: int
+    products: int  # half products of ``heatkernel.exit_mass`` behind p_exit
 
 
 def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
@@ -514,7 +530,10 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
 
     ``N`` is ``spec.box_radius``.  The tail is the mass the plain killed walk
     on ``spec.chain`` has carried over the rim, with Poisson truncation error
-    below ``_EXIT_TOL`` (the spec's killing rate plays no part).  The free
+    below ``_EXIT_TOL`` (the spec's killing rate plays no part): one
+    ``heatkernel.exit_mass`` run to the truncation of the last time gives
+    the per-jump sequence, and each time mixes its prefix (``products``
+    counts that run's half products).  The free
     constants are chosen as the tightest dominating envelope over the grid
     points with ``p_exit > 0`` (reported, never assumed).  The Gaussian-slope
     regression of ``log P`` against ``N^2/(4t)`` over the same points should
@@ -524,8 +543,10 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
     if t.ndim != 1 or not t.size or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
         raise ValidationError("t grid must be a nonempty, finite, positive, increasing sequence")
     N = spec.box_radius
-    engine = UniformizationCache(spec.env, chain=spec.chain)
-    p_exit = np.array([engine.exit_prob(tj, _EXIT_TOL) for tj in t])
+    weights = [poisson_weights(tj, poisson_truncation_k(tj, _EXIT_TOL)) for tj in t]
+    k_max = max(len(w) for w in weights) - 1
+    mass = exit_mass(spec.chain, k_max)
+    p_exit = np.array([float(w @ mass[: len(w)]) for w in weights])
 
     d = spec.env.geometry.d
     shape = t * float(N) ** (d - 1) * np.exp(-N * N / (4.0 * t))
@@ -556,6 +577,7 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
         all_below=bool(np.all(p_exit <= bound * (1 + 1e-12))),
         gaussian_slope=slope,
         N=int(N),
+        products=max(k_max - 1, 0),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, dia_matrix
 
 from .errors import ValidationError
 from .lattice import BoxGeometry, Environment, _integral_radius, _restrict
@@ -91,6 +91,48 @@ class BoxChain:
         """The jump matrix ``w / pi[row]``, on ``W``'s index arrays."""
         W = self.W
         return csr_matrix((W.data / np.repeat(self.pi, np.diff(W.indptr)), W.indices, W.indptr), shape=W.shape)
+
+
+def _box_offsets(d: int, n: int) -> np.ndarray:
+    """The diagonals an operator on ``B_n`` in canonical order can use, ascending.
+
+    A bond moves the canonical index by a stride ``(2n + 1)^i``, so the
+    ``2d + 1`` offsets ``column - row`` are zero and the strides with both
+    signs (just -1, 0, 1 on ``B_0``, whose strides coincide).
+    """
+    strides = (2 * n + 1) ** np.arange(d, dtype=np.int64)
+    return np.unique(np.concatenate((-strides, [0], strides)))
+
+
+def _banded(M: csr_matrix, offsets: np.ndarray) -> dia_matrix:
+    """``M`` stored by the ascending diagonals ``offsets``, with products bit for bit those of ``M``.
+
+    scipy's DIA product adds the diagonals in the order they are stored, and
+    each row of a canonical CSR matrix lists its entries by ascending column,
+    which is ascending offset, so every row sums the same products in the
+    same order; the padding adds zeros, which change no sum.  The layout is
+    read straight from the CSR arrays, each entry's diagonal found by
+    ``searchsorted`` (``todia`` round-trips through COO and a ``unique``,
+    slower and with more index temporaries alive at once).  An entry off
+    ``offsets``, or a row that is not in canonical order, raises
+    ``ValidationError`` before the layout is allocated, so an operator that
+    is not banded never grows a huge one.
+    """
+    if not M.has_canonical_format:
+        raise ValidationError("a banded layout needs sorted rows without duplicate entries")
+    diff = M.indices - np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
+    k = np.searchsorted(offsets.astype(diff.dtype), diff)
+    off = offsets.take(k, mode="clip") != diff  # past the last diagonal clips to it, which differs
+    if off.any():
+        j = int(np.argmax(off))
+        row = int(np.searchsorted(M.indptr, j, side="right")) - 1
+        raise ValidationError(f"operator entry ({row}, {int(M.indices[j])}) lies off the diagonals {offsets.tolist()}")
+    del diff, off  # the index temporaries go before the layout comes
+    k *= M.shape[1]  # in place: the flat position of each entry in the layout
+    k += M.indices
+    data = np.zeros((len(offsets), M.shape[1]))
+    data.ravel()[k] = M.data
+    return dia_matrix((data, offsets), shape=M.shape)
 
 
 def transition_matrix(env: Environment, box_radius: int | None = None, killed: bool = True) -> BoxChain:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,12 +218,12 @@ class TestConfigCommands:
         assert header == "gamma,d,N,xi_hat,lambda,bound_m_N,pass,neg_pivots,iterations"
         assert "pass rate" in capsys.readouterr().out
         # the report shows the factorization and eigensolve fallbacks and the
-        # survival's Lanczos steps next to the pass rates
+        # survival's Lanczos steps and the exit tail's half products next to the pass rates
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "  pass_rate_lambda1_floor=" in text
         assert "  floor_inertia_fallbacks=0\n  floor_eigsh_fallbacks=0\n" in text
-        assert "  survival_lanczos_steps=" in text
+        assert re.search(r"^  survival_lanczos_steps=\d+\n  exit_tail_products=[1-9]\d*$", text, re.M)
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -19,6 +19,7 @@ from rcmwalk import (
     heatkernel,
     UniformizationCache,
     percolation,
+    poisson_truncation_k,
     return_prob_curve_exact,
     sample_environment,
     spectral,
@@ -414,6 +415,21 @@ class TestBoundSuite:
         run_bound_suite(cfg)
         assert len(steps) == cfg.n_environments * len(cfg.N_list) and min(steps) > 0
         assert f"survival_lanczos_steps={sum(steps)}\n" in (Path(cfg.directory) / "manifest.txt").read_text()
+
+    def test_manifest_counts_exit_tail_products(self, tmp_path, monkeypatch):
+        tails, check = [], experiments.exit_time_tail_check
+
+        def recorded(spec, t_grid):
+            tails.append(check(spec, t_grid))
+            return tails[-1]
+
+        monkeypatch.setattr(experiments, "exit_time_tail_check", recorded)
+        cfg = _cfg(tmp_path)
+        run_bound_suite(cfg)
+        n = min(cfg.N_list)
+        # one tail per environment, to the Poisson truncation of t = N^2: every jump count but the last needs a product
+        assert [tail.products for tail in tails] == [poisson_truncation_k(n * n, 1e-40) - 1] * cfg.n_environments
+        assert f"exit_tail_products={sum(t.products for t in tails)}\n" in (Path(cfg.directory) / "manifest.txt").read_text()
 
     def test_byte_determinism(self, tmp_path):
         for sub in ("a", "b"):

@@ -576,23 +576,6 @@ class TestPenalizedEngine:
         exact = float((expm(t * G) @ np.ones(len(chain.sites)))[chain.origin])
         assert abs(engine.survival(t, tol=1e-15) - exact) <= 1e-12
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        radius=st.integers(0, 3),
-        seed=st.integers(0, 2**31),
-        lam=st.floats(0.0, 3.0),
-        t=st.floats(0.0, 20.0),
-    )
-    def test_exit_prob_matches_expm(self, radius, seed, lam, t):
-        # E[exp(-lam A(tau)); tau <= t] = (int_0^t e^{sG} ds exit)(0) = (G^{-1} (e^{tG} - I) exit)(0)
-        env = sample_environment(BoxGeometry(2, radius + 1), 2.0, seed)
-        engine = UniformizationCache(env, radius, lam=lam)
-        chain = engine.chain
-        G = chain.P.toarray() - (1.0 + lam) * np.eye(len(chain.sites))
-        flux = (expm(t * G) - np.eye(len(chain.sites))) @ chain.exit
-        exact = float(np.linalg.solve(G, flux)[chain.origin])
-        assert abs(engine.exit_prob(t, tol=1e-15) - exact) <= 1e-12
-
     def test_zero_rate_is_the_plain_cache(self, small_env, holey_decomp):
         plain = UniformizationCache(small_env, 6)
         engine = UniformizationCache(small_env, 6, lam=0.0, phi=holey_decomp.in_cluster)
@@ -612,6 +595,138 @@ class TestPenalizedEngine:
     def test_negative_rate_rejected(self, small_env):
         with pytest.raises(ValidationError):
             UniformizationCache(small_env, 3, lam=-0.1)
+
+
+def _full_vector_exit_mass(chain, k_max: int) -> np.ndarray:
+    """The exit mass from the whole box vector, one rim flux per jump: the loop ``exit_mass`` must reproduce."""
+    prop = chain.P.T.tocsr()
+    rim = np.flatnonzero(chain.exit)
+    rim_exit = chain.exit[rim] / (1.0 + 0.0)
+    vec = np.zeros(len(chain.sites))
+    vec[chain.origin] = 1.0
+    exited = [0.0]
+    while len(exited) <= k_max:
+        exited.append(exited[-1] + float(vec[rim] @ rim_exit))
+        vec = prop @ vec
+    return np.array(exited)
+
+
+def _exit_prob(mass: np.ndarray, t: float, tol: float) -> float:
+    w = poisson_weights(t, poisson_truncation_k(t, tol))
+    return float(w @ mass[: len(w)])
+
+
+class TestExitMass:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("radius", range(6))
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_equals_the_full_vector_loop_bit_for_bit(self, d, radius, homogeneous):
+        if homogeneous:
+            env = homogeneous_environment(d, radius + 1)
+        else:
+            env = sample_environment(BoxGeometry(d, radius + 1), 2.0, 100 * d + radius)
+        chain = transition_matrix(env, radius)
+        k_max = 4 * radius + 9
+        assert np.array_equal(heatkernel.exit_mass(chain, k_max), _full_vector_exit_mass(chain, k_max))
+
+    def test_equals_the_full_vector_loop_on_a_benchmark_box(self):
+        env = sample_environment(BoxGeometry(2, 65), 2.0, int(derive_environment_seeds(301, 1)[0]))
+        chain = transition_matrix(env, 32)
+        assert np.array_equal(heatkernel.exit_mass(chain, 400), _full_vector_exit_mass(chain, 400))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_single_site_box_leaves_at_the_first_jump(self, d):
+        # on B_0 every bond leads out: P(tau <= t) = P(Poisson(t) >= 1) = 1 - e^{-t}
+        env = sample_environment(BoxGeometry(d, 1), 2.0, 3)
+        mass = heatkernel.exit_mass(transition_matrix(env, 0), poisson_truncation_k(10.0, 1e-40))
+        assert mass[0] == 0.0 and np.all(np.abs(mass[1:] - 1.0) <= 4 * np.finfo(float).eps)
+        for t in (1e-3, 0.5, 2.0, 10.0):
+            assert _exit_prob(mass, t, 1e-40) == pytest.approx(-math.expm1(-t), rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radius=st.integers(0, 3),
+        seed=st.integers(0, 2**31),
+        t=st.floats(0.0, 20.0),
+    )
+    def test_matches_expm(self, radius, seed, t):
+        # P(tau <= t) = (int_0^t e^{sG} ds exit)(0) = (G^{-1} (e^{tG} - I) exit)(0), G = P - I
+        env = sample_environment(BoxGeometry(2, radius + 1), 2.0, seed)
+        chain = transition_matrix(env, radius)
+        G = chain.P.toarray() - np.eye(len(chain.sites))
+        flux = (expm(t * G) - np.eye(len(chain.sites))) @ chain.exit
+        exact = float(np.linalg.solve(G, flux)[chain.origin])
+        mass = heatkernel.exit_mass(chain, poisson_truncation_k(t, 1e-15))
+        assert abs(_exit_prob(mass, t, 1e-15) - exact) <= 1e-12
+
+    def test_half_products(self, small_env, monkeypatch):
+        # k_max - 1 products, each by a block between the two halves of B_6's 169 sites, on its 2d = 4 diagonals
+        chain = transition_matrix(small_env, 6)
+        blocks, banded = [], heatkernel._banded
+
+        def counted(M, offsets):
+            blocks.append(_CountingProduct(banded(M, offsets)))
+            return blocks[-1]
+
+        monkeypatch.setattr(heatkernel, "_banded", counted)
+        heatkernel.exit_mass(chain, 30)
+        assert [(b.shape, len(b.M.offsets)) for b in blocks] == [((85, 84), 4), ((84, 85), 4)]
+        assert sum(b.count for b in blocks) == 29
+
+    def test_validation(self, small_env, holey_decomp):
+        chain = transition_matrix(small_env, 3)
+        for bad in (-1, 2.5, "3"):
+            with pytest.raises(ValidationError):
+                heatkernel.exit_mass(chain, bad)
+        assert np.array_equal(heatkernel.exit_mass(chain, 0), [0.0])
+        with pytest.raises(ValidationError):  # heat_kernel_hat's chain on the strong cluster, not all of B_N
+            heatkernel.exit_mass(heatkernel._time_changed_chain(small_env, holey_decomp, small_env.geometry.origin), 5)
+
+
+def _fresh_distribution(cache: UniformizationCache, t: float) -> np.ndarray:
+    """The law at ``t`` from a propagation for that time alone: the loop each row must reproduce."""
+    w = cache._weights(t, heatkernel._LAW_TOL)
+    vec = np.zeros(cache._prop.shape[0])
+    vec[cache.chain.origin] = 1.0
+    out = w[0] * vec
+    for k in range(1, len(w)):
+        vec = cache._prop @ vec
+        out += w[k] * vec
+    return out
+
+
+class _CountingProduct:
+    def __init__(self, M):
+        self.M, self.shape, self.count = M, M.shape, 0
+
+    def __matmul__(self, v):
+        self.count += 1
+        return self.M @ v
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("killed", [True, False])
+    def test_rows_equal_fresh_propagations_bit_for_bit(self, small_env, killed):
+        cache = UniformizationCache(small_env, killed=killed)
+        grid = [0.0, 0.3, 2.0, 7.5, 31.0]
+        laws = cache.distribution(grid)
+        assert laws.shape == (len(grid), len(cache.chain.sites))
+        for row, t in zip(laws, grid):
+            assert np.array_equal(row, _fresh_distribution(cache, t))
+
+    def test_one_propagation_serves_the_grid(self, small_env):
+        cache = UniformizationCache(small_env, 6)
+        grid = [1.0, 4.0, 16.0]
+        cache._prop = _CountingProduct(cache._prop)
+        cache.distribution(grid)
+        assert cache._prop.count == poisson_truncation_k(16.0, heatkernel._LAW_TOL)
+        assert cache.a == [1.0]  # the cached sequences are left alone
+
+    def test_grid_validation(self, small_env):
+        cache = UniformizationCache(small_env, 3)
+        for bad in ([], [2.0, 1.0], [-1.0], [[1.0, 2.0]], [math.nan]):
+            with pytest.raises(ValidationError):
+                cache.distribution(bad)
 
 
 class TestHeatKernelHat:

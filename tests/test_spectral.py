@@ -488,6 +488,60 @@ class TestFeynmanKac:
         assert 0.0 < val < 1.0
 
 
+class TestBandedLayout:
+    @pytest.fixture(scope="class")
+    def bench_specs(self):
+        # perfbench's bounds boxes (seed 301): no hole sites at p = 0.95, about 450 holes at p = 0.6
+        specs = []
+        for p in (0.95, 0.6):
+            for seed in derive_environment_seeds(301, 3):
+                env = sample_environment(BoxGeometry(2, 65), 2.0, int(seed))
+                dec = strong_cluster(env, threshold_for_density(2.0, p))
+                specs.extend(prescribed_spec(env, dec, n) for n in (32, 64))
+        return specs
+
+    def test_box_offsets(self):
+        assert spectral._box_offsets(2, 3).tolist() == [-7, -1, 0, 1, 7]
+        assert spectral._box_offsets(3, 1).tolist() == [-9, -3, -1, 0, 1, 3, 9]
+        assert spectral._box_offsets(3, 0).tolist() == [-1, 0, 1]
+
+    def test_products_equal_csr_bit_for_bit_on_the_benchmark_boxes(self, bench_specs):
+        rng = np.random.default_rng(5)
+        assert max(len(spec.decomp.holes) for spec in bench_specs) > 300
+        for spec in bench_specs:
+            d, n = spec.env.geometry.d, spec.box_radius
+            S, sqrt_pi = spec.symmetrized
+            A = spectral._banded(S.T, spectral._box_offsets(d, n))
+            assert A.offsets.tolist() == spectral._box_offsets(d, n).tolist()
+            for x in (sqrt_pi, rng.standard_normal(S.shape[0])):
+                assert np.array_equal(A @ x, S.T @ x)
+            # the exit engine's half blocks, on their 2d diagonals
+            prop = spec.chain.P.T.tocsr()
+            steps = spectral._box_offsets(d, n)
+            steps = steps[steps != 0]
+            for p in (0, 1):
+                block = prop[p::2, 1 - p :: 2]
+                half = spectral._banded(block, (steps - 1 + 2 * p) // 2)
+                x = rng.random(block.shape[1])
+                assert np.array_equal(half @ x, block @ x)
+
+    def test_entry_off_the_box_diagonals_refused(self, small_env, holey_decomp):
+        # the time-changed chain jumps across holes and numbers only the cluster sites
+        W = heatkernel._time_changed_chain(small_env, holey_decomp, small_env.geometry.origin).W
+        with pytest.raises(ValidationError, match="off the diagonals"):
+            spectral._banded(W, spectral._box_offsets(2, small_env.geometry.N))
+        chain = transition_matrix(small_env, 4)
+        with pytest.raises(ValidationError, match="off the diagonals"):  # a box operator read with another box's strides
+            spectral._banded(chain.W, spectral._box_offsets(2, 5))
+
+    def test_rows_out_of_order_refused(self, small_env):
+        W = transition_matrix(small_env, 3).W.copy()
+        W.indices[[0, 1]] = W.indices[[1, 0]]
+        W.has_sorted_indices = False
+        with pytest.raises(ValidationError, match="sorted"):
+            spectral._banded(W, spectral._box_offsets(2, 3))
+
+
 class TestOperatorSpecCaches:
     def test_replace_starts_fresh(self, rand_env, rand_decomp):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.5)
