@@ -52,7 +52,7 @@ spec = OperatorSpec(env=small, decomp=sdec, box_radius=4, lam=0.3)
 t = 2.0
 v_spectral = feynman_kac_spectral(spec, t)
 v_uniform = feynman_kac_uniformization(spec, t)
-v_lanczos, steps = feynman_kac_lanczos(spec, t)
+v_lanczos, steps, _ = feynman_kac_lanczos(spec, t)
 v_mc, se = feynman_kac_mc(spec, t, 40_000, np.random.default_rng(17))
 print(f"\nE[exp(-lam A); alive] at t={t}: spectral {v_spectral:.6f}, "
       f"uniformized {v_uniform:.6f}, Lanczos {v_lanczos:.6f} ({steps} steps), "

@@ -4,9 +4,8 @@ Simulation and numerical-verification toolkit: environment sampling under
 polynomial-tail conductance laws, percolation decomposition into strong
 cluster and holes, Poisson-clock walks with time change and effective
 conductances, exact and Monte Carlo heat kernels with exponent fitting, the
-exact kernel of the time-changed walk, and the spectral machinery (Dirichlet
-forms, principal eigenvalues, penalized semigroups) behind the quenched
-decay bounds.
+exact kernel of the time-changed walk, and the spectral machinery (principal
+eigenvalues, penalized semigroups) behind the quenched decay bounds.
 """
 
 from .errors import (
@@ -28,7 +27,6 @@ from .heatkernel import (
     box_radius_for_horizon,
     clt_lower_bound_check,
     default_time_grid,
-    discrete_return_prob,
     exit_mass,
     fit_exponent,
     heat_kernel_hat,
@@ -69,7 +67,6 @@ from .spectral import (
     PerturbationReport,
     SpectralReport,
     SurvivalBoundReport,
-    dirichlet_form,
     eigenvalue_floor,
     exit_time_tail_check,
     feynman_kac_lanczos,
@@ -83,14 +80,15 @@ from .spectral import (
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,
-    rayleigh_quotient,
     survival_bound_check,
 )
 from .walk import (
     BoxChain,
+    BoxStencil,
     EffectiveConductances,
     EnsembleResult,
     TrajectoryRecord,
+    box_stencil,
     effective_conductance_matrix,
     effective_conductances,
     ensemble_walk,

@@ -559,7 +559,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
     spectral_rows = []
     survival_rows = []
     routes = []
-    survival_steps = 0
+    survival_steps = survival_pairs = 0
     n_exit = min(cfg.N_list)
     for n in cfg.N_list:
         spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
@@ -571,6 +571,7 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         sb = survival_bound_check(spec)
         survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
         survival_steps += sb.steps
+        survival_pairs += sb.ritz_pairs
         if n == n_exit:
             tail = exit_time_tail_check(spec, np.geomspace(n**2 / 16.0, n**2, 8))
 
@@ -578,7 +579,8 @@ def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
         (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
         for j in range(len(tail.t))
     ]
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival_steps, tail.products
+    survival = (survival_steps, survival_pairs)
+    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival, tail.products
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -599,7 +601,8 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     exit_rows = [row for r in results for row in r[3]]
     exit_ok = [r[4] for r in results]
     routes = [method for r in results for method in r[5]]
-    survival_steps = sum(r[6] for r in results)
+    survival_steps = sum(r[6][0] for r in results)
+    survival_pairs = sum(r[6][1] for r in results)
     exit_products = sum(r[7] for r in results)
 
     files = []
@@ -646,6 +649,7 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
             "floor_inertia_fallbacks": str(sum(method != "barta" for method in routes)),
             "floor_eigsh_fallbacks": str(routes.count("eigsh")),
             "survival_lanczos_steps": str(survival_steps),
+            "survival_ritz_pairs": str(survival_pairs),
             "exit_tail_products": str(exit_products),
         },
     )

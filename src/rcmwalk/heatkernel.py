@@ -36,8 +36,10 @@ it is the independent oracle of the bracket, and it serves what needs the
 jump powers or the whole law, namely the discrete-time kernel and its
 Poisson-mixture lower bound, the full laws on a time grid and the
 time-changed walk's chain on the strong cluster.  ``exit_mass`` propagates
-the killed box chain's mass over the rim, the exit-time tail's per-jump
-sequence, on the half of the box the walk can occupy after each jump.  On
+the killed walk's mass over the rim of ``B_n``, the exit-time tail's
+per-jump sequence, on the half of the box the walk can occupy after each
+jump, by half blocks laid out on their diagonals from the box's stencil
+(``walk.box_stencil``) with no sparse-row matrix built.  On
 the penalized generator ``I - P + lam diag(phi)`` the engine's surviving
 mass is the Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``, the oracle of
 ``spectral.feynman_kac_lanczos``, which shares this module's step estimate,
@@ -62,9 +64,9 @@ from .lattice import _CONFIDENCE, BoxGeometry, Environment, _integral_radius
 from .percolation import ClusterDecomposition
 from .walk import (
     BoxChain,
-    _banded,
-    _box_offsets,
+    BoxStencil,
     _cluster_site,
+    _on_diagonals,
     effective_conductance_matrix,
     ensemble_walk,
     transition_matrix,
@@ -227,8 +229,23 @@ class UniformizationCache:
         return out
 
 
-def exit_mass(chain: BoxChain, k_max: int) -> np.ndarray:
-    """The mass the walk on ``chain`` has carried over the rim within ``k`` jumps, for ``k = 0..k_max``.
+def _half_blocks(stencil: BoxStencil) -> list:
+    """``P^T`` of the killed box chain from the half of parity ``1 - p`` to that of ``p``, on ``2d`` diagonals.
+
+    Column ``j`` of ``blocks[p]`` is site ``x = 2 j + 1 - p``, whose rate
+    ``w / pi[x]`` along step ``s`` lands on row ``(x + s) // 2``.
+    """
+    m = len(stencil.pi)
+    rate = np.zeros_like(stencil.w)
+    np.divide(stencil.w, stencil.pi, out=rate, where=stencil.bonds)
+    sizes = ((m + 1) // 2, m // 2)
+    return [
+        _on_diagonals(rate[:, 1 - p :: 2], (-stencil.steps - 1 + 2 * p) // 2, (sizes[p], sizes[1 - p])) for p in (0, 1)
+    ]
+
+
+def exit_mass(stencil: BoxStencil, k_max: int) -> np.ndarray:
+    """The mass the killed walk on ``B_n`` has carried over the rim within ``k`` jumps, for ``k = 0..k_max``.
 
     Entry ``k`` is ``sum_{j < k} (P^j exit)(0)``, the probability that the
     jump chain started at the origin has left ``B_n`` by its ``k``-th jump,
@@ -236,33 +253,27 @@ def exit_mass(chain: BoxChain, k_max: int) -> np.ndarray:
     has no holding, so after ``j`` jumps it sits on the sites whose L1
     parity is that of ``j``.  The box side ``2n + 1`` is odd, hence so is
     every stride, and a site's parity is that of its canonical index: the
-    two halves are ``[0::2]`` and ``[1::2]``, and the origin's is ``origin
-    % 2``.  The propagated vector holds only the live half, and each of the
-    ``k_max - 1`` products (none for ``k_max <= 1``) multiplies it by a half
-    block ``P^T[p::2, 1-p::2]`` stored by its ``2d`` diagonals
-    (``walk._banded``).  Each step's rim flux is one dot product over the
-    whole rim, the other half's rim sites held at zero, so the sequence is
-    bit for bit that of propagating the full vector.  ``chain`` must cover
-    all of ``B_n`` in canonical order, as ``transition_matrix``'s chains do.
+    two halves are ``[0::2]`` and ``[1::2]``.  The propagated vector holds
+    only the live half, and each of the ``k_max - 1`` products multiplies it
+    by a half block (``_half_blocks``); each step's rim flux is one dot
+    product over the whole rim, the other half's sites held at zero, so the
+    sequence is bit for bit that of propagating the full vector by the
+    ``P^T`` of ``transition_matrix``.
     """
+    if not isinstance(stencil, BoxStencil):
+        raise ValidationError(f"the exit mass reads a box stencil (walk.box_stencil), got {type(stencil).__name__}")
     k_max = _integral_radius(k_max, "jump count")
     if k_max < 0:
         raise ValidationError(f"jump count must be >= 0, got {k_max}")
-    d, n, m = chain.env.geometry.d, chain.box_radius, len(chain.sites)
-    if m != (2 * n + 1) ** d:
-        raise ValidationError(f"the exit mass needs a chain on all of B_{n} ({(2 * n + 1) ** d} sites), got {m}")
-    prop = chain.P.T.tocsr()
-    steps = _box_offsets(d, n)
-    steps = steps[steps != 0]  # the walk never stays put
-    # blocks[p] takes the half of parity 1 - p to the half of parity p
-    blocks = [_banded(prop[p::2, 1 - p :: 2], (steps - 1 + 2 * p) // 2) for p in (0, 1)]
-    rim = np.flatnonzero(chain.exit)
-    rim_exit = chain.exit[rim]
+    blocks = _half_blocks(stencil)
+    exit_rate = stencil.exit
+    rim = np.flatnonzero(exit_rate)
+    rim_exit = exit_rate[rim]
     halves = [(at, rim[at] // 2) for at in (np.flatnonzero(rim % 2 == p) for p in (0, 1))]  # rim places, half indices
     padded = [np.zeros(len(rim)), np.zeros(len(rim))]  # the whole rim, the other half's sites held at zero
-    p = chain.origin % 2
-    live = np.zeros((m + 1 - p) // 2)
-    live[chain.origin // 2] = 1.0
+    p = stencil.origin % 2
+    live = np.zeros(blocks[p].shape[0])
+    live[stencil.origin // 2] = 1.0
     out = np.zeros(k_max + 1)
     exited = 0.0
     for k in range(1, k_max + 1):
@@ -735,17 +746,6 @@ def return_prob_mc(
         gamma=env.gamma,
         seed=env.seed,
     )
-
-
-def discrete_return_prob(env: Environment, n: int) -> float:
-    """Discrete-time return probability ``P^n(0,0)`` for even ``n``, on ``B_{N-1}``.
-
-    Odd step counts are rejected: the lattice is bipartite, so odd-step
-    returns vanish identically and carry no information.
-    """
-    if n < 0 or n % 2 != 0:
-        raise ValidationError(f"step count must be even and >= 0, got {n}")
-    return UniformizationCache(env).discrete(n)
 
 
 def poissonization_lower_bound(cache: UniformizationCache, t: float) -> tuple[float, float]:

@@ -171,12 +171,20 @@ class BoxGeometry:
         ids[valid] = np.arange(valid.sum(), dtype=np.int64)
         return ids.reshape(self.n_sites, self.d)
 
-    def sub_box_indices(self, n: int) -> np.ndarray:
-        """Indices of the sites of ``B_n`` (n <= N) in B_n's own canonical order."""
+    def sub_box_rows(self, a: np.ndarray, n: int) -> np.ndarray:
+        """The rows of the per-site array ``a`` at the sites of ``B_n`` (n <= N), in B_n's own canonical order.
+
+        Canonical order is C order over the coordinates, so ``B_n`` is a slice
+        of the box's grid.
+        """
         if not 0 <= n <= self.N:
             raise ValidationError(f"sub-box radius {n} outside [0, {self.N}]")
-        sub = BoxGeometry(self.d, n)
-        return np.asarray(sub.all_coords @ self.strides + self.N * self.strides.sum(), dtype=np.int64)
+        cut = (slice(self.N - n, self.N + n + 1),) * self.d
+        return a.reshape((self.side,) * self.d + a.shape[1:])[cut].reshape((-1,) + a.shape[1:])
+
+    def sub_box_indices(self, n: int) -> np.ndarray:
+        """Indices of the sites of ``B_n`` (n <= N) in B_n's own canonical order."""
+        return self.sub_box_rows(np.arange(self.n_sites, dtype=np.int64), n)
 
     def l1_ball_indices(self, n: int, radius: int) -> np.ndarray:
         """Indices of the sites of ``B_n`` within L1 distance ``radius`` of the origin.

@@ -1,12 +1,14 @@
-"""Dirichlet forms, the killed-and-penalized operator, and its consequences.
+"""The killed-and-penalized operator and its consequences.
 
 The operator of interest is ``-G = (I - P_N) + lam * diag(phi)`` acting on
 the box with Dirichlet exterior, where ``phi`` indicates the strong
 cluster.  All eigensolves run on the symmetrized matrix
-``D^{1/2} (-G) D^{-1/2}`` with ``D = diag(pi)``, whose entries
-``delta - omega_xy / sqrt(pi_x pi_y)`` scale the box chain's conductance
-matrix ``W``, so symmetry is exact; ``P_N`` and the Dirichlet form read the
-same ``W``.
+``S = D^{1/2} (-G) D^{-1/2}`` with ``D = diag(pi)``, whose entries
+``delta - omega_xy / sqrt(pi_x pi_y)`` are laid out on the ``2d + 1``
+diagonals of the box straight from its stencil (``walk.box_stencil``), so
+symmetry is exact and no sparse-row box matrix is built; the routes that
+factor or slice ``S`` convert it when they run, and the killed box chain
+(``OperatorSpec.chain``) serves only the uniformization oracle.
 
 The spectral-gap floor ``Lambda1 >= m(N)`` is certified on the first of
 three routes that settles it.  First a positive test vector: ``S`` has
@@ -23,14 +25,17 @@ so a failing verdict always rests on an eigensolve.
 The value ``E[exp(-lam A(t)); t < tau]`` comes from one Lanczos run on the
 symmetrized matrix, the one the floor check reads
 (``feynman_kac_lanczos``: about ``sqrt((2 + lam) t)`` products where the
-Poisson series takes ``(1 + lam) t``).  Its oracles are the uniformization
+Poisson series takes ``(1 + lam) t``); its checks solve only the Ritz pairs
+near the lowest, which carry the weight at the horizons it serves, and the
+full tridiagonal eigensolve when the bound on the rest does not clear the
+tolerance.  Its oracles are the uniformization
 engine of ``heatkernel`` (any box, error controlled by the Poisson
 truncation), Monte Carlo, and, on small boxes, the dense spectral
 expansion.  The exit-time tail ``P(tau_N <= t)`` mixes the per-jump exit
 mass of the plain killed walk (``heatkernel.exit_mass``, one propagation on
-the live parity for the whole grid) with Poisson weights.  Both long loops
-multiply by a box operator stored by its diagonals (``walk._banded``), bit
-for bit the sparse-row products.
+the live parity for the whole grid, by half blocks laid out from the same
+stencil) with Poisson weights.  Both long loops multiply by operators
+stored by their diagonals, bit for bit the sparse-row products.
 
 The Duhamel identities linking the penalized semigroup to the plain one
 are checked on small boxes with both integrals in closed form: each is a
@@ -45,7 +50,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import NumericalError, ValidationError
@@ -62,21 +69,24 @@ from .heatkernel import (
 )
 from .lattice import Environment, _integral_radius
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, _banded, _box_offsets, ensemble_walk, transition_matrix
+from .walk import BoxChain, BoxStencil, _on_diagonals, box_stencil, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
 _FK_TOL = 1e-12  # relative change between two checks that ends a penalized Lanczos run
 _EIGSH_MAXITER = 5000  # ARPACK update iterations allowed to the shift-invert principal eigensolve
+_RITZ_WINDOW = 44.0  # a check solves the Ritz pairs with theta <= theta_min + _RITZ_WINDOW / t
 
 
 def eigenvalue_floor(d: int, gamma: float, N: int, mu: float) -> float:
     """The spectral-gap floor ``m(N) = N^{-(d/gamma + mu)} / (8d)``.
 
     ``gamma = inf`` (the all-ones law) degenerates to ``N^{-mu} / (8d)``.
+    ``d >= 2`` and ``N >= 1`` must be integers (1.5, inf or "3" raises).
     """
-    if not (gamma > 0 and mu > 0 and N >= 1):
-        raise ValidationError("need gamma > 0, mu > 0, N >= 1")
+    d, N = _integral_radius(d, "dimension"), _integral_radius(N)
+    if not (d >= 2 and N >= 1 and gamma > 0 and 0 < mu < math.inf):
+        raise ValidationError(f"need d >= 2, N >= 1, gamma > 0, finite mu > 0; got {d}, {N}, {gamma!r}, {mu!r}")
     return float(N) ** -(d / gamma + mu) / (8.0 * d)
 
 
@@ -124,28 +134,41 @@ class OperatorSpec:
             raise ValidationError("epsilon must lie in (0, 1)")
 
     @cached_property
+    def stencil(self) -> BoxStencil:
+        return box_stencil(self.env, self.box_radius)
+
+    @cached_property
     def chain(self) -> BoxChain:
+        """The killed box chain, for the uniformization oracle; the bound checks read ``stencil``."""
         return transition_matrix(self.env, self.box_radius, killed=True)
 
     @cached_property
     def phi_box(self) -> np.ndarray:
         """Strong-cluster indicator over the operator box sites."""
         if self.decomp is None:
-            return np.ones(len(self.chain.sites))
-        return self.decomp.in_cluster[self.chain.sites].astype(np.float64)
+            return np.ones(self.n_sites)
+        return self.env.geometry.sub_box_rows(self.decomp.in_cluster, self.box_radius).astype(np.float64)
 
     @property
     def n_sites(self) -> int:
-        return len(self.chain.sites)
+        return len(self.stencil.pi)
 
     @cached_property
     def symmetrized(self):
-        """Sparse ``D^{1/2}(-G)D^{-1/2}`` plus the pi square roots."""
-        W = self.chain.W
-        sqrt_pi = np.sqrt(self.chain.pi)
-        scale = np.repeat(sqrt_pi, np.diff(W.indptr)) * sqrt_pi[W.indices]
-        off = csr_matrix((W.data / scale, W.indices, W.indptr), shape=W.shape)
-        S = (diags(1.0 + self.lam * self.phi_box) - off).tocsc()
+        """``S = D^{1/2}(-G)D^{-1/2}`` on its ``2d + 1`` diagonals, plus the pi square roots.
+
+        Bond ``(y, x)`` inside ``B_n`` reads ``-w / (sqrt(pi_y) sqrt(pi_x))``
+        off the stencil, so ``S`` is exactly symmetric and bit for bit the
+        matrix scaled from the chain's ``W``, products included.
+        """
+        st = self.stencil
+        sqrt_pi = np.sqrt(st.pi)
+        m = len(sqrt_pi)
+        values = np.zeros((len(st.steps) + 1, m))
+        for c, step in enumerate(st.steps):  # column x, row y = x + step; what wraps around is no bond
+            np.divide(-st.w[c], np.roll(sqrt_pi, -step) * sqrt_pi, out=values[c], where=st.bonds[c])
+        values[-1] = 1.0 + self.lam * self.phi_box
+        S = _on_diagonals(values, np.append(-st.steps, 0), (m, m))
         return S, sqrt_pi
 
     @cached_property
@@ -184,38 +207,6 @@ def prescribed_spec(
     return OperatorSpec(env=env, decomp=decomp, box_radius=n, lam=lam, mu=mu, b=b, epsilon=epsilon)
 
 
-def dirichlet_form(env: Environment, box_radius: int, f: np.ndarray) -> float:
-    """Energy ``sum_b (df(b))^2 omega_b`` over bonds of ``B_{n+1}``.
-
-    ``f`` lives on the ``B_n`` sites (canonical order) and is extended by
-    zero outside, so bonds crossing the rim contribute ``f^2 omega``.  This
-    normalization satisfies ``E(f, f) = <f, -L f>_pi`` exactly.  The bonds
-    are the ``W`` of the killed chain ``transition_matrix(env, n)``, the rim
-    conductances its ``pi * exit``.
-    """
-    chain = transition_matrix(env, box_radius)
-    W = chain.W
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (W.shape[0],):
-        raise ValidationError(f"f must have one value per B_{chain.box_radius} site ({W.shape[0]}), got {f.shape}")
-    df = np.repeat(f, np.diff(W.indptr)) - f[W.indices]
-    # each inside bond appears in both directions; bonds over the rim see df = f
-    return float(0.5 * np.sum(df * df * W.data) + np.sum(chain.pi * chain.exit * f * f))
-
-
-def rayleigh_quotient(spec: OperatorSpec, f: np.ndarray) -> float:
-    """``(E(f,f) + lam sum_cluster f^2 pi) / pi(f^2)`` on the box, as ``<g, S g> / <g, g>``, ``g = sqrt(pi) f``."""
-    S, sqrt_pi = spec.symmetrized
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != sqrt_pi.shape:
-        raise ValidationError(f"f must have one value per box site ({spec.n_sites}), got {f.shape}")
-    g = sqrt_pi * f
-    denom = float((g * g).sum())
-    if denom == 0:
-        raise ValidationError("f must not vanish identically")
-    return float((g * (S @ g)).sum()) / denom
-
-
 @dataclass
 class SpectralReport:
     """Principal eigenpair of the killed-and-penalized operator."""
@@ -242,6 +233,7 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10) -> SpectralReport:
         v = vecs[:, 0]
         iters = 0
     else:
+        S = S.tocsc()
         solver = splu(S)
         count = {"n": 0}
 
@@ -266,7 +258,7 @@ def lambda1(spec: OperatorSpec, tol: float = 1e-10) -> SpectralReport:
     if resid > max(tol * 100, 1e-8):
         raise NumericalError(f"principal eigenpair residual {resid:.2e} above tolerance")
     psi = v / sqrt_pi
-    psi = psi / math.sqrt(float((psi * psi * spec.chain.pi).sum()))
+    psi = psi / math.sqrt(float((psi * psi * spec.stencil.pi).sum()))
     return SpectralReport(Lambda1=lam1, psi1=psi, residual=resid, iterations=iters)
 
 
@@ -279,12 +271,39 @@ def feynman_kac_spectral(spec: OperatorSpec, t: float) -> float:
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"time must be finite and >= 0, got {t!r}")
     lams, vecs, sqrt_pi = spec.dense_eig
-    origin = spec.chain.origin
+    origin = spec.stencil.origin
     coeff = vecs.T @ sqrt_pi  # <1, psi_i>_pi in the symmetrized frame
     return float(np.sum(np.exp(-lams * t) * coeff * vecs[origin, :]) / sqrt_pi[origin])
 
 
-def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
+def _ritz_sum(diag: np.ndarray, off: np.ndarray, c: np.ndarray, t: float, tol: float) -> tuple[float, int]:
+    """``c^T U diag(e^{-t theta}) U[0]`` over the Ritz pairs of the tridiagonal ``(diag, off)``, and the pairs solved.
+
+    Only the pairs with ``theta <= cut = theta_min + _RITZ_WINDOW / t`` are
+    solved (``theta_min`` by bisection, then MRRR on that range); by
+    Cauchy-Schwarz over the orthonormal columns of ``U`` the others add at
+    most ``||c|| e^{-t cut}``, and when that is not below ``tol |sum| / 4``
+    every pair is solved, so no check is weakened.
+    """
+
+    def weighted(theta, U):
+        return float(((c[:, None] * U).sum(axis=0) * np.exp(-t * theta) * U[0]).sum())
+
+    try:  # nothing lies below the lowest Ritz value, so the range (low - 1, cut] holds all kept pairs
+        low = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0), lapack_driver="stebz")[0]
+        cut = low + _RITZ_WINDOW / t
+        theta, U = eigh_tridiagonal(diag, off, select="v", select_range=(low - 1.0, cut), lapack_driver="stemr")
+    except LinAlgError:
+        theta = ()
+    if 0 < len(theta) < len(diag):
+        total = weighted(theta, U)
+        if math.sqrt(float((c * c).sum())) * math.exp(-t * cut) < 0.25 * tol * abs(total):
+            return total, len(theta)
+    theta, U = _ritz(diag, off)
+    return weighted(theta, U), len(diag)
+
+
+def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int, int]:
     """``E[exp(-lam A(t)); t < tau]`` from one Lanczos run on ``spec.symmetrized``.
 
     The value is ``pi_0^(-1/2) sqrt(pi)^T exp(-tS) e_0`` with ``S`` the
@@ -292,11 +311,13 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
     three-term recurrence runs on ``S`` from ``e_0`` and keeps two vectors
     and the scalars ``c_j = sqrt(pi) . q_j``; a check reads the value as
     ``c^T U diag(e^{-t theta}) U[0] / sqrt(pi_0)`` from the Ritz pairs
-    ``(theta, U)`` of the tridiagonal matrix.  The penalty breaks the
-    bipartite structure, so the recurrence is not folded.  ``S`` is
-    symmetric bit for bit, so the products take ``S.T``, a row-major view of
-    the column-major matrix, stored by its ``2d + 1`` diagonals
-    (``walk._banded``, whose products are bit for bit the row-major ones).
+    ``(theta, U)`` that carry weight (``_ritz_sum``).  A step is one
+    product by the banded ``S``, three reductions and two axpys into one
+    reused buffer.  Started from ``sqrt(pi)``, reading ``q_j[0]``, the run
+    would need one reduction less but loses the origin's entry to rounding
+    when the ground state sits in a hole away from it (d = 3, n = 4,
+    p = 0.5, lam = 3, t = 7 never settled).  The penalty breaks the
+    bipartite structure, so the recurrence is not folded.
     Checks follow the curve engine's schedule, with the a priori step count
     ``m*`` taken for the spectrum width ``2 + lam``; the run stops when the
     value moved by at most ``tol`` relative since the previous check, or on
@@ -307,32 +328,31 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
     wandered between checks by 1.3 times that, so the tolerance is at least
     four times it.  A step count equal to the number of box sites also ends
     the run, unchecked: the Krylov space is then exhausted, and in exact
-    arithmetic ``T_dim`` has the spectrum of ``S``.  Returns the value and
-    the step count.
+    arithmetic ``T_dim`` has the spectrum of ``S``.  Returns the value, the
+    step count and the number of Ritz pairs the checks solved.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"horizon must be positive and finite, got {t!r}")
     tol = max(_FK_TOL, 4.0 * t * np.finfo(float).eps * (2.0 + spec.lam))
     S, sqrt_pi = spec.symmetrized
-    A = _banded(S.T, _box_offsets(spec.env.geometry.d, spec.box_radius))  # S.T: a CSR view, S == S.T
-    origin = spec.chain.origin
+    origin = spec.stencil.origin
     dim = S.shape[0]
     expected = _krylov_steps(t, tol, 2.0 + spec.lam)
     first = max(_CHECK_EVERY, int(_FIRST_CHECK * expected))
     max_steps = 32 + 2 * math.ceil(expected)
-    q_prev, q = np.zeros(dim), np.zeros(dim)
+    q_prev, q, buf = np.zeros(dim), np.zeros(dim), np.empty(dim)
     q[origin] = 1.0
     diag, off, c = [], [], []
-    beta, prev, moved = 0.0, None, math.inf
+    beta, prev, moved, pairs = 0.0, None, math.inf, 0
     # elementwise products and sums, not @: a BLAS dot on the long vectors wakes its threads
     for i in range(1, max_steps + 1):
-        y = A @ q
-        alpha = float((q * y).sum())
-        c.append(float((sqrt_pi * q).sum()))
-        y -= alpha * q
-        y -= beta * q_prev
+        y = S @ q
+        c.append(float(np.multiply(sqrt_pi, q, out=buf).sum()))
+        alpha = float(np.multiply(q, y, out=buf).sum())
+        y -= np.multiply(q, alpha, out=buf)
+        y -= np.multiply(q_prev, beta, out=buf)
         diag.append(alpha)
-        beta = 0.0 if i == dim else math.sqrt(float((y * y).sum()))  # i == dim: the space is exhausted
+        beta = 0.0 if i == dim else math.sqrt(float(np.multiply(y, y, out=buf).sum()))  # i == dim: the space is exhausted
         off.append(beta)
         q_prev, q = q, q_prev
         broke = beta <= _BREAKDOWN
@@ -340,12 +360,13 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int]:
             np.divide(y, beta, out=q)
         if (i < first or (i - first) % _CHECK_EVERY) and not broke:
             continue
-        theta, U = _ritz(np.array(diag), np.array(off[:-1]))
-        value = float(((np.array(c)[:, None] * U).sum(axis=0) * np.exp(-t * theta) * U[0]).sum() / sqrt_pi[origin])
+        total, solved = _ritz_sum(np.array(diag), np.array(off[:-1]), np.array(c), t, tol)
+        pairs += solved
+        value = total / sqrt_pi[origin]
         if prev is not None:
             moved = abs(value - prev)
         if broke or moved <= tol * abs(value):  # a value that underflowed to 0 stays 0
-            return value, i
+            return value, i, pairs
         prev = value
     raise NumericalError(
         f"penalized Lanczos run did not settle within tolerance {tol:g} in {max_steps} steps "
@@ -443,7 +464,7 @@ def perturbation_identity_check(spec: OperatorSpec, t_values) -> PerturbationRep
     plain = replace(spec, lam=0.0)
     mu, W, sqrt_pi = spec.dense_eig
     lams, V, _ = plain.dense_eig
-    o = spec.chain.origin
+    o = spec.stencil.origin
     C = V.T @ (spec.phi_box[:, None] * W)
     r_proj, p_proj = W.T @ sqrt_pi, V.T @ sqrt_pi
     dev1 = np.empty(len(t_arr))
@@ -476,6 +497,7 @@ class SurvivalBoundReport:
     passed: bool
     fk_value: float
     steps: int  # Lanczos steps behind fk_value
+    ritz_pairs: int  # Ritz pairs the run's checks solved
 
 
 def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> SurvivalBoundReport:
@@ -495,7 +517,7 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
     if not (math.isfinite(t) and t > 0):
         raise ValidationError(f"horizon must be positive and finite, got {t!r}")
     m_n = eigenvalue_floor(d, env.gamma, n, spec.mu)
-    fk, steps = feynman_kac_lanczos(spec, t)
+    fk, steps, pairs = feynman_kac_lanczos(spec, t)
     lhs_log = spec.lam * t**spec.epsilon + (math.log(fk) if fk > 0 else -math.inf)
     rhs_log = 0.5 * ((d + 2) * math.log(2.0) + math.log(d)) + 0.5 * d * math.log(n) - 0.5 * t * m_n
     return SurvivalBoundReport(
@@ -507,6 +529,7 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
         passed=bool(lhs_log <= rhs_log),
         fk_value=fk,
         steps=steps,
+        ritz_pairs=pairs,
     )
 
 
@@ -529,7 +552,7 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
     """Exact ``P(tau_N <= t)`` with its envelope ``C t N^{d-1} e^{-N^2/4t} + e^{-ct}``.
 
     ``N`` is ``spec.box_radius``.  The tail is the mass the plain killed walk
-    on ``spec.chain`` has carried over the rim, with Poisson truncation error
+    on the spec's box has carried over the rim, with Poisson truncation error
     below ``_EXIT_TOL`` (the spec's killing rate plays no part): one
     ``heatkernel.exit_mass`` run to the truncation of the last time gives
     the per-jump sequence, and each time mixes its prefix (``products``
@@ -545,7 +568,7 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
     N = spec.box_radius
     weights = [poisson_weights(tj, poisson_truncation_k(tj, _EXIT_TOL)) for tj in t]
     k_max = max(len(w) for w in weights) - 1
-    mass = exit_mass(spec.chain, k_max)
+    mass = exit_mass(spec.stencil, k_max)
     p_exit = np.array([float(w @ mass[: len(w)]) for w in weights])
 
     d = spec.env.geometry.d
@@ -591,7 +614,7 @@ def negative_pivots(S, shift: float) -> int | None:
     to the diagonal, which shows as equal row and column permutations, and
     every pivot is finite and nonzero; otherwise returns ``None``.
     """
-    A = (S - shift * identity(S.shape[0], format="csc")).tocsc()
+    A = S.tocsc() - shift * identity(S.shape[0], format="csc")
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular: shift is an eigenvalue
@@ -622,7 +645,7 @@ def _test_vector_floor(spec: OperatorSpec, shift: float) -> bool:
     v = sqrt_pi.copy()
     hole = np.flatnonzero(spec.phi_box == 0)
     if hole.size:
-        rows = S.T[hole]  # CSR view; S == S.T
+        rows = S.tocsr()[hole]
         v_cluster = v.copy()
         v_cluster[hole] = 0.0
         block = (rows[:, hole] - 2.0 * shift * identity(hole.size)).tocsc()

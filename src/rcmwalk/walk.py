@@ -6,7 +6,9 @@ the walk on its first exit from ``B_n``; because an environment stores only
 in-box bonds, the genuine killed dynamics (full invariant measure at every
 living site) are available for ``n <= N - 1``, which is the default kill
 radius.  ``kill_radius=None`` gives the free-boundary chain on the whole
-box, used for exploratory runs and mass-conservation tests only.
+box, used for exploratory runs and mass-conservation tests only.  The
+bound suite reads the killed chain as a stencil (``box_stencil``) and lays
+its operators on their diagonals, with no sparse-row matrix.
 
 The additive functional ``A(t)`` measures the time spent on the strong
 cluster; suppressing hole visits through its inverse yields the
@@ -93,46 +95,58 @@ class BoxChain:
         return csr_matrix((W.data / np.repeat(self.pi, np.diff(W.indptr)), W.indices, W.indptr), shape=W.shape)
 
 
-def _box_offsets(d: int, n: int) -> np.ndarray:
-    """The diagonals an operator on ``B_n`` in canonical order can use, ascending.
+@dataclass(frozen=True)
+class BoxStencil:
+    """The chain killed on leaving ``B_n`` as a stencil read off the environment, with no sparse matrix.
 
-    A bond moves the canonical index by a stride ``(2n + 1)^i``, so the
-    ``2d + 1`` offsets ``column - row`` are zero and the strides with both
-    signs (just -1, 0, 1 on ``B_0``, whose strides coincide).
+    ``w[c, x]`` is the conductance from site ``x`` of ``B_n`` (canonical
+    order) toward its neighbor in direction ``c`` (incidence order ``-e_1,
+    +e_1, -e_2, ...``), ``bonds[c, x]`` whether that bond carries
+    conductance inside ``B_n``, and ``steps[c]`` its move of the canonical
+    index; ``pi`` and ``exit`` are bit for bit those of ``transition_matrix``.
     """
-    strides = (2 * n + 1) ** np.arange(d, dtype=np.int64)
-    return np.unique(np.concatenate((-strides, [0], strides)))
+
+    w: np.ndarray
+    bonds: np.ndarray
+    pi: np.ndarray
+    exit: np.ndarray
+    steps: np.ndarray
+
+    @property
+    def origin(self) -> int:
+        return (len(self.pi) - 1) // 2
 
 
-def _banded(M: csr_matrix, offsets: np.ndarray) -> dia_matrix:
-    """``M`` stored by the ascending diagonals ``offsets``, with products bit for bit those of ``M``.
+def box_stencil(env: Environment, box_radius: int) -> BoxStencil:
+    """The stencil of ``B_n``, ``n = box_radius <= N - 1``, so that every site has all its bonds."""
+    geom = env.geometry
+    n = _integral_radius(box_radius)
+    if not 0 <= n <= geom.N - 1:
+        raise ValidationError(f"a box stencil needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
+    w = np.ascontiguousarray(geom.sub_box_rows(env.omega_by_direction, n).T)
+    bonds = (geom.linf_norm[geom.sub_box_rows(geom.neighbor_table, n).T] <= n) & (w > 0)
+    pi = geom.sub_box_rows(env.pi_all, n)  # bit for bit the restriction's pi
+    rim = np.zeros(len(pi))
+    for row, inside in zip(w, bonds):  # in incidence order, as transition_matrix's bincount adds
+        rim += np.where(inside, 0.0, row)
+    strides = (2 * n + 1) ** np.arange(geom.d - 1, -1, -1, dtype=np.int64)
+    return BoxStencil(w=w, bonds=bonds, pi=pi, exit=rim / pi, steps=np.stack((-strides, strides), axis=1).ravel())
 
-    scipy's DIA product adds the diagonals in the order they are stored, and
-    each row of a canonical CSR matrix lists its entries by ascending column,
-    which is ascending offset, so every row sums the same products in the
-    same order; the padding adds zeros, which change no sum.  The layout is
-    read straight from the CSR arrays, each entry's diagonal found by
-    ``searchsorted`` (``todia`` round-trips through COO and a ``unique``,
-    slower and with more index temporaries alive at once).  An entry off
-    ``offsets``, or a row that is not in canonical order, raises
-    ``ValidationError`` before the layout is allocated, so an operator that
-    is not banded never grows a huge one.
+
+def _on_diagonals(values: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]) -> dia_matrix:
+    """The operator with entry ``(j - offsets[c], j) = values[c, j]``, stored by ascending diagonal.
+
+    scipy's DIA product adds a row's terms in storage order, and ascending
+    offsets are ascending columns, the order of a canonical sparse row, so
+    each product is bit for bit the sparse-row one (absent bonds add zeros).
+    On ``B_0`` the steps coincide, every bond leaves the box, and the zero
+    columns that share a diagonal are summed.
     """
-    if not M.has_canonical_format:
-        raise ValidationError("a banded layout needs sorted rows without duplicate entries")
-    diff = M.indices - np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
-    k = np.searchsorted(offsets.astype(diff.dtype), diff)
-    off = offsets.take(k, mode="clip") != diff  # past the last diagonal clips to it, which differs
-    if off.any():
-        j = int(np.argmax(off))
-        row = int(np.searchsorted(M.indptr, j, side="right")) - 1
-        raise ValidationError(f"operator entry ({row}, {int(M.indices[j])}) lies off the diagonals {offsets.tolist()}")
-    del diff, off  # the index temporaries go before the layout comes
-    k *= M.shape[1]  # in place: the flat position of each entry in the layout
-    k += M.indices
-    data = np.zeros((len(offsets), M.shape[1]))
-    data.ravel()[k] = M.data
-    return dia_matrix((data, offsets), shape=M.shape)
+    diagonals, where = np.unique(offsets, return_inverse=True)
+    data = np.zeros((len(diagonals), shape[1]))
+    for c, k in enumerate(where):
+        data[k] += values[c]
+    return dia_matrix((data, diagonals), shape=shape)
 
 
 def transition_matrix(env: Environment, box_radius: int | None = None, killed: bool = True) -> BoxChain:

@@ -403,18 +403,34 @@ class TestBoundSuite:
         assert "floor_inertia_fallbacks=0\nfloor_eigsh_fallbacks=0\n" in manifest
 
     def test_manifest_counts_survival_lanczos_steps(self, tmp_path, monkeypatch):
-        steps, lanczos = [], spectral.feynman_kac_lanczos
+        runs, lanczos = [], spectral.feynman_kac_lanczos
 
         def counted(spec, t):
-            value, k = lanczos(spec, t)
-            steps.append(k)
-            return value, k
+            runs.append(lanczos(spec, t))
+            return runs[-1]
 
         monkeypatch.setattr(spectral, "feynman_kac_lanczos", counted)
         cfg = _cfg(tmp_path)
         run_bound_suite(cfg)
+        steps = [k for _, k, _ in runs]
         assert len(steps) == cfg.n_environments * len(cfg.N_list) and min(steps) > 0
         assert f"survival_lanczos_steps={sum(steps)}\n" in (Path(cfg.directory) / "manifest.txt").read_text()
+
+    def test_manifest_counts_survival_ritz_pairs(self, tmp_path, monkeypatch):
+        # the pairs every check of every survival run solved, right after the steps
+        runs, lanczos = [], spectral.feynman_kac_lanczos
+
+        def counted(spec, t):
+            runs.append(lanczos(spec, t))
+            return runs[-1]
+
+        monkeypatch.setattr(spectral, "feynman_kac_lanczos", counted)
+        cfg = _cfg(tmp_path)
+        run_bound_suite(cfg)
+        steps, pairs = sum(k for _, k, _ in runs), sum(p for _, _, p in runs)
+        assert pairs > 0
+        manifest = (Path(cfg.directory) / "manifest.txt").read_text()
+        assert f"survival_lanczos_steps={steps}\nsurvival_ritz_pairs={pairs}\nexit_tail_products=" in manifest
 
     def test_manifest_counts_exit_tail_products(self, tmp_path, monkeypatch):
         tails, check = [], experiments.exit_time_tail_check
@@ -467,31 +483,27 @@ class TestBoundSuite:
         assert (out / name).read_bytes() == (tmp_path / "barta" / name).read_bytes()
 
     def test_one_chain_per_box(self, tmp_path, monkeypatch):
-        # the floor check and the survival check share one spec per box, and
-        # the chain, the symmetrized operator and the exit tail one restriction
+        # the floor check, the survival check and the exit tail share one spec
+        # per box and read one stencil of it: no restriction, no box chain
         cfg = _cfg(tmp_path)
-        built, restricted = [], []
-        assemble, restrict = spectral.transition_matrix, walk._restrict
+        stencils, stencil = [], spectral.box_stencil
 
-        def counting(env, box_radius=None, killed=True):
-            built.append(box_radius)
-            return assemble(env, box_radius, killed)
+        def counting(env, box_radius):
+            stencils.append(box_radius)
+            return stencil(env, box_radius)
 
-        def counting_restrict(env, sites):
-            restricted.append(len(sites))
-            return restrict(env, sites)
+        def refused(*args, **kwargs):
+            pytest.fail("the bound path built a chain or a restriction")
 
-        monkeypatch.setattr(spectral, "transition_matrix", counting)
-        monkeypatch.setattr(heatkernel, "transition_matrix", counting)
-        monkeypatch.setattr(heatkernel, "_ball_pattern", lambda geom, n, radius: built.append(("ball", n, radius)))
+        monkeypatch.setattr(spectral, "box_stencil", counting)
+        for module in (spectral, heatkernel):
+            monkeypatch.setattr(module, "transition_matrix", refused)
+        monkeypatch.setattr(heatkernel, "_ball_pattern", refused)
         for module in (walk, percolation):
-            monkeypatch.setattr(module, "_restrict", counting_restrict)
+            monkeypatch.setattr(module, "_restrict", refused)
         assert not hasattr(spectral, "_restrict")
         run_bound_suite(cfg, threads=1)
-        # every chain is the whole box: the bound suite runs no ball-sized curve
-        boxes = list(cfg.N_list) * cfg.n_environments
-        assert sorted(built) == sorted(boxes)
-        assert sorted(restricted) == sorted((2 * n + 1) ** cfg.d for n in boxes)
+        assert sorted(stencils) == sorted(list(cfg.N_list) * cfg.n_environments)
 
     def test_failing_job_names_gamma_and_seed(self, tmp_path, monkeypatch):
         cfg = _cfg(tmp_path)

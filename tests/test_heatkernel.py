@@ -21,10 +21,10 @@ from rcmwalk import (
     UniformizationCache,
     ValidationError,
     box_radius_for_horizon,
+    box_stencil,
     clt_lower_bound_check,
     default_time_grid,
     derive_environment_seeds,
-    discrete_return_prob,
     fit_exponent,
     heat_kernel_hat,
     heatkernel,
@@ -521,11 +521,7 @@ class TestMonteCarloKernel:
 
 class TestDiscreteKernel:
     def test_zero_steps(self, small_env):
-        assert discrete_return_prob(small_env, 0) == 1.0
-
-    def test_odd_rejected(self, small_env):
-        with pytest.raises(ValidationError):
-            discrete_return_prob(small_env, 3)
+        assert UniformizationCache(small_env).discrete(0) == 1.0
 
     def test_even_returns_nonincreasing(self, small_env):
         cache = UniformizationCache(small_env)
@@ -627,18 +623,18 @@ class TestExitMass:
             env = sample_environment(BoxGeometry(d, radius + 1), 2.0, 100 * d + radius)
         chain = transition_matrix(env, radius)
         k_max = 4 * radius + 9
-        assert np.array_equal(heatkernel.exit_mass(chain, k_max), _full_vector_exit_mass(chain, k_max))
+        assert np.array_equal(heatkernel.exit_mass(box_stencil(env, radius), k_max), _full_vector_exit_mass(chain, k_max))
 
     def test_equals_the_full_vector_loop_on_a_benchmark_box(self):
         env = sample_environment(BoxGeometry(2, 65), 2.0, int(derive_environment_seeds(301, 1)[0]))
         chain = transition_matrix(env, 32)
-        assert np.array_equal(heatkernel.exit_mass(chain, 400), _full_vector_exit_mass(chain, 400))
+        assert np.array_equal(heatkernel.exit_mass(box_stencil(env, 32), 400), _full_vector_exit_mass(chain, 400))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_single_site_box_leaves_at_the_first_jump(self, d):
         # on B_0 every bond leads out: P(tau <= t) = P(Poisson(t) >= 1) = 1 - e^{-t}
         env = sample_environment(BoxGeometry(d, 1), 2.0, 3)
-        mass = heatkernel.exit_mass(transition_matrix(env, 0), poisson_truncation_k(10.0, 1e-40))
+        mass = heatkernel.exit_mass(box_stencil(env, 0), poisson_truncation_k(10.0, 1e-40))
         assert mass[0] == 0.0 and np.all(np.abs(mass[1:] - 1.0) <= 4 * np.finfo(float).eps)
         for t in (1e-3, 0.5, 2.0, 10.0):
             assert _exit_prob(mass, t, 1e-40) == pytest.approx(-math.expm1(-t), rel=1e-14)
@@ -656,31 +652,33 @@ class TestExitMass:
         G = chain.P.toarray() - np.eye(len(chain.sites))
         flux = (expm(t * G) - np.eye(len(chain.sites))) @ chain.exit
         exact = float(np.linalg.solve(G, flux)[chain.origin])
-        mass = heatkernel.exit_mass(chain, poisson_truncation_k(t, 1e-15))
+        mass = heatkernel.exit_mass(box_stencil(env, radius), poisson_truncation_k(t, 1e-15))
         assert abs(_exit_prob(mass, t, 1e-15) - exact) <= 1e-12
 
     def test_half_products(self, small_env, monkeypatch):
         # k_max - 1 products, each by a block between the two halves of B_6's 169 sites, on its 2d = 4 diagonals
-        chain = transition_matrix(small_env, 6)
-        blocks, banded = [], heatkernel._banded
+        blocks, half_blocks = [], heatkernel._half_blocks
 
-        def counted(M, offsets):
-            blocks.append(_CountingProduct(banded(M, offsets)))
-            return blocks[-1]
+        def counted(stencil):
+            blocks.extend(_CountingProduct(b) for b in half_blocks(stencil))
+            return blocks
 
-        monkeypatch.setattr(heatkernel, "_banded", counted)
-        heatkernel.exit_mass(chain, 30)
+        monkeypatch.setattr(heatkernel, "_half_blocks", counted)
+        heatkernel.exit_mass(box_stencil(small_env, 6), 30)
         assert [(b.shape, len(b.M.offsets)) for b in blocks] == [((85, 84), 4), ((84, 85), 4)]
         assert sum(b.count for b in blocks) == 29
 
     def test_validation(self, small_env, holey_decomp):
-        chain = transition_matrix(small_env, 3)
+        stencil = box_stencil(small_env, 3)
         for bad in (-1, 2.5, "3"):
             with pytest.raises(ValidationError):
-                heatkernel.exit_mass(chain, bad)
-        assert np.array_equal(heatkernel.exit_mass(chain, 0), [0.0])
-        with pytest.raises(ValidationError):  # heat_kernel_hat's chain on the strong cluster, not all of B_N
+                heatkernel.exit_mass(stencil, bad)
+        assert np.array_equal(heatkernel.exit_mass(stencil, 0), [0.0])
+        with pytest.raises(ValidationError):  # heat_kernel_hat's chain on the strong cluster, not a box stencil
             heatkernel.exit_mass(heatkernel._time_changed_chain(small_env, holey_decomp, small_env.geometry.origin), 5)
+        for radius in (-1, small_env.geometry.N, 2.5):  # a stencil needs all of B_n's bonds in the environment
+            with pytest.raises(ValidationError):
+                box_stencil(small_env, radius)
 
 
 def _fresh_distribution(cache: UniformizationCache, t: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 from scipy.special import gammainc
 
 from rcmwalk import (
@@ -17,7 +17,6 @@ from rcmwalk import (
     UniformizationCache,
     ValidationError,
     derive_environment_seeds,
-    dirichlet_form,
     effective_conductances,
     eigenvalue_floor,
     ensemble_walk,
@@ -37,7 +36,6 @@ from rcmwalk import (
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,
-    rayleigh_quotient,
     sample_environment,
     simulate_ctmc,
     spectral,
@@ -58,37 +56,45 @@ def rand_decomp(rand_env):
     return strong_cluster(rand_env, threshold_for_density(2.0, 0.6))
 
 
+def _bond_energy(env, n: int, f: np.ndarray) -> float:
+    """``sum_b (df(b))^2 omega_b`` over the bonds of ``B_{n+1}``, ``f`` on ``B_n`` extended by zero."""
+    geom = env.geometry
+    g = np.zeros(geom.n_sites)
+    g[geom.sub_box_indices(n)] = f
+    return float(np.sum((g[geom.bond_u] - g[geom.bond_v]) ** 2 * env.omega))
+
+
 class TestDirichletForm:
+    # at lam = 0 the symmetrized operator is the Dirichlet form of the killed
+    # walk: <g, S g> = E(f, f) for g = sqrt(pi) f, f extended by zero off B_n
+
+    @staticmethod
+    def _form(spec, f):
+        S, sqrt_pi = spec.symmetrized
+        g = sqrt_pi * f
+        return float(g @ (S @ g))
+
     def test_point_mass_equals_pi(self):
         # delta at the origin: every incident unit bond contributes once
         env = homogeneous_environment(2, 3)
-        sub = env.geometry.sub_box_indices(2)
-        f = np.zeros(len(sub))
-        f[(len(sub) - 1) // 2] = 1.0
-        assert dirichlet_form(env, 2, f) == pytest.approx(4.0)
+        spec = OperatorSpec(env=env, box_radius=2)
+        f = np.zeros(spec.n_sites)
+        f[(spec.n_sites - 1) // 2] = 1.0
+        assert self._form(spec, f) == pytest.approx(4.0)
 
     def test_constant_sees_only_the_rim(self):
         # f = 1 on B_n: interior differences vanish, the 4(2n+1) bonds
         # crossing into the Dirichlet exterior each contribute 1
-        env = homogeneous_environment(2, 4)
         n = 2
-        f = np.ones(len(env.geometry.sub_box_indices(n)))
-        assert dirichlet_form(env, n, f) == pytest.approx(4 * (2 * n + 1))
+        spec = OperatorSpec(env=homogeneous_environment(2, 4), box_radius=n)
+        assert self._form(spec, np.ones(spec.n_sites)) == pytest.approx(4 * (2 * n + 1))
 
     def test_summation_by_parts_identity(self, rand_env):
-        chain = transition_matrix(rand_env, 3)
+        spec = OperatorSpec(env=rand_env, box_radius=3)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            f = rng.standard_normal(len(chain.sites))
-            energy = dirichlet_form(rand_env, 3, f)
-            operator = float(np.sum(f * (f - chain.P @ f) * chain.pi))
-            assert energy == pytest.approx(operator, rel=1e-12)
-
-    def test_shape_validation(self, rand_env):
-        with pytest.raises(ValidationError):
-            dirichlet_form(rand_env, 3, np.ones(5))
-        with pytest.raises(ValidationError):
-            dirichlet_form(rand_env, 4, np.ones(81))  # needs env radius >= n+1
+            f = rng.standard_normal(spec.n_sites)
+            assert self._form(spec, f) == pytest.approx(_bond_energy(rand_env, 3, f), rel=1e-12)
 
 
 class TestLambda1:
@@ -143,10 +149,11 @@ class TestLambda1:
     def test_rayleigh_above_lambda1(self, rand_env, rand_decomp):
         spec = OperatorSpec(env=rand_env, decomp=rand_decomp, box_radius=3, lam=0.2)
         rep = lambda1(spec)
+        S, sqrt_pi = spec.symmetrized
         rng = np.random.default_rng(8)
         for _ in range(100):
-            f = rng.standard_normal(spec.n_sites)
-            assert rayleigh_quotient(spec, f) >= rep.Lambda1 - rep.residual - 1e-12
+            g = sqrt_pi * rng.standard_normal(spec.n_sites)
+            assert float(g @ (S @ g)) / float(g @ g) >= rep.Lambda1 - rep.residual - 1e-12
 
     def test_operator_self_adjoint_in_pi(self, rand_env, rand_decomp):
         # <f, G g>_pi = <G f, g>_pi for the penalized generator
@@ -361,7 +368,7 @@ class TestFeynmanKac:
         t = 2.0
         fk_s = feynman_kac_spectral(spec, t)
         fk_u = feynman_kac_uniformization(spec, t)
-        fk_l, _ = feynman_kac_lanczos(spec, t)
+        fk_l, _, _ = feynman_kac_lanczos(spec, t)
         chain = spec.chain
         G = (chain.P.toarray() - np.eye(spec.n_sites)) - 0.3 * np.diag(spec.phi_box)
         fk_e = float((expm(t * G) @ np.ones(spec.n_sites))[chain.origin])
@@ -385,10 +392,10 @@ class TestFeynmanKac:
         env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
         dec = strong_cluster(env, threshold_for_density(2.0, p))
         spec = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam)
-        value, steps = feynman_kac_lanczos(spec, t)
+        value, steps, pairs = feynman_kac_lanczos(spec, t)
         ref = feynman_kac_uniformization(spec, t)
         assert abs(value - ref) <= 1e-10 * ref
-        assert steps <= spec.n_sites
+        assert steps <= spec.n_sites and 0 < pairs
 
     @pytest.fixture(scope="class")
     def bench_specs(self):
@@ -405,7 +412,7 @@ class TestFeynmanKac:
         for pair in bench_specs:
             for spec in pair:
                 t = spec.coupled_horizon()
-                value, _ = feynman_kac_lanczos(spec, t)
+                value, _, _ = feynman_kac_lanczos(spec, t)
                 ref = feynman_kac_uniformization(spec, t)
                 assert abs(value - ref) <= 1e-11 * ref
 
@@ -414,8 +421,53 @@ class TestFeynmanKac:
         # (16,641 sites, t = 482.9), took 165 steps when this guard was set
         # (the uniformization took 885 products); one check of slack
         spec = bench_specs[0][1]
-        _, steps = feynman_kac_lanczos(spec, spec.coupled_horizon())
+        _, steps, _ = feynman_kac_lanczos(spec, spec.coupled_horizon())
         assert steps <= 165 + heatkernel._CHECK_EVERY
+
+    @staticmethod
+    def _recorded_checks(spec, monkeypatch):
+        # the tridiagonal matrices, origin entries, horizon and tolerance of every check of one run
+        checks, ritz_sum = [], spectral._ritz_sum
+
+        def recorded(diag, off, c, t, tol):
+            checks.append((diag, off, c, t, tol, ritz_sum(diag, off, c, t, tol)))
+            return checks[-1][-1]
+
+        monkeypatch.setattr(spectral, "_ritz_sum", recorded)
+        value, steps, pairs = feynman_kac_lanczos(spec, spec.coupled_horizon())
+        monkeypatch.undo()
+        assert pairs == sum(check[-1][1] for check in checks)
+        return checks
+
+    def test_subset_check_agrees_with_the_full_eigensolve(self, bench_specs, monkeypatch):
+        # every check of the N = 32 and N = 64 runs solves a few of its Ritz
+        # pairs, and its sum is the full one within the Cauchy-Schwarz bound on
+        # the dropped pairs plus the rounding the run's tolerance floor allows
+        eps = np.finfo(float).eps
+        for spec in bench_specs[0]:
+            for diag, off, c, t, tol, (total, solved) in self._recorded_checks(spec, monkeypatch):
+                theta, U = heatkernel._ritz(diag, off)
+                full = float(((c[:, None] * U).sum(axis=0) * np.exp(-t * theta) * U[0]).sum())
+                assert 0 < solved < len(diag) // 3
+                assert np.all(theta[:solved] <= theta[0] + spectral._RITZ_WINDOW / t)
+                dropped = np.linalg.norm(c) * math.exp(-t * (theta[0] + spectral._RITZ_WINDOW / t))
+                assert dropped < 0.25 * tol * abs(full)
+                assert abs(total - full) <= dropped + 4 * t * eps * (2 + spec.lam) * abs(full)
+
+    def test_failed_bound_takes_the_full_solve(self, bench_specs, monkeypatch):
+        # a window of 0 keeps only the lowest pair, whose bound never clears the
+        # tolerance: every check then solves all its pairs, the full sum bit for bit
+        spec = bench_specs[0][0]
+        checks = self._recorded_checks(spec, monkeypatch)
+        monkeypatch.setattr(spectral, "_RITZ_WINDOW", 0.0)
+        for diag, off, c, t, tol, _ in checks:
+            total, solved = spectral._ritz_sum(diag, off, c, t, tol)
+            theta, U = heatkernel._ritz(diag, off)
+            assert solved == len(diag)
+            assert total == float(((c[:, None] * U).sum(axis=0) * np.exp(-t * theta) * U[0]).sum())
+        value, steps, pairs = feynman_kac_lanczos(spec, spec.coupled_horizon())
+        assert pairs == sum(len(check[0]) for check in checks)
+        assert abs(value - feynman_kac_uniformization(spec, spec.coupled_horizon())) <= 1e-11 * value
 
     def test_lanczos_step_cap_raises(self, spec_625, monkeypatch):
         # t = 50 settles after 60 steps; an a priori count of 0 caps the run at 32
@@ -432,7 +484,7 @@ class TestFeynmanKac:
         dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
         spec = prescribed_spec(env, dec, 256, mu=0.1, b=1.5, epsilon=0.9)
         t = spec.coupled_horizon()
-        value, steps = feynman_kac_lanczos(spec, t)
+        value, steps, _ = feynman_kac_lanczos(spec, t)
         assert abs(value - feynman_kac_uniformization(spec, t)) <= 1e-10 * value
         assert steps <= 489 + heatkernel._CHECK_EVERY
 
@@ -440,7 +492,7 @@ class TestFeynmanKac:
         # phi = 1 puts every eigenvalue of S above lam, so the value is below
         # e^{-1200} and reads 0 at every check; the box's 289 sites outlast them
         spec = OperatorSpec(env=homogeneous_environment(2, 9), decomp=None, box_radius=8, lam=3.0)
-        value, steps = feynman_kac_lanczos(spec, 400.0)
+        value, steps, _ = feynman_kac_lanczos(spec, 400.0)
         assert value == feynman_kac_uniformization(spec, 400.0) == 0.0 and steps < spec.n_sites
         assert survival_bound_check(spec, t=400.0).lhs_log == -math.inf
 
@@ -488,6 +540,59 @@ class TestFeynmanKac:
         assert 0.0 < val < 1.0
 
 
+def _csr_operators(spec):
+    """``S`` and the exit engine's two half blocks assembled from the killed chain's CSR ``W``.
+
+    The construction the stencil replaced, kept as its oracle: ``S`` from
+    ``transition_matrix`` scaled by ``sqrt(pi)`` on both sides, and the half
+    blocks cut from the chain's ``P^T``.
+    """
+    chain = transition_matrix(spec.env, spec.box_radius)
+    W = chain.W
+    sqrt_pi = np.sqrt(chain.pi)
+    scale = np.repeat(sqrt_pi, np.diff(W.indptr)) * sqrt_pi[W.indices]
+    off = csr_matrix((W.data / scale, W.indices, W.indptr), shape=W.shape)
+    S = (diags(1.0 + spec.lam * spec.phi_box) - off).tocsc()
+    prop = chain.P.T.tocsr()
+    return S, sqrt_pi, [prop[p::2, 1 - p :: 2] for p in (0, 1)]
+
+
+def _assert_same_operator(banded, csr, rng):
+    # the same entries, and products bit for bit on random vectors
+    got, ref = banded.tocsr(), csr.tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    x = rng.standard_normal(csr.shape[1])
+    assert np.array_equal(banded @ x, csr @ x)
+
+
+class TestFloorInputs:
+    # a radius or dimension that is not an integer, or out of range, raises instead of giving a floor
+    BAD = {
+        "radius 1.5": (2, 2.0, 1.5, 0.1),
+        "radius inf": (2, 2.0, math.inf, 0.1),
+        "radius str": (2, 2.0, "3", 0.1),
+        "radius 0": (2, 2.0, 0, 0.1),
+        "dimension 2.5": (2.5, 2.0, 3, 0.1),
+        "dimension 1": (1, 2.0, 3, 0.1),
+        "mu inf": (2, 2.0, 3, math.inf),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_eigenvalue_floor_refuses(self, case):
+        with pytest.raises(ValidationError):
+            eigenvalue_floor(*self.BAD[case])
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_prescribed_killing_rate_refuses(self, case):
+        with pytest.raises(ValidationError):
+            prescribed_killing_rate(*self.BAD[case], 0.5)
+
+    def test_integral_inputs_pass(self):
+        assert eigenvalue_floor(np.int64(2), 2.0, np.int64(3), 0.1) == eigenvalue_floor(2, 2.0, 3, 0.1) > 0
+        assert eigenvalue_floor(2, math.inf, 3, 0.1) == 3.0**-0.1 / 16
+
+
 class TestBandedLayout:
     @pytest.fixture(scope="class")
     def bench_specs(self):
@@ -501,45 +606,48 @@ class TestBandedLayout:
         return specs
 
     def test_box_offsets(self):
-        assert spectral._box_offsets(2, 3).tolist() == [-7, -1, 0, 1, 7]
-        assert spectral._box_offsets(3, 1).tolist() == [-9, -3, -1, 0, 1, 3, 9]
-        assert spectral._box_offsets(3, 0).tolist() == [-1, 0, 1]
+        # the 2d + 1 diagonals of canonical order: zero and the strides (2n + 1)^i with both signs
+        def offsets(d, n):
+            return OperatorSpec(env=homogeneous_environment(d, n + 1), box_radius=n).symmetrized[0].offsets.tolist()
+
+        assert offsets(2, 3) == [-7, -1, 0, 1, 7]
+        assert offsets(3, 1) == [-9, -3, -1, 0, 1, 3, 9]
+        assert offsets(3, 0) == [-1, 0, 1]
+        half = heatkernel._half_blocks(OperatorSpec(env=homogeneous_environment(2, 4), box_radius=3).stencil)
+        assert [b.offsets.tolist() for b in half] == [[-4, -1, 0, 3], [-3, 0, 1, 4]]
 
     def test_products_equal_csr_bit_for_bit_on_the_benchmark_boxes(self, bench_specs):
         rng = np.random.default_rng(5)
         assert max(len(spec.decomp.holes) for spec in bench_specs) > 300
         for spec in bench_specs:
-            d, n = spec.env.geometry.d, spec.box_radius
             S, sqrt_pi = spec.symmetrized
-            A = spectral._banded(S.T, spectral._box_offsets(d, n))
-            assert A.offsets.tolist() == spectral._box_offsets(d, n).tolist()
-            for x in (sqrt_pi, rng.standard_normal(S.shape[0])):
-                assert np.array_equal(A @ x, S.T @ x)
-            # the exit engine's half blocks, on their 2d diagonals
-            prop = spec.chain.P.T.tocsr()
-            steps = spectral._box_offsets(d, n)
-            steps = steps[steps != 0]
-            for p in (0, 1):
-                block = prop[p::2, 1 - p :: 2]
-                half = spectral._banded(block, (steps - 1 + 2 * p) // 2)
-                x = rng.random(block.shape[1])
-                assert np.array_equal(half @ x, block @ x)
+            ref, ref_sqrt, ref_blocks = _csr_operators(spec)
+            assert np.array_equal(sqrt_pi, ref_sqrt)
+            _assert_same_operator(S, ref, rng)
+            assert np.array_equal(S @ sqrt_pi, ref @ sqrt_pi)
+            for half, block in zip(heatkernel._half_blocks(spec.stencil), ref_blocks):
+                _assert_same_operator(half, block, rng)
 
-    def test_entry_off_the_box_diagonals_refused(self, small_env, holey_decomp):
-        # the time-changed chain jumps across holes and numbers only the cluster sites
-        W = heatkernel._time_changed_chain(small_env, holey_decomp, small_env.geometry.origin).W
-        with pytest.raises(ValidationError, match="off the diagonals"):
-            spectral._banded(W, spectral._box_offsets(2, small_env.geometry.N))
-        chain = transition_matrix(small_env, 4)
-        with pytest.raises(ValidationError, match="off the diagonals"):  # a box operator read with another box's strides
-            spectral._banded(chain.W, spectral._box_offsets(2, 5))
-
-    def test_rows_out_of_order_refused(self, small_env):
-        W = transition_matrix(small_env, 3).W.copy()
-        W.indices[[0, 1]] = W.indices[[1, 0]]
-        W.has_sorted_indices = False
-        with pytest.raises(ValidationError, match="sorted"):
-            spectral._banded(W, spectral._box_offsets(2, 3))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        radius=st.integers(0, 8),
+        seed=st.integers(0, 2**31),
+        p=st.one_of(st.none(), st.floats(0.3, 0.95)),
+        lam=st.floats(0.0, 3.0),
+    )
+    def test_stencil_operators_equal_the_restriction(self, d, radius, seed, p, lam):
+        env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
+        dec = None if p is None else strong_cluster(env, threshold_for_density(2.0, p))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam)
+        rng = np.random.default_rng(seed)
+        S, sqrt_pi = spec.symmetrized
+        ref, ref_sqrt, ref_blocks = _csr_operators(spec)
+        assert np.array_equal(sqrt_pi, ref_sqrt)
+        assert np.array_equal(spec.stencil.pi, spec.chain.pi) and np.array_equal(spec.stencil.exit, spec.chain.exit)
+        _assert_same_operator(S, ref, rng)
+        for half, block in zip(heatkernel._half_blocks(spec.stencil), ref_blocks):
+            _assert_same_operator(half, block, rng)
 
 
 class TestOperatorSpecCaches:
