@@ -65,6 +65,7 @@ from .percolation import ClusterDecomposition
 from .walk import (
     BoxChain,
     BoxStencil,
+    _banded_product,
     _cluster_site,
     _on_diagonals,
     effective_conductance_matrix,
@@ -283,7 +284,7 @@ def exit_mass(stencil: BoxStencil, k_max: int) -> np.ndarray:
         out[k] = exited
         if k < k_max:
             p = 1 - p
-            live = blocks[p] @ live
+            live = _banded_product(blocks[p], live)
     return out
 
 

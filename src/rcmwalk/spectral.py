@@ -69,7 +69,7 @@ from .heatkernel import (
 )
 from .lattice import Environment, _integral_radius
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, BoxStencil, _on_diagonals, box_stencil, ensemble_walk, transition_matrix
+from .walk import BoxChain, BoxStencil, _banded_product, _on_diagonals, box_stencil, ensemble_walk, transition_matrix
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
@@ -312,8 +312,8 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int, int]:
     and the scalars ``c_j = sqrt(pi) . q_j``; a check reads the value as
     ``c^T U diag(e^{-t theta}) U[0] / sqrt(pi_0)`` from the Ritz pairs
     ``(theta, U)`` that carry weight (``_ritz_sum``).  A step is one
-    product by the banded ``S``, three reductions and two axpys into one
-    reused buffer.  Started from ``sqrt(pi)``, reading ``q_j[0]``, the run
+    product by the banded ``S`` (``walk._banded_product``), three one-pass
+    reductions and two axpys through one reused buffer.  Started from ``sqrt(pi)``, reading ``q_j[0]``, the run
     would need one reduction less but loses the origin's entry to rounding
     when the ground state sits in a hole away from it (d = 3, n = 4,
     p = 0.5, lam = 3, t = 7 never settled).  The penalty breaks the
@@ -344,15 +344,15 @@ def feynman_kac_lanczos(spec: OperatorSpec, t: float) -> tuple[float, int, int]:
     q[origin] = 1.0
     diag, off, c = [], [], []
     beta, prev, moved, pairs = 0.0, None, math.inf, 0
-    # elementwise products and sums, not @: a BLAS dot on the long vectors wakes its threads
+    # einsum's one-pass reductions, not @: a BLAS dot on the long vectors wakes its threads
     for i in range(1, max_steps + 1):
-        y = S @ q
-        c.append(float(np.multiply(sqrt_pi, q, out=buf).sum()))
-        alpha = float(np.multiply(q, y, out=buf).sum())
+        y = _banded_product(S, q)
+        c.append(float(np.einsum("i,i->", sqrt_pi, q)))
+        alpha = float(np.einsum("i,i->", q, y))
         y -= np.multiply(q, alpha, out=buf)
         y -= np.multiply(q_prev, beta, out=buf)
         diag.append(alpha)
-        beta = 0.0 if i == dim else math.sqrt(float(np.multiply(y, y, out=buf).sum()))  # i == dim: the space is exhausted
+        beta = 0.0 if i == dim else math.sqrt(float(np.einsum("i,i->", y, y)))  # i == dim: the space is exhausted
         off.append(beta)
         q_prev, q = q, q_prev
         broke = beta <= _BREAKDOWN

@@ -43,6 +43,7 @@ from rcmwalk import (
     survival_bound_check,
     threshold_for_density,
     transition_matrix,
+    walk,
 )
 
 
@@ -558,12 +559,13 @@ def _csr_operators(spec):
 
 
 def _assert_same_operator(banded, csr, rng):
-    # the same entries, and products bit for bit on random vectors
+    # the same entries, and products bit for bit on random vectors, through @ and through the kernel
     got, ref = banded.tocsr(), csr.tocsr()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
     x = rng.standard_normal(csr.shape[1])
     assert np.array_equal(banded @ x, csr @ x)
+    assert np.array_equal(walk._banded_product(banded, x), csr @ x)
 
 
 class TestFloorInputs:
@@ -627,6 +629,12 @@ class TestBandedLayout:
             assert np.array_equal(S @ sqrt_pi, ref @ sqrt_pi)
             for half, block in zip(heatkernel._half_blocks(spec.stencil), ref_blocks):
                 _assert_same_operator(half, block, rng)
+
+    def test_banded_product_refuses_a_vector_of_another_shape_or_type(self):
+        S = OperatorSpec(env=homogeneous_environment(2, 4), box_radius=3).symmetrized[0]
+        for bad in (np.ones(48), np.ones(50), np.ones((49, 1)), np.ones(49, dtype=np.float32), np.ones(49, dtype=int)):
+            with pytest.raises(ValidationError, match="banded product"):
+                walk._banded_product(S, bad)
 
     @settings(max_examples=40, deadline=None)
     @given(
