@@ -267,9 +267,8 @@ def exit_mass(stencil: BoxStencil, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValidationError(f"jump count must be >= 0, got {k_max}")
     blocks = _half_blocks(stencil)
-    exit_rate = stencil.exit
-    rim = np.flatnonzero(exit_rate)
-    rim_exit = exit_rate[rim]
+    rim = np.flatnonzero(stencil.exit)
+    rim_exit = stencil.exit[rim]
     halves = [(at, rim[at] // 2) for at in (np.flatnonzero(rim % 2 == p) for p in (0, 1))]  # rim places, half indices
     padded = [np.zeros(len(rim)), np.zeros(len(rim))]  # the whole rim, the other half's sites held at zero
     p = stencil.origin % 2

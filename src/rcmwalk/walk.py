@@ -157,8 +157,8 @@ def _banded_product(A: dia_matrix, x: np.ndarray) -> np.ndarray:
     the dispatch of ``@`` took about a quarter of each half product of the
     exit tail at N = 32 (6.9 us against 5.3 us through the kernel alone).
     """
-    if x.shape != (A.shape[1],) or x.dtype != np.float64:
-        raise ValidationError(f"a banded product needs a float64 vector of length {A.shape[1]}, got {x.dtype} {x.shape}")
+    if x.shape != (A.shape[1],) or x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise ValidationError(f"a banded product needs a contiguous float64 vector of length {A.shape[1]}")
     y = np.zeros(A.shape[0])
     dia_matvec(A.shape[0], A.shape[1], len(A.offsets), A.data.shape[1], A.offsets, A.data, x, y)
     return y

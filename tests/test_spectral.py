@@ -630,9 +630,9 @@ class TestBandedLayout:
             for half, block in zip(heatkernel._half_blocks(spec.stencil), ref_blocks):
                 _assert_same_operator(half, block, rng)
 
-    def test_banded_product_refuses_a_vector_of_another_shape_or_type(self):
+    def test_banded_product_refuses_a_vector_it_cannot_pass_to_the_kernel(self):
         S = OperatorSpec(env=homogeneous_environment(2, 4), box_radius=3).symmetrized[0]
-        for bad in (np.ones(48), np.ones(50), np.ones((49, 1)), np.ones(49, dtype=np.float32), np.ones(49, dtype=int)):
+        for bad in (np.ones(48), np.ones(50), np.ones((49, 1)), np.ones(49, dtype=np.float32), np.ones(98)[::2]):
             with pytest.raises(ValidationError, match="banded product"):
                 walk._banded_product(S, bad)
 
