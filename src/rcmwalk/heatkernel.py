@@ -141,19 +141,19 @@ class UniformizationCache:
     counts (``ensemble_walk``'s convention).  ``a_k = M^k(0,0)`` doubles as
     the discrete-time return probability and as the coefficient of the
     Poisson mixture; ``mass_k`` is the surviving mass after k jumps
-    (identically 1 for the free-boundary chain without killing), so
-    ``survival`` is ``E[exp(-lam A(t)); t < tau]``.  The mass carried over
-    the rim, which keeps the digits that ``1 - survival`` cancels, is
-    ``exit_mass``'s.  ``chain`` reuses an assembled chain of ``env`` instead
-    of building one, and a chain of another environment is refused; ``env``
-    is kept, so a check can refuse a cache built on another environment.
+    (identically 1 on a chain without exit), so ``survival`` is
+    ``E[exp(-lam A(t)); t < tau]``.  The mass carried over the rim, which
+    keeps the digits that ``1 - survival`` cancels, is ``exit_mass``'s.
+    ``chain`` reuses an assembled chain of ``env`` in place of
+    ``transition_matrix(env, box_radius)``; one of another environment or
+    radius is refused.  ``env`` is kept, so a check can refuse a cache
+    built on another environment.
     """
 
     def __init__(
         self,
         env: Environment,
         box_radius: int | None = None,
-        killed: bool = True,
         lam: float = 0.0,
         phi: np.ndarray | None = None,
         chain: BoxChain | None = None,
@@ -161,9 +161,11 @@ class UniformizationCache:
         if not 0 <= lam < math.inf:
             raise ValidationError(f"killing rate must be finite and >= 0, got {lam!r}")
         if chain is not None and chain.env is not env:
-            raise ValidationError("the chain was restricted from a different environment")
+            raise ValidationError("the chain was read from a different environment")
+        if chain is not None and box_radius is not None and _integral_radius(box_radius) != chain.box_radius:
+            raise ValidationError(f"box radius {box_radius!r} given with a chain on radius {chain.box_radius}")
         self.env = env
-        self.chain: BoxChain = transition_matrix(env, box_radius, killed) if chain is None else chain
+        self.chain: BoxChain = transition_matrix(env, box_radius) if chain is None else chain
         self.lam = float(lam)
         M = self.chain.P
         if lam > 0:
@@ -788,7 +790,7 @@ def _time_changed_chain(env: Environment, decomp: ClusterDecomposition, x: int) 
     local = np.cumsum(decomp.in_cluster) - 1  # position among the cluster sites
     m = len(sites)
     W = coo_matrix((M.data, (local[M.row], local[M.col])), shape=(m, m)).tocsr()
-    return BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, killed=False, env=env)
+    return BoxChain(W, sites, env.pi_all[sites], np.zeros(m), int(local[x]), env.geometry.N, env=env)
 
 
 def heat_kernel_hat(env: Environment, decomp: ClusterDecomposition, x: int, t_grid) -> HeatKernelHatCurve:
@@ -890,6 +892,7 @@ def clt_lower_bound_check(
     """Check ``P(X_t=0) >= P(|X_{t/2}| <= sqrt(t))^2 (pi(0)/2d) / |C ∩ ball|``.
 
     Both sides come from exact propagation on the killed box (Poisson tails below 1e-12).
+    A ``cache`` must hold the unpenalized chain of ``env``, on ``box_radius`` when that is given.
     """
     geom = env.geometry
     decomp.check_env(env)
@@ -901,6 +904,10 @@ def clt_lower_bound_check(
         cache = UniformizationCache(env, box_radius)
     elif cache.env is not env:
         raise ValidationError("the uniformization cache was built on a different environment")
+    elif cache.lam:
+        raise ValidationError("the bound needs the unpenalized chain")
+    elif box_radius is not None and _integral_radius(box_radius) != cache.chain.box_radius:
+        raise ValidationError(f"box radius {box_radius!r} given with a cache on radius {cache.chain.box_radius}")
     r = int(math.floor(math.sqrt(t)))
     if r > cache.chain.box_radius:
         raise ValidationError("sqrt(t) ball does not fit in the operator box")

@@ -333,47 +333,6 @@ def pi(env: Environment, x: int) -> float:
     return total
 
 
-def _restrict(env: Environment, sites: np.ndarray):
-    """Bonds of the conductance graph seen from a set of distinct sites, in the given order.
-
-    Returns ``(row, col, w)``, the directed bonds inside the set in local
-    indices (each undirected bond twice, row-major, each row by ascending
-    neighbor index: the order of a canonical CSR row), ``(rim_row, outside,
-    rim_w)``, the bonds from local ``rim_row`` to the site ``outside``
-    beyond the set (row-major in incidence order, the order ``pi`` sums
-    in), and ``pi`` of the sites, bit for bit ``env.pi_all[sites]``.  Only
-    the given sites' neighbors and conductances are read, through the
-    strides and ``bond_id_table``; local positions come from a full-size
-    inverse index.
-    """
-    geom = env.geometry
-    ids = geom.bond_id_table
-    coords = geom.site_coords(sites)
-    neigh = np.full((len(sites), 2 * geom.d), -1, dtype=np.int64)
-    w = np.zeros((len(sites), 2 * geom.d))
-    for i in range(geom.d):
-        below = coords[:, i] > -geom.N
-        down = sites[below] - geom.strides[i]
-        neigh[below, 2 * i] = down
-        w[below, 2 * i] = env.omega[ids[down, i]]
-        above = coords[:, i] < geom.N
-        neigh[above, 2 * i + 1] = sites[above] + geom.strides[i]
-        w[above, 2 * i + 1] = env.omega[ids[sites[above], i]]
-    pi = np.zeros(len(sites))
-    for col in range(2 * geom.d):  # the incidence order of Environment.pi_all
-        pi += w[:, col]
-    inv = np.full(geom.n_sites, -1, dtype=np.int64)
-    inv[sites] = np.arange(len(sites), dtype=np.int64)
-    local = inv[neigh]
-    bonded = w > 0  # absent neighbors (-1) carry no conductance
-    inside = bonded & (local >= 0)
-    rim_row, rim_k = np.nonzero(bonded & ~inside)
-    ascending = np.r_[0 : 2 * geom.d : 2, 2 * geom.d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
-    row, k = np.nonzero(inside[:, ascending])
-    k = ascending[k]
-    return (row, local[row, k], w[row, k]), (rim_row, neigh[rim_row, rim_k], w[rim_row, rim_k]), pi
-
-
 def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environment:
     """Draw an environment with i.i.d. conductances ``U**(1/gamma)``.
 

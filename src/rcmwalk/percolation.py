@@ -17,7 +17,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyClusterError, ValidationError
-from .lattice import Environment, _restrict
+from .lattice import Environment
 
 STRONG_LABEL = -1
 
@@ -89,12 +89,11 @@ class ClusterDecomposition:
 def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     """Solve ``(diag(pi) - W) H = B`` on every hole in one pass.
 
-    ``W`` holds the bonds inside a hole, ``B`` those toward its boundary
-    sites.  One bond restriction over all hole sites builds every system
-    (holes are never adjacent); holes of one size share one stacked
-    ``np.linalg.solve``, ``B`` padded with zero columns, which gives each hole
-    bit for bit its own solve.  A hole of ``m`` sites and ``nb`` boundary
-    sites takes ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
+    ``W`` holds the bonds inside a hole, ``B`` those toward its boundary sites, both read off the hole
+    sites' table rows (holes are never adjacent, so a bonded neighbor off the cluster is in the same hole).
+    Holes of one size share one stacked ``np.linalg.solve``, ``B`` padded with zero columns, which gives
+    each hole bit for bit its own solve.  A hole of ``m`` sites and ``nb`` boundary sites takes
+    ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
     """
     env = decomp.env
     n = env.geometry.n_sites
@@ -102,7 +101,12 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     if not holes:
         return csr_matrix((n, n))
     sites = np.flatnonzero(~decomp.in_cluster)
-    (row, col, w), (rim_row, outside, rim_w), _ = _restrict(env, sites)
+    bond_row, c = np.nonzero(env.omega_by_direction[sites] > 0)  # absent neighbors (-1) carry no conductance
+    far, bond_w = env.geometry.neighbor_table[sites[bond_row], c], env.omega_by_direction[sites[bond_row], c]
+    inner = ~decomp.in_cluster[far]
+    row, col, w = bond_row[inner], np.searchsorted(sites, far[inner]), bond_w[inner]
+    rim_row, outside, rim_w = bond_row[~inner], far[~inner], bond_w[~inner]
+    del bond_row, c, far, bond_w, inner  # kept alive, they would add to the peak of the solves below
     label = decomp.labels[sites]
     size = np.array([h.volume for h in holes], dtype=np.int64)
     width = np.array([len(h.boundary) for h in holes], dtype=np.int64)

@@ -140,7 +140,7 @@ class OperatorSpec:
     @cached_property
     def chain(self) -> BoxChain:
         """The killed box chain, for the uniformization oracle; the bound checks read ``stencil``."""
-        return transition_matrix(self.env, self.box_radius, killed=True)
+        return transition_matrix(self.env, self.box_radius)
 
     @cached_property
     def phi_box(self) -> np.ndarray:
@@ -720,6 +720,7 @@ def lambda1_floor_check(
 
 def homogeneous_lambda1_exact(N: int) -> float:
     """Closed-form principal Dirichlet eigenvalue for the all-ones box."""
+    N = _integral_radius(N)
     if N < 0:
         raise ValidationError("box radius must be >= 0")
     return 1.0 - math.cos(math.pi / (2 * N + 2))

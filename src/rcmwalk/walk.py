@@ -5,10 +5,10 @@ conductance after independent Exp(1) waiting times.  Box experiments kill
 the walk on its first exit from ``B_n``; because an environment stores only
 in-box bonds, the genuine killed dynamics (full invariant measure at every
 living site) are available for ``n <= N - 1``, which is the default kill
-radius.  ``kill_radius=None`` gives the free-boundary chain on the whole
-box, used for exploratory runs and mass-conservation tests only.  The
-bound suite reads the killed chain as a stencil (``box_stencil``) and lays
-its operators on their diagonals, with no sparse-row matrix.
+radius.  ``kill_radius=None`` lets a simulated path run free on the whole
+box, for exploratory runs only.  Every box operator is read from one
+stencil (``box_stencil``): ``transition_matrix`` lays it out as the killed
+chain's sparse rows, the bound suite its operators on their diagonals.
 
 The additive functional ``A(t)`` measures the time spent on the strong
 cluster; suppressing hole visits through its inverse yields the
@@ -28,7 +28,7 @@ from scipy.sparse import coo_matrix, csr_matrix, dia_matrix
 from scipy.sparse._sparsetools import dia_matvec  # the compiled kernel behind dia_matrix products
 
 from .errors import ValidationError
-from .lattice import BoxGeometry, Environment, _integral_radius, _restrict
+from .lattice import BoxGeometry, Environment, _integral_radius
 from .percolation import STRONG_LABEL, ClusterDecomposition
 
 
@@ -65,19 +65,18 @@ def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> Non
 
 @dataclass(frozen=True)
 class BoxChain:
-    """The walk restricted to ``B_n`` or to another domain, as the conductances of its bonds.
+    """The walk killed on leaving ``B_n`` or another domain, as the conductances of its bonds.
 
     ``W`` holds ``omega_xy`` for each bond between two sites of the domain, in
     the domain's order (symmetric bit for bit on an environment's box); the
     jump matrix ``P = diag(pi)^-1 W`` and the symmetrized operators are
-    scalings of it.  ``killed=True`` rows use the full
-    invariant measure, so the rows of ``P`` fall below 1 by ``exit``, the
-    per-jump probability of leaving the domain (Dirichlet killing, exactly 0
-    off its rim); ``killed=False`` is the free-boundary chain on the whole
-    environment box (``exit`` identically 0).  On ``B_n`` the sites come in
-    canonical order; each row lists its entries by ascending canonical site
-    index.  ``env`` is the environment the chain was restricted from, kept
-    out of ``==`` and ``repr``.
+    scalings of it.  Rows use the full invariant measure, so the rows of
+    ``P`` fall below 1 by ``exit``, the per-jump probability of leaving the
+    domain (exactly 0 off its rim, and everywhere on a domain the walk
+    cannot leave, such as the time-changed walk's strong cluster).  On
+    ``B_n`` the sites come in canonical order; each row lists its entries by
+    ascending canonical site index.  ``env`` is the environment the chain was
+    read from, kept out of ``==`` and ``repr``.
     """
 
     W: csr_matrix
@@ -86,7 +85,6 @@ class BoxChain:
     exit: np.ndarray  # P(the next jump leaves the domain), per site
     origin: int  # position of the lattice origin among ``sites``
     box_radius: int
-    killed: bool
     env: Environment = field(compare=False, repr=False)
 
     @cached_property
@@ -104,7 +102,7 @@ class BoxStencil:
     order) toward its neighbor in direction ``c`` (incidence order ``-e_1,
     +e_1, -e_2, ...``), ``bonds[c, x]`` whether that bond carries
     conductance inside ``B_n``, and ``steps[c]`` its move of the canonical
-    index; ``pi`` and ``exit`` are bit for bit those of ``transition_matrix``.
+    index; ``pi`` is bit for bit ``env.pi_all`` on ``B_n``.
     """
 
     w: np.ndarray
@@ -126,9 +124,9 @@ def box_stencil(env: Environment, box_radius: int) -> BoxStencil:
         raise ValidationError(f"a box stencil needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
     w = np.ascontiguousarray(geom.sub_box_rows(env.omega_by_direction, n).T)
     bonds = (geom.linf_norm[geom.sub_box_rows(geom.neighbor_table, n).T] <= n) & (w > 0)
-    pi = geom.sub_box_rows(env.pi_all, n)  # bit for bit the restriction's pi
+    pi = geom.sub_box_rows(env.pi_all, n)
     rim = np.zeros(len(pi))
-    for row, inside in zip(w, bonds):  # in incidence order, as transition_matrix's bincount adds
+    for row, inside in zip(w, bonds):  # in incidence order, the order pi sums in
         rim += np.where(inside, 0.0, row)
     strides = (2 * n + 1) ** np.arange(geom.d - 1, -1, -1, dtype=np.int64)
     return BoxStencil(w=w, bonds=bonds, pi=pi, exit=rim / pi, steps=np.stack((-strides, strides), axis=1).ravel())
@@ -164,39 +162,20 @@ def _banded_product(A: dia_matrix, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def transition_matrix(env: Environment, box_radius: int | None = None, killed: bool = True) -> BoxChain:
-    """The killed or the free chain on ``B_n``.
+def transition_matrix(env: Environment, box_radius: int | None = None) -> BoxChain:
+    """The chain killed on leaving ``B_n``, ``n = box_radius <= N - 1`` (default ``N - 1``), laid out from its stencil.
 
-    Killed chains need ``n <= N - 1`` so that every living site carries all
-    of its lattice bonds inside the stored environment.
+    Each row takes its bonds in ascending neighbor order, that of a canonical sparse row.
     """
     geom = env.geometry
-    if killed:
-        n = geom.N - 1 if box_radius is None else _integral_radius(box_radius)
-        if not 0 <= n <= geom.N - 1:
-            raise ValidationError(
-                f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})"
-            )
-    else:
-        n = geom.N if box_radius is None else _integral_radius(box_radius)
-        if n != geom.N:
-            raise ValidationError("the free-boundary chain lives on the full environment box")
-
-    sites = geom.sub_box_indices(n)
-    (row, col, w), (rim_row, _, rim_w), pi = _restrict(env, sites)
-    m = len(sites)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
-    return BoxChain(
-        W=csr_matrix((w, col, indptr), shape=(m, m)),
-        sites=sites,
-        pi=pi,
-        exit=np.bincount(rim_row, weights=rim_w, minlength=m) / pi,
-        origin=(m - 1) // 2,
-        box_radius=n,
-        killed=killed,
-        env=env,
-    )
+    n = geom.N - 1 if box_radius is None else _integral_radius(box_radius)
+    st = box_stencil(env, n)
+    ascending = np.r_[0 : 2 * geom.d : 2, 2 * geom.d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
+    row, k = np.nonzero(st.bonds[ascending].T)
+    c = ascending[k]
+    indptr = np.r_[0, np.cumsum(st.bonds.sum(axis=0))]
+    W = csr_matrix((st.w[c, row], row + st.steps[c], indptr), shape=(len(st.pi),) * 2)
+    return BoxChain(W, geom.sub_box_indices(n), st.pi, st.exit, st.origin, n, env=env)
 
 
 def _walk_tables(env: Environment) -> tuple[np.ndarray, np.ndarray]:

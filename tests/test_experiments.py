@@ -18,12 +18,10 @@ from rcmwalk import (
     experiments,
     heatkernel,
     UniformizationCache,
-    percolation,
     poisson_truncation_k,
     return_prob_curve_exact,
     sample_environment,
     spectral,
-    walk,
 )
 from rcmwalk.cli import main
 from rcmwalk.experiments import (
@@ -484,7 +482,7 @@ class TestBoundSuite:
 
     def test_one_chain_per_box(self, tmp_path, monkeypatch):
         # the floor check, the survival check and the exit tail share one spec
-        # per box and read one stencil of it: no restriction, no box chain
+        # per box and read one stencil of it: no box chain, no ball pattern
         cfg = _cfg(tmp_path)
         stencils, stencil = [], spectral.box_stencil
 
@@ -493,15 +491,12 @@ class TestBoundSuite:
             return stencil(env, box_radius)
 
         def refused(*args, **kwargs):
-            pytest.fail("the bound path built a chain or a restriction")
+            pytest.fail("the bound path built a box chain or a ball pattern")
 
         monkeypatch.setattr(spectral, "box_stencil", counting)
         for module in (spectral, heatkernel):
             monkeypatch.setattr(module, "transition_matrix", refused)
         monkeypatch.setattr(heatkernel, "_ball_pattern", refused)
-        for module in (walk, percolation):
-            monkeypatch.setattr(module, "_restrict", refused)
-        assert not hasattr(spectral, "_restrict")
         run_bound_suite(cfg, threads=1)
         assert sorted(stencils) == sorted(list(cfg.N_list) * cfg.n_environments)
 

@@ -101,11 +101,6 @@ class TestExactKernel:
         s1, s2 = cache.survival(2.0), cache.survival(20.0)
         assert 0.0 < s2 < s1 <= 1.0
 
-    def test_mass_conservation_free_mode(self, small_env):
-        cache = UniformizationCache(small_env, killed=False)
-        cache.ensure(150)
-        assert max(abs(m - 1.0) for m in cache.mass) <= 1e-12
-
     def test_curve_provenance(self, small_env):
         grid = default_time_grid(1.0, 10.0, 6)
         curve = return_prob_curve_exact(small_env, grid)
@@ -416,8 +411,8 @@ def _counting_box_chains(built: list):
     """
     assemble = heatkernel.transition_matrix
 
-    def counting(env, box_radius=None, killed=True):
-        chain = assemble(env, box_radius, killed)
+    def counting(env, box_radius=None):
+        chain = assemble(env, box_radius)
         built.append((chain.box_radius, env.geometry.d * chain.box_radius, len(chain.sites)))
         return chain
 
@@ -703,9 +698,8 @@ class _CountingProduct:
 
 
 class TestDistribution:
-    @pytest.mark.parametrize("killed", [True, False])
-    def test_rows_equal_fresh_propagations_bit_for_bit(self, small_env, killed):
-        cache = UniformizationCache(small_env, killed=killed)
+    def test_rows_equal_fresh_propagations_bit_for_bit(self, small_env):
+        cache = UniformizationCache(small_env)
         grid = [0.0, 0.3, 2.0, 7.5, 31.0]
         laws = cache.distribution(grid)
         assert laws.shape == (len(grid), len(cache.chain.sites))
@@ -745,14 +739,21 @@ class TestHeatKernelHat:
 
     def test_full_box_sup_matches_exact_kernel(self):
         # with no holes the time change is the identity, so the envelope at
-        # each t is the free-boundary kernel's peak, which sits at the start
+        # each t is the free-boundary kernel's peak, which sits at the start;
+        # reference: the dense exponential of the generator on the bond list
         env = homogeneous_environment(2, 14)
+        geom = env.geometry
         dec = strong_cluster(env, 0.5)
         t_grid = [4.0, 8.0, 16.0]
-        curve = heat_kernel_hat(env, dec, env.geometry.origin, t_grid)
-        cache = UniformizationCache(env, killed=False)
+        curve = heat_kernel_hat(env, dec, geom.origin, t_grid)
+        W = np.zeros((geom.n_sites, geom.n_sites))
+        W[geom.bond_u, geom.bond_v] = env.omega
+        W[geom.bond_v, geom.bond_u] = env.omega
+        generator = W / env.pi_all[:, None] - np.eye(geom.n_sites)
         for j, t in enumerate(t_grid):
-            assert abs(curve.sup[j] - cache.return_prob(t)) <= 1e-12
+            law = expm(t * generator)[geom.origin]
+            assert law.argmax() == geom.origin
+            assert abs(curve.sup[j] - law[geom.origin]) <= 1e-12
 
     def test_holey_fixture_matches_dense_expm(self, small_env, holey_decomp):
         # oracle: the trace of the walk on the cluster, from the dense Schur
@@ -871,6 +872,36 @@ class TestCltLowerBound:
             UniformizationCache(a, chain=transition_matrix(b, 7))
         rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, chain=transition_matrix(a, 7)))
         assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
+
+    @pytest.fixture(scope="class")
+    def box12(self):
+        env = sample_environment(BoxGeometry(2, 12), 2.0, 3)
+        return env, strong_cluster(env, threshold_for_density(2.0, 0.95))
+
+    def test_penalized_cache_refused(self, box12):
+        # a cache at lam = 0.5 read the penalized kernel, lhs 5.4e-4 against 4.8e-2, and still passed
+        env, dec = box12
+        with pytest.raises(ValidationError, match="unpenalized"):
+            clt_lower_bound_check(env, dec, 9.0, cache=UniformizationCache(env, box_radius=11, lam=0.5))
+        assert clt_lower_bound_check(env, dec, 9.0).lhs == pytest.approx(0.04823, abs=1e-5)
+
+    def test_cache_on_another_radius_refused(self, box12):
+        # box radius 5 was ignored and the check ran on the cache's radius 11
+        env, dec = box12
+        cache = UniformizationCache(env, box_radius=11)
+        for radius in (5, 11.0, "11"):
+            with pytest.raises(ValidationError, match="box radius"):
+                clt_lower_bound_check(env, dec, 9.0, box_radius=radius, cache=cache)
+        same = clt_lower_bound_check(env, dec, 9.0, box_radius=np.int64(11), cache=cache)
+        assert same == clt_lower_bound_check(env, dec, 9.0, cache=cache)
+
+    def test_chain_on_another_radius_refused(self, box12):
+        # the cache ran on the chain's radius 7 although radius 5 was asked for
+        env, _ = box12
+        chain = transition_matrix(env, 7)
+        with pytest.raises(ValidationError, match="box radius 5 given with a chain on radius 7"):
+            UniformizationCache(env, box_radius=5, chain=chain)
+        assert UniformizationCache(env, box_radius=7, chain=chain).chain is chain
 
 
 class TestGridHelpers:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.special import gammainc
 
 from rcmwalk import (
@@ -42,7 +42,6 @@ from rcmwalk import (
     strong_cluster,
     survival_bound_check,
     threshold_for_density,
-    transition_matrix,
     walk,
 )
 
@@ -114,6 +113,13 @@ class TestLambda1:
         env = homogeneous_environment(3, 6)
         rep = lambda1(OperatorSpec(env=env, box_radius=5))
         assert abs(rep.Lambda1 - homogeneous_lambda1_exact(5)) <= 1e-10
+
+    def test_closed_form_refuses_a_non_integral_radius(self):
+        # 2.5 gave 0.099, the eigenvalue of no box
+        for bad in (2.5, "3", math.inf, math.nan, -1):
+            with pytest.raises(ValidationError):
+                homogeneous_lambda1_exact(bad)
+        assert homogeneous_lambda1_exact(np.int64(5)) == homogeneous_lambda1_exact(5)
 
     def test_uniform_killing_shifts_spectrum(self):
         # phi = 1 turns the penalty into an exact spectral shift
@@ -542,19 +548,28 @@ class TestFeynmanKac:
 
 
 def _csr_operators(spec):
-    """``S`` and the exit engine's two half blocks assembled from the killed chain's CSR ``W``.
+    """``S`` and the exit engine's two half blocks assembled in sparse rows from the canonical bond list.
 
-    The construction the stencil replaced, kept as its oracle: ``S`` from
-    ``transition_matrix`` scaled by ``sqrt(pi)`` on both sides, and the half
-    blocks cut from the chain's ``P^T``.
+    The oracle of the stencil's layout, independent of the box stencil: the
+    bonds of ``B_n`` from ``bond_u``, ``bond_v`` and ``omega``, ``pi`` from
+    ``pi_all``; ``S`` is ``W`` scaled by ``sqrt(pi)`` on both sides, and the
+    half blocks are cut from ``P^T = (W / pi[row])^T``.
     """
-    chain = transition_matrix(spec.env, spec.box_radius)
-    W = chain.W
-    sqrt_pi = np.sqrt(chain.pi)
-    scale = np.repeat(sqrt_pi, np.diff(W.indptr)) * sqrt_pi[W.indices]
-    off = csr_matrix((W.data / scale, W.indices, W.indptr), shape=W.shape)
+    geom = spec.env.geometry
+    sites = geom.sub_box_indices(spec.box_radius)
+    inv = np.full(geom.n_sites, -1)
+    inv[sites] = np.arange(len(sites))
+    u, v = inv[geom.bond_u], inv[geom.bond_v]
+    keep = (u >= 0) & (v >= 0)
+    m = len(sites)
+    w = np.tile(spec.env.omega[keep], 2)
+    W = coo_matrix((w, (np.r_[u[keep], v[keep]], np.r_[v[keep], u[keep]])), shape=(m, m)).tocsr()
+    pi = spec.env.pi_all[sites]
+    sqrt_pi = np.sqrt(pi)
+    row = np.repeat(np.arange(m), np.diff(W.indptr))
+    off = csr_matrix((W.data / (sqrt_pi[row] * sqrt_pi[W.indices]), W.indices, W.indptr), shape=W.shape)
     S = (diags(1.0 + spec.lam * spec.phi_box) - off).tocsc()
-    prop = chain.P.T.tocsr()
+    prop = csr_matrix((W.data / pi[row], W.indices, W.indptr), shape=W.shape).T.tocsr()
     return S, sqrt_pi, [prop[p::2, 1 - p :: 2] for p in (0, 1)]
 
 
@@ -652,7 +667,6 @@ class TestBandedLayout:
         S, sqrt_pi = spec.symmetrized
         ref, ref_sqrt, ref_blocks = _csr_operators(spec)
         assert np.array_equal(sqrt_pi, ref_sqrt)
-        assert np.array_equal(spec.stencil.pi, spec.chain.pi) and np.array_equal(spec.stencil.exit, spec.chain.exit)
         _assert_same_operator(S, ref, rng)
         for half, block in zip(heatkernel._half_blocks(spec.stencil), ref_blocks):
             _assert_same_operator(half, block, rng)

@@ -29,7 +29,6 @@ from rcmwalk import (
 )
 from rcmwalk import heatkernel
 from rcmwalk.heatkernel import _ball_pattern, _folded_operator
-from rcmwalk.lattice import _restrict
 
 
 def _env_with_bonds(d, N, default, overrides):
@@ -70,24 +69,50 @@ class TestStepDistribution:
             step_distribution(small_env, -1)
 
 
-class TestRestriction:
-    def test_inside_and_rim_bonds_sum_to_pi(self, small_env, holey_decomp):
-        # every bond at a site is either inside the set or over its rim
-        geom = small_env.geometry
-        sets = [geom.sub_box_indices(n) for n in (0, 3, 7)] + [h.sites for h in holey_decomp.holes]
-        sets.append(np.flatnonzero(~holey_decomp.in_cluster))  # all holes at once
-        sets = [np.sort(s) for s in sets] + [geom.l1_ball_indices(7, 5), geom.l1_ball_indices(8, 12)]
-        for sub in sets:
-            (row, col, w), (rim_row, outside, rim_w), pi = _restrict(small_env, sub)
-            assert np.array_equal(pi, small_env.pi_all[sub])
-            total = np.bincount(row, w, len(sub)) + np.bincount(rim_row, rim_w, len(sub))
-            np.testing.assert_allclose(total, pi, rtol=1e-15)
-            assert not np.isin(outside, sub).any()
-            assert np.array_equal(np.sort(sub[row] * geom.n_sites + sub[col]),
-                                  np.sort(sub[col] * geom.n_sites + sub[row]))
-            # row-major, each row by ascending neighbor index
-            assert np.all(np.diff(row) >= 0) and np.all(np.diff(sub[col])[np.diff(row) == 0] > 0)
+def _bond_list_chain(env, box_radius):
+    """``W``, ``pi`` and ``exit`` of the chain killed on leaving ``B_n``, assembled from the canonical bond list.
 
+    Independent of the box stencil: the bonds of ``B_n`` and those over its
+    rim come from ``bond_u``, ``bond_axis``, ``bond_v`` and ``omega``, ``pi``
+    from ``pi_all``; a site's rim bonds are summed in incidence order.
+    """
+    geom = env.geometry
+    sites = geom.sub_box_indices(box_radius)
+    inv = np.full(geom.n_sites, -1)
+    inv[sites] = np.arange(len(sites))
+    u, v, axis, w = inv[geom.bond_u], inv[geom.bond_v], geom.bond_axis, env.omega
+    m = len(sites)
+    keep = (u >= 0) & (v >= 0)
+    W = coo_matrix((np.tile(w[keep], 2), (np.r_[u[keep], v[keep]], np.r_[v[keep], u[keep]])), shape=(m, m))
+    rim = np.zeros((2 * geom.d, m))
+    up, down = (u >= 0) & (v < 0), (u < 0) & (v >= 0)  # leaving along +e_i from u, along -e_i from v
+    rim[2 * axis[up] + 1, u[up]] = w[up]
+    rim[2 * axis[down], v[down]] = w[down]
+    exit_rate = np.zeros(m)
+    for row in rim:
+        exit_rate += row
+    pi = env.pi_all[sites]
+    return W.tocsr(), pi, exit_rate / pi
+
+
+def _hole_loop_assembly(env, hole):
+    """A hole's hitting law on its boundary, from its system assembled site by site and solved alone."""
+    geom = env.geometry
+    where = {z: a for a, z in enumerate(hole.sites.tolist())}
+    column = {y: b for b, y in enumerate(hole.boundary.tolist())}
+    A = np.zeros((len(where), len(where)))
+    B = np.zeros((len(where), len(column)))
+    for z, a in where.items():
+        A[a, a] = env.pi_all[z]
+        for y, w in zip(geom.neighbor_table[z].tolist(), env.omega_by_direction[z]):
+            if w > 0 and y in where:
+                A[a, where[y]] -= w
+            elif w > 0:
+                B[a, column[y]] += w
+    return np.linalg.solve(A, B)
+
+
+class TestRestriction:
     def test_box_chain_matches_bond_list_assembly(self, small_env):
         # reference: the killed chain assembled from the canonical bond list
         geom = small_env.geometry
@@ -102,25 +127,20 @@ class TestRestriction:
         ref = ref.tocsr()
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(chain.P, attr), getattr(ref, attr))
+        for n in (0, 3, geom.N - 1):
+            chain = transition_matrix(small_env, n)
+            W, pi, exit_rate = _bond_list_chain(small_env, n)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(chain.W, attr), getattr(W, attr))
+            assert np.array_equal(chain.pi, pi) and np.array_equal(chain.exit, exit_rate)
 
     def test_hole_solve_matches_loop_assembly(self, small_env, holey_decomp):
-        # reference: the hole system assembled site by site, then a dense solve
-        # of that hole alone; the hole pass stacks equal-sized holes into one solve
-        geom = small_env.geometry
+        # the hole pass stacks equal-sized holes into one solve
         for hole in holey_decomp.holes:
-            sites, bdry = hole.sites.tolist(), hole.boundary.tolist()
-            A = np.zeros((len(sites), len(sites)))
-            B = np.zeros((len(sites), len(bdry)))
-            for a, z in enumerate(sites):
-                A[a, a] = small_env.pi_all[z]
-                for y, w in zip(geom.neighbor_table[z].tolist(), small_env.omega_by_direction[z]):
-                    if w > 0 and y in sites:
-                        A[a, sites.index(y)] -= w
-                    elif w > 0:
-                        B[a, bdry.index(y)] += w
+            ref = _hole_loop_assembly(small_env, hole)
             rows = holey_decomp.hitting[hole.sites]
-            assert rows.nnz == A.shape[0] * B.shape[1]  # each row lives on the hole's boundary
-            assert np.array_equal(rows[:, hole.boundary].toarray(), np.linalg.solve(A, B))
+            assert rows.nnz == ref.size  # each row lives on the hole's boundary
+            assert np.array_equal(rows[:, hole.boundary].toarray(), ref)
 
 
 class TestDetailedBalance:
@@ -141,25 +161,18 @@ class TestDetailedBalance:
         np.testing.assert_allclose(rows[interior], 1.0, atol=1e-12)
         assert np.any(rows < 1.0 - 1e-6)  # rim leaks
 
-    def test_free_chain_stochastic(self, small_env):
-        chain = transition_matrix(small_env, killed=False)
-        rows = np.asarray(chain.P.sum(axis=1)).ravel()
-        np.testing.assert_allclose(rows, 1.0, atol=1e-12)
-
     def test_killed_radius_validation(self, small_env):
         with pytest.raises(ValidationError):
             transition_matrix(small_env, small_env.geometry.N)
 
 
 @st.composite
-def _chains(draw, killed=st.booleans()):
-    """A killed or free jump chain on a small random d=2 or d=3 box."""
+def _chains(draw):
+    """A killed jump chain on a small random d=2 or d=3 box."""
     d = draw(st.sampled_from([2, 3]))
     N = draw(st.integers(1, 4 if d == 2 else 3))
     env = sample_environment(BoxGeometry(d, N), draw(st.floats(0.5, 8.0)), draw(st.integers(0, 2**31)))
-    if draw(killed):
-        return env, transition_matrix(env, draw(st.integers(0, N - 1)))
-    return env, transition_matrix(env, killed=False)
+    return env, transition_matrix(env, draw(st.integers(0, N - 1)))
 
 
 class TestChainProperties:
@@ -177,11 +190,8 @@ class TestChainProperties:
     def test_exit_only_over_the_rim(self, case):
         env, chain = case
         rim = env.geometry.linf_norm[chain.sites] == chain.box_radius
-        if chain.killed:
-            assert np.all(chain.exit[~rim] == 0.0)
-            assert np.all(chain.exit[rim] > 0.0)
-        else:
-            assert np.all(chain.exit == 0.0)
+        assert np.all(chain.exit[~rim] == 0.0)
+        assert np.all(chain.exit[rim] > 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_chains())
@@ -199,26 +209,28 @@ class TestChainProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=_chains())
     def test_jump_matrix_is_w_over_pi(self, case):
-        # reference: the jump matrix assembled straight from the restriction
+        # reference: the chain assembled from the canonical bond list
         env, chain = case
-        (row, col, w), _, pi = _restrict(env, chain.sites)
-        m = len(chain.sites)
-        ref = coo_matrix((w / pi[row], (row, col)), shape=(m, m)).tocsr()
+        W, pi, exit_rate = _bond_list_chain(env, chain.box_radius)
+        ref = csr_matrix((W.data / np.repeat(pi, np.diff(W.indptr)), W.indices, W.indptr), shape=W.shape)
         for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(chain.W, attr), getattr(W, attr))
             assert np.array_equal(getattr(chain.P, attr), getattr(ref, attr))
+        assert np.array_equal(chain.pi, pi) and np.array_equal(chain.exit, exit_rate)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_chains(killed=st.just(True)), lam=st.floats(0.0, 3.0))
+    @given(case=_chains(), lam=st.floats(0.0, 3.0))
     def test_symmetrized_is_exactly_symmetric(self, case, lam):
         env, chain = case
         spec = OperatorSpec(env=env, box_radius=chain.box_radius, lam=lam)
         S, sqrt_pi = spec.symmetrized
         assert np.array_equal(S.toarray(), S.T.toarray())
-        # reference: the operator assembled from its own restriction of the box
-        (row, col, w), _, pi = _restrict(env, chain.sites)
-        m = len(chain.sites)
+        # reference: the operator scaled from the bond-list assembly of the box
+        W, pi, _ = _bond_list_chain(env, chain.box_radius)
+        W = W.tocoo()
+        m = len(pi)
         ref_sqrt = np.sqrt(pi)
-        off = coo_matrix((w / (ref_sqrt[row] * ref_sqrt[col]), (row, col)), shape=(m, m))
+        off = coo_matrix((W.data / (ref_sqrt[W.row] * ref_sqrt[W.col]), (W.row, W.col)), shape=(m, m))
         diag = 1.0 + lam * spec.phi_box
         ref = (coo_matrix((diag, (np.arange(m), np.arange(m))), shape=(m, m)) - off).tocsc()
         assert np.array_equal(sqrt_pi, ref_sqrt)
@@ -227,7 +239,7 @@ class TestChainProperties:
             assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_chains(killed=st.just(True)), data=st.data())
+    @given(case=_chains(), data=st.data())
     def test_folded_blocks_scale_w(self, case, data):
         env, chain = case
         n = chain.box_radius
@@ -687,12 +699,12 @@ class TestEffectiveConductances:
 
 
 @st.composite
-def _decompositions(draw):
-    """A small random d=2 or d=3 box split at strong density in [0.5, 0.7]."""
+def _decompositions(draw, density=st.floats(0.5, 0.7)):
+    """A small random d=2 or d=3 box split at a strong density drawn from ``density``."""
     d = draw(st.sampled_from([2, 3]))
     N = draw(st.integers(3, 7 if d == 2 else 3))
     env = sample_environment(BoxGeometry(d, N), 2.0, draw(st.integers(0, 2**31)))
-    return env, strong_cluster(env, threshold_for_density(2.0, draw(st.floats(0.5, 0.7))))
+    return env, strong_cluster(env, threshold_for_density(2.0, draw(density)))
 
 
 class TestHolePass:
@@ -705,6 +717,18 @@ class TestHolePass:
         rows = np.asarray(H.sum(axis=1)).ravel()
         assert np.all(np.abs(rows[~dec.in_cluster] - 1.0) <= 1e-12)
         assert np.all(rows[dec.in_cluster] == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_decompositions(density=st.floats(0.3, 0.95)))
+    def test_hitting_equals_loop_assembly(self, case):
+        # bit for bit the per-hole reference, whatever the holes' sizes and shapes
+        env, dec = case
+        for hole in dec.holes:
+            ref = _hole_loop_assembly(env, hole)
+            rows = dec.hitting[hole.sites]
+            assert rows.nnz == ref.size
+            assert np.array_equal(rows[:, hole.boundary].toarray(), ref)
+        assert dec.hitting[np.flatnonzero(dec.in_cluster)].nnz == 0
 
     @settings(max_examples=40, deadline=None)
     @given(case=_decompositions())
