@@ -137,8 +137,9 @@ class UniformizationCache:
 
     Uniformizes ``-G = I - P + lam diag(phi)`` at rate ``1 + lam`` through
     the substochastic matrix ``M = (P + lam diag(1 - phi)) / (1 + lam)``;
-    ``phi`` is indexed by environment site, and ``None`` means every site
-    counts (``ensemble_walk``'s convention).  ``a_k = M^k(0,0)`` doubles as
+    ``phi`` is indexed by environment site, with values in ``[0, 1]`` (``M``
+    is substochastic only then), and ``None`` means every site counts
+    (``ensemble_walk``'s convention).  ``a_k = M^k(0,0)`` doubles as
     the discrete-time return probability and as the coefficient of the
     Poisson mixture; ``mass_k`` is the surviving mass after k jumps
     (identically 1 on a chain without exit), so ``survival`` is
@@ -160,6 +161,10 @@ class UniformizationCache:
     ):
         if not 0 <= lam < math.inf:
             raise ValidationError(f"killing rate must be finite and >= 0, got {lam!r}")
+        if phi is not None:
+            phi = np.asarray(phi)
+            if phi.shape != (env.geometry.n_sites,) or not np.all((phi >= 0) & (phi <= 1)):
+                raise ValidationError(f"phi must hold one value in [0, 1] for each of the {env.geometry.n_sites} sites")
         if chain is not None and chain.env is not env:
             raise ValidationError("the chain was read from a different environment")
         if chain is not None and box_radius is not None and _integral_radius(box_radius) != chain.box_radius:

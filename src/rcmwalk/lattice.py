@@ -126,30 +126,21 @@ class BoxGeometry:
 
         Column order is (-e_1, +e_1, -e_2, +e_2, ...), which is also the
         canonical incidence order used when summing conductances around a
-        site.
+        site.  Canonical order is C order, so column ``-e_i`` is the index
+        grid shifted one slice along axis ``i``, and ``+e_i`` one slice back.
         """
-        coords = self.all_coords
-        idx = np.arange(self.n_sites, dtype=np.int64)
-        table = np.full((self.n_sites, 2 * self.d), -1, dtype=np.int64)
+        grid = (self.side,) * self.d
+        table = np.full(grid + (2 * self.d,), -1, dtype=np.int64)
         for i in range(self.d):
-            minus_ok = coords[:, i] > -self.N
-            plus_ok = coords[:, i] < self.N
-            table[minus_ok, 2 * i] = idx[minus_ok] - self.strides[i]
-            table[plus_ok, 2 * i + 1] = idx[plus_ok] + self.strides[i]
-        return table
+            idx, t = np.moveaxis(np.arange(self.n_sites).reshape(grid), i, 0), np.moveaxis(table, i, 0)
+            t[1:, ..., 2 * i], t[:-1, ..., 2 * i + 1] = idx[:-1], idx[1:]
+        return table.reshape(self.n_sites, 2 * self.d)
 
     @cached_property
     def _bond_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(bond_u, bond_axis, bond_v) in canonical bond order."""
-        coords = self.all_coords
-        # valid[s, i] == True iff site s has a +e_i bond; C-order flattening
-        # of (site, axis) pairs is exactly the canonical bond enumeration.
-        valid = coords < self.N
-        flat = valid.ravel()
-        pair_site = np.repeat(np.arange(self.n_sites, dtype=np.int64), self.d)[flat]
-        pair_axis = np.tile(np.arange(self.d, dtype=np.int64), self.n_sites)[flat]
-        pair_v = pair_site + self.strides[pair_axis]
-        return pair_site, pair_axis, pair_v
+        """(bond_u, bond_axis, bond_v) in canonical bond order: C order over the (site, axis) pairs with ``x_i < N``."""
+        site, axis = np.divmod(np.flatnonzero(self.all_coords < self.N), self.d)
+        return site, axis, site + self.strides[axis]
 
     @property
     def bond_u(self) -> np.ndarray:
@@ -166,10 +157,9 @@ class BoxGeometry:
     @cached_property
     def bond_id_table(self) -> np.ndarray:
         """(n_sites, d) bond index of (site, +e_i), -1 where absent."""
-        valid = (self.all_coords < self.N).ravel()
-        ids = np.full(self.n_sites * self.d, -1, dtype=np.int64)
-        ids[valid] = np.arange(valid.sum(), dtype=np.int64)
-        return ids.reshape(self.n_sites, self.d)
+        ids = np.full((self.n_sites, self.d), -1, dtype=np.int64)
+        ids[self.all_coords < self.N] = np.arange(self.n_bonds, dtype=np.int64)
+        return ids
 
     def sub_box_rows(self, a: np.ndarray, n: int) -> np.ndarray:
         """The rows of the per-site array ``a`` at the sites of ``B_n`` (n <= N), in B_n's own canonical order.
@@ -289,20 +279,17 @@ class Environment:
     def omega_by_direction(self) -> np.ndarray:
         """(n_sites, 2d) conductance toward each neighbor, 0 where none.
 
-        Column order matches :attr:`BoxGeometry.neighbor_table`.
+        Column order matches :attr:`BoxGeometry.neighbor_table`.  The ``+e_i``
+        columns take ``omega`` in bond order, C order over (site, axis) where
+        ``x_i < N``; column ``-e_i`` is column ``+e_i`` shifted one slice along axis ``i``.
         """
         geom = self.geometry
-        out = np.zeros((geom.n_sites, 2 * geom.d), dtype=np.float64)
-        ids = geom.bond_id_table
+        out = np.zeros((geom.side,) * geom.d + (2 * geom.d,), dtype=np.float64)
+        out.reshape(geom.n_sites, 2 * geom.d)[:, 1::2][geom.all_coords < geom.N] = self.omega
         for i in range(geom.d):
-            plus = ids[:, i]
-            has_plus = plus >= 0
-            out[has_plus, 2 * i + 1] = self.omega[plus[has_plus]]
-            # minus bond of x along axis i is the plus bond of x - e_i
-            nb = geom.neighbor_table[:, 2 * i]
-            has_minus = nb >= 0
-            out[has_minus, 2 * i] = self.omega[ids[nb[has_minus], i]]
-        return out
+            o = np.moveaxis(out, i, 0)
+            o[1:, ..., 2 * i] = o[:-1, ..., 2 * i + 1]
+        return out.reshape(geom.n_sites, 2 * geom.d)
 
     @cached_property
     def pi_all(self) -> np.ndarray:
@@ -325,7 +312,7 @@ def pi(env: Environment, x: int) -> float:
     Summation follows the canonical incidence order so repeated computation
     is bit-exact.
     """
-    if not 0 <= x < env.geometry.n_sites:
+    if not 0 <= _integral_radius(x, "site") < env.geometry.n_sites:
         raise ValidationError(f"site {x} outside the box")
     total = 0.0
     for col in range(2 * env.geometry.d):
@@ -442,9 +429,15 @@ def _gf2_mulmod(a: int, b: int) -> int:
     return prod
 
 
-# CRC of the single byte b: b(x) * x**64 mod P, and x**64 = _CRC64_POLY mod P
-_CRC64_TABLE = np.array([_gf2_mulmod(b, _CRC64_POLY) for b in range(256)], dtype=np.uint64)
-_CRC64_TABLE.flags.writeable = False
+@cache
+def _crc64_word_table() -> np.ndarray:
+    """CRC of each of the 65536 big-endian two-byte words, for a step that feeds two bytes at once."""
+    # CRC of the single byte b: b(x) * x**64 mod P, and x**64 = _CRC64_POLY mod P
+    byte = np.array([_gf2_mulmod(b, _CRC64_POLY) for b in range(256)], dtype=np.uint64)
+    word = np.arange(1 << 16, dtype=np.uint64)
+    table = (byte[word >> 8] << 8) ^ byte[(byte[word >> 8] >> 56) ^ (word & 0xFF)]
+    table.flags.writeable = False
+    return table
 
 
 @cache
@@ -478,25 +471,27 @@ def crc64(data) -> int:
     """CRC-64/ECMA-182 of a bytes-like ``data`` (init 0, no reflection, no final xor).
 
     Leading zero bytes leave this CRC unchanged, so the input is front-padded
-    to whole 64-byte chunks; the table-driven byte step runs across all chunks
-    at once, and the chunk CRCs are then combined pairwise in a tree (a zero
-    CRC in front of an odd count) with the precomputed zero-append shifts.
+    to whole 64-byte chunks; the table-driven step feeds two bytes (one
+    big-endian word) of every chunk at once, and the chunk CRCs are then
+    combined pairwise in a tree (a zero CRC in front of an odd count) with
+    the precomputed zero-append shifts.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     n_chunks = -(-raw.size // _CRC64_CHUNK)
     if n_chunks == 0:
         return 0
     head_len = raw.size - (n_chunks - 1) * _CRC64_CHUNK
-    columns = np.zeros((_CRC64_CHUNK, n_chunks), dtype=np.uint8)  # columns[j, c] = byte j of chunk c
-    columns[_CRC64_CHUNK - head_len :, 0] = raw[:head_len]
-    columns[:, 1:] = raw[head_len:].reshape(n_chunks - 1, _CRC64_CHUNK).T
+    columns = np.empty((_CRC64_CHUNK // 2, n_chunks), dtype=np.uint16)  # columns[j, c] = word j of chunk c
+    columns[:, 0] = np.concatenate([np.zeros(_CRC64_CHUNK - head_len, dtype=np.uint8), raw[:head_len]]).view(">u2")
+    columns[:, 1:] = raw[head_len:].view(">u2").reshape(n_chunks - 1, _CRC64_CHUNK // 2).T
+    table = _crc64_word_table()
     crc = np.zeros(n_chunks, dtype=np.uint64)
     index = np.empty(n_chunks, dtype=np.uint64)
     for column in columns:
-        np.right_shift(crc, 56, out=index)
+        np.right_shift(crc, 48, out=index)
         index ^= column
-        crc <<= 8
-        crc ^= _CRC64_TABLE.take(index.view(np.int64))
+        crc <<= 16
+        crc ^= table.take(index.view(np.int64))
     level = 0
     while crc.size > 1:
         if crc.size % 2:

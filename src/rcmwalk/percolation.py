@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyClusterError, ValidationError
@@ -92,34 +92,33 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     ``W`` holds the bonds inside a hole, ``B`` those toward its boundary sites, both read off the hole
     sites' table rows (holes are never adjacent, so a bonded neighbor off the cluster is in the same hole).
     Holes of one size share one stacked ``np.linalg.solve``, ``B`` padded with zero columns, which gives
-    each hole bit for bit its own solve.  A hole of ``m`` sites and ``nb`` boundary sites takes
-    ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
+    each hole bit for bit its own solve; one sort of the sites by (hole size, hole, site) makes the holes
+    of a size, and their bonds, one slice.  Sizes, widths and boundaries are read from ``decomp.holes``.
+    A hole of ``m`` sites and ``nb`` boundary sites takes ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
     """
     env = decomp.env
     n = env.geometry.n_sites
     holes = decomp.holes
     if not holes:
         return csr_matrix((n, n))
+    size = np.array([h.volume for h in holes], dtype=np.int64)
+    width = np.array([len(h.boundary) for h in holes], dtype=np.int64)
+    bdry = np.concatenate([h.boundary for h in holes])
+    bfirst = np.cumsum(width) - width
     sites = np.flatnonzero(~decomp.in_cluster)
+    sites = sites[np.lexsort((decomp.labels[sites], size[decomp.labels[sites]]))]  # by (hole size, hole, site)
+    label = decomp.labels[sites]
+    at = np.empty(n, dtype=np.int64)  # each hole site's row
+    at[sites] = np.arange(len(sites))
     bond_row, c = np.nonzero(env.omega_by_direction[sites] > 0)  # absent neighbors (-1) carry no conductance
     far, bond_w = env.geometry.neighbor_table[sites[bond_row], c], env.omega_by_direction[sites[bond_row], c]
     inner = ~decomp.in_cluster[far]
-    row, col, w = bond_row[inner], np.searchsorted(sites, far[inner]), bond_w[inner]
-    rim_row, outside, rim_w = bond_row[~inner], far[~inner], bond_w[~inner]
-    del bond_row, c, far, bond_w, inner  # kept alive, they would add to the peak of the solves below
-    label = decomp.labels[sites]
-    size = np.array([h.volume for h in holes], dtype=np.int64)
-    width = np.array([len(h.boundary) for h in holes], dtype=np.int64)
-    # sites hole by hole, each site's position in its hole, each rim bond's boundary column
-    by_hole = np.argsort(label, kind="stable")
-    first = np.cumsum(size) - size
-    pos = np.empty(len(sites), dtype=np.int64)
-    pos[by_hole] = np.arange(len(sites)) - np.repeat(first, size)
-    bdry = np.concatenate([h.boundary for h in holes])
-    bfirst = np.cumsum(width) - width
-    rim_hole = label[rim_row]
-    rim_col = np.searchsorted(np.repeat(np.arange(len(holes)), width) * n + bdry, rim_hole * n + outside)
+    row, col, w = bond_row[inner], at[far[inner]], bond_w[inner]
+    rim_row, rim_w, rim_hole = bond_row[~inner], bond_w[~inner], label[bond_row[~inner]]
+    # each rim bond's column in its hole's boundary
+    rim_col = np.searchsorted(np.repeat(np.arange(len(holes)), width) * n + bdry, rim_hole * n + far[~inner])
     rim_col -= bfirst[rim_hole]
+    del at, bond_row, c, far, bond_w, inner, rim_hole  # kept alive, they would add to the peak of the solves below
 
     # row z holds z's hole boundary; indices as narrow as the matrix keeps them, so it takes them uncopied
     nnz = int(width[label].sum())
@@ -127,20 +126,21 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     indptr[sites + 1] = width[label]
     np.cumsum(indptr, out=indptr)
     indices, data = np.empty(nnz, dtype=indptr.dtype), np.empty(nnz)
-    inner_size, rim_size = size[label[row]], size[rim_hole]
-    slot = np.empty(len(holes), dtype=np.int64)
-    for m in np.unique(size):
-        group = np.flatnonzero(size == m)
-        slot[group] = np.arange(len(group))
-        members = sites[by_hole[first[group][:, None] + np.arange(m)]]
-        A = np.zeros((len(group), m, m))
-        at = inner_size == m
-        A[slot[label[row[at]]], pos[row[at]], pos[col[at]]] = -w[at]
+    by_size = np.argsort(size, kind="stable")  # hole ids by size
+    sizes, count = np.unique(size, return_counts=True)
+    ends = zip(np.cumsum(count).tolist(), np.cumsum(sizes * count).tolist())
+    for m, k, (hole_end, end) in zip(sizes.tolist(), count.tolist(), ends):
+        group, start = by_size[hole_end - k : hole_end], end - k * m
+        inner, rim = slice(*np.searchsorted(row, [start, end])), slice(*np.searchsorted(rim_row, [start, end]))
+        members = sites[start:end].reshape(k, m)
+        A = np.zeros((k, m, m))
+        slot, pos = np.divmod(row[inner] - start, m)  # the hole's place in the group, the site's in the hole
+        A[slot, pos, (col[inner] - start) % m] = -w[inner]
         A[:, np.arange(m), np.arange(m)] = env.pi_all[members]
         cols = np.arange(width[group].max())
-        B = np.zeros((len(group), m, len(cols)))
-        at = rim_size == m
-        B[slot[rim_hole[at]], pos[rim_row[at]], rim_col[at]] = rim_w[at]
+        B = np.zeros((k, m, len(cols)))
+        slot, pos = np.divmod(rim_row[rim] - start, m)
+        B[slot, pos, rim_col[rim]] = rim_w[rim]
         H = np.linalg.solve(A, B)
         del A, B  # the largest hole's system is the peak of the pass; the scatter need not add to it
         keep = np.broadcast_to(cols < width[group][:, None, None], H.shape)
@@ -150,6 +150,14 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def _components(n: int, site: np.ndarray, axis: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Component labels of ``n`` sites under the bonds ``(site, site + e_axis)``, listed by ascending ``site``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(site, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(site)), site + strides[axis], indptr), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
 def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
     """Decompose the box at threshold ``xi``.
 
@@ -157,19 +165,20 @@ def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
     component is retained as the strong cluster, and the remaining sites are
     grouped into grid-connected holes with their outer boundaries and
     anchors.  Raises :class:`EmptyClusterError` when no bond is strong.
+    Bonds are read off the ``+e_i`` columns of ``omega_by_direction``, whose
+    C order over (site, axis) is the bond order; each hole's sites and
+    boundary are slices of two flat arrays sorted by hole.
     """
     if not 0 < xi < 1:
         raise ValidationError(f"threshold must lie in (0, 1), got {xi}")
     geom = env.geometry
     n = geom.n_sites
-    strong = env.omega >= xi
-    if not strong.any():
+    plus = env.omega_by_direction[:, 1::2]  # conductance of (x, x + e_i), 0 where there is no bond
+    strong = np.nonzero(plus >= xi)
+    if not len(strong[0]):
         raise EmptyClusterError(f"no bond with conductance >= {xi}")
 
-    u = geom.bond_u[strong]
-    v = geom.bond_v[strong]
-    graph = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
+    comp = _components(n, *strong, geom.strides)
     sizes = np.bincount(comp)
     giant = int(np.argmax(sizes))
     if sizes[giant] < 2:
@@ -182,38 +191,26 @@ def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
     if complement.any():
         # grid-connect the complement with every lattice bond between two
         # complement sites, then number the components by smallest member site
-        both = complement[geom.bond_u] & complement[geom.bond_v]
-        hu = geom.bond_u[both]
-        hv = geom.bond_v[both]
-        grid = coo_matrix((np.ones(len(hu), dtype=np.int8), (hu, hv)), shape=(n, n))
-        _, hole_comp = connected_components(grid, directed=False)
+        far = geom.neighbor_table[:, 1::2]
+        near_off, far_off = complement[:, None] & (plus > 0), complement[far] & (plus > 0)
+        hole_comp = _components(n, *np.nonzero(near_off & far_off), geom.strides)
 
         comp_sites = np.flatnonzero(complement)  # ascending
-        raw_ids = hole_comp[comp_sites]
-        uniq, first = np.unique(raw_ids, return_index=True)
-        by_smallest = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[by_smallest] = np.arange(len(uniq))
-        labels[comp_sites] = rank[np.searchsorted(uniq, raw_ids)]
+        _, first, raw_ids = np.unique(hole_comp[comp_sites], return_index=True, return_inverse=True)
+        labels[comp_sites] = np.argsort(np.argsort(first, kind="stable"))[raw_ids]  # rank by smallest site
+        members = comp_sites[np.argsort(labels[comp_sites], kind="stable")]
+        site_end = np.cumsum(np.bincount(labels[comp_sites]))
 
-        member_order = comp_sites[np.argsort(labels[comp_sites], kind="stable")]
-        counts = np.bincount(labels[comp_sites], minlength=len(uniq))
-        member_groups = np.split(member_order, np.cumsum(counts)[:-1])
-
-        # outer boundaries: cluster endpoints of mixed bonds
-        mixed_uv = complement[geom.bond_u] & in_cluster[geom.bond_v]
-        mixed_vu = complement[geom.bond_v] & in_cluster[geom.bond_u]
-        hole_of = np.concatenate([labels[geom.bond_u[mixed_uv]], labels[geom.bond_v[mixed_vu]]])
-        bdry_site = np.concatenate([geom.bond_v[mixed_uv], geom.bond_u[mixed_vu]])
-        bdry_order = np.argsort(hole_of, kind="stable")
-        bdry_counts = np.bincount(hole_of, minlength=len(uniq))
-        bdry_groups = np.split(bdry_site[bdry_order], np.cumsum(bdry_counts)[:-1])
-
-        for members, bdry_raw in zip(member_groups, bdry_groups):
-            bdry = np.unique(bdry_raw)
-            if len(bdry) == 0:
-                raise ValidationError("hole without outer boundary; box is disconnected")
-            holes.append(Hole(sites=members, boundary=bdry, anchor=int(bdry[0])))
+        # outer boundaries: the cluster ends of the bonds between a hole and the cluster, sorted by (hole, site)
+        u, axis = np.nonzero(near_off != far_off)
+        v = far[u, axis]
+        hole_end = np.where(complement[u], u, v)
+        bdry_hole, bdry = np.divmod(np.unique(labels[hole_end] * n + (u + v - hole_end)), n)
+        bdry_start, bdry_end = (np.searchsorted(bdry_hole, np.arange(len(first)), side=s) for s in ("left", "right"))
+        if np.any(bdry_start == bdry_end):
+            raise ValidationError("hole without outer boundary; box is disconnected")
+        slices = zip(np.r_[0, site_end[:-1]].tolist(), site_end.tolist(), bdry_start.tolist(), bdry_end.tolist())
+        holes = [Hole(members[a:b], bdry[c:e], int(bdry[c])) for a, b, c, e in slices]
 
     return ClusterDecomposition(env=env, threshold=float(xi), labels=labels, holes=holes)
 
@@ -279,13 +276,14 @@ def write_decomposition_csv(decomp: ClusterDecomposition, path) -> None:
     """Export per-site labels: site_index, x_1..x_d, label (-1 = strong cluster).
 
     Lines end in CRLF, as the csv module's default dialect writes them; rows
-    are formatted a block of sites at a time.
+    are formatted as bytes a block of sites at a time, with no text-layer
+    encode.
     """
     geom = decomp.env.geometry
     coords = geom.all_coords
-    row = ",".join(["%d"] * (geom.d + 2)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["site_index"] + [f"x_{i + 1}" for i in range(geom.d)] + ["label"]) + "\r\n")
+    row = b",".join([b"%d"] * (geom.d + 2)) + b"\r\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(["site_index"] + [f"x_{i + 1}" for i in range(geom.d)] + ["label"]).encode() + b"\r\n")
         for start in range(0, geom.n_sites, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, geom.n_sites)
             block = np.column_stack(

@@ -44,7 +44,7 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
     box.  ``pi`` is the in-box conductance sum at ``x``.
     """
     geom = env.geometry
-    if not 0 <= x < geom.n_sites:
+    if not 0 <= _integral_radius(x, "site") < geom.n_sites:
         raise ValidationError(f"site {x} outside the box")
     w = env.omega_by_direction[x]
     total = env.pi_all[x]
@@ -57,7 +57,7 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
 def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> None:
     """Refuse ``x`` unless it is a box site on the strong cluster of ``decomp``, computed on ``env``."""
     decomp.check_env(env)
-    if not 0 <= x < env.geometry.n_sites:  # numpy would read -1 as the last site
+    if not 0 <= _integral_radius(x, "site") < env.geometry.n_sites:  # numpy would read -1 as the last site
         raise ValidationError(f"site {x} outside the box")
     if decomp.labels[x] != STRONG_LABEL:
         raise ValidationError(f"site {x} is not on the strong cluster")
@@ -251,11 +251,12 @@ class TrajectoryRecord:
 
 
 def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
-    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``)."""
-    if not 0 <= x0 < geom.n_sites:
+    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``); both must be integers."""
+    if not 0 <= _integral_radius(x0, "start site") < geom.n_sites:
         raise ValidationError(f"start site {x0} outside the box")
     kill = geom.N - 1 if kill_radius == "interior" else kill_radius
     if kill is not None:
+        kill = _integral_radius(kill, "kill radius")
         if not 0 <= kill <= geom.N - 1:
             raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
         if geom.linf_norm[x0] > kill:

@@ -587,6 +587,30 @@ class TestPenalizedEngine:
         with pytest.raises(ValidationError):
             UniformizationCache(small_env, 3, lam=-0.1)
 
+    @pytest.mark.parametrize(
+        "bad", ["seven", "negative", "nan", "inf", "short", "long", "two_rows"], ids=str
+    )
+    def test_phi_outside_the_unit_interval_or_off_shape_rejected(self, small_env, bad):
+        # phi = 7 with lam = 0.5 gave M negative diagonal entries and survival(1.0) = 0.0302
+        n = small_env.geometry.n_sites
+        phi = {
+            "seven": np.full(n, 7.0),
+            "negative": np.r_[np.ones(n - 1), -1e-300],
+            "nan": np.r_[np.ones(n - 1), np.nan],
+            "inf": np.r_[np.ones(n - 1), np.inf],
+            "short": np.ones(n - 1),
+            "long": np.ones(n + 1),
+            "two_rows": np.ones((2, n)),
+        }[bad]
+        for lam in (0.0, 0.5):
+            with pytest.raises(ValidationError, match=r"phi must hold one value in \[0, 1\]"):
+                UniformizationCache(small_env, 3, lam=lam, phi=phi)
+
+    def test_phi_at_the_ends_of_the_unit_interval_accepted(self, small_env):
+        n = small_env.geometry.n_sites
+        for phi in (np.zeros(n), np.ones(n), np.arange(n) % 2 == 0):
+            assert 0 < UniformizationCache(small_env, 3, lam=0.5, phi=phi).survival(1.0) <= 1
+
 
 def _full_vector_exit_mass(chain, k_max: int) -> np.ndarray:
     """The exit mass from the whole box vector, one rim flux per jump: the loop ``exit_mass`` must reproduce."""

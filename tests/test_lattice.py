@@ -111,6 +111,31 @@ class TestBoxGeometry:
         assert np.array_equal(g.all_coords[sub], inner.all_coords)
 
 
+def _bond_list_tables(env):
+    """``neighbor_table`` and ``omega_by_direction`` assembled from the bond list: bond ``(u, u + e_i)`` fills
+    column ``+e_i`` of ``u`` and column ``-e_i`` of ``v``."""
+    g = env.geometry
+    u, axis, v = g.bond_u, g.bond_axis, g.bond_v
+    table = np.full((g.n_sites, 2 * g.d), -1, dtype=np.int64)
+    table[u, 2 * axis + 1] = v
+    table[v, 2 * axis] = u
+    w = np.zeros((g.n_sites, 2 * g.d), dtype=np.float64)
+    w[u, 2 * axis + 1] = env.omega
+    w[v, 2 * axis] = env.omega
+    return table, w
+
+
+class TestLatticeTables:
+    # d = 5, N = 7 (759,375 sites) is left out: its tables and bond arrays take about 380 MB
+    @pytest.mark.parametrize("d,N", [(d, N) for d in (2, 3, 4, 5) for N in (0, 1, 2, 7) if (d, N) != (5, 7)])
+    def test_grid_slices_equal_the_bond_list_assembly(self, d, N):
+        env = sample_environment(BoxGeometry(d, N), 2.0, 10 * d + N)
+        for got, want in zip((env.geometry.neighbor_table, env.omega_by_direction), _bond_list_tables(env)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSampling:
     def test_gamma_one_is_uniform(self):
         env = sample_environment(BoxGeometry(2, 80), 1.0, 3)
@@ -225,6 +250,11 @@ class TestPi:
     def test_outside_box(self, small_env):
         with pytest.raises(ValidationError):
             pi(small_env, small_env.geometry.n_sites)
+
+    @pytest.mark.parametrize("x", [2.5, 3.0, "3", None])
+    def test_non_integral_site_refused(self, small_env, x):
+        with pytest.raises(ValidationError, match="site must be an integer"):
+            pi(small_env, x)
 
 
 class TestMinConductanceScaling:

@@ -1,8 +1,13 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rcmwalk import (
     BoxGeometry,
@@ -33,6 +38,52 @@ def _env_with_bonds(d, N, default, overrides):
         assert bond >= 0
         omega[bond] = w
     return Environment(geometry=geom, gamma=math.inf, seed=0, omega=omega)
+
+
+def _reference_strong_cluster(env, xi):
+    """``strong_cluster`` on the bond list: coo graphs on ``bond_u``/``bond_v``, ``np.split`` and a per-hole
+    ``np.unique``.  Returns the labels and each hole's ``(sites, boundary, anchor)``."""
+    geom = env.geometry
+    n = geom.n_sites
+    strong = env.omega >= xi
+    if not strong.any():
+        raise EmptyClusterError(f"no bond with conductance >= {xi}")
+    u, v = geom.bond_u[strong], geom.bond_v[strong]
+    _, comp = connected_components(coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n)), directed=False)
+    sizes = np.bincount(comp)
+    giant = int(np.argmax(sizes))
+    if sizes[giant] < 2:
+        raise EmptyClusterError(f"no bond with conductance >= {xi}")
+    in_cluster = comp == giant
+    labels = np.full(n, STRONG_LABEL, dtype=np.int64)
+    complement = ~in_cluster
+    if not complement.any():
+        return labels, []
+    both = complement[geom.bond_u] & complement[geom.bond_v]
+    u, v = geom.bond_u[both], geom.bond_v[both]
+    grid = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    _, hole_comp = connected_components(grid, directed=False)
+    comp_sites = np.flatnonzero(complement)
+    raw_ids = hole_comp[comp_sites]
+    uniq, first = np.unique(raw_ids, return_index=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+    labels[comp_sites] = rank[np.searchsorted(uniq, raw_ids)]
+    member_order = comp_sites[np.argsort(labels[comp_sites], kind="stable")]
+    counts = np.bincount(labels[comp_sites], minlength=len(uniq))
+    mixed_uv = complement[geom.bond_u] & in_cluster[geom.bond_v]
+    mixed_vu = complement[geom.bond_v] & in_cluster[geom.bond_u]
+    hole_of = np.concatenate([labels[geom.bond_u[mixed_uv]], labels[geom.bond_v[mixed_vu]]])
+    bdry_site = np.concatenate([geom.bond_v[mixed_uv], geom.bond_u[mixed_vu]])
+    bdry_counts = np.bincount(hole_of, minlength=len(uniq))
+    bdry_groups = np.split(bdry_site[np.argsort(hole_of, kind="stable")], np.cumsum(bdry_counts)[:-1])
+    holes = []
+    for members, raw in zip(np.split(member_order, np.cumsum(counts)[:-1]), bdry_groups):
+        bdry = np.unique(raw)
+        if len(bdry) == 0:
+            raise ValidationError("hole without outer boundary; box is disconnected")
+        holes.append((members, bdry, int(bdry[0])))
+    return labels, holes
 
 
 class TestThreshold:
@@ -156,6 +207,35 @@ class TestStrongCluster:
         env = Environment(geometry=geom, gamma=math.inf, seed=0, omega=np.full(geom.n_bonds, 0.1))
         with pytest.raises(EmptyClusterError):
             strong_cluster(env, 0.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        box=st.sampled_from([(2, N) for N in range(0, 11)] + [(3, N) for N in range(0, 5)]),
+        gamma=st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+        p=st.floats(0.02, 0.98),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_bond_list_algorithm(self, box, gamma, p, seed):
+        geom = BoxGeometry(*box)
+        if math.isinf(gamma):  # every bond strong: a box with no holes
+            env = Environment(geometry=geom, gamma=gamma, seed=seed, omega=np.ones(geom.n_bonds))
+        else:
+            env = sample_environment(geom, gamma, seed)
+        xi = threshold_for_density(2.0 if math.isinf(gamma) else gamma, p)
+        try:
+            want = _reference_strong_cluster(env, xi)
+        except (EmptyClusterError, ValidationError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                strong_cluster(env, xi)
+            return
+        got = strong_cluster(env, xi)
+        labels, holes = want
+        assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels)
+        assert len(got.holes) == len(holes)
+        for hole, (sites, bdry, anchor) in zip(got.holes, holes):
+            assert hole.sites.dtype == sites.dtype and np.array_equal(hole.sites, sites)
+            assert hole.boundary.dtype == bdry.dtype and np.array_equal(hole.boundary, bdry)
+            assert type(hole.anchor) is int and hole.anchor == anchor
 
     def test_threshold_domain(self, small_env):
         with pytest.raises(ValidationError):

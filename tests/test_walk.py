@@ -68,6 +68,11 @@ class TestStepDistribution:
         with pytest.raises(ValidationError):
             step_distribution(small_env, -1)
 
+    @pytest.mark.parametrize("x", [2.5, 3.0, "3"])
+    def test_non_integral_site_rejected(self, small_env, x):
+        with pytest.raises(ValidationError, match="site must be an integer"):
+            step_distribution(small_env, x)
+
 
 def _bond_list_chain(env, box_radius):
     """``W``, ``pi`` and ``exit`` of the chain killed on leaving ``B_n``, assembled from the canonical bond list.
@@ -686,6 +691,11 @@ class TestEffectiveConductances:
         with pytest.raises(ValidationError):
             effective_conductances(small_env, holey_decomp, hole_site)
 
+    def test_non_integral_site_rejected(self, small_env, holey_decomp):
+        x = int(holey_decomp.holes[0].boundary[0])
+        with pytest.raises(ValidationError, match="site must be an integer"):
+            effective_conductances(small_env, holey_decomp, x + 0.5)
+
     def test_other_environment_rejected(self, small_env, holey_decomp):
         # the hitting law belongs to the decomposition's own environment: a
         # table read through another one would mix the two
@@ -772,6 +782,18 @@ class TestStartSite:
             _step(stepper, small_env, geom.origin, geom.N)
         _step(stepper, small_env, rim, None)
         _step(stepper, small_env, geom.origin, geom.N - 1)
+
+    @pytest.mark.parametrize("kill_radius", [2.5, 2.0, "2"])
+    def test_non_integral_kill_radius_rejected(self, stepper, kill_radius):
+        # 2.5 used to pass the range check and kill on reaching sup-norm 3
+        env = sample_environment(BoxGeometry(2, 6), 2.0, 3)
+        with pytest.raises(ValidationError, match="kill radius must be an integer"):
+            _step(stepper, env, env.geometry.origin, kill_radius)
+        _step(stepper, env, env.geometry.origin, np.int64(2))
+
+    def test_non_integral_start_site_rejected(self, small_env, stepper):
+        with pytest.raises(ValidationError, match="start site must be an integer"):
+            _step(stepper, small_env, small_env.geometry.origin + 0.5, "interior")
 
 
 class TestEnsembleSemantics:
