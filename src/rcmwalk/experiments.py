@@ -32,7 +32,6 @@ from . import __version__ as _package_version
 from .errors import RcmError, ValidationError
 from .heatkernel import (
     ReturnProbabilityCurve,
-    _sharing_patterns,
     box_radius_for_horizon,
     default_time_grid,
     fit_exponent,
@@ -358,8 +357,7 @@ def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int, patterns: dict) -
         env = sample_environment(BoxGeometry(cfg.d, n_box + 1), gamma, seed)
     grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
     if cfg.method == "exact":
-        with _sharing_patterns(patterns):
-            return return_prob_curve_exact(env, grid, box_radius=n_box)
+        return return_prob_curve_exact(env, grid, box_radius=n_box, patterns=patterns)
     rng = np.random.default_rng([seed, 0xC0FFEE])
     return return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
 

@@ -4,10 +4,10 @@ Exact curves come from one Lanczos run started at the origin on the square
 of the symmetrized jump matrix of the killed box chain, restricted to the
 origin's sublattice: the walk is bipartite, so this folded run gives the
 same Gauss rule as a run on the matrix itself in half the steps, and each
-of its steps multiplies by the two parity blocks of the matrix, one row
-prefix each.  Its tridiagonal matrix gives, for every time of the grid at
-once, a Gauss lower bound and a Gauss-Radau upper bound (node fixed at 1,
-the top of the spectrum of the square) on ``p(t) = P(X_t = 0)``, and the
+of its steps multiplies by the two parity blocks of the matrix, each on the
+rows it reaches.  Its tridiagonal matrix gives, for every time of the grid
+at once, a Gauss lower bound and a Gauss-Radau upper bound (node fixed at
+1, the top of the spectrum of the square) on ``p(t) = P(X_t = 0)``, and the
 run stops when the bracket is narrower than a relative tolerance.  Step
 ``i`` touches only the L1 ball of radius ``2i`` around the origin, and the
 run takes about ``sqrt(t) / 2`` steps where the Poisson series takes about
@@ -20,15 +20,15 @@ and grown in place when a run outlasts it (68k of the 231k sites of
 pattern (``_ball_pattern``) depends on ``(d, N, n, R)`` alone: each site's
 bond ids, and each block's rows, columns and entry bonds.  The gather
 (``_folded_operator``) reads one environment's conductances through it
-into ``pi`` and the scaled blocks.  The environments of one exponent run
-share the box and the radii, so the run builds each pattern once
-(``_sharing_patterns``) and drops it when it returns; a pattern that
+into ``pi`` and the scaled blocks.  An exponent run passes one dict
+(``patterns``) to all its curves, which share the box and the radii and so
+build each pattern in it once, and drops it on return: a pattern that
 outlived the run would make a later run in the same process cheaper than a
-fresh one.  A curve computed on its own builds its patterns and drops them
-on return, except a ball that is all of ``B_n``: that one it cuts from the
-killed box chain of ``walk.transition_matrix`` (``_box_operator``), the
-assembly that perfbench's operator counters trace, at about three times
-the cost of a whole-box pattern used once.
+fresh one.  A curve given no dict builds its own, except a ball that is all
+of ``B_n``, which it cuts from the killed box chain of
+``walk.transition_matrix`` (``_box_operator``), the assembly perfbench's
+operator counters trace, at about three times the cost of a whole-box
+pattern used once.
 
 ``UniformizationCache`` keeps the Poisson-series engine,
 ``p(t) = e^{-t} sum_k t^k/k! P^k(0,0)`` with a Chernoff-certified truncation:
@@ -49,8 +49,6 @@ check schedule and tridiagonal eigensolve.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +66,7 @@ from .walk import (
     _banded_product,
     _cluster_site,
     _on_diagonals,
+    _row_product,
     effective_conductance_matrix,
     ensemble_walk,
     transition_matrix,
@@ -324,40 +323,15 @@ class ReturnProbabilityCurve:
 # folded step) at which the first check comes, and the coefficient below which
 # the recurrence has found an invariant subspace (breakdown); the unfolded
 # run of spectral.feynman_kac_lanczos takes the same three, in its own steps.
-# A step's two half products take row prefixes of the parity blocks, cut for
-# the next _BLOCK_RADII radii at once: scipy copies a prefix shorter than half
-# its arrays when it wraps one, so a fresh cut per product cost as much as the
-# product (perfbench quenched_d2 wall_s on two cores 1.21 s against 1.10 s,
-# medians of 4 alternating pairs, measured on the unfolded recurrence).  The
-# first ball reaches _BALL_MARGIN radii past m*, which most runs stay under:
-# at n = 240, t <= 400 (m* = 174) the perfbench curves close after 84 folded
-# steps, which read L1 radius 168.
+# The first ball reaches _BALL_MARGIN radii past m*, which most runs stay
+# under: at n = 240, t <= 400 (m* = 174) the perfbench curves close after 84
+# folded steps, which read L1 radius 168.  A run that outlasts its ball goes
+# on in one that reaches _BLOCK_RADII radii further than its step.
 _CHECK_EVERY = 5
 _FIRST_CHECK = 0.8
 _BREAKDOWN = 1e-14
 _BLOCK_RADII = 10
 _BALL_MARGIN = 10
-
-# The ball patterns that exact curves share, set only inside ``_sharing_patterns``;
-# outside one, each curve builds its own and drops it on return.
-_SHARED_PATTERNS: ContextVar[dict | None] = ContextVar("_SHARED_PATTERNS", default=None)
-
-
-@contextmanager
-def _sharing_patterns(patterns: dict):
-    """Let the exact curves computed inside the block read and fill ``patterns``.
-
-    The caller owns the dict and so decides how long the patterns live: an
-    exponent run keeps one for the run, and nothing survives it.  The dict
-    travels in a context variable because the curves go through
-    ``return_prob_curve_exact``, whose signature does not carry it.
-    """
-    token = _SHARED_PATTERNS.set(patterns)
-    try:
-        yield
-    finally:
-        _SHARED_PATTERNS.reset(token)
-
 
 @dataclass(frozen=True)
 class _BallPattern:
@@ -433,8 +407,7 @@ def _folded_operator(env: Environment, pattern: _BallPattern):
     C)`` on the pattern's index arrays, the survival weights ``sqrt(pi /
     pi_0)`` and the pattern's ``balls``.  The pattern costs about three
     gathers to build (n = 240, R = 184, on two cores: 16-18 ms against 5-7
-    ms), so an exponent run builds it once for all its environments, and
-    keeps it no longer than the run, so every run pays the same cold build.
+    ms), so an exponent run builds it once for all its environments.
     """
     omega = env.omega
     pis = []
@@ -484,12 +457,6 @@ def _box_operator(chain: BoxChain):
         weights.append(sq[rows] / sq[chain.origin])
         balls.append(np.searchsorted(l1[rows], np.arange(geom.d * chain.box_radius + 1), side="right"))
     return blocks, weights, balls
-
-
-def _row_prefix(M: csr_matrix, rows: int) -> csr_matrix:
-    """The first ``rows`` rows of ``M`` on views of its arrays."""
-    end = M.indptr[rows]
-    return csr_matrix((M.data[:end], M.indices[:end], M.indptr[: rows + 1]), shape=(rows, M.shape[1]))
 
 
 def _krylov_steps(t_max: float, tol: float, width: float = 2.0) -> float:
@@ -565,11 +532,12 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
 
     Step ``i`` multiplies ``u_i``, which lives on the even sites within L1
     distance ``2i - 2``, by ``C`` (the odd rows within ``2i - 1``) and the
-    result by ``C^T`` (the even rows within ``2i``).  The operator is
-    read on ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at ``m* +
-    _BALL_MARGIN`` (below).  A run that would read past distance ``R``
-    before it closes goes on with the same vectors on a ball that covers the
-    next ``_BLOCK_RADII`` radii: the smaller ball's order is a prefix of the
+    result by ``C^T`` (the even rows within ``2i``), each product on those
+    rows alone (``walk._row_product``).  The operator is read on
+    ``B_n ∩ {|x|_1 <= R}`` alone, ``R`` starting at ``m* + _BALL_MARGIN``
+    (below).  A run that would read past distance ``R`` before it closes
+    goes on with the same vectors on a ball that covers the next
+    ``_BLOCK_RADII`` radii: the smaller ball's order is a prefix of the
     larger one's, and the rows it reads equal those of all of ``B_n``.
     While ``2 i <= n`` the L1 ball of radius ``2 i`` lies in ``B_n``, so the
     products, and with them the coefficients and the bracket, are those of
@@ -577,10 +545,9 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     survival ``pi_0^(-1/2) sqrt(pi)^T exp(-t(I - A)) e_0`` splits into the
     even sites' ``cosh`` part and the odd sites' ``sinh(t B^(1/2))
     B^(-1/2)`` part (``A e_0 = C e_0`` carries the odd powers), read from
-    the Krylov space through ``w_even . u_i`` and ``w_odd . C u_i``.
-    Each ball's pattern is looked up in ``patterns`` by ``(d, N, n, R)``
-    and built there when missing (``_ball_pattern``).  ``patterns=None``
-    marks a curve computed on its own: its patterns live in the call, and a
+    the Krylov space through ``w_even . u_i`` and ``w_odd . C u_i``.  Each
+    ball's pattern is looked up in ``patterns`` by ``(d, N, n, R)`` and
+    built there when missing (``_ball_pattern``); with ``patterns=None`` a
     ball that is all of ``B_n`` is cut from the killed box chain instead
     (``_box_operator``), once, since the ball grows no further.
 
@@ -623,22 +590,17 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     u_prev, u, z = np.zeros(CT.shape[0]), np.zeros(CT.shape[0]), np.zeros(C.shape[0])
     u[0] = 1.0
     diag, off, c_even, c_odd = [], [], [], []
-    beta, pivot = 0.0, 1.0
-    block_ct, block_c, surv_prev, moved = _row_prefix(CT, 0), _row_prefix(C, 0), None, math.inf
+    beta, pivot, surv_prev, moved = 0.0, 1.0, None, math.inf
     for i in range(1, max_steps + 1):
         if radius < min(2 * i, reach):  # step i reads the sites at distance 2i
             radius = min(reach, 2 * i + _BLOCK_RADII - 2)
             (CT, C), (w_even, w_odd), (even, odd) = folded()
             u_prev, u = (np.concatenate((v, np.zeros(CT.shape[0] - len(v)))) for v in (u_prev, u))
             z = np.concatenate((z, np.zeros(C.shape[0] - len(z))))
-            block_ct, block_c = _row_prefix(CT, 0), _row_prefix(C, 0)
         live, prev, rows = (even[min(r, radius)] for r in (2 * i - 2, max(2 * i - 4, 0), 2 * i))
         reached = odd[min(2 * i - 1, radius)]
-        if rows > block_ct.shape[0] or reached > block_c.shape[0]:
-            top = min(2 * i + _BLOCK_RADII - 2, radius)
-            block_ct, block_c = _row_prefix(CT, even[top]), _row_prefix(C, odd[top])
-        z[:reached] = (block_c @ u)[:reached]  # rows beyond distance 2i - 1 meet no support of u
-        y = (block_ct @ z)[:rows]
+        _row_product(C, u, z[:reached])  # rows beyond distance 2i - 1 meet no support of u
+        y = _row_product(CT, z, np.empty(rows))
         alpha = float((u[:live] * y[:live]).sum())
         c_even.append(float((w_even[:live] * u[:live]).sum()))
         c_odd.append(float((w_odd[:reached] * z[:reached]).sum()))
@@ -687,6 +649,7 @@ def return_prob_curve_exact(
     t_grid,
     tol: float = 1e-12,
     box_radius: int | None = None,
+    patterns: dict | None = None,
 ) -> ReturnProbabilityCurve:
     """Exact return-probability curve from one Lanczos run serving every time.
 
@@ -698,13 +661,14 @@ def return_prob_curve_exact(
     ``1e-13`` at ``t`` near 800 the width and the survival change wander on
     rounding noise, and a run can go on to near its step cap (environment 3
     of ``demos/annealed_small_gamma.cfg`` took 530 of 558 folded steps at
-    ``tol = 1e-14``, 112 at the default).
+    ``tol = 1e-14``, 112 at the default).  A ``patterns`` dict keeps the ball
+    patterns for later curves on the box; the curve does not depend on it.
     """
     if not 0 < tol < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
     n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
-    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, _SHARED_PATTERNS.get())
+    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, patterns)
     return ReturnProbabilityCurve(
         t=t,
         p=p_lo,

@@ -328,12 +328,13 @@ def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environmen
     """
     if not gamma > 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError("seed must fit in 64 bits")
-    rng = np.random.default_rng(int(seed))
+    seed = _integral_radius(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(geom.n_bonds)  # uniform on (0, 1]
     omega = u ** (1.0 / gamma)
-    return Environment(geometry=geom, gamma=float(gamma), seed=int(seed), omega=omega)
+    return Environment(geometry=geom, gamma=float(gamma), seed=seed, omega=omega)
 
 
 def homogeneous_environment(d: int, N: int) -> Environment:
@@ -344,9 +345,13 @@ def homogeneous_environment(d: int, N: int) -> Environment:
 
 def derive_environment_seeds(master_seed: int, n: int) -> np.ndarray:
     """Per-environment 64-bit seeds split off a master seed by counter."""
+    master_seed = _integral_radius(master_seed, "master seed")
+    if not 0 <= master_seed < 2**64:
+        raise ValidationError(f"master seed must fit in 64 bits, got {master_seed}")
+    n = _integral_radius(n, "number of seeds")
     if n < 0:
-        raise ValidationError("number of seeds must be >= 0")
-    return np.random.SeedSequence(int(master_seed)).generate_state(n, dtype=np.uint64)
+        raise ValidationError(f"number of seeds must be >= 0, got {n}")
+    return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)
 
 
 @dataclass
@@ -523,8 +528,8 @@ def load_environment(path) -> Environment:
 
     Raises :class:`VersionMismatchError`, :class:`TruncatedFileError` or
     :class:`ChecksumError` on malformed input, and :class:`EnvironmentFileError`
-    on bytes after the trailer or when the stored conductances or gamma are
-    out of range.
+    on bytes after the trailer or when the stored geometry, bond count,
+    conductances or gamma are out of range.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -549,11 +554,10 @@ def load_environment(path) -> Environment:
     (stored_crc,) = struct.unpack("<Q", blob[expected - 8 : expected])
     if crc64(memoryview(blob)[: expected - 8]) != stored_crc:
         raise ChecksumError(f"{path}: CRC-64 trailer mismatch")
-    geom = BoxGeometry(int(d), int(N))
-    if geom.n_bonds != n_bonds:
-        raise EnvironmentFileError(f"{path}: bond count {n_bonds} inconsistent with geometry")
-    omega = np.frombuffer(blob[head_end : expected - 8], dtype="<f8").astype(np.float64)
     try:
-        return Environment(geometry=geom, gamma=float(gamma), seed=int(seed), omega=omega)
+        geom = BoxGeometry(d, N)
+        if geom.n_bonds != n_bonds:  # checked before Environment, whose message would print a huge n_bonds
+            raise ValidationError(f"bond count {n_bonds} inconsistent with geometry")
+        return Environment(geometry=geom, gamma=gamma, seed=seed, omega=np.frombuffer(blob, "<f8", n_bonds, head_end))
     except ValidationError as exc:
         raise EnvironmentFileError(f"{path}: {exc}") from exc

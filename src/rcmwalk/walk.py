@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, dia_matrix
-from scipy.sparse._sparsetools import dia_matvec  # the compiled kernel behind dia_matrix products
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec  # the compiled kernels behind sparse products
 
 from .errors import ValidationError
 from .lattice import BoxGeometry, Environment, _integral_radius
@@ -160,6 +160,18 @@ def _banded_product(A: dia_matrix, x: np.ndarray) -> np.ndarray:
     y = np.zeros(A.shape[0])
     dia_matvec(A.shape[0], A.shape[1], len(A.offsets), A.data.shape[1], A.offsets, A.data, x, y)
     return y
+
+
+def _row_product(A: csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(A @ x)[:len(out)]`` into ``out`` through scipy's CSR kernel, which checks no bounds and adds to ``out``."""
+    fits = out.ndim == 1 and len(out) <= A.shape[0] and x.shape == (A.shape[1],)
+    if not (fits and A.dtype == x.dtype == out.dtype == np.float64 and x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValidationError(
+            f"a row product needs contiguous float64 x of length {A.shape[1]} and out of at most {A.shape[0]} rows"
+        )
+    out.fill(0.0)
+    csr_matvec(len(out), A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def transition_matrix(env: Environment, box_radius: int | None = None) -> BoxChain:

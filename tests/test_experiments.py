@@ -253,10 +253,10 @@ class TestQuenchedRunner:
         cfg = _cfg(tmp_path)
         seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
 
-        def fail_on_second(env, grid, tol=1e-12, box_radius=None):
+        def fail_on_second(env, grid, tol=1e-12, box_radius=None, patterns=None):
             if env.seed == seeds[1]:
                 raise NumericalError("solver gave up")
-            return return_prob_curve_exact(env, grid, tol, box_radius)
+            return return_prob_curve_exact(env, grid, tol, box_radius, patterns)
 
         monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
         rep = run_exponent(cfg, threads=threads)
@@ -274,7 +274,7 @@ class TestQuenchedRunner:
         cfg = _cfg(tmp_path)
         seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
 
-        def give_up(env, grid, tol=1e-12, box_radius=None):
+        def give_up(env, grid, tol=1e-12, box_radius=None, patterns=None):
             raise NumericalError("solver gave up")
 
         monkeypatch.setattr(experiments, "return_prob_curve_exact", give_up)
@@ -352,10 +352,10 @@ class TestAnnealedRunner:
         cfg = _cfg(tmp_path)
         seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
 
-        def fail_on_second(env, grid, tol=1e-12, box_radius=None):
+        def fail_on_second(env, grid, tol=1e-12, box_radius=None, patterns=None):
             if env.seed == seeds[1]:
                 raise NumericalError("solver gave up")
-            return return_prob_curve_exact(env, grid, tol, box_radius)
+            return return_prob_curve_exact(env, grid, tol, box_radius, patterns)
 
         monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
         rep = run_exponent(cfg, annealed=True)

@@ -326,8 +326,7 @@ class TestLanczosBracket:
         alone = return_prob_curve_exact(env, grid, box_radius=8)
         assert chains == [(8, 16, 17**2)] and patterns == []
         shared = {}
-        with heatkernel._sharing_patterns(shared):
-            in_run = return_prob_curve_exact(env, grid, box_radius=8)
+        in_run = return_prob_curve_exact(env, grid, box_radius=8, patterns=shared)
         assert chains == [(8, 16, 17**2)] and patterns == [(8, 16, 17**2)] and list(shared) == [(2, 9, 8, 16)]
         for name in ("p_lo", "p_hi", "survival", "steps"):
             assert np.array_equal(getattr(alone, name), getattr(in_run, name)), name
@@ -372,7 +371,6 @@ class TestLanczosBracket:
         env = sample_environment(BoxGeometry(2, n + 1), 2.0, 5)
         return_prob_curve_exact(env, default_time_grid(1.0, 30.0), box_radius=n)
         assert len(refs) == 1 and refs[0]() is None
-        assert heatkernel._SHARED_PATTERNS.get() is None
 
     def test_heavy_tail_width_is_not_a_rounding_floor(self):
         # environment 41 of demos/annealed_small_gamma.cfg (gamma = 0.4, n = 379,

@@ -186,6 +186,33 @@ class TestSampling:
         assert np.array_equal(s1, s2)
         assert len(set(s1.tolist())) == 5
 
+    @pytest.mark.parametrize(
+        "seed, match",
+        [(2.7, "seed must be an integer"), ("7", "seed must be an integer"), (-1, "seed must fit in 64 bits"),
+         (2**64, "seed must fit in 64 bits")],
+    )
+    def test_environment_seed_is_a_64_bit_integer(self, seed, match):
+        # 2.7 once drew seed 2's environment, labelled seed 2, and "7" was parsed as 7
+        with pytest.raises(ValidationError, match=match):
+            sample_environment(BoxGeometry(2, 2), 2.0, seed)
+
+    @pytest.mark.parametrize(
+        "master_seed, n, match",
+        [(2.7, 3, "master seed must be an integer"), (-1, 3, "master seed must fit in 64 bits"),
+         (2**64, 3, "master seed must fit in 64 bits"), (42, 2.5, "number of seeds must be an integer"),
+         (42, -1, "number of seeds must be >= 0")],
+    )
+    def test_seed_derivation_takes_integers(self, master_seed, n, match):
+        # 2.7 once gave master seed 2's seeds, -1 a bare ValueError, 2**64 seeds, 2.5 a bare TypeError
+        with pytest.raises(ValidationError, match=match):
+            derive_environment_seeds(master_seed, n)
+
+    def test_numpy_seeds_accepted(self):
+        seeds = derive_environment_seeds(np.uint64(42), np.int64(3))
+        assert np.array_equal(seeds, derive_environment_seeds(42, 3))
+        env = sample_environment(BoxGeometry(2, 2), 2.0, seeds[0])
+        assert type(env.seed) is int and env == sample_environment(BoxGeometry(2, 2), 2.0, int(seeds[0]))
+
 
 class TestEnvironmentValidation:
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 0.0, 1.5, math.inf])
@@ -221,6 +248,21 @@ class TestEnvironmentValidation:
         path = tmp_path / "nan.rcmenv"
         path.write_bytes(body + struct.pack("<Q", crc64(body)))
         with pytest.raises(EnvironmentFileError, match="nan.rcmenv"):
+            load_environment(path)
+
+    @pytest.mark.parametrize(
+        "d, match", [(1, "dimension must be >= 2, got 1"), (10_000, "bond count 4 inconsistent with geometry")]
+    )
+    def test_bad_header_geometry_names_its_file(self, tmp_path, d, match):
+        # valid CRCs over headers whose geometry is refused: d = 1 once raised a bare
+        # ValidationError; at d = 10,000 the geometry's bond count has about 4,800 digits,
+        # more than Python formats into a message
+        import struct
+
+        body = b"RCMENV1" + struct.pack("<IIdQQ", d, 1, 2.0, 0, 4) + np.full(4, 0.5).astype("<f8").tobytes()
+        path = tmp_path / "bad.rcmenv"
+        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        with pytest.raises(EnvironmentFileError, match=rf"bad\.rcmenv: {match}"):
             load_environment(path)
 
 

@@ -27,7 +27,7 @@ from rcmwalk import (
     time_changed_trajectory,
     transition_matrix,
 )
-from rcmwalk import heatkernel
+from rcmwalk import heatkernel, walk
 from rcmwalk.heatkernel import _ball_pattern, _folded_operator
 
 
@@ -336,6 +336,38 @@ class TestFoldedGather:
         cut = heatkernel._box_operator(transition_matrix(env, n))
         _assert_same_blocks(cut, _folded_operator(env, _ball_pattern(env.geometry, n, d * n)))
         _assert_same_blocks(cut, _folded_blocks_from_p(env, n, d * n))
+
+    @pytest.mark.parametrize("d, N, n", [(2, 7, 6), (3, 5, 4)])
+    def test_row_product_equals_the_product_cut_to_its_rows(self, d, N, n):
+        # the blocks of a ball inside the box and of the whole box, on no row, half of them and all
+        env = sample_environment(BoxGeometry(d, N), 1.0, 31 + d)
+        rng = np.random.default_rng(d)
+        inside = _folded_operator(env, _ball_pattern(env.geometry, n, d * n // 2))[0]
+        for M in inside + heatkernel._box_operator(transition_matrix(env, n))[0]:
+            x = rng.standard_normal(M.shape[1])
+            for rows in (0, M.shape[0] // 2, M.shape[0]):
+                out = np.full(rows, np.nan)  # the kernel adds to what out holds
+                walk._row_product(M, x, out)
+                assert out.tobytes() == (M @ x)[:rows].tobytes()
+
+    def test_row_product_refuses_what_it_cannot_pass_to_the_kernel(self):
+        env = sample_environment(BoxGeometry(2, 5), 1.0, 3)
+        C = _folded_operator(env, _ball_pattern(env.geometry, 4, 8))[0][1]
+        rows, cols = C.shape
+        x, out = np.ones(cols), np.zeros(rows)
+        bad = [
+            (x, np.zeros(rows + 1)),  # more rows than the block has
+            (np.ones(cols - 1), out),
+            (np.ones(cols + 1), out),
+            (x.astype(np.float32), out),
+            (x, out.astype(np.float32)),
+            (np.ones(2 * cols)[::2], out),
+            (x, np.zeros(2 * rows)[::2]),
+            (x, np.zeros((rows, 1))),
+        ]
+        for x_bad, out_bad in bad:
+            with pytest.raises(ValidationError, match="row product"):
+                walk._row_product(C, x_bad, out_bad)
 
 
 class TestBallChain:
