@@ -34,6 +34,7 @@ from .errors import (
 _ENV_MAGIC = b"RCMENV1"
 _ENV_HEADER = struct.Struct("<IIdQQ")  # d, N, gamma, seed, bond count
 _CONFIDENCE = 0.95  # two-sided level of every confidence interval the package reports
+_MAX_SITES = 2**63 - 1  # site indices are int64
 
 
 def _integral_radius(value, what: str = "box radius") -> int:
@@ -67,6 +68,9 @@ class BoxGeometry:
             raise ValidationError(f"dimension must be >= 2, got {self.d}")
         if self.N < 0:
             raise ValidationError(f"box radius must be >= 0, got {self.N}")
+        # 3^40 > 2^63: refusing d >= 40 first means no power of a file header's u32 dimension is ever taken
+        if self.N >= 1 and (self.d >= 40 or self.side**self.d > _MAX_SITES):
+            raise ValidationError(f"too many sites for int64 indices: (2N + 1)^d = {self.side}^{self.d}")
 
     @property
     def side(self) -> int:

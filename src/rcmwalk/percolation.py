@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import solveh_banded
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .errors import EmptyClusterError, ValidationError
+from .errors import EmptyClusterError, NumericalError, ValidationError
 from .lattice import Environment
 
 STRONG_LABEL = -1
+
+# Holes of at least this many sites take a banded Cholesky solve, smaller ones a stacked dense solve.
+_DENSE_SITES = 100
 
 # Reference bond-percolation thresholds, used for sanity warnings only.
 P_CRITICAL = {2: 0.5, 3: 0.2488126, 4: 0.1601314, 5: 0.118172}
@@ -91,10 +96,12 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
 
     ``W`` holds the bonds inside a hole, ``B`` those toward its boundary sites, both read off the hole
     sites' table rows (holes are never adjacent, so a bonded neighbor off the cluster is in the same hole).
-    Holes of one size share one stacked ``np.linalg.solve``, ``B`` padded with zero columns, which gives
-    each hole bit for bit its own solve; one sort of the sites by (hole size, hole, site) makes the holes
-    of a size, and their bonds, one slice.  Sizes, widths and boundaries are read from ``decomp.holes``.
-    A hole of ``m`` sites and ``nb`` boundary sites takes ``8 m (m + 2 nb)`` bytes, about 63 MB at 2,632 and 179.
+    One sort of the sites by (hole size, hole, site) makes the holes of a size, and their bonds, one slice.
+    Holes under ``_DENSE_SITES`` sites share one stacked ``np.linalg.solve`` per size, ``B`` padded with
+    zero columns, which gives each hole bit for bit its own solve; OpenBLAS runs ``getrf`` on one thread
+    below ``m * m = 10,000``.  A larger hole takes :func:`_banded_hitting` instead: a dense solve of it
+    would wake OpenBLAS's thread pool, whose spin costs more CPU than the solve, and hold ``16 m^2`` bytes.
+    Sizes, widths, boundaries and anchors are read from ``decomp.holes``.
     """
     env = decomp.env
     n = env.geometry.n_sites
@@ -131,8 +138,18 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     ends = zip(np.cumsum(count).tolist(), np.cumsum(sizes * count).tolist())
     for m, k, (hole_end, end) in zip(sizes.tolist(), count.tolist(), ends):
         group, start = by_size[hole_end - k : hole_end], end - k * m
-        inner, rim = slice(*np.searchsorted(row, [start, end])), slice(*np.searchsorted(rim_row, [start, end]))
         members = sites[start:end].reshape(k, m)
+        if m >= _DENSE_SITES:
+            for j, h in enumerate(group.tolist()):
+                lo = start + j * m
+                inner, rim = (slice(*np.searchsorted(a, [lo, lo + m])) for a in (row, rim_row))
+                local = (row[inner] - lo, col[inner] - lo, w[inner], rim_row[rim] - lo, rim_col[rim], rim_w[rim])
+                order, X = _banded_hitting(env.pi_all[members[j]], *local, holes[h])
+                at = indptr[members[j][order]][:, None] + np.arange(width[h], dtype=indptr.dtype)
+                data[at] = X
+                indices[at] = bdry[bfirst[h] : bfirst[h] + width[h]]
+            continue
+        inner, rim = slice(*np.searchsorted(row, [start, end])), slice(*np.searchsorted(rim_row, [start, end]))
         A = np.zeros((k, m, m))
         slot, pos = np.divmod(row[inner] - start, m)  # the hole's place in the group, the site's in the hole
         A[slot, pos, (col[inner] - start) % m] = -w[inner]
@@ -148,6 +165,32 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
         data[at] = H[keep]
         indices[at] = bdry[np.broadcast_to(bfirst[group][:, None, None] + cols, H.shape)[keep]]
     return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _banded_hitting(pi, row, col, w, rim_row, rim_col, rim_w, hole: Hole) -> tuple[np.ndarray, np.ndarray]:
+    """One hole's hitting law as a banded SPD solve: ``(order, X)``, ``X[i]`` the law of local site ``order[i]``.
+
+    ``row``/``col``/``w`` are the hole's bonds and ``rim_*`` its rim bonds, in local site numbers.  Reverse
+    Cuthill-McKee orders the sites to a narrow band (7-20 wide on the holes of ``N = 241`` boxes), then
+    ``solveh_banded`` (LAPACK ``pbsv``, whose blocked calls stay under OpenBLAS's threading thresholds)
+    factors it: ``diag(pi) - W`` on a connected hole with rim conductance is irreducibly diagonally
+    dominant, hence positive definite.  About ``8 m (kd + 1 + nb)`` bytes for bandwidth ``kd``.
+    """
+    m = len(pi)
+    order = reverse_cuthill_mckee(csr_matrix((w, (row, col)), shape=(m, m)), symmetric_mode=True)
+    new = np.empty(m, dtype=np.int64)
+    new[order] = np.arange(m)
+    row, col = new[row], new[col]
+    low = row > col
+    ab = np.zeros((int((row - col).max()) + 1, m), order="F")  # ab[i - j, j] = A[i, j], the lower band
+    ab[0] = pi[order]
+    ab[(row - col)[low], col[low]] = -w[low]
+    B = np.zeros((m, len(hole.boundary)), order="F")
+    B[new[rim_row], rim_col] = rim_w
+    try:
+        return order, solveh_banded(ab, B, overwrite_ab=True, overwrite_b=True, lower=True)
+    except LinAlgError as exc:
+        raise NumericalError(f"hole of {m} sites at anchor {hole.anchor}: banded Cholesky failed ({exc})") from exc
 
 
 def _components(n: int, site: np.ndarray, axis: np.ndarray, strides: np.ndarray) -> np.ndarray:

@@ -251,12 +251,12 @@ class TestEnvironmentValidation:
             load_environment(path)
 
     @pytest.mark.parametrize(
-        "d, match", [(1, "dimension must be >= 2, got 1"), (10_000, "bond count 4 inconsistent with geometry")]
+        "d, match", [(1, "dimension must be >= 2, got 1"), (10_000, "too many sites")]
     )
     def test_bad_header_geometry_names_its_file(self, tmp_path, d, match):
         # valid CRCs over headers whose geometry is refused: d = 1 once raised a bare
-        # ValidationError; at d = 10,000 the geometry's bond count has about 4,800 digits,
-        # more than Python formats into a message
+        # ValidationError; at d = 10,000 the geometry's bond count would have about
+        # 4,800 digits, and the site count bound refuses it before any power is taken
         import struct
 
         body = b"RCMENV1" + struct.pack("<IIdQQ", d, 1, 2.0, 0, 4) + np.full(4, 0.5).astype("<f8").tobytes()
@@ -264,6 +264,27 @@ class TestEnvironmentValidation:
         path.write_bytes(body + struct.pack("<Q", crc64(body)))
         with pytest.raises(EnvironmentFileError, match=rf"bad\.rcmenv: {match}"):
             load_environment(path)
+
+    @pytest.mark.parametrize("d, match", [(2**32 - 1, "too many sites"), (39, "bond count 0 inconsistent")])
+    def test_empty_file_with_a_huge_header_dimension_is_refused_at_once(self, tmp_path, d, match):
+        # 47 bytes, valid CRC, no bonds: the bond count of d = 2^32 - 1 would be a
+        # gigabyte-sized integer; d = 39 (3^39 < 2^63) is a geometry, with 4 * 3^39 bonds
+        import struct
+
+        body = b"RCMENV1" + struct.pack("<IIdQQ", d, 1, 2.0, 0, 0)
+        path = tmp_path / "huge.rcmenv"
+        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        assert path.stat().st_size == 47
+        with pytest.raises(EnvironmentFileError, match=rf"huge\.rcmenv: {match}"):
+            load_environment(path)
+
+    def test_site_count_bound(self):
+        assert BoxGeometry(39, 1).n_sites == 3**39 < 2**63
+        assert BoxGeometry(2, 2**30).n_sites < 2**63
+        assert BoxGeometry(10**9, 0).n_sites == 1  # a single site at any dimension
+        for d, N in [(40, 1), (2, 2**31 - 1), (10**9, 1)]:
+            with pytest.raises(ValidationError, match="too many sites"):
+                BoxGeometry(d, N)
 
 
 class TestPi:

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 
 from rcmwalk import (
     BoxGeometry,
     Environment,
+    NumericalError,
     OperatorSpec,
     STRONG_LABEL,
     TrajectoryRecord,
@@ -27,7 +29,7 @@ from rcmwalk import (
     time_changed_trajectory,
     transition_matrix,
 )
-from rcmwalk import heatkernel, walk
+from rcmwalk import heatkernel, percolation, walk
 from rcmwalk.heatkernel import _ball_pattern, _folded_operator
 
 
@@ -740,13 +742,21 @@ class TestEffectiveConductances:
             effective_conductance_matrix(other, holey_decomp)
 
 
+def _decomposition(d, N, seed, density):
+    env = sample_environment(BoxGeometry(d, N), 2.0, seed)
+    return env, strong_cluster(env, threshold_for_density(2.0, density))
+
+
 @st.composite
 def _decompositions(draw, density=st.floats(0.5, 0.7)):
     """A small random d=2 or d=3 box split at a strong density drawn from ``density``."""
     d = draw(st.sampled_from([2, 3]))
     N = draw(st.integers(3, 7 if d == 2 else 3))
-    env = sample_environment(BoxGeometry(d, N), 2.0, draw(st.integers(0, 2**31)))
-    return env, strong_cluster(env, threshold_for_density(2.0, draw(density)))
+    return _decomposition(d, N, draw(st.integers(0, 2**31)), draw(density))
+
+
+# holes of 1, 6, 29 and 113 sites: three stacked dense solves and one banded solve
+_MIXED_HOLES = (2, 7, 0, 0.5)
 
 
 class TestHolePass:
@@ -762,15 +772,70 @@ class TestHolePass:
 
     @settings(max_examples=40, deadline=None)
     @given(case=_decompositions(density=st.floats(0.3, 0.95)))
+    @example(case=_decomposition(*_MIXED_HOLES))
     def test_hitting_equals_loop_assembly(self, case):
-        # bit for bit the per-hole reference, whatever the holes' sizes and shapes
+        # the per-hole dense reference: bit for bit below _DENSE_SITES sites, where the pass stacks
+        # dense solves; within 1e-12 of each row's largest entry at or above it (banded Cholesky)
         env, dec = case
         for hole in dec.holes:
             ref = _hole_loop_assembly(env, hole)
             rows = dec.hitting[hole.sites]
             assert rows.nnz == ref.size
-            assert np.array_equal(rows[:, hole.boundary].toarray(), ref)
+            got = rows[:, hole.boundary].toarray()
+            if hole.volume < percolation._DENSE_SITES:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
         assert dec.hitting[np.flatnonzero(dec.in_cluster)].nnz == 0
+
+    def test_dense_solves_stay_under_the_threading_size(self, monkeypatch):
+        # OpenBLAS threads getrf from m * m = 10,000 on: no system that size may reach np.linalg.solve
+        _, dec = _decomposition(*_MIXED_HOLES)
+        assert max(h.volume for h in dec.holes) >= percolation._DENSE_SITES
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(A, B):
+            shapes.append(A.shape)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        dec.hitting
+        assert sorted(shape[-1] for shape in shapes) == sorted(
+            {h.volume for h in dec.holes if h.volume < percolation._DENSE_SITES}
+        )
+
+    def test_large_hole_is_solved_in_banded_memory(self):
+        # a strong box whose 40 x 40 block of sites has only weak bonds: one 1,600-site hole,
+        # for which the dense stack held 16 m^2 bytes, about 41 MB
+        geom = BoxGeometry(2, 25)
+        block = np.all((geom.all_coords >= -20) & (geom.all_coords < 20), axis=1)
+        omega = np.where(block[geom.bond_u] | block[geom.bond_v], 0.1, 0.9)
+        env = Environment(geometry=geom, gamma=math.inf, seed=0, omega=omega)
+        dec = strong_cluster(env, 0.5)
+        assert [h.volume for h in dec.holes] == [1600] and len(dec.holes[0].boundary) == 160
+        env.pi_all, env.geometry.neighbor_table  # built before tracing: they are the environment's, not the pass's
+        tracemalloc.start()
+        try:
+            H = dec.hitting
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.all(H.data >= 0)
+        rows = np.asarray(H.sum(axis=1)).ravel()
+        assert np.all(np.abs(rows[block] - 1.0) <= 1e-12) and np.all(rows[~block] == 0)
+
+    def test_failed_banded_factorization_names_the_hole(self, monkeypatch):
+        _, dec = _decomposition(*_MIXED_HOLES)
+        hole = max(dec.holes, key=lambda h: h.volume)
+
+        def not_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("3th leading minor not positive definite")
+
+        monkeypatch.setattr(percolation, "solveh_banded", not_definite)
+        with pytest.raises(NumericalError, match=f"hole of {hole.volume} sites at anchor {hole.anchor}"):
+            dec.hitting
 
     @settings(max_examples=40, deadline=None)
     @given(case=_decompositions())
