@@ -68,8 +68,11 @@ class BoxGeometry:
             raise ValidationError(f"dimension must be >= 2, got {self.d}")
         if self.N < 0:
             raise ValidationError(f"box radius must be >= 0, got {self.N}")
-        # 3^40 > 2^63: refusing d >= 40 first means no power of a file header's u32 dimension is ever taken
-        if self.N >= 1 and (self.d >= 40 or self.side**self.d > _MAX_SITES):
+        # 3^40 > 2^63: refusing d >= 40 first, at N = 0 too, means no power of a file header's u32
+        # dimension is ever taken, and no single-site box carries a table of millions of axes
+        if self.d >= 40:
+            raise ValidationError(f"too many sites for int64 indices at N >= 1: dimension must be < 40, got {self.d}")
+        if self.side**self.d > _MAX_SITES:
             raise ValidationError(f"too many sites for int64 indices: (2N + 1)^d = {self.side}^{self.d}")
 
     @property
@@ -269,6 +272,9 @@ class Environment:
     def bond_conductance(self, x, y) -> float:
         """Conductance of the bond between neighboring sites x and y (indices)."""
         geom = self.geometry
+        for site in (x, y):
+            if not 0 <= _integral_radius(site, "site") < geom.n_sites:
+                raise ValidationError(f"site {site} outside the box")
         lo, hi = (x, y) if x < y else (y, x)
         diff = hi - lo
         axis = int(np.where(geom.strides == diff)[0][0]) if diff in geom.strides else -1

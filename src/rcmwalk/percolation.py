@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
@@ -22,9 +21,6 @@ from .errors import EmptyClusterError, NumericalError, ValidationError
 from .lattice import Environment
 
 STRONG_LABEL = -1
-
-# Holes of at least this many sites take a banded Cholesky solve, smaller ones a stacked dense solve.
-_DENSE_SITES = 100
 
 # Reference bond-percolation thresholds, used for sanity warnings only.
 P_CRITICAL = {2: 0.5, 3: 0.2488126, 4: 0.1601314, 5: 0.118172}
@@ -96,24 +92,24 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
 
     ``W`` holds the bonds inside a hole, ``B`` those toward its boundary sites, both read off the hole
     sites' table rows (holes are never adjacent, so a bonded neighbor off the cluster is in the same hole).
-    One sort of the sites by (hole size, hole, site) makes the holes of a size, and their bonds, one slice.
-    Holes under ``_DENSE_SITES`` sites share one stacked ``np.linalg.solve`` per size, ``B`` padded with
-    zero columns, which gives each hole bit for bit its own solve; OpenBLAS runs ``getrf`` on one thread
-    below ``m * m = 10,000``.  A larger hole takes :func:`_banded_hitting` instead: a dense solve of it
-    would wake OpenBLAS's thread pool, whose spin costs more CPU than the solve, and hold ``16 m^2`` bytes.
-    Sizes, widths, boundaries and anchors are read from ``decomp.holes``.
+    One sort of the sites by (boundary width, hole, site) makes the holes of a width ``nb``, and their
+    bonds, one slice: a block-diagonal system with exactly ``nb`` right-hand sides.  ``diag(pi) - W`` on
+    a connected hole with rim conductance is irreducibly diagonally dominant, hence positive definite.
+    Reverse Cuthill-McKee numbers each hole of a slice on its own to a narrow band (bandwidth at most
+    21 on two ``N = 241`` boxes), and one LAPACK ``pbsv`` call factors and solves the slice in about
+    ``8 m (kd + 1 + nb)`` bytes for ``m`` sites and bandwidth ``kd``.  Widths, boundaries and anchors are
+    read from ``decomp.holes``.
     """
     env = decomp.env
     n = env.geometry.n_sites
     holes = decomp.holes
     if not holes:
         return csr_matrix((n, n))
-    size = np.array([h.volume for h in holes], dtype=np.int64)
     width = np.array([len(h.boundary) for h in holes], dtype=np.int64)
     bdry = np.concatenate([h.boundary for h in holes])
     bfirst = np.cumsum(width) - width
     sites = np.flatnonzero(~decomp.in_cluster)
-    sites = sites[np.lexsort((decomp.labels[sites], size[decomp.labels[sites]]))]  # by (hole size, hole, site)
+    sites = sites[np.lexsort((decomp.labels[sites], width[decomp.labels[sites]]))]  # by (width, hole, site)
     label = decomp.labels[sites]
     at = np.empty(n, dtype=np.int64)  # each hole site's row
     at[sites] = np.arange(len(sites))
@@ -133,64 +129,36 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     indptr[sites + 1] = width[label]
     np.cumsum(indptr, out=indptr)
     indices, data = np.empty(nnz, dtype=indptr.dtype), np.empty(nnz)
-    by_size = np.argsort(size, kind="stable")  # hole ids by size
-    sizes, count = np.unique(size, return_counts=True)
-    ends = zip(np.cumsum(count).tolist(), np.cumsum(sizes * count).tolist())
-    for m, k, (hole_end, end) in zip(sizes.tolist(), count.tolist(), ends):
-        group, start = by_size[hole_end - k : hole_end], end - k * m
-        members = sites[start:end].reshape(k, m)
-        if m >= _DENSE_SITES:
-            for j, h in enumerate(group.tolist()):
-                lo = start + j * m
-                inner, rim = (slice(*np.searchsorted(a, [lo, lo + m])) for a in (row, rim_row))
-                local = (row[inner] - lo, col[inner] - lo, w[inner], rim_row[rim] - lo, rim_col[rim], rim_w[rim])
-                order, X = _banded_hitting(env.pi_all[members[j]], *local, holes[h])
-                at = indptr[members[j][order]][:, None] + np.arange(width[h], dtype=indptr.dtype)
-                data[at] = X
-                indices[at] = bdry[bfirst[h] : bfirst[h] + width[h]]
-            continue
+    row_width = width[label]  # ascending
+    for nb in np.unique(width).tolist():
+        start, end = np.searchsorted(row_width, [nb, nb + 1]).tolist()
+        m, group = end - start, np.flatnonzero(width == nb)  # the group's hole ids, ascending as its rows
         inner, rim = slice(*np.searchsorted(row, [start, end])), slice(*np.searchsorted(rim_row, [start, end]))
-        A = np.zeros((k, m, m))
-        slot, pos = np.divmod(row[inner] - start, m)  # the hole's place in the group, the site's in the hole
-        A[slot, pos, (col[inner] - start) % m] = -w[inner]
-        A[:, np.arange(m), np.arange(m)] = env.pi_all[members]
-        cols = np.arange(width[group].max())
-        B = np.zeros((k, m, len(cols)))
-        slot, pos = np.divmod(rim_row[rim] - start, m)
-        B[slot, pos, rim_col[rim]] = rim_w[rim]
-        H = np.linalg.solve(A, B)
-        del A, B  # the largest hole's system is the peak of the pass; the scatter need not add to it
-        keep = np.broadcast_to(cols < width[group][:, None, None], H.shape)
-        at = (indptr[members][:, :, None] + cols)[keep]
-        data[at] = H[keep]
-        indices[at] = bdry[np.broadcast_to(bfirst[group][:, None, None] + cols, H.shape)[keep]]
+        r, c, w_in = row[inner] - start, col[inner] - start, w[inner]
+        graph = csr_matrix((w_in, c, np.searchsorted(r, np.arange(m + 1))), shape=(m, m))  # r ascending
+        order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        new = np.empty(m, dtype=np.int64)
+        new[order] = np.arange(m)
+        # row i of the solve is site members[i], whose hole's boundary is one row of the group's table
+        members = sites[start:end][order]
+        table = bdry[bfirst[group][:, None] + np.arange(nb)].astype(indptr.dtype)
+        at = indptr[members][:, None] + np.arange(nb, dtype=indptr.dtype)
+        indices[at] = table[np.searchsorted(group, label[start:end][order])]
+        r, c = new[r], new[c]
+        low = r > c
+        ab = np.zeros((int((r - c).max(initial=0)) + 1, m), order="F")  # ab[i - j, j] = A[i, j], the lower band
+        ab[0] = env.pi_all[members]
+        ab[(r - c)[low], c[low]] = -w_in[low]
+        B = np.zeros((m, nb), order="F")
+        B[new[rim_row[rim] - start], rim_col[rim]] = rim_w[rim]
+        X, info = dpbsv(ab, B, lower=1, overwrite_ab=1, overwrite_b=1)[1:]
+        if info < 0:
+            raise ValueError(f"dpbsv: illegal value in argument {-info}")
+        if info > 0:  # the leading minor of order info fails, in the block of the hole that holds row info - 1
+            hole = holes[label[start + order[info - 1]]]
+            raise NumericalError(f"hole of {hole.volume} sites at anchor {hole.anchor}: banded Cholesky failed")
+        data[at] = X
     return csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _banded_hitting(pi, row, col, w, rim_row, rim_col, rim_w, hole: Hole) -> tuple[np.ndarray, np.ndarray]:
-    """One hole's hitting law as a banded SPD solve: ``(order, X)``, ``X[i]`` the law of local site ``order[i]``.
-
-    ``row``/``col``/``w`` are the hole's bonds and ``rim_*`` its rim bonds, in local site numbers.  Reverse
-    Cuthill-McKee orders the sites to a narrow band (7-20 wide on the holes of ``N = 241`` boxes), then
-    ``solveh_banded`` (LAPACK ``pbsv``, whose blocked calls stay under OpenBLAS's threading thresholds)
-    factors it: ``diag(pi) - W`` on a connected hole with rim conductance is irreducibly diagonally
-    dominant, hence positive definite.  About ``8 m (kd + 1 + nb)`` bytes for bandwidth ``kd``.
-    """
-    m = len(pi)
-    order = reverse_cuthill_mckee(csr_matrix((w, (row, col)), shape=(m, m)), symmetric_mode=True)
-    new = np.empty(m, dtype=np.int64)
-    new[order] = np.arange(m)
-    row, col = new[row], new[col]
-    low = row > col
-    ab = np.zeros((int((row - col).max()) + 1, m), order="F")  # ab[i - j, j] = A[i, j], the lower band
-    ab[0] = pi[order]
-    ab[(row - col)[low], col[low]] = -w[low]
-    B = np.zeros((m, len(hole.boundary)), order="F")
-    B[new[rim_row], rim_col] = rim_w
-    try:
-        return order, solveh_banded(ab, B, overwrite_ab=True, overwrite_b=True, lower=True)
-    except LinAlgError as exc:
-        raise NumericalError(f"hole of {m} sites at anchor {hole.anchor}: banded Cholesky failed ({exc})") from exc
 
 
 def _components(n: int, site: np.ndarray, axis: np.ndarray, strides: np.ndarray) -> np.ndarray:

@@ -96,6 +96,19 @@ class TestExactKernel:
             free = float(ive(0, t / 2.0) ** 2)
             assert cache.return_prob(t) == pytest.approx(free, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "d, n, t_min, t_max, on_z_d", [(2, 240, 20.0, 400.0, True), (3, 48, 2.0, 30.0, False)]
+    )
+    def test_curve_bracket_holds_the_free_lattice_formula(self, d, n, t_min, t_max, on_z_d):
+        # the walk on Z^d returns with the product of d one-dimensional kernels e^{-s} I_0(s), s = t/d;
+        # with 2 * steps <= n the bracket holds for it, and at d = 3 (28 folded steps) the wall 48 sites
+        # out is felt by t = 30 far below rounding
+        curve = return_prob_curve_exact(homogeneous_environment(d, n + 1), default_time_grid(t_min, t_max, 8))
+        assert curve.N == n and (2 * curve.steps <= n) == on_z_d
+        free = ive(0, curve.t / d) ** d
+        np.testing.assert_allclose(curve.p_lo, free, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(curve.p_hi, free, rtol=1e-12, atol=0)
+
     def test_survival_monitor(self, small_env):
         cache = UniformizationCache(small_env, box_radius=3)
         s1, s2 = cache.survival(2.0), cache.survival(20.0)

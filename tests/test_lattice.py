@@ -278,10 +278,31 @@ class TestEnvironmentValidation:
         with pytest.raises(EnvironmentFileError, match=rf"huge\.rcmenv: {match}"):
             load_environment(path)
 
+    def test_single_site_file_with_a_huge_dimension_is_refused(self, tmp_path):
+        # 47 bytes, valid CRC, N = 0 and no bonds: this one-site box at d = 10^6 once loaded,
+        # and its pi_all then raised a bare numpy ValueError
+        import struct
+
+        body = b"RCMENV1" + struct.pack("<IIdQQ", 10**6, 0, 2.0, 0, 0)
+        path = tmp_path / "wide.rcmenv"
+        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        assert path.stat().st_size == 47
+        with pytest.raises(EnvironmentFileError, match=r"wide\.rcmenv: .*dimension must be < 40, got 1000000$"):
+            load_environment(path)
+
+    @pytest.mark.parametrize("x, y", [(-2, -1), (49, 50), (2.5, 3.5)])
+    def test_bond_conductance_refuses_sites_off_the_box(self, x, y):
+        # d = 2, N = 3 has 49 sites: (-2, -1) once read the bond (47, 48), the others raised a bare IndexError
+        env = homogeneous_environment(2, 3)
+        with pytest.raises(ValidationError, match="site"):
+            env.bond_conductance(x, y)
+
     def test_site_count_bound(self):
         assert BoxGeometry(39, 1).n_sites == 3**39 < 2**63
         assert BoxGeometry(2, 2**30).n_sites < 2**63
-        assert BoxGeometry(10**9, 0).n_sites == 1  # a single site at any dimension
+        assert BoxGeometry(39, 0).n_sites == 1
+        with pytest.raises(ValidationError, match="dimension must be < 40, got 1000000000"):
+            BoxGeometry(10**9, 0)  # one site, but per-site tables of 10^9 axes
         for d, N in [(40, 1), (2, 2**31 - 1), (10**9, 1)]:
             with pytest.raises(ValidationError, match="too many sites"):
                 BoxGeometry(d, N)

@@ -142,12 +142,14 @@ class TestRestriction:
             assert np.array_equal(chain.pi, pi) and np.array_equal(chain.exit, exit_rate)
 
     def test_hole_solve_matches_loop_assembly(self, small_env, holey_decomp):
-        # the hole pass stacks equal-sized holes into one solve
+        # the hole pass solves the holes of a boundary width as one banded Cholesky system, whose
+        # rounding differs from a per-hole LU solve's
         for hole in holey_decomp.holes:
             ref = _hole_loop_assembly(small_env, hole)
             rows = holey_decomp.hitting[hole.sites]
             assert rows.nnz == ref.size  # each row lives on the hole's boundary
-            assert np.array_equal(rows[:, hole.boundary].toarray(), ref)
+            got = rows[:, hole.boundary].toarray()
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
 
 
 class TestDetailedBalance:
@@ -755,7 +757,7 @@ def _decompositions(draw, density=st.floats(0.5, 0.7)):
     return _decomposition(d, N, draw(st.integers(0, 2**31)), draw(density))
 
 
-# holes of 1, 6, 29 and 113 sites: three stacked dense solves and one banded solve
+# holes of 1, 6, 29 and 113 sites, the largest alone in its boundary width
 _MIXED_HOLES = (2, 7, 0, 0.5)
 
 
@@ -774,36 +776,27 @@ class TestHolePass:
     @given(case=_decompositions(density=st.floats(0.3, 0.95)))
     @example(case=_decomposition(*_MIXED_HOLES))
     def test_hitting_equals_loop_assembly(self, case):
-        # the per-hole dense reference: bit for bit below _DENSE_SITES sites, where the pass stacks
-        # dense solves; within 1e-12 of each row's largest entry at or above it (banded Cholesky)
+        # the per-hole dense reference, within 1e-12 of each row's largest entry (banded Cholesky)
         env, dec = case
         for hole in dec.holes:
             ref = _hole_loop_assembly(env, hole)
             rows = dec.hitting[hole.sites]
             assert rows.nnz == ref.size
             got = rows[:, hole.boundary].toarray()
-            if hole.volume < percolation._DENSE_SITES:
-                assert np.array_equal(got, ref)
-            else:
-                assert np.all(np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
         assert dec.hitting[np.flatnonzero(dec.in_cluster)].nnz == 0
 
-    def test_dense_solves_stay_under_the_threading_size(self, monkeypatch):
-        # OpenBLAS threads getrf from m * m = 10,000 on: no system that size may reach np.linalg.solve
+    def test_pass_makes_no_dense_solve(self, monkeypatch):
+        # a dense LU of a hole holds 16 m^2 bytes, and from m * m = 10,000 on wakes OpenBLAS's thread pool
         _, dec = _decomposition(*_MIXED_HOLES)
-        assert max(h.volume for h in dec.holes) >= percolation._DENSE_SITES
-        shapes = []
-        solve = np.linalg.solve
 
-        def recording(A, B):
-            shapes.append(A.shape)
-            return solve(A, B)
+        def refused(*args, **kwargs):
+            raise AssertionError("the hole pass called np.linalg.solve")
 
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        dec.hitting
-        assert sorted(shape[-1] for shape in shapes) == sorted(
-            {h.volume for h in dec.holes if h.volume < percolation._DENSE_SITES}
-        )
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        H = dec.hitting
+        rows = np.asarray(H.sum(axis=1)).ravel()
+        assert np.all(np.abs(rows[~dec.in_cluster] - 1.0) <= 1e-12)
 
     def test_large_hole_is_solved_in_banded_memory(self):
         # a strong box whose 40 x 40 block of sites has only weak bonds: one 1,600-site hole,
@@ -827,15 +820,22 @@ class TestHolePass:
         assert np.all(np.abs(rows[block] - 1.0) <= 1e-12) and np.all(rows[~block] == 0)
 
     def test_failed_banded_factorization_names_the_hole(self, monkeypatch):
-        _, dec = _decomposition(*_MIXED_HOLES)
-        hole = max(dec.holes, key=lambda h: h.volume)
+        # LAPACK reports the order of the first leading minor that is not positive definite; the fake
+        # reports the solve row of one hole's last site, found by its pi on the band's diagonal: the
+        # 113-site hole, alone in its boundary width, and a 12-site hole solved beside a 28-site one
+        dpbsv = percolation.dpbsv
+        for case, volume in ((_MIXED_HOLES, 113), ((2, 7, 5, 0.5), 12)):
+            env, dec = _decomposition(*case)
+            (hole,) = [h for h in dec.holes if h.volume == volume]
 
-        def not_definite(*args, **kwargs):
-            raise np.linalg.LinAlgError("3th leading minor not positive definite")
+            def not_definite(ab, b, **kwargs):
+                row = np.flatnonzero(ab[0] == env.pi_all[hole.sites[-1]])
+                c, x, info = dpbsv(ab, b, **kwargs)
+                return c, x, int(row[0]) + 1 if b.shape[1] == len(hole.boundary) else info
 
-        monkeypatch.setattr(percolation, "solveh_banded", not_definite)
-        with pytest.raises(NumericalError, match=f"hole of {hole.volume} sites at anchor {hole.anchor}"):
-            dec.hitting
+            monkeypatch.setattr(percolation, "dpbsv", not_definite)
+            with pytest.raises(NumericalError, match=f"hole of {volume} sites at anchor {hole.anchor}"):
+                dec.hitting
 
     @settings(max_examples=40, deadline=None)
     @given(case=_decompositions())
