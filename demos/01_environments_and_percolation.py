@@ -1,8 +1,8 @@
 """Environments under the power-tail conductance law, and their strong clusters.
 
 Walks through: sampling a box of i.i.d. conductances, checking the law
-empirically, the scaling of the weakest bond in growing boxes, and the
-percolation decomposition into strong cluster and holes.
+empirically, and the percolation decomposition into strong cluster and
+holes.
 """
 
 import math
@@ -10,7 +10,6 @@ import math
 from rcmwalk import (
     BoxGeometry,
     hole_volume_report,
-    min_conductance_scaling,
     sample_environment,
     strong_cluster,
     threshold_for_density,
@@ -25,12 +24,6 @@ print(f"conductances in ({env.omega.min():.3g}, {env.omega.max():.3g}]")
 # the law has CDF a^gamma on [0,1]; compare a few quantiles
 for a in (0.1, 0.3, 0.7):
     print(f"  P(omega <= {a}) = {(env.omega <= a).mean():.4f}   (law: {a ** gamma:.4f})")
-
-# --- weakest bond scaling ---------------------------------------------------
-# the minimum over the box decays like N^(-d/gamma)
-est = min_conductance_scaling(d, gamma, [32, 64, 128, 256, 512], seeds=[1, 2, 3, 4])
-print(f"\nmin-conductance slope: {est.slope:.3f}  CI [{est.ci_low:.3f}, {est.ci_high:.3f}]"
-      f"  (asymptotic -d/gamma = {-d / gamma})")
 
 # --- strong cluster and holes ----------------------------------------------
 p = 0.95  # strong-bond density

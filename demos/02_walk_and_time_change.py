@@ -1,9 +1,8 @@
-"""The Poisson-clock walk, its strong-cluster clock, and the time-changed walk.
+"""The walk's one-step law and the time-changed walk.
 
-Simulates one path, accumulates the additive functional (time spent on
-the strong cluster), excises hole excursions, prints the exact kernel of the
-time-changed walk from the origin, and compares the exact
-next-cluster-point law from the hole pass against Monte Carlo frequencies.
+Prints the jump law at the origin and the exact kernel of the time-changed
+walk from the origin, and compares the exact next-cluster-point law from the
+hole pass against Monte Carlo frequencies.
 """
 
 import numpy as np
@@ -14,11 +13,9 @@ from rcmwalk import (
     heat_kernel_hat,
     next_point_frequencies,
     sample_environment,
-    simulate_ctmc,
     step_distribution,
     strong_cluster,
     threshold_for_density,
-    time_changed_trajectory,
 )
 
 env = sample_environment(BoxGeometry(2, 10), 2.0, 11)
@@ -28,18 +25,6 @@ print(f"box radius {env.N}; strong cluster {dec.cluster_size} sites, {len(dec.ho
 # one-step law at the origin
 nb, pr = step_distribution(env, env.geometry.origin)
 print("jump law at the origin:", np.round(pr, 3))
-
-# --- one path with its strong-cluster clock ---------------------------------
-rng = np.random.default_rng(1)
-start = int(np.flatnonzero(dec.in_cluster)[0])
-traj = simulate_ctmc(env, start, 40.0, rng, decomp=dec, kill_radius=None)
-a_end = traj.A_hat(traj.end_time)
-print(f"\npath: {traj.n_jumps} jumps in [0, {traj.end_time:.0f}], "
-      f"cluster time A = {a_end:.2f} (hole time {traj.end_time - a_end:.2f})")
-
-hat = time_changed_trajectory(traj, dec)
-print(f"time-changed path: {len(hat.sites)} cluster visits on [0, {hat.horizon:.2f}]")
-assert np.all(dec.in_cluster[hat.sites])
 
 # the time-changed walk as an exact chain on the cluster, from the origin
 origin = env.geometry.origin

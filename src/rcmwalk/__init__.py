@@ -2,9 +2,9 @@
 
 Simulation and numerical-verification toolkit: environment sampling under
 polynomial-tail conductance laws, percolation decomposition into strong
-cluster and holes, Poisson-clock walks with time change and effective
-conductances, exact and Monte Carlo heat kernels with exponent fitting, the
-exact kernel of the time-changed walk, and the spectral machinery (principal
+cluster and holes, Poisson-clock path ensembles and effective conductances,
+exact and Monte Carlo heat kernels with exponent fitting, the exact kernel
+of the time-changed walk, and the spectral machinery (principal
 eigenvalues, penalized semigroups) behind the quenched decay bounds.
 """
 
@@ -39,13 +39,10 @@ from .heatkernel import (
 )
 from .lattice import (
     BoxGeometry,
-    ConductanceLaw,
     Environment,
-    SlopeEstimate,
     derive_environment_seeds,
     homogeneous_environment,
     load_environment,
-    min_conductance_scaling,
     pi,
     sample_environment,
     save_environment,
@@ -87,15 +84,12 @@ from .walk import (
     BoxStencil,
     EffectiveConductances,
     EnsembleResult,
-    TrajectoryRecord,
     box_stencil,
     effective_conductance_matrix,
     effective_conductances,
     ensemble_walk,
     next_point_frequencies,
-    simulate_ctmc,
     step_distribution,
-    time_changed_trajectory,
     transition_matrix,
 )
 

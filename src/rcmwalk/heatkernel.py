@@ -66,6 +66,7 @@ from .walk import (
     _banded_product,
     _cluster_site,
     _on_diagonals,
+    _path_count,
     _row_product,
     effective_conductance_matrix,
     ensemble_walk,
@@ -698,8 +699,7 @@ def return_prob_mc(
     is killed on leaving the same box as the exact computation.
     """
     t = _time_grid(t_grid)
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
+    n_paths = _path_count(n_paths)
     kill = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
     positive = t > 0
     origin = env.geometry.origin

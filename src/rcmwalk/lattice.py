@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import (
     ChecksumError,
@@ -210,21 +209,6 @@ class BoxGeometry:
         return index[np.argsort(l1.astype(np.min_scalar_type(radius)), kind="stable")]
 
 
-@dataclass(frozen=True)
-class ConductanceLaw:
-    """Power-law conductance distribution: ``F(a) = a**gamma`` on [0, 1]."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-
-    def min_median(self, m: int) -> float:
-        """Median of the minimum of m i.i.d. draws (order-statistics closed form)."""
-        return (1.0 - 2.0 ** (-1.0 / m)) ** (1.0 / self.gamma)
-
-
 @dataclass(eq=False)
 class Environment:
     """One realization of conductances on the bonds of ``B_N``.
@@ -362,64 +346,6 @@ def derive_environment_seeds(master_seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValidationError(f"number of seeds must be >= 0, got {n}")
     return np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)
-
-
-@dataclass
-class SlopeEstimate:
-    """Least-squares slope with a confidence interval."""
-
-    slope: float
-    ci_low: float
-    ci_high: float
-    per_seed_slopes: np.ndarray
-    radii: np.ndarray
-
-
-def min_conductance_scaling(
-    d: int,
-    gamma: float,
-    N_list,
-    seeds,
-) -> SlopeEstimate:
-    """Scaling exponent of the minimal conductance in growing boxes.
-
-    Fits the least-squares slope of ``log min(omega)`` against ``log N``
-    separately for each seed and averages; the asymptotic value is
-    ``-d/gamma``.  Requires at least 4 distinct radii spanning a factor 8.
-    """
-    radii = np.asarray(sorted(set(int(n) for n in N_list)), dtype=np.int64)
-    if len(radii) < 4:
-        raise ValidationError("need at least 4 distinct radii")
-    if radii[-1] < 8 * radii[0]:
-        raise ValidationError("radii must span at least a factor 8")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValidationError("need at least one seed")
-
-    log_n = np.log(radii.astype(float))
-    log_min = np.empty((len(seeds), len(radii)))
-    for j, seed in enumerate(seeds):
-        for k, n in enumerate(radii):
-            env_seed = np.random.SeedSequence([int(seed), int(n)]).generate_state(1, dtype=np.uint64)[0]
-            env = sample_environment(BoxGeometry(d, int(n)), gamma, int(env_seed))
-            log_min[j, k] = np.log(env.omega.min())
-    slopes = np.array([np.polyfit(log_n, row, 1)[0] for row in log_min])
-
-    mean = float(slopes.mean())
-    if len(seeds) > 1:
-        se = float(slopes.std(ddof=1) / math.sqrt(len(seeds)))
-        tq = float(stdtrit(len(seeds) - 1, 0.5 + _CONFIDENCE / 2))
-        half = tq * se
-    else:
-        # single seed: use the regression's own residual CI
-        x = np.vstack([np.ones_like(log_n), log_n]).T
-        _, res, *_ = np.linalg.lstsq(x, log_min[0], rcond=None)
-        dof = len(radii) - 2
-        s2 = float(res[0]) / dof if len(res) else 0.0
-        cov = s2 * np.linalg.inv(x.T @ x)
-        tq = float(stdtrit(dof, 0.5 + _CONFIDENCE / 2))
-        half = tq * math.sqrt(cov[1, 1])
-    return SlopeEstimate(mean, mean - half, mean + half, slopes, radii)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,16 @@ from .heatkernel import (
 )
 from .lattice import Environment, _integral_radius
 from .percolation import ClusterDecomposition
-from .walk import BoxChain, BoxStencil, _banded_product, _on_diagonals, box_stencil, ensemble_walk, transition_matrix
+from .walk import (
+    BoxChain,
+    BoxStencil,
+    _banded_product,
+    _on_diagonals,
+    _path_count,
+    box_stencil,
+    ensemble_walk,
+    transition_matrix,
+)
 
 DENSE_EIG_CUTOFF = 4000
 _EXIT_TOL = 1e-40  # exit tails down to ~1e-40 must survive the Poisson truncation
@@ -399,8 +408,7 @@ def feynman_kac_mc(
     """Monte Carlo estimate and standard error of the penalized survival value."""
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"time must be finite and >= 0, got {t!r}")
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
+    n_paths = _path_count(n_paths)
     env = spec.env
     phi = None if spec.decomp is None else spec.decomp.in_cluster.astype(np.float64)
     res = ensemble_walk(

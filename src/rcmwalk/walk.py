@@ -1,14 +1,15 @@
-"""Discrete chain, Poisson-clock CTMC, time change and effective conductances.
+"""Discrete chain, the Poisson-clock path ensemble, time change and effective conductances.
 
 The walk jumps along bonds with probability proportional to their
 conductance after independent Exp(1) waiting times.  Box experiments kill
 the walk on its first exit from ``B_n``; because an environment stores only
 in-box bonds, the genuine killed dynamics (full invariant measure at every
 living site) are available for ``n <= N - 1``, which is the default kill
-radius.  ``kill_radius=None`` lets a simulated path run free on the whole
-box, for exploratory runs only.  Every box operator is read from one
-stencil (``box_stencil``): ``transition_matrix`` lays it out as the killed
-chain's sparse rows, the bound suite its operators on their diagonals.
+radius.  ``kill_radius=None`` lets the paths of ``ensemble_walk`` run free
+on the whole box, for exploratory runs only.  Every box operator is read
+from one stencil (``box_stencil``): ``transition_matrix`` lays it out as
+the killed chain's sparse rows, the bound suite its operators on their
+diagonals.
 
 The additive functional ``A(t)`` measures the time spent on the strong
 cluster; suppressing hole visits through its inverse yields the
@@ -190,189 +191,6 @@ def transition_matrix(env: Environment, box_radius: int | None = None) -> BoxCha
     return BoxChain(W, geom.sub_box_indices(n), st.pi, st.exit, st.origin, n, env=env)
 
 
-def _walk_tables(env: Environment) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative jump table and neighbor table, cached on the environment."""
-    cached = env.__dict__.get("_walk_tables")
-    if cached is not None:
-        return cached
-    w = env.omega_by_direction
-    pi = env.pi_all
-    if np.any(pi <= 0):
-        raise ValidationError("environment contains an isolated site")
-    cum = np.cumsum(w, axis=1) / pi[:, None]
-    cum[:, -1] = 1.0  # guard against roundoff at the top of the table
-    tables = (cum, env.geometry.neighbor_table)
-    env.__dict__["_walk_tables"] = tables
-    return tables
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrajectoryRecord:
-    """One CTMC path with its additive functional.
-
-    ``sites[k]`` is occupied on ``[T_k, T_{k+1})`` where ``T_k`` is the sum
-    of the first ``k`` waiting-time increments; the record covers
-    ``[0, min(horizon, tau_N)]``.  ``A_at_jumps[k]`` is the strong-cluster
-    occupation time accumulated up to ``T_k``; between jumps it grows with
-    slope ``phi_sites[k]``.  Waiting times are stored as increments to avoid
-    cancellation at large horizons.
-
-    Direct simulation output has nearest-neighbor steps; time-changed
-    records may contain long (or repeated-site) jumps where hole excursions
-    were excised.
-    """
-
-    start: int
-    sites: np.ndarray
-    increments: np.ndarray
-    horizon: float
-    tau_N: float
-    phi_sites: np.ndarray
-    A_at_jumps: np.ndarray
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.increments)
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        return np.cumsum(self.increments)
-
-    @property
-    def end_time(self) -> float:
-        return min(self.horizon, self.tau_N)
-
-    def A_hat(self, t) -> np.ndarray | float:
-        """The additive functional at time ``t`` (scalar or array)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0) or np.any(t_arr > self.end_time + 1e-12):
-            raise ValidationError("time outside the recorded range")
-        times = self.jump_times
-        k = np.searchsorted(times, t_arr, side="right")
-        if len(times):
-            seg_start = np.where(k > 0, times[np.maximum(k - 1, 0)], 0.0)
-        else:
-            seg_start = np.zeros_like(t_arr)
-        out = self.A_at_jumps[k] + self.phi_sites[k] * (t_arr - seg_start)
-        return out if np.ndim(t) else float(out[0])
-
-
-def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
-    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``); both must be integers."""
-    if not 0 <= _integral_radius(x0, "start site") < geom.n_sites:
-        raise ValidationError(f"start site {x0} outside the box")
-    kill = geom.N - 1 if kill_radius == "interior" else kill_radius
-    if kill is not None:
-        kill = _integral_radius(kill, "kill radius")
-        if not 0 <= kill <= geom.N - 1:
-            raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
-        if geom.linf_norm[x0] > kill:
-            raise ValidationError("start site outside the kill radius")
-    return kill
-
-
-def simulate_ctmc(
-    env: Environment,
-    x0: int,
-    horizon: float,
-    rng: np.random.Generator,
-    decomp: ClusterDecomposition | None = None,
-    kill_radius: int | None | str = "interior",
-) -> TrajectoryRecord:
-    """Simulate one Poisson(1)-clock path started at ``x0``.
-
-    ``kill_radius="interior"`` (the default) kills the walk on its first
-    jump out of ``B_{N-1}``, recording the exit time as ``tau_N``; ``None``
-    disables killing (free boundary, exploratory only).  When ``decomp`` is
-    given the additive functional tracks time spent on its strong cluster,
-    otherwise it equals elapsed time.
-    """
-    geom = env.geometry
-    kill = _start_and_kill_radius(geom, x0, kill_radius)
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValidationError(f"horizon must be finite and >= 0, got {horizon!r}")
-
-    phi = decomp.in_cluster.astype(np.float64) if decomp is not None else None
-    cum, neigh = _walk_tables(env)
-    linf = geom.linf_norm
-
-    sites = [x0]
-    increments: list[float] = []
-    a_vals = [0.0]
-    phis = [1.0 if phi is None else float(phi[x0])]
-    t_now = 0.0
-    a_now = 0.0
-    tau = math.inf
-    state = x0
-    while True:
-        dt = -math.log1p(-rng.random())
-        if t_now + dt >= horizon:
-            break
-        t_now += dt
-        a_now += phis[-1] * dt
-        u = rng.random()
-        k = int((u > cum[state]).sum())
-        dest = int(neigh[state, k])
-        sites.append(dest)
-        increments.append(dt)
-        a_vals.append(a_now)
-        phis.append(1.0 if phi is None else float(phi[dest]))
-        if kill is not None and linf[dest] > kill:
-            tau = t_now
-            break
-        state = dest
-
-    return TrajectoryRecord(
-        start=x0,
-        sites=np.asarray(sites, dtype=np.int64),
-        increments=np.asarray(increments, dtype=np.float64),
-        horizon=float(horizon),
-        tau_N=tau,
-        phi_sites=np.asarray(phis, dtype=np.float64),
-        A_at_jumps=np.asarray(a_vals, dtype=np.float64),
-    )
-
-
-def time_changed_trajectory(traj: TrajectoryRecord, decomp: ClusterDecomposition) -> TrajectoryRecord:
-    """Excise hole excursions and rebase the clock to strong-cluster time.
-
-    The output visits exactly the strong-cluster subsequence of the input's
-    sites; its total duration is the input's additive functional at the end
-    of the record, so each hole excursion shortens the clock by its length.
-    """
-    if decomp.labels[traj.start] != STRONG_LABEL:
-        raise ValidationError("time change requires a start site on the strong cluster")
-    on_cluster = decomp.in_cluster[traj.sites]
-    end = traj.end_time
-    times = traj.jump_times
-    holdings = np.empty(len(traj.sites), dtype=np.float64)
-    if len(traj.increments):
-        holdings[:-1] = traj.increments
-        holdings[-1] = end - times[-1]
-    else:
-        holdings[0] = end
-
-    new_sites = traj.sites[on_cluster]
-    new_hold = holdings[on_cluster]
-    total = float(new_hold.sum())
-    killed = math.isfinite(traj.tau_N)
-    increments = new_hold[:-1] if len(new_hold) else new_hold
-    return TrajectoryRecord(
-        start=traj.start,
-        sites=new_sites,
-        increments=np.asarray(increments, dtype=np.float64),
-        horizon=total,
-        tau_N=total if killed else math.inf,
-        phi_sites=np.ones(len(new_sites), dtype=np.float64),
-        A_at_jumps=np.concatenate([[0.0], np.cumsum(increments)]) if len(new_sites) else np.zeros(1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # effective conductances via absorbing solves on the holes
 # ---------------------------------------------------------------------------
@@ -471,6 +289,43 @@ class EnsembleResult:
     site_at: np.ndarray | None = None  # (n_paths, len(real_grid)), -1 after death
 
 
+def _walk_tables(env: Environment) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative jump table and neighbor table, cached on the environment."""
+    cached = env.__dict__.get("_walk_tables")
+    if cached is not None:
+        return cached
+    w = env.omega_by_direction
+    pi = env.pi_all
+    if np.any(pi <= 0):
+        raise ValidationError("environment contains an isolated site")
+    cum = np.cumsum(w, axis=1) / pi[:, None]
+    cum[:, -1] = 1.0  # guard against roundoff at the top of the table
+    tables = (cum, env.geometry.neighbor_table)
+    env.__dict__["_walk_tables"] = tables
+    return tables
+
+
+def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
+    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``); both must be integers."""
+    if not 0 <= _integral_radius(x0, "start site") < geom.n_sites:
+        raise ValidationError(f"start site {x0} outside the box")
+    kill = geom.N - 1 if kill_radius == "interior" else kill_radius
+    if kill is not None:
+        kill = _integral_radius(kill, "kill radius")
+        if not 0 <= kill <= geom.N - 1:
+            raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
+        if geom.linf_norm[x0] > kill:
+            raise ValidationError("start site outside the kill radius")
+    return kill
+
+
+def _path_count(n_paths) -> int:
+    """``n_paths`` as an ``int`` of at least 1, refusing what is not an integer."""
+    if (n := _integral_radius(n_paths, "path count")) < 1:
+        raise ValidationError(f"need at least one path, got {n}")
+    return n
+
+
 def ensemble_walk(
     env: Environment,
     x0: int,
@@ -484,19 +339,21 @@ def ensemble_walk(
     """Run ``n_paths`` independent CTMC paths with one synchronized stepper.
 
     Optionally records the occupied site when real time crosses each point
-    of ``real_grid``.  All paths draw from the single ``rng``, so results
-    are reproducible for a fixed seed and path count.
+    of ``real_grid``, a 1-D grid in ``(0, horizon]``.  All paths draw from
+    the single ``rng``, so results are reproducible for a fixed seed and
+    path count.
     """
     geom = env.geometry
     kill = _start_and_kill_radius(geom, x0, kill_radius)
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
+    n_paths = _path_count(n_paths)
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValidationError(f"horizon must be finite and >= 0, got {horizon!r}")
+    rg = None if real_grid is None else np.asarray(real_grid, dtype=float)
+    if rg is not None and (rg.ndim != 1 or not np.all((rg > 0) & (rg <= horizon))):  # NaN fails both
+        raise ValidationError(f"real grid must be 1-D with every point in (0, {horizon!r}]")
 
     cum, neigh = _walk_tables(env)
     linf = geom.linf_norm
-    rg = None if real_grid is None else np.asarray(real_grid, dtype=float)
 
     state = np.full(n_paths, x0, dtype=np.int64)
     t_now = np.zeros(n_paths)
@@ -547,14 +404,7 @@ def ensemble_walk(
         else:
             state[go] = dest
 
-    return EnsembleResult(
-        n_paths=n_paths,
-        tau=tau,
-        exit_site=exit_site,
-        n_jumps=n_jumps,
-        ahat_final=a_now,
-        site_at=site_at,
-    )
+    return EnsembleResult(n_paths, tau, exit_site, n_jumps, a_now, site_at)
 
 
 def next_point_frequencies(
@@ -571,8 +421,7 @@ def next_point_frequencies(
     absorbing-solve computation).  Returns (sites, counts).
     """
     _cluster_site(env, decomp, x)
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
+    n_paths = _path_count(n_paths)
     cum, neigh = _walk_tables(env)
     in_cluster = decomp.in_cluster
 

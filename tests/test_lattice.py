@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rcmwalk import (
     BoxGeometry,
     ChecksumError,
-    ConductanceLaw,
     Environment,
     EnvironmentFileError,
     TruncatedFileError,
@@ -18,7 +17,6 @@ from rcmwalk import (
     derive_environment_seeds,
     homogeneous_environment,
     load_environment,
-    min_conductance_scaling,
     pi,
     sample_environment,
     save_environment,
@@ -177,8 +175,6 @@ class TestSampling:
     def test_bad_gamma(self):
         with pytest.raises(ValidationError):
             sample_environment(BoxGeometry(2, 2), 0.0, 1)
-        with pytest.raises(ValidationError):
-            ConductanceLaw(-1.0)
 
     def test_seed_derivation(self):
         s1 = derive_environment_seeds(42, 5)
@@ -339,38 +335,6 @@ class TestPi:
     def test_non_integral_site_refused(self, small_env, x):
         with pytest.raises(ValidationError, match="site must be an integer"):
             pi(small_env, x)
-
-
-class TestMinConductanceScaling:
-    def test_matches_tail_exponent(self):
-        radii = [32, 64, 128, 256, 512, 1024]
-        est = min_conductance_scaling(2, 2.0, radii, seeds=range(1, 9))
-        assert abs(est.slope - (-1.0)) <= 0.2
-        assert est.ci_high - est.ci_low <= 0.4
-        assert est.ci_low <= -1.0 <= est.ci_high
-
-        # order-statistics oracle: the median of the min of M iid draws is
-        # (1 - 2^(-1/M))^(1/gamma); its regression slope already sits within
-        # 0.05 of the asymptotic -d/gamma at these radii
-        law = ConductanceLaw(2.0)
-        log_meds = []
-        for n in radii:
-            m = BoxGeometry(2, n).n_bonds
-            log_meds.append(math.log(law.min_median(m)))
-        oracle_slope = np.polyfit(np.log(radii), log_meds, 1)[0]
-        assert abs(oracle_slope - (-1.0)) <= 0.05
-
-    def test_slope_magnitude_decreases_with_gamma(self):
-        radii = [16, 32, 64, 128]
-        lo = min_conductance_scaling(2, 1.0, radii, seeds=[4, 5])
-        hi = min_conductance_scaling(2, 4.0, radii, seeds=[4, 5])
-        assert abs(hi.slope) < abs(lo.slope)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            min_conductance_scaling(2, 2.0, [32], seeds=[1])
-        with pytest.raises(ValidationError):
-            min_conductance_scaling(2, 2.0, [32, 40, 50, 64], seeds=[1])
 
 
 class TestPersistence:

@@ -36,8 +36,8 @@ from rcmwalk import (
     perturbation_identity_check,
     prescribed_killing_rate,
     prescribed_spec,
+    return_prob_mc,
     sample_environment,
-    simulate_ctmc,
     spectral,
     strong_cluster,
     survival_bound_check,
@@ -885,7 +885,6 @@ def _time_entry_points():
         "feynman_kac_mc": lambda t: feynman_kac_mc(spec, t, 50, rng),
         "perturbation_identity_check": lambda t: perturbation_identity_check(spec, [t]),
         "ensemble_walk": lambda t: ensemble_walk(env, origin, 10, t, rng),
-        "simulate_ctmc": lambda t: simulate_ctmc(env, origin, t, rng, kill_radius=None),
     }
 
 
@@ -911,6 +910,12 @@ def _bad_input_calls():
     for lam in (math.nan, math.inf):
         calls[f"operator_spec-lam_{lam}"] = lambda lam=lam: OperatorSpec(env=env, decomp=dec, box_radius=3, lam=lam)
         calls[f"uniformization_cache-lam_{lam}"] = lambda lam=lam: UniformizationCache(env, 3, lam=lam)
+    site = int(np.flatnonzero(dec.in_cluster)[0])
+    for name, count in (("fractional", 2.5), ("string", "3"), ("zero", 0)):
+        calls[f"ensemble_walk-{name}_path_count"] = lambda c=count: ensemble_walk(env, env.geometry.origin, c, 1.0, rng)
+        calls[f"next_point_frequencies-{name}_path_count"] = lambda c=count: next_point_frequencies(env, dec, site, c, rng)
+        calls[f"return_prob_mc-{name}_path_count"] = lambda c=count: return_prob_mc(env, [1.0], c, rng)
+        calls[f"feynman_kac_mc-{name}_path_count"] = lambda c=count: feynman_kac_mc(spec, 1.0, c, rng)
     calls["exit_time_tail_check-empty_grid"] = lambda: exit_time_tail_check(spec, [])
     calls["exit_time_tail_check-2d_grid"] = lambda: exit_time_tail_check(spec, [[1.0, 2.0]])
     calls["perturbation_identity_check-empty_grid"] = lambda: perturbation_identity_check(spec, [])
@@ -921,6 +926,7 @@ def _bad_input_calls():
 @pytest.mark.parametrize("call", sorted(_bad_input_calls()))
 def test_bad_input_rejected(call):
     # without the checks a site of -1 read the last site, n_sites raised IndexError, a nan or
-    # infinite rate returned nan or died in the solver, and an empty grid passed or raised ValueError
+    # infinite rate returned nan or died in the solver, an empty grid passed or raised ValueError,
+    # and a path count of 2.5 or "3" raised a bare TypeError
     with pytest.raises(ValidationError):
         _bad_input_calls()[call]()

@@ -12,8 +12,6 @@ from rcmwalk import (
     Environment,
     NumericalError,
     OperatorSpec,
-    STRONG_LABEL,
-    TrajectoryRecord,
     ValidationError,
     default_time_grid,
     effective_conductance_matrix,
@@ -22,11 +20,9 @@ from rcmwalk import (
     next_point_frequencies,
     return_prob_curve_exact,
     sample_environment,
-    simulate_ctmc,
     step_distribution,
     strong_cluster,
     threshold_for_density,
-    time_changed_trajectory,
     transition_matrix,
 )
 from rcmwalk import heatkernel, percolation, walk
@@ -413,138 +409,6 @@ class TestBallChain:
                 assert keep.all() or np.abs(geom.site_coords(rows[i])).sum() == radius
 
 
-class TestSimulateCtmc:
-    def test_poisson_clock_rate(self, homog_env, rng):
-        t = 12.0
-        res = ensemble_walk(homog_env, homog_env.geometry.origin, 10_000, t, rng, kill_radius=None)
-        mean = res.n_jumps.mean()
-        sd_mean = math.sqrt(t / 10_000)
-        assert abs(mean - t) <= 4 * sd_mean
-
-    def test_full_box_additive_functional(self, homog_env, rng):
-        dec = strong_cluster(homog_env, 0.5)
-        for _ in range(5):
-            traj = simulate_ctmc(homog_env, homog_env.geometry.origin, 7.0, rng, decomp=dec, kill_radius=None)
-            assert traj.A_hat(traj.end_time) == pytest.approx(traj.end_time, abs=1e-12)
-
-    def test_zero_horizon(self, small_env, rng):
-        traj = simulate_ctmc(small_env, small_env.geometry.origin, 0.0, rng)
-        assert traj.n_jumps == 0
-        assert np.array_equal(traj.sites, [small_env.geometry.origin])
-        assert traj.A_hat(0.0) == 0.0
-
-    def test_additive_functional_bounds(self, small_env, holey_decomp, rng):
-        start = int(np.flatnonzero(holey_decomp.in_cluster)[0])
-        traj = simulate_ctmc(small_env, start, 30.0, rng, decomp=holey_decomp, kill_radius=None)
-        ts = np.linspace(0, traj.end_time, 40)
-        a = traj.A_hat(ts)
-        assert np.all(a <= ts + 1e-12)
-        assert np.all(np.diff(a) >= -1e-12)
-        assert np.all(np.diff(a) <= np.diff(ts) + 1e-12)
-
-    def test_nearest_neighbor_steps(self, small_env, rng):
-        traj = simulate_ctmc(small_env, small_env.geometry.origin, 20.0, rng)
-        coords = small_env.geometry.all_coords[traj.sites]
-        assert np.all(np.abs(np.diff(coords, axis=0)).sum(axis=1) == 1)
-
-    def test_killing_records_exit(self, small_env, rng):
-        # tiny kill radius: exits happen fast and land just outside
-        geom = small_env.geometry
-        traj = simulate_ctmc(small_env, geom.origin, 500.0, rng, kill_radius=2)
-        assert math.isfinite(traj.tau_N)
-        assert geom.linf_norm[traj.sites[-1]] == 3
-        assert np.all(geom.linf_norm[traj.sites[:-1]] <= 2)
-        assert traj.end_time == traj.tau_N
-
-
-class TestTimeChange:
-    def test_identity_on_cluster_paths(self, homog_env, rng):
-        dec = strong_cluster(homog_env, 0.5)
-        traj = simulate_ctmc(homog_env, homog_env.geometry.origin, 9.0, rng, decomp=dec, kill_radius=None)
-        hat = time_changed_trajectory(traj, dec)
-        assert np.array_equal(hat.sites, traj.sites)
-        np.testing.assert_allclose(hat.increments, traj.increments, rtol=1e-15)
-        assert hat.horizon == pytest.approx(traj.horizon, abs=1e-12)
-
-    def test_hand_built_excursion(self):
-        # three segments: cluster (1.5), hole (0.7), cluster (2.3); the time
-        # change removes exactly the hole duration
-        geom = BoxGeometry(2, 1)
-        a = geom.site_index([0, 0])
-        h = geom.site_index([0, 1])
-        b = geom.site_index([1, 1])
-        env = _env_with_bonds(2, 1, 0.9, {})
-        labels = np.full(geom.n_sites, STRONG_LABEL)
-        labels[h] = 0
-        from rcmwalk.percolation import ClusterDecomposition, Hole
-
-        dec = ClusterDecomposition(
-            env=env,
-            threshold=0.5,
-            labels=labels,
-            holes=[Hole(sites=np.array([h]), boundary=np.array(sorted([a, b])), anchor=min(a, b))],
-        )
-        traj = TrajectoryRecord(
-            start=a,
-            sites=np.array([a, h, b]),
-            increments=np.array([1.5, 0.7]),
-            horizon=4.5,
-            tau_N=math.inf,
-            phi_sites=np.array([1.0, 0.0, 1.0]),
-            A_at_jumps=np.array([0.0, 1.5, 1.5]),
-        )
-        hat = time_changed_trajectory(traj, dec)
-        assert np.array_equal(hat.sites, [a, b])
-        assert hat.horizon == pytest.approx(4.5 - 0.7)
-        assert hat.increments[0] == pytest.approx(1.5)
-
-    def test_idempotence(self, small_env, holey_decomp, rng):
-        start = int(np.flatnonzero(holey_decomp.in_cluster)[0])
-        traj = simulate_ctmc(small_env, start, 25.0, rng, decomp=holey_decomp, kill_radius=None)
-        hat = time_changed_trajectory(traj, holey_decomp)
-        assert np.all(holey_decomp.in_cluster[hat.sites])
-        # the additive functional of the output is its own clock
-        again = time_changed_trajectory(hat, holey_decomp)
-        assert again.horizon == pytest.approx(hat.horizon, abs=1e-12)
-        assert hat.A_hat(hat.end_time) == pytest.approx(hat.end_time, abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        radius=st.integers(2, 8),
-        density=st.sampled_from([0.5, 0.6, 0.8, 0.95]),
-        horizon=st.floats(0.0, 60.0),
-        killed=st.booleans(),
-        pick=st.integers(0, 2**16),
-    )
-    def test_time_change_is_idempotent(self, seed, radius, density, horizon, killed, pick):
-        # a time-changed record lives on the strong cluster and runs on its own
-        # clock, so a second time change keeps its sites and increments bit for
-        # bit, and its additive functional at the end is the end time
-        env = sample_environment(BoxGeometry(2, radius), 2.0, seed)
-        dec = strong_cluster(env, threshold_for_density(2.0, density))
-        cluster = np.flatnonzero(dec.in_cluster)
-        if killed:
-            cluster = cluster[env.geometry.linf_norm[cluster] <= radius - 1]
-        if not len(cluster):
-            return
-        rng = np.random.default_rng(seed)
-        traj = simulate_ctmc(env, int(cluster[pick % len(cluster)]), horizon, rng, decomp=dec,
-                             kill_radius="interior" if killed else None)
-        hat = time_changed_trajectory(traj, dec)
-        again = time_changed_trajectory(hat, dec)
-        assert np.array_equal(again.sites, hat.sites)
-        assert np.array_equal(again.increments, hat.increments)
-        assert again.horizon == pytest.approx(hat.horizon, rel=1e-12, abs=0.0)
-        assert hat.A_hat(hat.end_time) == hat.end_time
-
-    def test_start_in_hole_rejected(self, small_env, holey_decomp, rng):
-        hole_site = int(holey_decomp.holes[0].sites[0])
-        traj = simulate_ctmc(small_env, hole_site, 5.0, rng, kill_radius=None)
-        with pytest.raises(ValidationError):
-            time_changed_trajectory(traj, holey_decomp)
-
-
 class TestEffectiveConductances:
     def test_no_adjacent_hole(self, small_env, holey_decomp):
         # a site all of whose neighbors are on the cluster: table equals omega
@@ -703,25 +567,6 @@ class TestEffectiveConductances:
             se = math.sqrt(p * (1 - p) / n)
             assert abs(freq.get(y, 0) / n - p) <= 4 * max(se, 1e-9)
 
-    def test_mc_cross_check_via_time_change(self, small_env, holey_decomp):
-        # the same law read off full trajectories: second visited site of the
-        # time-changed path is the next strong-cluster point
-        x = int(holey_decomp.holes[0].boundary[0])
-        ec = effective_conductances(small_env, holey_decomp, x)
-        rng = np.random.default_rng(123)
-        n = 1_500
-        hits: dict[int, int] = {}
-        for _ in range(n):
-            traj = simulate_ctmc(small_env, x, 50.0, rng, decomp=holey_decomp, kill_radius=None)
-            hat = time_changed_trajectory(traj, holey_decomp)
-            assert len(hat.sites) >= 2  # horizon is long enough to jump
-            y = int(hat.sites[1])
-            hits[y] = hits.get(y, 0) + 1
-        for y, w in sorted(ec.as_dict().items()):
-            p = w / ec.eta
-            se = math.sqrt(p * (1 - p) / n)
-            assert abs(hits.get(y, 0) / n - p) <= 4 * max(se, 1e-9)
-
     def test_off_cluster_rejected(self, small_env, holey_decomp):
         hole_site = int(holey_decomp.holes[0].sites[0])
         with pytest.raises(ValidationError):
@@ -853,47 +698,60 @@ class TestHolePass:
             np.testing.assert_allclose(row.data, ec.values, rtol=1e-15, atol=0)
 
 
-def _step(stepper, env, x0, kill_radius):
-    rng = np.random.default_rng(5)
-    if stepper == "simulate_ctmc":
-        return simulate_ctmc(env, x0, 5.0, rng, kill_radius=kill_radius)
-    return ensemble_walk(env, x0, 4, 5.0, rng, kill_radius=kill_radius)
+def _step(env, x0, kill_radius):
+    return ensemble_walk(env, x0, 4, 5.0, np.random.default_rng(5), kill_radius=kill_radius)
 
 
-@pytest.mark.parametrize("stepper", ["simulate_ctmc", "ensemble_walk"])
 class TestStartSite:
     @pytest.mark.parametrize("kill_radius", [None, "interior"])
     @pytest.mark.parametrize("where", ["negative", "past_the_end"])
-    def test_start_outside_the_box_rejected(self, small_env, stepper, kill_radius, where):
+    def test_start_outside_the_box_rejected(self, small_env, kill_radius, where):
         # numpy would read -1 as the last site and n_sites as an IndexError
         x0 = -1 if where == "negative" else small_env.geometry.n_sites
         with pytest.raises(ValidationError, match="start site"):
-            _step(stepper, small_env, x0, kill_radius)
+            _step(small_env, x0, kill_radius)
 
-    def test_interior_is_the_largest_kill_radius(self, small_env, stepper):
+    def test_interior_is_the_largest_kill_radius(self, small_env):
         geom = small_env.geometry
         rim = int(np.flatnonzero(geom.linf_norm == geom.N)[0])
         with pytest.raises(ValidationError, match="kill radius"):
-            _step(stepper, small_env, rim, "interior")
+            _step(small_env, rim, "interior")
         with pytest.raises(ValidationError, match="kill radius must lie"):
-            _step(stepper, small_env, geom.origin, geom.N)
-        _step(stepper, small_env, rim, None)
-        _step(stepper, small_env, geom.origin, geom.N - 1)
+            _step(small_env, geom.origin, geom.N)
+        _step(small_env, rim, None)
+        _step(small_env, geom.origin, geom.N - 1)
 
     @pytest.mark.parametrize("kill_radius", [2.5, 2.0, "2"])
-    def test_non_integral_kill_radius_rejected(self, stepper, kill_radius):
+    def test_non_integral_kill_radius_rejected(self, kill_radius):
         # 2.5 used to pass the range check and kill on reaching sup-norm 3
         env = sample_environment(BoxGeometry(2, 6), 2.0, 3)
         with pytest.raises(ValidationError, match="kill radius must be an integer"):
-            _step(stepper, env, env.geometry.origin, kill_radius)
-        _step(stepper, env, env.geometry.origin, np.int64(2))
+            _step(env, env.geometry.origin, kill_radius)
+        _step(env, env.geometry.origin, np.int64(2))
 
-    def test_non_integral_start_site_rejected(self, small_env, stepper):
+    def test_non_integral_start_site_rejected(self, small_env):
         with pytest.raises(ValidationError, match="start site must be an integer"):
-            _step(stepper, small_env, small_env.geometry.origin + 0.5, "interior")
+            _step(small_env, small_env.geometry.origin + 0.5, "interior")
 
 
 class TestEnsembleSemantics:
+    def test_poisson_clock_rate(self, homog_env, rng):
+        t = 12.0
+        res = ensemble_walk(homog_env, homog_env.geometry.origin, 10_000, t, rng, kill_radius=None)
+        mean = res.n_jumps.mean()
+        sd_mean = math.sqrt(t / 10_000)
+        assert abs(mean - t) <= 4 * sd_mean
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [1.0, 5.0], [[1.0, 2.0]]])
+    def test_grid_it_cannot_record_rejected(self, small_env, grid):
+        # with no killing every path is alive at every time in (0, horizon]; a point outside
+        # that range was never crossed and came back as -1, the mark of a dead path
+        origin, rng = small_env.geometry.origin, np.random.default_rng(1)
+        with pytest.raises(ValidationError, match="real grid"):
+            ensemble_walk(small_env, origin, 4, 3.0, rng, kill_radius=None, real_grid=grid)
+        res = ensemble_walk(small_env, origin, 4, 3.0, rng, kill_radius=None, real_grid=[1.0, 3.0])
+        assert np.all(res.site_at >= 0)
+
     def test_positions_blank_after_death(self, small_env, rng):
         grid = np.array([0.5, 2.0, 8.0, 30.0])
         res = ensemble_walk(small_env, small_env.geometry.origin, 400, 30.0, rng,
