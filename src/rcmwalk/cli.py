@@ -316,6 +316,9 @@ def _cmd_report(args) -> int:
                     "survival_ritz_pairs=",
                     "exit_tail_products=",
                     "lanczos_steps=",
+                    "bonds_drawn=",
+                    "box_bonds=",
+                    "zd_certified_curves=",
                 )
             ):
                 lines.append(f"  {raw}")

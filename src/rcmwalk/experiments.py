@@ -450,6 +450,26 @@ def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[A
     return fit, rows
 
 
+def _curve_counts(cfg: ExperimentConfig, box: int, results) -> dict[str, str] | None:
+    """An exact run's manifest lines: its curves' work and how many of them hold on Z^d.
+
+    ``lanczos_steps`` is the most folded steps of a curve; ``bonds_drawn``
+    the conductances the curves read, against ``box_bonds``, the
+    environments' bonds times the number of curves; ``zd_certified_curves``
+    the curves with ``2 * steps <= n``, whose bracket holds for the walk on
+    Z^d, over all of them.
+    """
+    if cfg.method != "exact":
+        return None
+    curves = [curve for _, _, curve in results]
+    return {
+        "lanczos_steps": str(max(c.steps for c in curves)),
+        "bonds_drawn": str(sum(c.bonds for c in curves)),
+        "box_bonds": str(BoxGeometry(cfg.d, box + 1).n_bonds * len(curves)),
+        "zd_certified_curves": f"{sum(2 * c.steps <= c.N for c in curves)}/{len(curves)}",
+    }
+
+
 def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False) -> ExperimentReport:
     """Per-environment exponent fits summarized per gamma; optionally also annealed.
 
@@ -516,8 +536,8 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     write_csv(out / "exponent_report.csv", summary_header, summary_rows(quenched))
     files.append("exponent_report.csv")
     elapsed = time.monotonic() - start
-    steps = {"lanczos_steps": str(max(r[2].steps for r in results))} if cfg.method == "exact" else None
-    write_manifest(out, "annealed" if annealed else "exponent", cfg, files, elapsed, extra=steps)
+    command = "annealed" if annealed else "exponent"
+    write_manifest(out, command, cfg, files, elapsed, extra=_curve_counts(cfg, box, results))
     return ExperimentReport(
         kind="annealed" if annealed else "quenched",
         config_hash=config_hash(cfg),

@@ -17,10 +17,14 @@ is read: the chain killed on leaving ``B_n ∩ {|x|_1 <= R}``, its sites by
 (L1 distance, canonical index), ``R`` a few radii past the a priori reach
 and grown in place when a run outlasts it (68k of the 231k sites of
 ``B_240`` at ``t <= 400``).  Its parity blocks come in two parts.  The
-pattern (``_ball_pattern``) depends on ``(d, N, n, R)`` alone: each site's
-bond ids, and each block's rows, columns and entry bonds.  The gather
-(``_folded_operator``) reads one environment's conductances through it
-into ``pi`` and the scaled blocks.  An exponent run passes one dict
+pattern (``_ball_pattern``) depends on ``(d, N, n, R)`` alone: the ball's
+bonds as id ranges, numbered from the strides, and each site's bonds and
+each block's rows, columns and entry bonds as places in those ranges.  The
+gather (``_folded_operator``) reads one environment's conductances of those
+ranges alone (``Environment.conductances``) into ``pi`` and the scaled
+blocks, so a curve on a sampled environment draws and numbers only its
+ball, and builds no conductance table, ``bond_id_table`` or
+``all_coords`` of the box.  An exponent run passes one dict
 (``patterns``) to all its curves, which share the box and the radii and so
 build each pattern in it once, and drops it on return: a pattern that
 outlived the run would make a later run in the same process cheaper than a
@@ -119,6 +123,7 @@ def default_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.nd
     """Geometric time grid with ``per_decade`` points per decade."""
     if not 0 < t_min < t_max < math.inf:
         raise ValidationError(f"need 0 < t_min < t_max < inf, got t_min={t_min!r}, t_max={t_max!r}")
+    per_decade = _integral_radius(per_decade, "points per decade")
     if per_decade < 2:
         raise ValidationError(f"points per decade must be >= 2, got {per_decade!r}")
     n = max(2, int(math.ceil(per_decade * math.log10(t_max / t_min))) + 1)
@@ -301,8 +306,9 @@ class ReturnProbabilityCurve:
     ``stderr`` is zero for exact methods.  ``survival`` monitors the
     Dirichlet truncation (total mass still alive at each time).  Exact
     curves carry their quadrature bracket ``p_lo <= p(t) <= p_hi`` (``p`` is
-    ``p_lo``) and the Lanczos ``steps`` behind it; other methods leave the
-    bracket ``None``.
+    ``p_lo``), the Lanczos ``steps`` behind it and the number of
+    conductances they read, ``bonds``; other methods leave the bracket
+    ``None`` and ``bonds`` 0.
     """
 
     t: np.ndarray
@@ -317,6 +323,7 @@ class ReturnProbabilityCurve:
     p_lo: np.ndarray | None = None
     p_hi: np.ndarray | None = None
     steps: int = 0
+    bonds: int = 0
 
 
 # Folded Lanczos steps between two convergence checks, the share of the a
@@ -338,17 +345,22 @@ _BALL_MARGIN = 10
 class _BallPattern:
     """The structure of the folded operator's parity blocks on ``B_n ∩ {|x|_1 <= R}``, without conductances.
 
-    Only ``(d, N, n, R)`` determines it.  Per parity, even first, over that
+    Only ``(d, N, n, R)`` determines it.  ``bond_ranges``, ``(k, 2)``, are
+    the ascending bond-id ranges ``[start, stop)`` that hold every bond with
+    an end in the ball, one per line of the last coordinate; a bond's
+    position is its place in their concatenation, where ``pi`` and the
+    blocks read its conductance.  Per parity, even first, over that
     parity's sites in (L1 distance, canonical index) order: ``site_bonds``,
-    the ``(2d, sites)`` bond ids of each site in incidence order, which
-    ``pi`` sums in; the block whose rows are those sites and whose columns
-    are the other parity's, as CSR ``indptr`` and ``indices`` with each
-    entry's bond id ``entry_bonds`` (each row by ascending canonical
-    neighbor index); and ``balls[r]``, the number of its sites within L1
-    distance ``r``.  Index arrays are ``int32`` and read-only: the blocks of
-    every environment share them.
+    the ``(2d, sites)`` bond positions of each site in incidence order,
+    which ``pi`` sums in; the block whose rows are those sites and whose
+    columns are the other parity's, as CSR ``indptr`` and ``indices`` with
+    each entry's bond position ``entry_bonds`` (each row by ascending
+    canonical neighbor index); and ``balls[r]``, the number of its sites
+    within L1 distance ``r``.  Index arrays are ``int32`` and read-only: the
+    blocks of every environment share them.
     """
 
+    bond_ranges: np.ndarray
     site_bonds: tuple[np.ndarray, np.ndarray]
     indptr: tuple[np.ndarray, np.ndarray]
     indices: tuple[np.ndarray, np.ndarray]
@@ -357,25 +369,58 @@ class _BallPattern:
 
 
 def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPattern:
-    """The pattern of the parity blocks on ``B_n ∩ {|x|_1 <= radius}``, from the strides and ``bond_id_table``.
+    """The pattern of the parity blocks on ``B_n ∩ {|x|_1 <= radius}``, from the strides alone.
 
     The walk is killed on leaving that set; ``n <= N - 1`` gives every site
     all ``2d`` of its bonds inside the stored environment, so ``pi`` is the
     full invariant measure.  Each parity keeps the ball's order, (L1
     distance, canonical index), which does not depend on either radius, so
     two balls share every prefix that fits in both.
+
+    A bond ``(x, +e_i)`` with an end in the ball has its lower end ``x`` in
+    the ball or one step below it, so ``x`` lies on a line of the last
+    coordinate whose head (the first ``d - 1`` coordinates) is in
+    ``[-a - 1, a]^(d-1)``, ``a = min(n, radius)``.  On each line these ends
+    fill one span of the last coordinate: the ball's own sites, reaching
+    ``r`` from 0, with one more below, and those below the lines one step
+    up.  Every site of ``B_(n+1)`` short of the top face has all ``d`` of its
+    bonds, so a span's bonds are one id range, whose start
+    ``BoxGeometry.bond_ids`` gives in closed form, and a bond's position
+    follows from its line and last coordinate: no bond is looked up or
+    sorted.
     """
     n = _integral_radius(box_radius)
     if not 0 <= n <= geom.N - 1:
         raise ValidationError(f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
-    d, ids, strides = geom.d, geom.bond_id_table, geom.strides
+    d, strides = geom.d, geom.strides
     sites = geom.l1_ball_indices(n, radius)
-    l1 = np.abs(geom.site_coords(sites)).sum(axis=1)
+    coords = geom.site_coords(sites)
+    l1 = np.abs(coords).sum(axis=1)
+    a = min(n, radius)
+    width = 2 * a + 2  # heads on each axis, from -a - 1
+    heads = np.indices((width,) * (d - 1)).reshape(d - 1, -1).T - (a + 1)
+    head_l1 = np.abs(heads).sum(axis=1)
+    reach = np.where((heads >= -a).all(axis=1) & (head_l1 <= radius), np.minimum(radius - head_l1, a), -1)
+    above = np.full((width,) * (d - 1), -1)  # the reach of the lines one step up, the most of them
+    for i in range(d - 1):
+        up, line_reach = np.moveaxis(above, i, 0), np.moveaxis(reach.reshape(above.shape), i, 0)
+        np.maximum(up[:-1], line_reach[1:], out=up[:-1])
+    above = above.ravel()
+    lo, hi = -np.maximum(np.where(reach >= 0, reach + 1, -1), above), np.maximum(reach, above)
+    count = d * np.maximum(hi - lo + 1, 0)
+    first = np.cumsum(count) - count - d * lo  # the position of the first bond of a line's site at last coordinate 0
+    full = np.flatnonzero(count)
+    start = geom.bond_ids((heads[full] + geom.N) @ strides[:-1] + (lo[full] + geom.N))[:, 0]
+    bond_ranges = np.column_stack((start, start + count[full]))
+    line_strides = width ** np.arange(d - 2, -1, -1)
+    line = (coords[:, :-1] + a + 1) @ line_strides
+    base = first[line] + d * coords[:, -1]  # the position of each site's first bond
     neigh = np.empty((2 * d, len(sites)), dtype=np.int64)
     bonds = np.empty((2 * d, len(sites)), dtype=np.int32)
     for i in range(d):  # the incidence order -e_1, +e_1, -e_2, ...
         neigh[2 * i], neigh[2 * i + 1] = sites - strides[i], sites + strides[i]
-        bonds[2 * i], bonds[2 * i + 1] = ids[neigh[2 * i], i], ids[sites, i]
+        below = base - d if i == d - 1 else first[line - line_strides[i]] + d * coords[:, -1]
+        bonds[2 * i], bonds[2 * i + 1] = below + i, base + i
     sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
     rank = np.full(geom.n_sites, -1, dtype=np.int32)  # position among the ball's sites of its parity
     for rows in sides:
@@ -392,7 +437,8 @@ def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPatte
         for array in side:
             array.flags.writeable = False
         parts.append(side + (np.searchsorted(l1[rows], np.arange(radius + 1), side="right"),))
-    return _BallPattern(*(tuple(part) for part in zip(*parts)))
+    bond_ranges.flags.writeable = False
+    return _BallPattern(bond_ranges, *(tuple(part) for part in zip(*parts)))
 
 
 def _folded_operator(env: Environment, pattern: _BallPattern):
@@ -400,17 +446,21 @@ def _folded_operator(env: Environment, pattern: _BallPattern):
 
     The walk only jumps between sites of opposite parity (that of the L1
     distance from the origin), so over the even sites, then the odd ones,
-    ``A = [[0, C^T], [C, 0]]``.  ``pi`` sums each site's conductances in the
-    incidence order of ``Environment.pi_all`` and each entry is ``omega /
-    pi[row] * (sqrt(pi[row]) / sqrt(pi[col]))``, the bits of the jump matrix
-    and then the similarity, so the blocks are those of the killed chain on
-    the ball bit for bit.  Returns, even parity first, the blocks ``(C^T,
-    C)`` on the pattern's index arrays, the survival weights ``sqrt(pi /
-    pi_0)`` and the pattern's ``balls``.  The pattern costs about three
-    gathers to build (n = 240, R = 184, on two cores: 16-18 ms against 5-7
-    ms), so an exponent run builds it once for all its environments.
+    ``A = [[0, C^T], [C, 0]]``.  The conductances come in one read of the
+    pattern's bond ranges (``Environment.conductances``), which on a
+    sampled environment draws those bonds alone and no table.  ``pi`` sums
+    each site's conductances in the incidence order of
+    ``Environment.pi_all`` and each entry is ``omega / pi[row] * (sqrt(pi[row])
+    / sqrt(pi[col]))``, the bits of the jump matrix and then the
+    similarity, so the blocks are those of the killed chain on the ball bit
+    for bit.  Returns, even parity first, the blocks ``(C^T, C)`` on the
+    pattern's index arrays, the survival weights ``sqrt(pi / pi_0)`` and the
+    pattern's ``balls``.  The pattern costs about two gathers to build
+    (n = 240, R = 184, on two cores: 10-15 ms against 6-9 ms for a gather
+    that draws the ball's 137k bonds), so an exponent run builds it once for
+    all its environments.
     """
-    omega = env.omega
+    omega = env.conductances(pattern.bond_ranges)
     pis = []
     for site_bonds in pattern.site_bonds:
         pi = np.zeros(site_bonds.shape[1])
@@ -566,8 +616,12 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     which the Hochbruck-Lubich bound (``_krylov_steps``) on the Krylov error
     of ``exp(-t(I - A)) e_0`` (spectrum in ``[0, 2]``) falls below ``tol``
     at the last time, ``m* / 2`` in folded steps.  The checks start at ``0.8
-    m* / 2`` (each costs two tridiagonal eigensolves), and the run gives up,
-    raising ``NumericalError``, after ``2 m* + 32`` folded steps.
+    m* / 2``, and the run gives up, raising ``NumericalError`` with the last
+    check's width, after ``2 m* + 32`` folded steps.  Each check solves the
+    Gauss rule, and the Radau rule only once the survival has settled: the
+    bench curves' brackets are closed from their first check (relative
+    width 3e-15 to 8e-14 at steps 69-84), where only the survival decides,
+    so a Radau solve before then decides nothing.
     """
     expected = _krylov_steps(float(t.max()), tol)
     first = max(_CHECK_EVERY, int(_FIRST_CHECK * expected / 2))
@@ -581,13 +635,16 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
 
     def folded():
         if alone and radius == reach:
-            return _box_operator(transition_matrix(env, box_radius))
+            return *_box_operator(transition_matrix(env, box_radius)), env.geometry.n_bonds
         key = (d, env.geometry.N, box_radius, radius)
         if key not in patterns:
+            if alone:  # no later curve reads the smaller ball
+                patterns.clear()
             patterns[key] = _ball_pattern(env.geometry, box_radius, radius)
-        return _folded_operator(env, patterns[key])
+        pattern = patterns[key]
+        return *_folded_operator(env, pattern), int(np.diff(pattern.bond_ranges).sum())
 
-    (CT, C), (w_even, w_odd), (even, odd) = folded()
+    (CT, C), (w_even, w_odd), (even, odd), read = folded()
     u_prev, u, z = np.zeros(CT.shape[0]), np.zeros(CT.shape[0]), np.zeros(C.shape[0])
     u[0] = 1.0
     diag, off, c_even, c_odd = [], [], [], []
@@ -595,7 +652,8 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
     for i in range(1, max_steps + 1):
         if radius < min(2 * i, reach):  # step i reads the sites at distance 2i
             radius = min(reach, 2 * i + _BLOCK_RADII - 2)
-            (CT, C), (w_even, w_odd), (even, odd) = folded()
+            (CT, C), (w_even, w_odd), (even, odd), more = folded()
+            read += more
             u_prev, u = (np.concatenate((v, np.zeros(CT.shape[0] - len(v)))) for v in (u_prev, u))
             z = np.concatenate((z, np.zeros(C.shape[0] - len(z))))
         live, prev, rows = (even[min(r, radius)] for r in (2 * i - 2, max(2 * i - 4, 0), 2 * i))
@@ -618,16 +676,20 @@ def _lanczos_bracket(env: Environment, box_radius: int, t: np.ndarray, tol: floa
         if (i < first or (i - first) % _CHECK_EVERY) and not broke:
             continue
         p_lo, surv = _quadrature(np.array(diag), np.array(off[:-1]), t, np.array(c_even), np.array(c_odd))
-        p_hi, _ = _quadrature(np.array(diag + [1.0 + beta * beta / pivot]), np.array(off), t)
+        radau = (np.array(diag + [1.0 + beta * beta / pivot]), np.array(off))
         if surv_prev is not None:
             moved = float(np.max(np.abs(surv - surv_prev)))
         surv_prev = surv
-        if broke or (moved <= tol and np.all(np.abs(p_hi - p_lo) <= tol * p_lo)):
+        if not (broke or moved <= tol):  # the survival alone keeps the run going
+            continue
+        p_hi, _ = _quadrature(*radau, t)
+        if broke or np.all(np.abs(p_hi - p_lo) <= tol * p_lo):
             # closed, the two rules agree to rounding, which can put Radau an ulp below Gauss
             p_hi = np.maximum(p_hi, p_lo)
             at_zero = t == 0
             p_lo[at_zero], p_hi[at_zero], surv[at_zero] = 1.0, 1.0, 1.0
-            return p_lo, p_hi, surv, i
+            return p_lo, p_hi, surv, i, read
+    p_hi, _ = _quadrature(*radau, t)  # the last check's width, for the message
     raise NumericalError(
         f"Lanczos bracket did not settle within tolerance {tol:g} in {max_steps} steps "
         f"(box radius {box_radius}, t_max {float(t.max()):g}: relative width "
@@ -669,7 +731,7 @@ def return_prob_curve_exact(
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
     n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
-    p_lo, p_hi, surv, steps = _lanczos_bracket(env, n, t, tol, patterns)
+    p_lo, p_hi, surv, steps, bonds = _lanczos_bracket(env, n, t, tol, patterns)
     return ReturnProbabilityCurve(
         t=t,
         p=p_lo,
@@ -683,6 +745,7 @@ def return_prob_curve_exact(
         p_lo=p_lo,
         p_hi=p_hi,
         steps=steps,
+        bonds=bonds,
     )
 
 

@@ -8,8 +8,10 @@ reproducibility all agree on addressing.
 
 Conductances are drawn from the exact power law ``F(a) = a**gamma`` on
 ``[0, 1]`` by inverse-CDF sampling, one dedicated RNG stream per
-environment.  Environments are immutable after construction and safe to
-share read-only across workers.
+environment, when they are read: the whole table on the first read of
+``omega``, or only the bond ranges asked of ``Environment.conductances``.
+Environments are immutable after construction and safe to share read-only
+across workers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -46,6 +48,14 @@ def _integral_radius(value, what: str = "box radius") -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _seed64(value, what: str = "seed") -> int:
+    """A seed as an ``int``, refusing what is not an integer in ``[0, 2**64)``."""
+    seed = _integral_radius(value, what)
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"{what} must fit in 64 bits, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,23 @@ class BoxGeometry:
         ids[self.all_coords < self.N] = np.arange(self.n_bonds, dtype=np.int64)
         return ids
 
+    def bond_ids(self, sites) -> np.ndarray:
+        """``bond_id_table``'s rows at an (m,) array of sites, from the strides alone.
+
+        The id of ``(k, +e_i)`` counts the (site, axis) pairs before it whose
+        coordinate is below ``N``: the ``d k`` pairs of the sites before
+        ``k``, less, per axis ``j``, the sites before ``k`` at ``x_j = N`` (one
+        stride of them in each full period ``side * stride_j`` of the index,
+        and what the last part period reaches past ``(side - 1) stride_j``),
+        plus the axes ``j < i`` of ``k`` itself with ``x_j < N``.
+        """
+        k = np.asarray(sites, dtype=np.int64)[:, None]
+        top, period = (self.side - 1) * self.strides, self.side * self.strides
+        at_top = k // period * self.strides + np.maximum(k % period - top, 0)
+        below = k % period < top  # x_j < N
+        ids = self.d * k - at_top.sum(axis=1, keepdims=True) + np.cumsum(below, axis=1) - below
+        return np.where(below, ids, -1)
+
     def sub_box_rows(self, a: np.ndarray, n: int) -> np.ndarray:
         """The rows of the per-site array ``a`` at the sites of ``B_n`` (n <= N), in B_n's own canonical order.
 
@@ -209,32 +236,79 @@ class BoxGeometry:
         return index[np.argsort(l1.astype(np.min_scalar_type(radius)), kind="stable")]
 
 
-@dataclass(eq=False)
 class Environment:
     """One realization of conductances on the bonds of ``B_N``.
 
     ``omega[k]`` is the conductance of the k-th bond in the canonical
-    enumeration; every entry lies in (0, 1].
+    enumeration; every entry lies in (0, 1].  Given ``omega``, the
+    environment holds that table.  Without it, it is the sampled environment
+    of ``(geometry, gamma, seed)``: bond ``k`` takes ``(1 - U_k)**(1/gamma)``
+    with ``U_k`` the k-th double of ``default_rng(seed)``, and the table is
+    drawn the first time ``omega`` is read.  :meth:`conductances` reads bond
+    ranges without the table: PCG64 jumps ahead over the bonds between them
+    (``advance``, O'Neill 2014), so a range comes out bit for bit as the
+    table's slice.
     """
 
-    geometry: BoxGeometry
-    gamma: float
-    seed: int
-    omega: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.omega = np.array(self.omega, dtype=np.float64, copy=True)
-        if self.omega.shape != (self.geometry.n_bonds,):
-            raise ValidationError(
-                f"omega has {self.omega.shape} entries, geometry needs {self.geometry.n_bonds}"
-            )
-        bad = ~((self.omega > 0) & (self.omega <= 1))  # NaN fails both comparisons
+    def __init__(self, geometry: BoxGeometry, gamma: float, seed: int, omega: np.ndarray | None = None):
+        self.geometry, self.gamma, self.seed = geometry, gamma, seed
+        if omega is None:
+            if not 0 < gamma < math.inf:
+                raise ValidationError(f"gamma of a sampled environment must be positive and finite, got {gamma!r}")
+            self.gamma, self.seed = float(gamma), _seed64(seed)
+            return
+        omega = np.array(omega, dtype=np.float64, copy=True)
+        if omega.shape != (geometry.n_bonds,):
+            raise ValidationError(f"omega has {omega.shape} entries, geometry needs {geometry.n_bonds}")
+        bad = ~((omega > 0) & (omega <= 1))  # NaN fails both comparisons
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValidationError(f"conductance of bond {k} is {self.omega[k]!r}, outside (0, 1]")
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be positive or inf, got {self.gamma!r}")
-        self.omega.flags.writeable = False
+            raise ValidationError(f"conductance of bond {k} is {omega[k]!r}, outside (0, 1]")
+        if not gamma > 0:
+            raise ValidationError(f"gamma must be positive or inf, got {gamma!r}")
+        omega.flags.writeable = False
+        self.__dict__["omega"] = omega  # where the cached property below keeps a drawn table
+
+    def __repr__(self) -> str:
+        return f"Environment(geometry={self.geometry!r}, gamma={self.gamma!r}, seed={self.seed!r})"
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The whole table, drawn through :meth:`conductances` (only a sampled environment gets here)."""
+        omega = self.conductances([(0, self.geometry.n_bonds)])
+        omega.flags.writeable = False
+        return omega
+
+    def conductances(self, ranges) -> np.ndarray:
+        """The conductances of the ascending bond-id ranges ``[start, stop)`` of ``ranges``, one after another.
+
+        A table in memory is sliced; otherwise each range is drawn from the
+        seed's stream, advanced over the bonds before it.
+        """
+        ranges = np.asarray(ranges)
+        pairs = np.issubdtype(ranges.dtype, np.integer) and ranges.ndim == 2 and ranges.shape[1] == 2
+        if ranges.size and not pairs:
+            raise ValidationError(f"bond ranges must be (start, stop) pairs of integers, got {ranges.dtype} {ranges.shape}")
+        ranges = ranges.astype(np.int64).reshape(-1, 2)
+        starts, stops = ranges[:, 0], ranges[:, 1]
+        if np.any(stops < starts) or np.any(starts[1:] < stops[:-1]) or (
+            len(ranges) and not 0 <= starts[0] <= stops[-1] <= self.geometry.n_bonds
+        ):
+            raise ValidationError(f"bond ranges must ascend within [0, {self.geometry.n_bonds}]")
+        table = self.__dict__.get("omega")
+        if table is not None:
+            return np.concatenate([table[start:stop] for start, stop in ranges.tolist()] + [np.empty(0)])
+        out = np.empty(int((stops - starts).sum()))
+        bits = np.random.PCG64(self.seed)  # the stream of default_rng(seed)
+        uniform, at, drawn = np.random.Generator(bits).random, 0, 0
+        for start, stop in ranges.tolist():
+            if stop > start:
+                bits.advance(start - drawn)
+                uniform(out=out[at : at + stop - start])
+                at, drawn = at + stop - start, stop
+        np.subtract(1.0, out, out=out)  # 1 - U is uniform on (0, 1]
+        np.power(out, 1.0 / self.gamma, out=out)
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -315,20 +389,17 @@ def pi(env: Environment, x: int) -> float:
 
 
 def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environment:
-    """Draw an environment with i.i.d. conductances ``U**(1/gamma)``.
+    """The environment with i.i.d. conductances ``U**(1/gamma)``, drawn as it is read.
 
     One RNG stream per environment; bonds are filled in canonical order, so
     the same (geometry, gamma, seed) always reproduces the identical table.
+    Nothing is drawn here: the table on the first read of ``omega``, a bond
+    range on each :meth:`Environment.conductances` call.  ``gamma = inf``,
+    the law's all-ones limit, gives that table at once.
     """
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    seed = _integral_radius(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
-    rng = np.random.default_rng(seed)
-    u = 1.0 - rng.random(geom.n_bonds)  # uniform on (0, 1]
-    omega = u ** (1.0 / gamma)
-    return Environment(geometry=geom, gamma=float(gamma), seed=seed, omega=omega)
+    if gamma == math.inf:
+        return Environment(geom, math.inf, _seed64(seed), omega=np.ones(geom.n_bonds))
+    return Environment(geom, gamma, seed)
 
 
 def homogeneous_environment(d: int, N: int) -> Environment:
@@ -339,9 +410,7 @@ def homogeneous_environment(d: int, N: int) -> Environment:
 
 def derive_environment_seeds(master_seed: int, n: int) -> np.ndarray:
     """Per-environment 64-bit seeds split off a master seed by counter."""
-    master_seed = _integral_radius(master_seed, "master seed")
-    if not 0 <= master_seed < 2**64:
-        raise ValidationError(f"master seed must fit in 64 bits, got {master_seed}")
+    master_seed = _seed64(master_seed, "master seed")
     n = _integral_radius(n, "number of seeds")
     if n < 0:
         raise ValidationError(f"number of seeds must be >= 0, got {n}")

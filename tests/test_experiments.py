@@ -290,6 +290,20 @@ class TestQuenchedRunner:
         assert main(["report", "--out", str(tmp_path)]) == 0
         assert f"  lanczos_steps={max(c.steps for c in rep.curves)}" in capsys.readouterr().out
 
+    def test_manifest_records_the_bonds_read_and_the_zd_curves(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path)
+        rep = run_exponent(cfg)
+        manifest = (Path(cfg.directory) / "manifest.txt").read_text()
+        box_bonds = BoxGeometry(cfg.d, rep.box_radius + 1).n_bonds * len(rep.curves)
+        drawn = sum(c.bonds for c in rep.curves)
+        certified = sum(2 * c.steps <= c.N for c in rep.curves)
+        lines = [f"bonds_drawn={drawn}", f"box_bonds={box_bonds}", f"zd_certified_curves={certified}/{len(rep.curves)}"]
+        assert "\n".join(lines) + "\n" in manifest
+        assert 0 < drawn < box_bonds  # the balls, not the boxes
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert all(f"  {line}\n" in out for line in lines)
+
     def test_manifest_hashes(self, tmp_path):
         cfg = _cfg(tmp_path)
         rep = run_exponent(cfg)

@@ -37,6 +37,7 @@ from rcmwalk import (
     return_prob_exact,
     return_prob_mc,
     sample_environment,
+    save_environment,
     strong_cluster,
     threshold_for_density,
     transition_matrix,
@@ -261,17 +262,26 @@ class TestLanczosBracket:
         # (n = 240, t in [20, 400]) took 84 folded steps when this guard was
         # set (168 unfolded ones before), on the ball of radius 174 + 10 (68,081
         # of the box's 231,361 sites), and read no full-box neighbor,
-        # conductance or pi table
+        # conductance or pi table; nor, on a sampled environment, the bond
+        # table, the bond ids or the coordinates of the box.  Its four checks
+        # (steps 69, 74, 79 and 84) solve the Gauss rule each, and the Radau
+        # rule only at the last, the first after the survival settled
         cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "quenched_d2.cfg")
         n = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
         env = sample_environment(BoxGeometry(cfg.d, n + 1), cfg.gamma, int(derive_environment_seeds(301, 1)[0]))
         built = _count_assemblies(monkeypatch)
+        solves = []
+        monkeypatch.setattr(heatkernel, "_ritz", lambda *a, ritz=heatkernel._ritz: solves.append(a) or ritz(*a))
         grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
         curve = return_prob_curve_exact(env, grid, box_radius=n)
         assert curve.steps <= 100
         assert len(built) == 1 and built[0][2] < 0.35 * (2 * n + 1) ** 2
         assert "neighbor_table" not in env.geometry.__dict__
         assert "omega_by_direction" not in env.__dict__ and "pi_all" not in env.__dict__
+        assert "omega" not in env.__dict__
+        assert "bond_id_table" not in env.geometry.__dict__ and "all_coords" not in env.geometry.__dict__
+        assert curve.steps == 84 and len(solves) == 5
+        assert curve.bonds < 0.3 * env.geometry.n_bonds
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -497,6 +507,47 @@ def _box_oracle(env, n: int, t: np.ndarray, tol: float = 1e-12):
             p_lo[at_zero], p_hi[at_zero], surv[at_zero] = 1.0, 1.0, 1.0
             return p_lo, p_hi, surv, i
     raise AssertionError("the oracle did not close")
+
+
+class TestBallBonds:
+    """A curve reads the conductances of its ball's bonds alone, numbered from the strides."""
+
+    @pytest.mark.parametrize("d, N", [(2, 5), (3, 3), (5, 2)])
+    def test_stride_bond_ids_are_the_tables(self, d, N):
+        geom, n = BoxGeometry(d, N), N - 1
+        assert np.array_equal(geom.bond_ids(np.arange(geom.n_sites)), geom.bond_id_table)
+        for radius in range(d * n + 1):
+            sites = geom.l1_ball_indices(n, radius)
+            assert np.array_equal(geom.bond_ids(sites), geom.bond_id_table[sites]), radius
+            # the pattern's places, read through its ranges, are the ids of each site's bonds in incidence order
+            pattern = heatkernel._ball_pattern(geom, n, radius)
+            ranges = pattern.bond_ranges
+            assert np.all(ranges[:, 0] < ranges[:, 1]) and np.all(ranges[1:, 0] >= ranges[:-1, 1])
+            ids = np.concatenate([np.arange(a, b) for a, b in ranges])
+            l1 = np.abs(geom.site_coords(sites)).sum(axis=1)
+            for parity in (0, 1):
+                on = sites[l1 % 2 == parity]
+                lower = [(on - geom.strides[i], on)[side] for i in range(d) for side in (0, 1)]
+                want = np.array([geom.bond_id_table[x, i // 2] for i, x in enumerate(lower)])
+                assert np.array_equal(ids[pattern.site_bonds[parity]], want), (radius, parity)
+            touched = np.unique(np.concatenate([geom.bond_id_table[sites].ravel()] + [
+                geom.bond_id_table[sites - geom.strides[i], i] for i in range(d)]))
+            assert np.isin(touched, ids).all()
+
+    def test_a_curve_leaves_the_environment_as_drawn(self, tmp_path):
+        # the range reads of a curve draw no table, and change neither == nor
+        # the saved bytes; a curve on the drawn table slices it to the same bits
+        geom, t = BoxGeometry(2, 12), default_time_grid(1.0, 30.0, 6)
+        ran, fresh = sample_environment(geom, 0.75, 99), sample_environment(geom, 0.75, 99)
+        lazy = return_prob_curve_exact(ran, t, box_radius=11, patterns={})
+        assert "omega" not in ran.__dict__ and lazy.bonds > 0
+        assert ran == fresh
+        save_environment(ran, tmp_path / "ran.rcmenv")
+        save_environment(fresh, tmp_path / "fresh.rcmenv")
+        assert (tmp_path / "ran.rcmenv").read_bytes() == (tmp_path / "fresh.rcmenv").read_bytes()
+        sliced = return_prob_curve_exact(ran, t, box_radius=11, patterns={})
+        for name in ("p_lo", "p_hi", "survival", "steps", "bonds"):
+            assert np.array_equal(getattr(sliced, name), getattr(lazy, name)), name
 
 
 class TestMonteCarloKernel:
@@ -954,8 +1005,11 @@ class TestGridHelpers:
             return_prob_mc(small_env, bad, 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("t_min, t_max, per_decade", [(1.0, math.inf, 12), (1.0, 10.0, 1), (1.0, 10.0, 0),
-                                                          (1.0, 10.0, -3), (math.nan, 10.0, 12)])
+                                                          (1.0, 10.0, -3), (math.nan, 10.0, 12),
+                                                          (1.0, 10.0, math.nan), (1.0, 10.0, math.inf),
+                                                          (1.0, 10.0, 2.5)])
     def test_time_grid_rule_rejects_bad_input(self, t_min, t_max, per_decade):
+        # a nan once raised a bare ValueError, inf an OverflowError, and 2.5 made a grid
         with pytest.raises(ValidationError):
             default_time_grid(t_min, t_max, per_decade)
 

@@ -176,6 +176,14 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_environment(BoxGeometry(2, 2), 0.0, 1)
 
+    def test_infinite_gamma_is_the_all_ones_table(self):
+        # U**0 = 1 for every draw, so the law's limit needs no stream; the seed is still checked
+        geom = BoxGeometry(2, 3)
+        env = sample_environment(geom, math.inf, 5)
+        assert env == Environment(geom, math.inf, 5, omega=np.ones(geom.n_bonds))
+        with pytest.raises(ValidationError, match="64 bits"):
+            sample_environment(geom, math.inf, -1)
+
     def test_seed_derivation(self):
         s1 = derive_environment_seeds(42, 5)
         s2 = derive_environment_seeds(42, 5)
@@ -210,6 +218,52 @@ class TestSampling:
         assert type(env.seed) is int and env == sample_environment(BoxGeometry(2, 2), 2.0, int(seeds[0]))
 
 
+@st.composite
+def _sampled_ranges(draw):
+    """A small sampled environment and ascending bond ranges of it, some empty."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    geom = BoxGeometry(d, draw(st.integers(1, {2: 6, 3: 3, 5: 1}[d])))
+    env = sample_environment(geom, draw(st.sampled_from([0.3, 0.75, 1.0, 2.0, 7.5])), draw(st.integers(0, 2**64 - 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, geom.n_bonds), max_size=12)))
+    return env, list(zip(cuts[0::2], cuts[1::2]))
+
+
+class TestConductanceReads:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_sampled_ranges(), table_first=st.booleans())
+    def test_ranges_are_slices_of_the_table(self, case, table_first):
+        env, ranges = case
+        n = env.geometry.n_bonds
+        if table_first:
+            env.omega
+        read = env.conductances(ranges)
+        assert ("omega" in env.__dict__) == table_first  # a range read draws no table
+        law = (1.0 - np.random.default_rng(env.seed).random(n)) ** (1.0 / env.gamma)
+        assert env.omega.tobytes() == law.tobytes()
+        sliced = np.concatenate([env.omega[a:b] for a, b in ranges] + [np.empty(0)])
+        assert read.tobytes() == sliced.tobytes()
+        assert env.conductances(ranges).tobytes() == sliced.tobytes()
+        first_and_last = env.conductances([(0, 1), (n - 1, n)])
+        assert first_and_last.tobytes() == env.omega[[0, -1]].tobytes()
+
+    def test_first_and_last_bond_before_the_table(self):
+        env = sample_environment(BoxGeometry(3, 2), 0.3, 2**64 - 1)
+        n = env.geometry.n_bonds
+        ends = env.conductances([(0, 1), (5, 5), (n - 1, n)])
+        assert "omega" not in env.__dict__
+        assert ends.tobytes() == env.omega[[0, -1]].tobytes()
+
+    @pytest.mark.parametrize(
+        "ranges, match",
+        [([(3, 2)], "ascend"), ([(0, 4), (3, 6)], "ascend"), ([(-1, 2)], "ascend"), ([(0, 3), (5, 10**6)], "ascend"),
+         ([(0.5, 3)], "integers"), ([(1, 2, 3)], "pairs"), ([1, 2], "pairs")],
+    )
+    def test_ranges_that_do_not_ascend_in_the_box_rejected(self, ranges, match):
+        for env in (sample_environment(BoxGeometry(2, 3), 2.0, 1), homogeneous_environment(2, 3)):
+            with pytest.raises(ValidationError, match=match):
+                env.conductances(ranges)
+
+
 class TestEnvironmentValidation:
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 0.0, 1.5, math.inf])
     def test_bad_conductance(self, bad):
@@ -227,6 +281,16 @@ class TestEnvironmentValidation:
 
     def test_infinite_gamma_accepted(self):
         assert homogeneous_environment(2, 2).gamma == math.inf
+
+    @pytest.mark.parametrize(
+        "gamma, seed, match",
+        [(math.inf, 1, "finite"), (math.nan, 1, "gamma"), (0.0, 1, "gamma"), (2.0, -1, "64 bits"),
+         (2.0, 2**64, "64 bits"), (2.0, 2.5, "integer"), (2.0, "3", "integer")],
+    )
+    def test_sampled_environment_refuses_a_bad_law_or_seed(self, gamma, seed, match):
+        # with no table, (gamma, seed) is the environment: an infinite gamma has no stream to draw
+        with pytest.raises(ValidationError, match=match):
+            Environment(BoxGeometry(2, 2), gamma, seed)
 
     @pytest.mark.parametrize("field", ["omega", "gamma"])
     def test_nan_file_with_valid_crc(self, tmp_path, field):
