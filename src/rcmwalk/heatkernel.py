@@ -393,11 +393,14 @@ def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPatte
     if not 0 <= n <= geom.N - 1:
         raise ValidationError(f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
     d, strides = geom.d, geom.strides
+    a = min(n, radius)
+    width = 2 * a + 2  # heads on each axis, from -a - 1
+    line_strides = width ** np.arange(d - 2, -1, -1)
     sites = geom.l1_ball_indices(n, radius)
     coords = geom.site_coords(sites)
     l1 = np.abs(coords).sum(axis=1)
-    a = min(n, radius)
-    width = 2 * a + 2  # heads on each axis, from -a - 1
+    line, last = (coords[:, :-1] + a + 1) @ line_strides, d * coords[:, -1]  # each site's line, and d x_d
+    del coords
     heads = np.indices((width,) * (d - 1)).reshape(d - 1, -1).T - (a + 1)
     head_l1 = np.abs(heads).sum(axis=1)
     reach = np.where((heads >= -a).all(axis=1) & (head_l1 <= radius), np.minimum(radius - head_l1, a), -1)
@@ -412,28 +415,26 @@ def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPatte
     full = np.flatnonzero(count)
     start = geom.bond_ids((heads[full] + geom.N) @ strides[:-1] + (lo[full] + geom.N))[:, 0]
     bond_ranges = np.column_stack((start, start + count[full]))
-    line_strides = width ** np.arange(d - 2, -1, -1)
-    line = (coords[:, :-1] + a + 1) @ line_strides
-    base = first[line] + d * coords[:, -1]  # the position of each site's first bond
-    neigh = np.empty((2 * d, len(sites)), dtype=np.int64)
-    bonds = np.empty((2 * d, len(sites)), dtype=np.int32)
-    for i in range(d):  # the incidence order -e_1, +e_1, -e_2, ...
-        neigh[2 * i], neigh[2 * i + 1] = sites - strides[i], sites + strides[i]
-        below = base - d if i == d - 1 else first[line - line_strides[i]] + d * coords[:, -1]
-        bonds[2 * i], bonds[2 * i + 1] = below + i, base + i
     sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
     rank = np.full(geom.n_sites, -1, dtype=np.int32)  # position among the ball's sites of its parity
     for rows in sides:
         rank[sites[rows]] = np.arange(len(rows))
     ascending = np.r_[0 : 2 * d : 2, 2 * d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
-    neigh, entry_bonds = neigh[ascending], bonds[ascending]  # by ascending neighbor index
     parts = []
-    for rows in sides:
-        cols = rank[neigh[:, rows].T]  # a neighbor's parity is the other one
+    for rows in sides:  # one parity, and one direction, at a time: no (2d, sites) index array of the ball
+        on, on_line, on_last = sites[rows], line[rows], last[rows]
+        base = first[on_line] + on_last  # the position of each site's first bond
+        bonds = np.empty((2 * d, len(rows)), dtype=np.int32)
+        for i in range(d):  # the incidence order -e_1, +e_1, -e_2, ...
+            below = base - d if i == d - 1 else first[on_line - line_strides[i]] + on_last
+            bonds[2 * i], bonds[2 * i + 1] = below + i, base + i
+        cols = np.empty((len(rows), 2 * d), dtype=np.int32)  # a neighbor's parity is the other one
+        for k, c in enumerate(ascending):  # by ascending neighbor index
+            cols[:, k] = rank[on + geom.steps[c]]
         inside = cols >= 0
         indptr = np.zeros(len(rows) + 1, dtype=np.int32)
         np.cumsum(inside.sum(axis=1), out=indptr[1:])
-        side = (bonds[:, rows], indptr, cols[inside], entry_bonds[:, rows].T[inside])
+        side = (bonds, indptr, cols[inside], bonds[ascending].T[inside])
         for array in side:
             array.flags.writeable = False
         parts.append(side + (np.searchsorted(l1[rows], np.arange(radius + 1), side="right"),))

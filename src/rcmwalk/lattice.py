@@ -58,6 +58,14 @@ def _seed64(value, what: str = "seed") -> int:
     return seed
 
 
+def _integral_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing an array whose dtype is not an integer one (2.5, "3", True)."""
+    a = np.asarray(values)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValidationError(f"{what} must be integers, got {a.dtype} {values!r}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class BoxGeometry:
     """Geometry of the box ``B_N = [-N, N]^d`` with canonical indexing.
@@ -103,7 +111,7 @@ class BoxGeometry:
 
     def site_index(self, coords) -> np.ndarray | int:
         """Flat index of one site or an (m, d) array of sites."""
-        c = np.asarray(coords, dtype=np.int64)
+        c = _integral_array(coords, "site coordinates")
         if np.any(np.abs(c) > self.N):
             raise ValidationError("site outside the box")
         shifted = c + self.N
@@ -112,7 +120,7 @@ class BoxGeometry:
 
     def site_coords(self, index) -> np.ndarray:
         """Coordinates in [-N, N]^d for flat indices (scalar or array)."""
-        idx = np.asarray(index, dtype=np.int64)
+        idx = _integral_array(index, "site index")
         if np.any(idx < 0) or np.any(idx >= self.n_sites):
             raise ValidationError("site index out of range")
         out = np.empty(idx.shape + (self.d,), dtype=np.int64)
@@ -122,14 +130,30 @@ class BoxGeometry:
         return out - self.N
 
     @cached_property
+    def steps(self) -> np.ndarray:
+        """(2d,) move of the canonical index toward each neighbor in incidence order (-e_1, +e_1, -e_2, ...).
+
+        Across a bond that carries conductance, the neighbor of ``x`` in direction ``c`` is ``x + steps[c]``.
+        """
+        return np.stack((-self.strides, self.strides), axis=1).ravel()
+
+    @property
+    def below_top(self) -> np.ndarray:
+        """(n_sites, d) mask ``x_i < N`` of the (site, axis) pairs with a bond ``(x, x + e_i)``, true in bond order."""
+        mask = np.ones((self.side,) * self.d + (self.d,), dtype=bool)
+        for i in range(self.d):
+            np.moveaxis(mask, i, 0)[-1, ..., i] = False
+        return mask.reshape(self.n_sites, self.d)
+
+    @cached_property
     def all_coords(self) -> np.ndarray:
-        """(n_sites, d) coordinates of every site in index order."""
+        """(n_sites, d) coordinates of every site in index order; the package reads ``site_coords`` instead."""
         grids = np.indices((self.side,) * self.d).reshape(self.d, -1).T
         return grids.astype(np.int64) - self.N
 
     @cached_property
     def linf_norm(self) -> np.ndarray:
-        """(n_sites,) sup-norm of each site."""
+        """(n_sites,) sup-norm of each site: the kill test of ``ensemble_walk`` and the CLT bound read it."""
         return np.max(np.abs(self.all_coords), axis=1)
 
     @cached_property
@@ -144,6 +168,8 @@ class BoxGeometry:
         canonical incidence order used when summing conductances around a
         site.  Canonical order is C order, so column ``-e_i`` is the index
         grid shifted one slice along axis ``i``, and ``+e_i`` one slice back.
+        The package's own readers step by :attr:`steps` instead; the table is
+        kept for the benchmark's tracer and for tests.
         """
         grid = (self.side,) * self.d
         table = np.full(grid + (2 * self.d,), -1, dtype=np.int64)
@@ -155,7 +181,7 @@ class BoxGeometry:
     @cached_property
     def _bond_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bond_u, bond_axis, bond_v) in canonical bond order: C order over the (site, axis) pairs with ``x_i < N``."""
-        site, axis = np.divmod(np.flatnonzero(self.all_coords < self.N), self.d)
+        site, axis = np.divmod(np.flatnonzero(self.below_top), self.d)
         return site, axis, site + self.strides[axis]
 
     @property
@@ -174,7 +200,7 @@ class BoxGeometry:
     def bond_id_table(self) -> np.ndarray:
         """(n_sites, d) bond index of (site, +e_i), -1 where absent."""
         ids = np.full((self.n_sites, self.d), -1, dtype=np.int64)
-        ids[self.all_coords < self.N] = np.arange(self.n_bonds, dtype=np.int64)
+        ids[self.below_top] = np.arange(self.n_bonds, dtype=np.int64)
         return ids
 
     def bond_ids(self, sites) -> np.ndarray:
@@ -338,7 +364,7 @@ class Environment:
         axis = int(np.where(geom.strides == diff)[0][0]) if diff in geom.strides else -1
         if axis < 0:
             raise ValidationError(f"sites {x} and {y} are not nearest neighbors")
-        bond = geom.bond_id_table[lo, axis]
+        bond = geom.bond_ids([lo])[0, axis]
         if bond < 0:
             raise ValidationError(f"no bond between {x} and {y}")
         return float(self.omega[bond])
@@ -347,13 +373,15 @@ class Environment:
     def omega_by_direction(self) -> np.ndarray:
         """(n_sites, 2d) conductance toward each neighbor, 0 where none.
 
-        Column order matches :attr:`BoxGeometry.neighbor_table`.  The ``+e_i``
-        columns take ``omega`` in bond order, C order over (site, axis) where
-        ``x_i < N``; column ``-e_i`` is column ``+e_i`` shifted one slice along axis ``i``.
+        Columns come in incidence order, that of :attr:`BoxGeometry.steps`:
+        the neighbor across a positive entry in column ``c`` is ``x + steps[c]``.
+        The ``+e_i`` columns take ``omega`` in bond order, C order over (site,
+        axis) where ``x_i < N``; column ``-e_i`` is column ``+e_i`` shifted one
+        slice along axis ``i``.
         """
         geom = self.geometry
         out = np.zeros((geom.side,) * geom.d + (2 * geom.d,), dtype=np.float64)
-        out.reshape(geom.n_sites, 2 * geom.d)[:, 1::2][geom.all_coords < geom.N] = self.omega
+        out.reshape(geom.n_sites, 2 * geom.d)[:, 1::2][geom.below_top] = self.omega
         for i in range(geom.d):
             o = np.moveaxis(out, i, 0)
             o[1:, ..., 2 * i] = o[:-1, ..., 2 * i + 1]

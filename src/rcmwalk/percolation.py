@@ -91,7 +91,8 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     """Solve ``(diag(pi) - W) H = B`` on every hole in one pass.
 
     ``W`` holds the bonds inside a hole, ``B`` those toward its boundary sites, both read off the hole
-    sites' table rows (holes are never adjacent, so a bonded neighbor off the cluster is in the same hole).
+    sites' rows of ``omega_by_direction``, each bond's far end one of the geometry's ``steps`` away (holes
+    are never adjacent, so a bonded neighbor off the cluster is in the same hole).
     One sort of the sites by (boundary width, hole, site) makes the holes of a width ``nb``, and their
     bonds, one slice: a block-diagonal system with exactly ``nb`` right-hand sides.  ``diag(pi) - W`` on
     a connected hole with rim conductance is irreducibly diagonally dominant, hence positive definite.
@@ -113,8 +114,8 @@ def _hole_pass(decomp: ClusterDecomposition) -> csr_matrix:
     label = decomp.labels[sites]
     at = np.empty(n, dtype=np.int64)  # each hole site's row
     at[sites] = np.arange(len(sites))
-    bond_row, c = np.nonzero(env.omega_by_direction[sites] > 0)  # absent neighbors (-1) carry no conductance
-    far, bond_w = env.geometry.neighbor_table[sites[bond_row], c], env.omega_by_direction[sites[bond_row], c]
+    bond_row, c = np.nonzero(env.omega_by_direction[sites] > 0)  # absent neighbors carry no conductance
+    far, bond_w = sites[bond_row] + env.geometry.steps[c], env.omega_by_direction[sites[bond_row], c]
     inner = ~decomp.in_cluster[far]
     row, col, w = bond_row[inner], at[far[inner]], bond_w[inner]
     rim_row, rim_w, rim_hole = bond_row[~inner], bond_w[~inner], label[bond_row[~inner]]
@@ -177,8 +178,9 @@ def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
     grouped into grid-connected holes with their outer boundaries and
     anchors.  Raises :class:`EmptyClusterError` when no bond is strong.
     Bonds are read off the ``+e_i`` columns of ``omega_by_direction``, whose
-    C order over (site, axis) is the bond order; each hole's sites and
-    boundary are slices of two flat arrays sorted by hole.
+    C order over (site, axis) is the bond order, and their far ends one
+    stride up; each hole's sites and boundary are slices of two flat arrays
+    sorted by hole.
     """
     if not 0 < xi < 1:
         raise ValidationError(f"threshold must lie in (0, 1), got {xi}")
@@ -202,8 +204,12 @@ def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
     if complement.any():
         # grid-connect the complement with every lattice bond between two
         # complement sites, then number the components by smallest member site
-        far = geom.neighbor_table[:, 1::2]
-        near_off, far_off = complement[:, None] & (plus > 0), complement[far] & (plus > 0)
+        # x + e_i off the cluster: the complement's grid shifted one slice back along axis i
+        grid = (geom.side,) * geom.d
+        far_off = np.zeros(grid + (geom.d,), dtype=bool)
+        for i in range(geom.d):
+            np.moveaxis(far_off[..., i], i, 0)[:-1] = np.moveaxis(complement.reshape(grid), i, 0)[1:]
+        near_off, far_off = complement[:, None] & (plus > 0), far_off.reshape(n, geom.d) & (plus > 0)
         hole_comp = _components(n, *np.nonzero(near_off & far_off), geom.strides)
 
         comp_sites = np.flatnonzero(complement)  # ascending
@@ -214,7 +220,7 @@ def strong_cluster(env: Environment, xi: float) -> ClusterDecomposition:
 
         # outer boundaries: the cluster ends of the bonds between a hole and the cluster, sorted by (hole, site)
         u, axis = np.nonzero(near_off != far_off)
-        v = far[u, axis]
+        v = u + geom.strides[axis]
         hole_end = np.where(complement[u], u, v)
         keys = np.sort(labels[hole_end] * n + (u + v - hole_end))
         # the distinct keys, as np.unique gives them, at a fraction of the time of its hash path
@@ -262,7 +268,7 @@ def hole_volume_report(decomp: ClusterDecomposition) -> HoleVolumeReport:
     # smallest sub-box radius each hole intersects
     sites = np.flatnonzero(~decomp.in_cluster)
     reach = np.full(len(volumes), geom.N, dtype=np.int64)
-    np.minimum.at(reach, decomp.labels[sites], geom.linf_norm[sites])
+    np.minimum.at(reach, decomp.labels[sites], np.abs(geom.site_coords(sites)).max(axis=1))
     # largest volume reaching each radius, then the running max over radii
     largest = np.zeros(geom.N + 1, dtype=np.int64)
     np.maximum.at(largest, reach, volumes)
@@ -293,13 +299,12 @@ def write_decomposition_csv(decomp: ClusterDecomposition, path) -> None:
     encode.
     """
     geom = decomp.env.geometry
-    coords = geom.all_coords
     row = b",".join([b"%d"] * (geom.d + 2)) + b"\r\n"
     with open(path, "wb") as fh:
         fh.write(",".join(["site_index"] + [f"x_{i + 1}" for i in range(geom.d)] + ["label"]).encode() + b"\r\n")
         for start in range(0, geom.n_sites, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, geom.n_sites)
             block = np.column_stack(
-                [np.arange(start, stop), coords[start:stop], decomp.labels[start:stop]]
+                [np.arange(start, stop), geom.site_coords(np.arange(start, stop)), decomp.labels[start:stop]]
             )
             fh.write(row * (stop - start) % tuple(block.ravel().tolist()))

@@ -52,7 +52,7 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
     if total <= 0:
         raise ValidationError(f"site {x} is isolated (pi = 0)")
     keep = w > 0
-    return geom.neighbor_table[x][keep], w[keep] / total
+    return x + geom.steps[keep], w[keep] / total
 
 
 def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> None:
@@ -124,13 +124,16 @@ def box_stencil(env: Environment, box_radius: int) -> BoxStencil:
     if not 0 <= n <= geom.N - 1:
         raise ValidationError(f"a box stencil needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
     w = np.ascontiguousarray(geom.sub_box_rows(env.omega_by_direction, n).T)
-    bonds = (geom.linf_norm[geom.sub_box_rows(geom.neighbor_table, n).T] <= n) & (w > 0)
+    bonds = w > 0
+    grid = bonds.reshape((2 * geom.d,) + (2 * n + 1,) * geom.d)
+    for i in range(geom.d):  # on B_n's own grid, -e_i leaves it at x_i = -n and +e_i at x_i = n
+        np.moveaxis(grid[2 * i], i, 0)[0] = False
+        np.moveaxis(grid[2 * i + 1], i, 0)[-1] = False
     pi = geom.sub_box_rows(env.pi_all, n)
     rim = np.zeros(len(pi))
     for row, inside in zip(w, bonds):  # in incidence order, the order pi sums in
         rim += np.where(inside, 0.0, row)
-    strides = (2 * n + 1) ** np.arange(geom.d - 1, -1, -1, dtype=np.int64)
-    return BoxStencil(w=w, bonds=bonds, pi=pi, exit=rim / pi, steps=np.stack((-strides, strides), axis=1).ravel())
+    return BoxStencil(w=w, bonds=bonds, pi=pi, exit=rim / pi, steps=BoxGeometry(geom.d, n).steps)
 
 
 def _on_diagonals(values: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]) -> dia_matrix:
@@ -212,6 +215,8 @@ class EffectiveConductances:
     values: np.ndarray
 
     def weight(self, y: int) -> float:
+        """The weight of site ``y``, 0 off the table; ``y`` must be an integer."""
+        y = _integral_radius(y, "site")
         k = int(np.searchsorted(self.sites, y))
         if k < len(self.sites) and self.sites[k] == y:
             return float(self.values[k])
@@ -233,9 +238,10 @@ def effective_conductances(env: Environment, decomp: ClusterDecomposition, x: in
     H = decomp.hitting
     labels = decomp.labels
     acc: dict[int, float] = {}
-    for y, w in zip(env.geometry.neighbor_table[x].tolist(), env.omega_by_direction[x].tolist()):
-        if w <= 0:
+    for step, w in zip(env.geometry.steps.tolist(), env.omega_by_direction[x].tolist()):
+        if w <= 0:  # no bond
             continue
+        y = x + step
         if labels[y] == STRONG_LABEL:
             acc[y] = acc.get(y, 0.0) + w
         else:
@@ -263,7 +269,7 @@ def effective_conductance_matrix(env: Environment, decomp: ClusterDecomposition)
     w_dir = env.omega_by_direction
     slot_x, slot_c = np.nonzero(w_dir[xs] > 0)  # bonds by site, then in incidence order
     x = xs[slot_x]
-    y = env.geometry.neighbor_table[x, slot_c]
+    y = x + env.geometry.steps[slot_c]
     count = np.diff(fold.indptr)[y]
     slot = np.repeat(np.arange(len(y)), count)
     entry = np.arange(len(slot)) + np.repeat(fold.indptr[y] - (np.cumsum(count) - count), count)
@@ -289,9 +295,9 @@ class EnsembleResult:
     site_at: np.ndarray | None = None  # (n_paths, len(real_grid)), -1 after death
 
 
-def _walk_tables(env: Environment) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative jump table and neighbor table, cached on the environment."""
-    cached = env.__dict__.get("_walk_tables")
+def _jump_table(env: Environment) -> np.ndarray:
+    """Cumulative jump law over the incidence order (direction ``c`` moves by ``steps[c]``), cached on the environment."""
+    cached = env.__dict__.get("_jump_table")
     if cached is not None:
         return cached
     w = env.omega_by_direction
@@ -300,9 +306,8 @@ def _walk_tables(env: Environment) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("environment contains an isolated site")
     cum = np.cumsum(w, axis=1) / pi[:, None]
     cum[:, -1] = 1.0  # guard against roundoff at the top of the table
-    tables = (cum, env.geometry.neighbor_table)
-    env.__dict__["_walk_tables"] = tables
-    return tables
+    env.__dict__["_jump_table"] = cum
+    return cum
 
 
 def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
@@ -352,7 +357,7 @@ def ensemble_walk(
     if rg is not None and (rg.ndim != 1 or not np.all((rg > 0) & (rg <= horizon))):  # NaN fails both
         raise ValidationError(f"real grid must be 1-D with every point in (0, {horizon!r}]")
 
-    cum, neigh = _walk_tables(env)
+    cum, steps = _jump_table(env), geom.steps
     linf = geom.linf_norm
 
     state = np.full(n_paths, x0, dtype=np.int64)
@@ -391,7 +396,7 @@ def ensemble_walk(
 
         u = rng.random(len(go))
         k = (u[:, None] > cum[state[go]]).sum(axis=1)
-        dest = neigh[state[go], k]
+        dest = state[go] + steps[k]
         n_jumps[go] += 1
         if kill is not None:
             out = linf[dest] > kill
@@ -422,7 +427,7 @@ def next_point_frequencies(
     """
     _cluster_site(env, decomp, x)
     n_paths = _path_count(n_paths)
-    cum, neigh = _walk_tables(env)
+    cum, steps = _jump_table(env), env.geometry.steps
     in_cluster = decomp.in_cluster
 
     state = np.full(n_paths, x)
@@ -431,7 +436,7 @@ def next_point_frequencies(
         idx = np.flatnonzero(pending)
         u = rng.random(len(idx))
         k = (u[:, None] > cum[state[idx]]).sum(axis=1)
-        state[idx] = neigh[state[idx], k]
+        state[idx] += steps[k]
         pending[idx] = ~in_cluster[state[idx]]
     sites, counts = np.unique(state, return_counts=True)
     return sites, counts

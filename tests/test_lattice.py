@@ -77,6 +77,26 @@ class TestBoxGeometry:
         with pytest.raises(ValidationError, match=f"{match} must be an integer"):
             BoxGeometry(d, N)
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, "3", True, [0, 1.5], np.array([3.0])])
+    def test_site_coords_refuses_non_integral_indices(self, index):
+        # site_coords(2.5) once gave the coordinates of site 2
+        with pytest.raises(ValidationError, match="site index must be integers"):
+            BoxGeometry(2, 3).site_coords(index)
+
+    @pytest.mark.parametrize("coords", [(0.5, -0.9), (1, 2.0), ("0", "1"), (True, False), np.zeros((2, 2))])
+    def test_site_index_refuses_non_integral_coordinates(self, coords):
+        # site_index((0.5, -0.9)) once gave 24, the origin's index
+        with pytest.raises(ValidationError, match="site coordinates must be integers"):
+            BoxGeometry(2, 3).site_index(coords)
+
+    def test_integral_numpy_sites_accepted(self):
+        g = BoxGeometry(2, 3)
+        for dtype in (np.int8, np.int32, np.uint16, np.int64):
+            idx = np.arange(g.n_sites, dtype=dtype) if np.iinfo(dtype).max >= g.n_sites else np.arange(40, dtype=dtype)
+            assert np.array_equal(g.site_index(g.site_coords(idx)), idx)
+        assert g.site_index(np.array([0, 0], dtype=np.int8)) == g.origin
+        assert np.array_equal(g.site_coords(np.int32(g.origin)), [0, 0])
+
     def test_numpy_integers_accepted(self):
         g = BoxGeometry(np.int64(2), np.int32(3))
         assert g == BoxGeometry(2, 3)

@@ -577,6 +577,19 @@ class TestEffectiveConductances:
         with pytest.raises(ValidationError, match="site must be an integer"):
             effective_conductances(small_env, holey_decomp, x + 0.5)
 
+    @pytest.mark.parametrize("y", [5.5, "3", None])
+    def test_weight_refuses_a_non_integral_site(self, small_env, holey_decomp, y):
+        # weight(5.5) and weight("3") once read 0.0
+        ec = effective_conductances(small_env, holey_decomp, int(holey_decomp.holes[0].anchor))
+        with pytest.raises(ValidationError, match="site must be an integer"):
+            ec.weight(y)
+
+    def test_weight_reads_integral_sites(self, small_env, holey_decomp):
+        ec = effective_conductances(small_env, holey_decomp, int(holey_decomp.holes[0].anchor))
+        for y, w in zip(ec.sites, ec.values):
+            assert ec.weight(int(y)) == ec.weight(np.int32(y)) == ec.weight(y) == w
+        assert ec.weight(-1) == ec.weight(small_env.geometry.n_sites) == 0.0
+
     def test_other_environment_rejected(self, small_env, holey_decomp):
         # the hitting law belongs to the decomposition's own environment: a
         # table read through another one would mix the two
@@ -652,7 +665,7 @@ class TestHolePass:
         env = Environment(geometry=geom, gamma=math.inf, seed=0, omega=omega)
         dec = strong_cluster(env, 0.5)
         assert [h.volume for h in dec.holes] == [1600] and len(dec.holes[0].boundary) == 160
-        env.pi_all, env.geometry.neighbor_table  # built before tracing: they are the environment's, not the pass's
+        env.pi_all  # built before tracing: it is the environment's, not the pass's
         tracemalloc.start()
         try:
             H = dec.hitting
