@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalError, RcmError, ValidationError
 from .experiments import (
+    ExperimentConfig,
     load_config,
     run_bound_suite,
     run_exponent,
@@ -31,7 +32,6 @@ from .heatkernel import default_time_grid, return_prob_curve_exact, return_prob_
 from .lattice import (
     BoxGeometry,
     derive_environment_seeds,
-    homogeneous_environment,
     load_environment,
     sample_environment,
     save_environment,
@@ -54,21 +54,20 @@ def _worker_count(text: str) -> int:
 
 
 def _common_flags(parser: argparse.ArgumentParser, config: bool = False) -> None:
-    """``--seed`` and ``--out``; ``config`` adds the config-driven ``--config`` and ``--threads``."""
+    """``--seed`` and ``--out``; ``config`` adds the config-driven ``--config`` (required) and ``--threads``."""
     if config:
-        parser.add_argument("--config", type=str, default=None, help="experiment config file")
+        parser.add_argument("--config", type=str, required=True, help="experiment config file")
         parser.add_argument("--threads", type=_worker_count, default=1, help="worker processes for ensembles")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
 def _env_flags(parser: argparse.ArgumentParser) -> None:
-    """``--env FILE``, or ``--d`` and ``--N`` with ``--gamma`` (sampled) or ``--homog`` (all ones)."""
+    """``--env FILE``, or ``--d`` and ``--N`` with ``--gamma`` (``inf`` for all-ones conductances)."""
     parser.add_argument("--env", type=str, default=None)
     parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--N", type=int, default=None, help="operator box radius")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--homog", action="store_true")
+    parser.add_argument("--gamma", type=float, default=None, help="tail exponent; inf for all-ones conductances")
 
 
 def _out_dir(args, default: str = "out") -> Path:
@@ -81,39 +80,26 @@ def _load_env_arg(args):
     """The environment named by ``_env_flags``; ``--N`` is the operator box, one layer inside it."""
     if args.env:
         return load_environment(args.env)
-    if args.homog:
-        if args.d is None or args.N is None:
-            raise ValidationError("--homog needs --d and --N")
-        return homogeneous_environment(args.d, args.N + 1)
     if args.d is not None and args.N is not None:
         if args.gamma is None:
-            raise ValidationError("sampling an environment needs --gamma (or use --homog)")
+            raise ValidationError("sampling an environment needs --gamma (inf for all-ones conductances)")
         seed = args.seed if args.seed is not None else 1
         return sample_environment(BoxGeometry(args.d, args.N + 1), args.gamma, seed)
-    raise ValidationError("provide --env FILE, or --homog/--gamma with --d and --N")
+    raise ValidationError("provide --env FILE, or --gamma with --d and --N")
 
 
 def _cmd_generate(args) -> int:
     start = time.monotonic()
-    if not args.homog and args.gamma is None:
-        raise ValidationError("generate needs --gamma or --homog")
     if args.count < 1:
         raise ValidationError(f"generate needs --count >= 1, got {args.count}")
     out = _out_dir(args)
     master = args.seed if args.seed is not None else 1
     names = []
-    if args.homog:
-        env = homogeneous_environment(args.d, args.N)
-        name = "env_homog.rcmenv"
+    for k, seed in enumerate(derive_environment_seeds(master, args.count)):
+        env = sample_environment(BoxGeometry(args.d, args.N), args.gamma, int(seed))
+        name = f"env_{k:04d}.rcmenv"
         save_environment(env, out / name)
         names.append(name)
-    else:
-        seeds = derive_environment_seeds(master, args.count)
-        for k, seed in enumerate(seeds):
-            env = sample_environment(BoxGeometry(args.d, args.N), args.gamma, int(seed))
-            name = f"env_{k:04d}.rcmenv"
-            save_environment(env, out / name)
-            names.append(name)
     write_manifest(
         out,
         "generate",
@@ -204,7 +190,7 @@ def _cmd_exact(args) -> int:
     else:
         grid = default_time_grid(args.t_min, args.t_max, args.points_per_decade)
     curve = return_prob_curve_exact(env, grid, tol=args.tol, box_radius=box)
-    write_curves_csv(out / "exact_curve.csv", [(curve.gamma, curve.seed, curve)])
+    write_curves_csv(out / "exact_curve.csv", [curve])
     write_manifest(
         out, "exact", None, ["exact_curve.csv"], time.monotonic() - start, extra={"lanczos_steps": str(curve.steps)}
     )
@@ -247,14 +233,18 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_exponent(args) -> int:
-    if args.config is None:
-        raise ValidationError("exponent needs --config")
+def _config_arg(args) -> ExperimentConfig:
+    """The ``--config`` file, with ``--seed`` overriding its master seed and ``--out`` its directory."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.out is not None:
         cfg.directory = args.out
+    return cfg
+
+
+def _cmd_exponent(args) -> int:
+    cfg = _config_arg(args)
     report = run_exponent(cfg, threads=args.threads, annealed=args.annealed)
     for agg in report.quenched:
         print(
@@ -268,13 +258,7 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.config is None:
-        raise ValidationError("bounds needs --config")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.out is not None:
-        cfg.directory = args.out
+    cfg = _config_arg(args)
     report = run_bound_suite(cfg, threads=args.threads)
     for name, rate in report.pass_rates.items():
         print(f"{name}: pass rate {rate:.3f}")
@@ -342,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_gen)
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--N", type=int, required=True, help="environment box radius")
-    p_gen.add_argument("--gamma", type=float, default=None)
-    p_gen.add_argument("--homog", action="store_true", help="all-ones conductances")
+    p_gen.add_argument("--gamma", type=float, required=True, help="tail exponent; inf for all-ones conductances")
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.set_defaults(func=_cmd_generate)
 

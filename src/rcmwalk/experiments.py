@@ -38,7 +38,7 @@ from .heatkernel import (
     return_prob_curve_exact,
     return_prob_mc,
 )
-from .lattice import _CONFIDENCE, BoxGeometry, derive_environment_seeds, homogeneous_environment, sample_environment
+from .lattice import _CONFIDENCE, BoxGeometry, derive_environment_seeds, sample_environment
 from .percolation import hole_volume_report, strong_cluster, threshold_for_density
 from .spectral import (
     exit_time_tail_check,
@@ -54,10 +54,8 @@ class ExperimentConfig:
 
     # [model]
     d: int = 2
-    gamma: float = 2.0
-    gamma_list: tuple[float, ...] = ()
+    gamma: float = 2.0  # inf is the all-ones environment
     p: float = 0.95
-    homogeneous: bool = False
     # [grid]
     t_min: float = 20.0
     t_max: float = 400.0
@@ -79,9 +77,6 @@ class ExperimentConfig:
     # [output]
     directory: str = "out"
 
-    def gammas(self) -> tuple[float, ...]:
-        return self.gamma_list if self.gamma_list else (self.gamma,)
-
     def window(self) -> tuple[float, float]:
         lo = self.window_t_min if self.window_t_min > 0 else max(self.t_min, 10.0)
         hi = self.window_t_max if self.window_t_max > 0 else self.t_max
@@ -93,9 +88,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 2:
             raise ValidationError("d must be >= 2")
-        for g in self.gammas():
-            if not g > 0:
-                raise ValidationError("gamma values must be positive")
+        if not self.gamma > 0:
+            raise ValidationError("gamma must be positive")
         if not 0 < self.p < 1:
             raise ValidationError("p must lie in (0, 1)")
         if not 0 < self.t_min < self.t_max:
@@ -128,7 +122,7 @@ class ExperimentConfig:
 
 
 _SCHEMA: dict[str, dict[str, str]] = {
-    "model": {"d": "int", "gamma": "float", "gamma_list": "floats", "p": "float", "homogeneous": "bool"},
+    "model": {"d": "int", "gamma": "float", "p": "float"},
     "grid": {
         "t_min": "float",
         "t_max": "float",
@@ -148,7 +142,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
 }
 
 _FIELD_SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
-# float knobs that must be finite; gamma may be +inf, the homogeneous limit
+# float knobs that must be finite; gamma may be +inf, the all-ones limit of the law
 _FINITE = tuple(k for keys in _SCHEMA.values() for k, kind in keys.items() if kind == "float" and k != "gamma")
 
 
@@ -158,19 +152,10 @@ def _cast(kind: str, raw: str):
         return int(raw)
     if kind == "float":
         return float(raw)
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValidationError(f"not a boolean: {raw!r}")
     if kind == "str":
         return raw
     if kind == "ints":
         return tuple(int(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
-    if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
     raise AssertionError(kind)
 
 
@@ -205,12 +190,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     for f in fields(cfg):
         section = _FIELD_SECTION[f.name]
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            rendered = ", ".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = str(value)
+        rendered = ", ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
         by_section[section].append(f"{f.name} = {rendered}")
     for section in _SCHEMA:
         lines.append(f"[{section}]")
@@ -231,11 +211,13 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """sha256 of the canonical config text, blind to what a run does not read.
+    """sha256 of the canonical config text, with ``directory`` and, unless ``method = mc``, ``n_paths`` left out.
 
     Where a run writes does not change what it computes, so one config and
-    seed hash the same in every output directory.  ``n_paths`` counts only
-    for ``method = mc``; under any other method it hashes as its default.
+    seed hash the same in every output directory; an exact run never reads
+    ``n_paths``, so it hashes as its default.  Every other key counts, also
+    one the run's command does not read (an exponent config's ``mu``, a
+    bounds config's ``t_min``).
     """
     blind = replace(cfg, directory="")
     if cfg.method != "mc":
@@ -348,13 +330,10 @@ def _slope_summary(gamma: float, slopes: np.ndarray) -> AggregateSlope:
     return AggregateSlope(gamma=gamma, slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
 
 
-def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int, patterns: dict) -> ReturnProbabilityCurve:
+def _curve_job(cfg: ExperimentConfig, seed: int, patterns: dict) -> ReturnProbabilityCurve:
     """One environment's curve; an exact one reads and fills the run's ball ``patterns``."""
     n_box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
-    if cfg.homogeneous:
-        env = homogeneous_environment(cfg.d, n_box + 1)
-    else:
-        env = sample_environment(BoxGeometry(cfg.d, n_box + 1), gamma, seed)
+    env = sample_environment(BoxGeometry(cfg.d, n_box + 1), cfg.gamma, seed)
     grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
     if cfg.method == "exact":
         return return_prob_curve_exact(env, grid, box_radius=n_box, patterns=patterns)
@@ -362,53 +341,54 @@ def _curve_job(cfg: ExperimentConfig, gamma: float, seed: int, patterns: dict) -
     return return_prob_mc(env, grid, cfg.n_paths, rng, box_radius=n_box)
 
 
-def _run_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
-    """One ensemble job; a package error is re-raised naming its gamma and seed."""
+def _run_job(fn, cfg: ExperimentConfig, seed: int):
+    """One ensemble job; a package error is re-raised naming the run's gamma and the job's seed."""
     try:
-        return fn(cfg, gamma, seed)
+        return fn(cfg, seed)
     except RcmError as exc:
-        raise type(exc)(f"gamma={gamma}, seed={seed}: {exc}") from exc
+        raise type(exc)(f"gamma={cfg.gamma}, seed={seed}: {exc}") from exc
 
 
-def _kept_job(fn, cfg: ExperimentConfig, gamma: float, seed: int):
+def _kept_job(fn, cfg: ExperimentConfig, seed: int):
     """``_run_job`` that returns the named package error in place of a result."""
     try:
-        return _run_job(fn, cfg, gamma, seed)
+        return _run_job(fn, cfg, seed)
     except RcmError as exc:
         return exc
 
 
-def _map_jobs(fn, cfg: ExperimentConfig, threads: int, keep_going: bool = False) -> list[tuple[float, int, object]]:
-    """``(gamma, seed, fn(cfg, gamma, seed))`` for every gamma and environment seed, in that order.
+def _map_jobs(fn, cfg: ExperimentConfig, threads: int, keep_going: bool = False) -> list[tuple[int, object]]:
+    """``(seed, fn(cfg, seed))`` for each of the run's environment seeds, in their order.
 
-    The first job that raises ``RcmError`` ends the map, unless ``keep_going``
-    asks for the error in place of that job's result.
+    Every job reads the one law ``cfg.gamma``.  The first job that raises
+    ``RcmError`` ends the map, unless ``keep_going`` asks for the error in
+    place of that job's result.
     """
     job = _kept_job if keep_going else _run_job
-    seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
-    jobs = [(float(gamma), int(seed)) for gamma in cfg.gammas() for seed in seeds]
-    gammas, seeds = zip(*jobs)
+    seeds = [int(seed) for seed in derive_environment_seeds(cfg.master_seed, cfg.n_environments)]
     if threads <= 1:
-        outcomes = list(map(job, repeat(fn), repeat(cfg), gammas, seeds))
+        outcomes = list(map(job, repeat(fn), repeat(cfg), seeds))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, repeat(fn), repeat(cfg), gammas, seeds))
-    return list(zip(gammas, seeds, outcomes))
+            outcomes = list(pool.map(job, repeat(fn), repeat(cfg), seeds))
+    return list(zip(seeds, outcomes))
 
 
 CURVE_HEADER = ["t", "p", "p_lo", "p_hi", "stderr", "method", "d", "N", "gamma", "seed"]
 
 
-def write_curves_csv(path: Path, labelled) -> None:
-    """One row per grid point of each ``(gamma, seed, curve)``; no bracket is an empty field."""
+def write_curves_csv(path: Path, curves) -> None:
+    """One row per grid point of each curve, labelled with the curve's ``gamma`` and ``seed``.
+
+    A curve with no bracket writes empty ``p_lo`` and ``p_hi`` fields.
+    """
     rows = []
-    for gamma, seed, curve in labelled:
+    for curve in curves:
         lo = [""] * len(curve.t) if curve.p_lo is None else curve.p_lo
         hi = [""] * len(curve.t) if curve.p_hi is None else curve.p_hi
+        label = [curve.method, curve.d, curve.N, curve.gamma, curve.seed]
         for j in range(len(curve.t)):
-            rows.append(
-                [curve.t[j], curve.p[j], lo[j], hi[j], curve.stderr[j], curve.method, curve.d, curve.N, gamma, seed]
-            )
+            rows.append([curve.t[j], curve.p[j], lo[j], hi[j], curve.stderr[j], *label])
     write_csv(path, CURVE_HEADER, rows)
 
 
@@ -425,12 +405,12 @@ def _fit_with_marker(gamma: float, seed: int, curve: ReturnProbabilityCurve, win
         return _failure(gamma, seed, f"failed: {exc}")
 
 
-def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[AggregateSlope, list]:
-    """Pointwise mean curve over one gamma's environments, its fit and its CSV rows."""
-    stack = np.vstack([curve.p for _, _, curve in group])
+def _annealed_fit(cfg: ExperimentConfig, curves, window) -> tuple[AggregateSlope, list]:
+    """Pointwise mean of the environments' curves, its fit and its CSV rows."""
+    stack = np.vstack([curve.p for curve in curves])
     mean_p = stack.mean(axis=0)
-    se_p = stack.std(axis=0, ddof=1) / math.sqrt(len(group)) if len(group) > 1 else np.zeros_like(mean_p)
-    template = group[0][2]
+    se_p = stack.std(axis=0, ddof=1) / math.sqrt(len(curves)) if len(curves) > 1 else np.zeros_like(mean_p)
+    template = curves[0]
     mean_curve = ReturnProbabilityCurve(
         t=template.t,
         p=mean_p,
@@ -438,19 +418,19 @@ def _annealed_fit(cfg: ExperimentConfig, gamma: float, group, window) -> tuple[A
         method=template.method,
         d=template.d,
         N=template.N,
-        gamma=gamma,
+        gamma=cfg.gamma,
         seed=cfg.master_seed,
     )
     fa = fit_exponent(mean_curve, window)
-    fit = AggregateSlope(gamma=gamma, slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(group))
+    fit = AggregateSlope(gamma=cfg.gamma, slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(curves))
     rows = [
-        [mean_curve.t[j], mean_p[j], se_p[j], mean_curve.method, cfg.d, mean_curve.N, gamma, len(group)]
+        [mean_curve.t[j], mean_p[j], se_p[j], mean_curve.method, cfg.d, mean_curve.N, cfg.gamma, len(curves)]
         for j in range(len(mean_curve.t))
     ]
     return fit, rows
 
 
-def _curve_counts(cfg: ExperimentConfig, box: int, results) -> dict[str, str] | None:
+def _curve_counts(cfg: ExperimentConfig, box: int, curves) -> dict[str, str] | None:
     """An exact run's manifest lines: its curves' work and how many of them hold on Z^d.
 
     ``lanczos_steps`` is the most folded steps of a curve; ``bonds_drawn``
@@ -461,7 +441,6 @@ def _curve_counts(cfg: ExperimentConfig, box: int, results) -> dict[str, str] | 
     """
     if cfg.method != "exact":
         return None
-    curves = [curve for _, _, curve in results]
     return {
         "lanczos_steps": str(max(c.steps for c in curves)),
         "bonds_drawn": str(sum(c.bonds for c in curves)),
@@ -471,15 +450,15 @@ def _curve_counts(cfg: ExperimentConfig, box: int, results) -> dict[str, str] | 
 
 
 def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False) -> ExperimentReport:
-    """Per-environment exponent fits summarized per gamma; optionally also annealed.
+    """Per-environment exponent fits and their summary; optionally also annealed.
 
     Environments whose curve raises ``RcmError`` or whose fit fails (a Monte
     Carlo curve can estimate zero at late times) are persisted in
     ``exponent_fits.csv`` with a failure marker and excluded from the
     summary and the annealed mean; the run errors out only when no
-    environment of a gamma survives.  The annealed run also averages the
-    curves across environments per gamma, fits once, and writes
-    ``annealed_curve.csv`` and ``annealed_report.csv``.
+    environment survives.  The annealed run also averages the curves across
+    environments, fits once, and writes ``annealed_curve.csv`` and
+    ``annealed_report.csv``.
     """
     cfg.validate()
     start = time.monotonic()
@@ -490,20 +469,20 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         raise ValidationError("n_environments must be >= 1 for exponent studies")
     # one ball pattern cache per call; a process pool pickles it, empty, into each task
     outcomes = _map_jobs(partial(_curve_job, patterns={}), cfg, threads, keep_going=True)
-    results = [(g, s, o) for g, s, o in outcomes if not isinstance(o, RcmError)]
+    curves = [o for _, o in outcomes if not isinstance(o, RcmError)]
     box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
 
     per_env = [
-        _failure(gamma, seed, f"failed: {o}") if isinstance(o, RcmError) else _fit_with_marker(gamma, seed, o, window)
-        for gamma, seed, o in outcomes
+        _failure(cfg.gamma, seed, f"failed: {o}")
+        if isinstance(o, RcmError)
+        else _fit_with_marker(cfg.gamma, seed, o, window)
+        for seed, o in outcomes
     ]
-    quenched = []
-    for g in cfg.gammas():
-        good = np.array([e.slope for e in per_env if e.gamma == g and e.status == "ok"])
-        if len(good) == 0:
-            lost = [o for gamma, _, o in outcomes if gamma == g and isinstance(o, RcmError)]
-            raise lost[0] if lost else ValidationError(f"every environment fit failed for gamma={g}")
-        quenched.append(_slope_summary(g, good))
+    good = np.array([e.slope for e in per_env if e.status == "ok"])
+    if len(good) == 0:
+        lost = [o for _, o in outcomes if isinstance(o, RcmError)]
+        raise lost[0] if lost else ValidationError(f"every environment fit failed for gamma={cfg.gamma}")
+    quenched = [_slope_summary(cfg.gamma, good)]
 
     def summary_rows(aggregates):
         return [
@@ -512,7 +491,7 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         ]
 
     summary_header = ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"]
-    write_curves_csv(out / "curves.csv", results)
+    write_curves_csv(out / "curves.csv", curves)
     write_csv(
         out / "exponent_fits.csv",
         ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
@@ -521,11 +500,8 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     files = ["curves.csv", "exponent_fits.csv"]
     annealed_fits: list[AggregateSlope] = []
     if annealed:
-        annealed_rows = []
-        for g in cfg.gammas():
-            fit, rows = _annealed_fit(cfg, g, [r for r in results if r[0] == g], window)
-            annealed_fits.append(fit)
-            annealed_rows.extend(rows)
+        fit, annealed_rows = _annealed_fit(cfg, curves, window)
+        annealed_fits.append(fit)
         write_csv(
             out / "annealed_curve.csv",
             ["t", "p", "stderr", "method", "d", "N", "gamma", "n_envs"],
@@ -537,7 +513,7 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     files.append("exponent_report.csv")
     elapsed = time.monotonic() - start
     command = "annealed" if annealed else "exponent"
-    write_manifest(out, command, cfg, files, elapsed, extra=_curve_counts(cfg, box, results))
+    write_manifest(out, command, cfg, files, elapsed, extra=_curve_counts(cfg, box, curves))
     return ExperimentReport(
         kind="annealed" if annealed else "quenched",
         config_hash=config_hash(cfg),
@@ -548,7 +524,7 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         annealed=annealed_fits,
         elapsed_s=elapsed,
         files=files + ["manifest.txt"],
-        curves=[r[2] for r in results],
+        curves=curves,
     )
 
 
@@ -557,8 +533,8 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
 # ---------------------------------------------------------------------------
 
 
-def _bound_job(cfg: ExperimentConfig, gamma: float, seed: int):
-    d, n_max, mu = cfg.d, max(cfg.N_list), cfg.mu
+def _bound_job(cfg: ExperimentConfig, seed: int):
+    gamma, d, n_max, mu = cfg.gamma, cfg.d, max(cfg.N_list), cfg.mu
     env = sample_environment(BoxGeometry(d, n_max + 1), gamma, seed)
     xi = threshold_for_density(gamma, cfg.p)
     decomp = strong_cluster(env, xi)
@@ -606,12 +582,12 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     cfg.validate()
     if cfg.n_environments < 1:
         raise ValidationError("n_environments must be >= 1 for the bound suite")
-    if cfg.homogeneous:
-        raise ValidationError("the bound suite needs random environments")
+    if not math.isfinite(cfg.gamma):
+        raise ValidationError(f"the bound suite needs random environments, so a finite gamma, got gamma={cfg.gamma}")
     start = time.monotonic()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    results = [outcome for _, _, outcome in _map_jobs(_bound_job, cfg, threads)]
+    results = [outcome for _, outcome in _map_jobs(_bound_job, cfg, threads)]
 
     hole_rows = [r[0] for r in results]
     spectral_rows = [row for r in results for row in r[1]]

@@ -4,12 +4,11 @@ The walk jumps along bonds with probability proportional to their
 conductance after independent Exp(1) waiting times.  Box experiments kill
 the walk on its first exit from ``B_n``; because an environment stores only
 in-box bonds, the genuine killed dynamics (full invariant measure at every
-living site) are available for ``n <= N - 1``, which is the default kill
-radius.  ``kill_radius=None`` lets the paths of ``ensemble_walk`` run free
-on the whole box, for exploratory runs only.  Every box operator is read
-from one stencil (``box_stencil``): ``transition_matrix`` lays it out as
-the killed chain's sparse rows, the bound suite its operators on their
-diagonals.
+living site) are available for ``n <= N - 1``, which is the default
+(``None``) kill radius of ``ensemble_walk`` and box radius of
+``transition_matrix``.  Every box operator is read from one stencil
+(``box_stencil``): ``transition_matrix`` lays it out as the killed chain's
+sparse rows, the bound suite its operators on their diagonals.
 
 The additive functional ``A(t)`` measures the time spent on the strong
 cluster; suppressing hole visits through its inverse yields the
@@ -310,17 +309,15 @@ def _jump_table(env: Environment) -> np.ndarray:
     return cum
 
 
-def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None | str) -> int | None:
-    """Check the start site and resolve ``kill_radius`` (``"interior"`` is ``N - 1``); both must be integers."""
+def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None) -> int:
+    """Check the start site and resolve ``kill_radius`` (``None`` is ``N - 1``); both must be integers."""
     if not 0 <= _integral_radius(x0, "start site") < geom.n_sites:
         raise ValidationError(f"start site {x0} outside the box")
-    kill = geom.N - 1 if kill_radius == "interior" else kill_radius
-    if kill is not None:
-        kill = _integral_radius(kill, "kill radius")
-        if not 0 <= kill <= geom.N - 1:
-            raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
-        if geom.linf_norm[x0] > kill:
-            raise ValidationError("start site outside the kill radius")
+    kill = geom.N - 1 if kill_radius is None else _integral_radius(kill_radius, "kill radius")
+    if not 0 <= kill <= geom.N - 1:
+        raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
+    if geom.linf_norm[x0] > kill:
+        raise ValidationError("start site outside the kill radius")
     return kill
 
 
@@ -337,16 +334,18 @@ def ensemble_walk(
     n_paths: int,
     horizon: float,
     rng: np.random.Generator,
-    kill_radius: int | None | str = "interior",
+    kill_radius: int | None = None,
     phi: np.ndarray | None = None,
     real_grid: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Run ``n_paths`` independent CTMC paths with one synchronized stepper.
 
-    Optionally records the occupied site when real time crosses each point
-    of ``real_grid``, a 1-D grid in ``(0, horizon]``.  All paths draw from
-    the single ``rng``, so results are reproducible for a fixed seed and
-    path count.
+    Each path is killed on its first jump past sup-norm ``kill_radius``
+    (default ``N - 1``, the largest radius whose sites have all their bonds),
+    which sets its ``tau`` and ``exit_site``.  Optionally records the
+    occupied site when real time crosses each point of ``real_grid``, a 1-D
+    grid in ``(0, horizon]``.  All paths draw from the single ``rng``, so
+    results are reproducible for a fixed seed and path count.
     """
     geom = env.geometry
     kill = _start_and_kill_radius(geom, x0, kill_radius)
@@ -398,16 +397,13 @@ def ensemble_walk(
         k = (u[:, None] > cum[state[go]]).sum(axis=1)
         dest = state[go] + steps[k]
         n_jumps[go] += 1
-        if kill is not None:
-            out = linf[dest] > kill
-            if out.any():
-                dead = go[out]
-                tau[dead] = t_now[dead]
-                exit_site[dead] = dest[out]
-                alive[dead] = False
-            state[go[~out]] = dest[~out]
-        else:
-            state[go] = dest
+        out = linf[dest] > kill
+        if out.any():
+            dead = go[out]
+            tau[dead] = t_now[dead]
+            exit_site[dead] = dest[out]
+            alive[dead] = False
+        state[go[~out]] = dest[~out]
 
     return EnsembleResult(n_paths, tau, exit_site, n_jumps, a_now, site_at)
 

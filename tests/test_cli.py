@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,11 @@ from scipy.linalg import expm
 from rcmwalk import (
     BoxGeometry,
     UniformizationCache,
+    derive_environment_seeds,
     homogeneous_environment,
     lambda1,
     lambda1_floor_check,
+    load_environment,
     prescribed_spec,
     sample_environment,
     strong_cluster,
@@ -49,7 +52,7 @@ directory = {out}
 
 class TestExact:
     def test_homog_matches_dense_oracle(self, tmp_path, capsys):
-        code = main(["exact", "--t", "1", "--homog", "--d", "2", "--N", "2", "--out", str(tmp_path)])
+        code = main(["exact", "--t", "1", "--gamma", "inf", "--d", "2", "--N", "2", "--out", str(tmp_path)])
         assert code == 0
         printed = float(capsys.readouterr().out.strip())
         env = homogeneous_environment(2, 3)
@@ -62,24 +65,33 @@ class TestExact:
 
     @pytest.mark.parametrize("tol", ["1", "inf", "0", "nan"])
     def test_tol_outside_unit_interval_rejected(self, tmp_path, capsys, tol):
-        argv = ["exact", "--t", "40", "--homog", "--d", "2", "--N", "40", "--tol", tol, "--out", str(tmp_path)]
+        argv = ["exact", "--t", "40", "--gamma", "inf", "--d", "2", "--N", "40", "--tol", tol, "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "exact_curve.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["exact", "--t", "1"], ["generate", "--gamma", "2.0"]], ids=lambda a: a[0])
+    def test_homog_flag_retired(self, tmp_path, capsys, argv):
+        # the all-ones box is --gamma inf
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--homog", "--d", "2", "--N", "2", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --homog" in capsys.readouterr().err
 
     def test_needs_environment(self, tmp_path):
         assert main(["exact", "--t", "1", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_non_finite_time_rejected(self, tmp_path, capsys, t):
-        assert main(["exact", f"--t={t}", "--homog", "--d", "2", "--N", "4", "--out", str(tmp_path)]) == 2
+        assert main(["exact", f"--t={t}", "--gamma", "inf", "--d", "2", "--N", "4", "--out", str(tmp_path)]) == 2
         assert "t grid must be a nonempty, finite" in capsys.readouterr().err
         assert not (tmp_path / "exact_curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["exact", "simulate"])
     @pytest.mark.parametrize("per_decade", ["0", "-3"])
     def test_points_per_decade_below_two_rejected(self, tmp_path, capsys, command, per_decade):
-        argv = [command, "--homog", "--d", "2", "--N", "4", "--points-per-decade", per_decade, "--out", str(tmp_path)]
+        argv = [command, "--gamma", "inf", "--d", "2", "--N", "4", "--points-per-decade", per_decade]
+        argv += ["--out", str(tmp_path)]
         assert main(argv) == 2
         assert "points per decade must be >= 2" in capsys.readouterr().err
 
@@ -104,6 +116,13 @@ class TestGenerateDecompose:
         assert main(argv) == 2
         assert "--count >= 1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    def test_generate_all_ones(self, tmp_path):
+        # --gamma inf samples the all-ones box under the first derived seed, like any other law
+        assert main(["generate", "--d", "2", "--N", "4", "--gamma", "inf", "--seed", "5", "--out", str(tmp_path)]) == 0
+        env = load_environment(tmp_path / "env_0000.rcmenv")
+        assert env.gamma == math.inf and env.seed == int(derive_environment_seeds(5, 1)[0])
+        assert np.array_equal(env.omega, np.ones(env.geometry.n_bonds))
 
     def test_generate_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -183,14 +202,14 @@ class TestSpectrumSimulate:
 
     def test_simulate_schema(self, tmp_path):
         out = tmp_path / "sim"
-        assert main(["simulate", "--homog", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "5",
+        assert main(["simulate", "--gamma", "inf", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "5",
                      "--n-paths", "100", "--seed", "3", "--out", str(out)]) == 0
         header = (out / "trajectory_summary.csv").read_text().splitlines()[0]
         assert header == "t,estimate,stderr,n_paths,seed"
 
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "sim2"
-        assert main(["simulate", "--homog", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "4",
+        assert main(["simulate", "--gamma", "inf", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "4",
                      "--n-paths", "50", "--seed", "3", "--dump-paths", "--out", str(out)]) == 0
         assert (out / "paths.npz").is_file()
 

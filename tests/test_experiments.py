@@ -1,7 +1,8 @@
+import ast
 import csv
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from rcmwalk import (
     experiments,
     heatkernel,
     UniformizationCache,
+    default_time_grid,
+    homogeneous_environment,
     poisson_truncation_k,
     return_prob_curve_exact,
     sample_environment,
@@ -34,6 +37,8 @@ from rcmwalk.experiments import (
     run_exponent,
     save_config,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAST_CFG = """
 [model]
@@ -82,6 +87,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(FAST_CFG.format(out=tmp_path).replace("t_min", "t_mim"))
 
+    @pytest.mark.parametrize("line", ["gamma_list = 1.0, 2.0", "homogeneous = true"])
+    def test_retired_model_keys_rejected(self, tmp_path, line):
+        # one law per run, and gamma = inf is the all-ones box
+        text = FAST_CFG.format(out=tmp_path).replace("p = 0.9", f"p = 0.9\n{line}")
+        with pytest.raises(ValidationError, match=f"unknown key '{line.split()[0]}' in section \\[model\\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("name", ["quenched_d2.cfg", "bounds.cfg"])
+    def test_benchmark_configs_parse(self, name):
+        # both frozen configs still carry n_paths, and quenched_d2 method = exact
+        cfg = load_config(ROOT / "perfbench" / "configs" / name)
+        assert cfg.gamma == 2.0 and cfg.n_paths == 2000 and cfg.method == "exact"
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown config section"):
             parse_config(FAST_CFG.format(out=tmp_path) + "\n[plotting]\nx = 1\n")
@@ -114,7 +132,6 @@ class TestConfig:
             {"mu": math.inf},
             {"b": math.inf},
             {"gamma": -math.inf},
-            {"gamma_list": (2.0, math.nan)},
             {"window_t_min": 300.0, "window_t_max": 100.0},
             {"t_min": 1.0, "t_max": 8.0, "window_t_min": 0.0, "window_t_max": 0.0},  # the default starts at 10
         ],
@@ -148,6 +165,13 @@ class TestConfig:
         b.master_seed = 43
         assert config_hash(a) != config_hash(b)
 
+    def test_hash_leaves_out_only_directory_and_exact_n_paths(self, tmp_path):
+        cfg = _cfg(tmp_path)
+        assert config_hash(cfg) == config_hash(replace(cfg, directory="elsewhere"))
+        for change in ({"mu": 0.2}, {"t_min": 6.0}, {"epsilon": 0.5}, {"N_list": (8,)}):
+            # a key stays in the hash whether or not the run's command reads it
+            assert config_hash(cfg) != config_hash(replace(cfg, **change)), change
+
     def test_hash_reads_n_paths_only_for_mc(self, tmp_path):
         exact = _cfg(tmp_path)
         assert exact.method == "exact"
@@ -174,9 +198,7 @@ def _configs(draw):
     cfg = ExperimentConfig(
         d=draw(st.integers(2, 6)),
         gamma=draw(st.one_of(st.floats(0.01, 50.0), st.just(math.inf))),
-        gamma_list=tuple(draw(st.lists(st.floats(0.01, 50.0), max_size=3))),
         p=draw(st.floats(0.01, 0.99)),
-        homogeneous=draw(st.booleans()),
         t_min=t_min,
         t_max=t_max,
         points_per_decade=draw(st.integers(2, 40)),
@@ -349,6 +371,21 @@ class TestQuenchedRunner:
         assert "status" in fits_csv.splitlines()[0]
         if any(e.status != "ok" for e in rep.per_env):
             assert "failed" in fits_csv
+
+
+    def test_infinite_gamma_is_the_all_ones_box(self, tmp_path):
+        # every environment of a gamma = inf run is all ones: one curve, labelled inf, per seed
+        cfg = replace(_cfg(tmp_path), gamma=math.inf)
+        rep = run_exponent(cfg)
+        rows = _read_rows(Path(cfg.directory) / "curves.csv")
+        seeds = derive_environment_seeds(cfg.master_seed, cfg.n_environments)
+        assert {r["gamma"] for r in rows} == {"inf"}
+        assert [int(r["seed"]) for r in rows[:: len(rows) // len(seeds)]] == seeds.tolist()
+        n = rep.box_radius
+        grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
+        control = return_prob_curve_exact(homogeneous_environment(2, n + 1), grid, box_radius=n)
+        for curve in rep.curves:
+            assert np.array_equal(curve.p, control.p)
 
 
 class TestAnnealedRunner:
@@ -530,14 +567,82 @@ class TestBoundSuite:
         assert str(info.value.__cause__) == "no strong bond"
         assert calls == [first]  # the first failure ends the suite
 
-    def test_homogeneous_rejected(self, tmp_path):
-        cfg = _cfg(tmp_path)
-        cfg.homogeneous = True
-        with pytest.raises(ValidationError):
+    def test_homogeneous_rejected(self, tmp_path, monkeypatch):
+        # gamma = inf is refused before any environment is sampled or any job runs
+        cfg = replace(_cfg(tmp_path), gamma=math.inf)
+
+        def refused(*args):
+            pytest.fail("the bound suite ran a job on the all-ones box")
+
+        monkeypatch.setattr(experiments, "_bound_job", refused)
+        monkeypatch.setattr(experiments, "sample_environment", refused)
+        with pytest.raises(ValidationError, match=r"finite gamma, got gamma=inf$"):
             run_bound_suite(cfg)
+        assert not Path(cfg.directory).exists()
 
     def test_empty_ensemble_rejected(self, tmp_path):
         cfg = _cfg(tmp_path)
         cfg.n_environments = 0
         with pytest.raises(ValidationError):
             run_bound_suite(cfg)
+
+
+# ---------------------------------------------------------------------------
+# static guard: every config key is read by a run
+# ---------------------------------------------------------------------------
+
+# the plumbing that reads every key without running anything
+_CONFIG_PLUMBING = {"parse_config", "config_to_text", "config_hash", "load_config", "save_config", "write_manifest"}
+
+
+def _run_reads(source: str) -> set[str]:
+    """The ``cfg.<name>`` reads of the module-level run functions of ``source``.
+
+    A call of ``cfg.window()`` reads what ``ExperimentConfig.window`` reads
+    off ``self``; the reads inside ``validate`` and ``window`` themselves, and
+    in the config-text plumbing, do not count.
+    """
+    tree = ast.parse(source)
+
+    def reads(node, name):
+        return {
+            n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == name
+        }
+
+    window = next(
+        f
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "ExperimentConfig"
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "window"
+    )
+    found = set()
+    for f in tree.body:
+        if isinstance(f, ast.FunctionDef) and f.name not in _CONFIG_PLUMBING:
+            found |= reads(f, "cfg")
+    if "window" in found:
+        found |= reads(window, "self")
+    return found
+
+
+def test_every_config_key_is_read_by_a_run():
+    # a key that no run reads is an option that does nothing
+    read = _run_reads(Path(experiments.__file__).read_text())
+    assert sorted(f.name for f in fields(ExperimentConfig) if f.name not in read) == []
+
+
+def test_an_unread_config_key_is_found():
+    source = (
+        "class ExperimentConfig:\n"
+        "    def window(self):\n"
+        "        return self.lo, self.hi\n"
+        "    def validate(self):\n"
+        "        return self.unread\n"
+        "def config_to_text(cfg):\n"
+        "    return cfg.also_unread\n"
+        "def run(cfg):\n"
+        "    return cfg.gamma, cfg.window()\n"
+    )
+    assert _run_reads(source) == {"gamma", "window", "lo", "hi"}

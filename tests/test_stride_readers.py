@@ -155,9 +155,10 @@ def _table_csv(decomp, path):
             writer.writerow([s] + geom.all_coords[s].tolist() + [int(decomp.labels[s])])
 
 
-def _table_walk(env, x0, n_paths, horizon, rng, kill):
-    """``ensemble_walk`` without ``phi`` or a grid, stepping through ``neighbor_table`` and killed by ``linf_norm``."""
+def _table_walk(env, x0, n_paths, horizon, rng):
+    """``ensemble_walk`` with no ``phi`` or grid, stepping through ``neighbor_table``, killed past sup-norm ``N - 1``."""
     geom = env.geometry
+    kill = geom.N - 1
     cum = np.cumsum(env.omega_by_direction, axis=1) / env.pi_all[:, None]
     cum[:, -1] = 1.0
     state, t = np.full(n_paths, x0, dtype=np.int64), np.zeros(n_paths)
@@ -175,7 +176,7 @@ def _table_walk(env, x0, n_paths, horizon, rng, kill):
         k = (rng.random(len(go))[:, None] > cum[state[go]]).sum(axis=1)
         dest = geom.neighbor_table[state[go], k]
         jumps[go] += 1
-        out = geom.linf_norm[dest] > kill if kill is not None else np.zeros(len(go), dtype=bool)
+        out = geom.linf_norm[dest] > kill
         tau[go[out]], exit_site[go[out]], alive[go[out]] = t[go[out]], dest[out], False
         state[go[~out]] = dest[~out]
     return tau, exit_site, jumps
@@ -286,12 +287,11 @@ class TestStrideReaders:
         assert np.array_equal(prob, env.omega_by_direction[x][keep] / env.pi_all[x])
 
     @settings(max_examples=20, deadline=None)
-    @given(case=cases, walk_seed=st.integers(0, 2**32), free=st.booleans())
-    def test_walk_paths_at_a_fixed_seed(self, case, walk_seed, free):
+    @given(case=cases, walk_seed=st.integers(0, 2**32))
+    def test_walk_paths_at_a_fixed_seed(self, case, walk_seed):
         env, xi = _case(*case)
-        kill = None if free else env.N - 1
-        res = ensemble_walk(env, env.geometry.origin, 64, 12.0, np.random.default_rng(walk_seed), kill_radius=kill)
-        tau, exit_site, jumps = _table_walk(env, env.geometry.origin, 64, 12.0, np.random.default_rng(walk_seed), kill)
+        res = ensemble_walk(env, env.geometry.origin, 64, 12.0, np.random.default_rng(walk_seed))
+        tau, exit_site, jumps = _table_walk(env, env.geometry.origin, 64, 12.0, np.random.default_rng(walk_seed))
         assert np.array_equal(res.tau, tau) and np.array_equal(res.exit_site, exit_site)
         assert np.array_equal(res.n_jumps, jumps)
         try:
@@ -354,7 +354,7 @@ def test_no_run_builds_a_whole_box_index_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "sample_environment", sample)
     cfg = experiments.load_config(ROOT / "perfbench" / "configs" / "bounds.cfg")
-    experiments._bound_job(cfg, cfg.gamma, 2201)
+    experiments._bound_job(cfg, 2201)
     # one exact curve
     curve_env = sample_environment(BoxGeometry(2, 31), 2.0, 9)
     return_prob_curve_exact(curve_env, default_time_grid(1.0, 60.0, 4), box_radius=30)

@@ -716,7 +716,7 @@ def _step(env, x0, kill_radius):
 
 
 class TestStartSite:
-    @pytest.mark.parametrize("kill_radius", [None, "interior"])
+    @pytest.mark.parametrize("kill_radius", [None, 2])
     @pytest.mark.parametrize("where", ["negative", "past_the_end"])
     def test_start_outside_the_box_rejected(self, small_env, kill_radius, where):
         # numpy would read -1 as the last site and n_sites as an IndexError
@@ -727,12 +727,15 @@ class TestStartSite:
     def test_interior_is_the_largest_kill_radius(self, small_env):
         geom = small_env.geometry
         rim = int(np.flatnonzero(geom.linf_norm == geom.N)[0])
-        with pytest.raises(ValidationError, match="kill radius"):
-            _step(small_env, rim, "interior")
+        for kill_radius in (None, geom.N - 1):  # the default is N - 1: no path starts on the rim
+            with pytest.raises(ValidationError, match="start site outside the kill radius"):
+                _step(small_env, rim, kill_radius)
         with pytest.raises(ValidationError, match="kill radius must lie"):
             _step(small_env, geom.origin, geom.N)
-        _step(small_env, rim, None)
-        _step(small_env, geom.origin, geom.N - 1)
+        with pytest.raises(ValidationError, match="kill radius must be an integer"):
+            _step(small_env, geom.origin, "interior")
+        default, explicit = _step(small_env, geom.origin, None), _step(small_env, geom.origin, geom.N - 1)
+        assert np.array_equal(default.tau, explicit.tau) and np.array_equal(default.exit_site, explicit.exit_site)
 
     @pytest.mark.parametrize("kill_radius", [2.5, 2.0, "2"])
     def test_non_integral_kill_radius_rejected(self, kill_radius):
@@ -744,26 +747,30 @@ class TestStartSite:
 
     def test_non_integral_start_site_rejected(self, small_env):
         with pytest.raises(ValidationError, match="start site must be an integer"):
-            _step(small_env, small_env.geometry.origin + 0.5, "interior")
+            _step(small_env, small_env.geometry.origin + 0.5, None)
 
 
 class TestEnsembleSemantics:
-    def test_poisson_clock_rate(self, homog_env, rng):
+    def test_poisson_clock_rate(self, rng):
+        # killed at N - 1 = 40, which no path reaches in time: each takes Poisson(t) jumps
         t = 12.0
-        res = ensemble_walk(homog_env, homog_env.geometry.origin, 10_000, t, rng, kill_radius=None)
+        env = sample_environment(BoxGeometry(2, 41), math.inf, 0)
+        res = ensemble_walk(env, env.geometry.origin, 10_000, t, rng)
+        assert np.all(np.isinf(res.tau))
         mean = res.n_jumps.mean()
         sd_mean = math.sqrt(t / 10_000)
         assert abs(mean - t) <= 4 * sd_mean
 
     @pytest.mark.parametrize("grid", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [1.0, 5.0], [[1.0, 2.0]]])
-    def test_grid_it_cannot_record_rejected(self, small_env, grid):
-        # with no killing every path is alive at every time in (0, horizon]; a point outside
-        # that range was never crossed and came back as -1, the mark of a dead path
-        origin, rng = small_env.geometry.origin, np.random.default_rng(1)
+    def test_grid_it_cannot_record_rejected(self, grid):
+        # no path leaves B_19 by t = 3, so each is alive at every time in (0, horizon]; a point
+        # outside that range was never crossed and came back as -1, the mark of a dead path
+        env = sample_environment(BoxGeometry(2, 20), 2.0, 11)
+        origin, rng = env.geometry.origin, np.random.default_rng(1)
         with pytest.raises(ValidationError, match="real grid"):
-            ensemble_walk(small_env, origin, 4, 3.0, rng, kill_radius=None, real_grid=grid)
-        res = ensemble_walk(small_env, origin, 4, 3.0, rng, kill_radius=None, real_grid=[1.0, 3.0])
-        assert np.all(res.site_at >= 0)
+            ensemble_walk(env, origin, 4, 3.0, rng, real_grid=grid)
+        res = ensemble_walk(env, origin, 4, 3.0, rng, real_grid=[1.0, 3.0])
+        assert np.all(np.isinf(res.tau)) and np.all(res.site_at >= 0)
 
     def test_positions_blank_after_death(self, small_env, rng):
         grid = np.array([0.5, 2.0, 8.0, 30.0])
