@@ -15,7 +15,6 @@ from rcmwalk import (
     clt_lower_bound_check,
     default_time_grid,
     fit_exponent,
-    homogeneous_environment,
     return_prob_curve_exact,
     return_prob_mc,
     sample_environment,
@@ -38,8 +37,8 @@ print(f"surviving mass at t_max: {curve.survival[-1]:.12f} (Dirichlet truncation
 width = float(np.max((curve.p_hi - curve.p_lo) / curve.p_lo))
 print(f"Lanczos bracket: {curve.steps} steps, largest relative width (p_hi - p_lo) / p_lo = {width:.1e}")
 
-# homogeneous control on the same grid
-homog = homogeneous_environment(d, n_box + 1)
+# homogeneous control on the same grid: gamma = inf is the all-ones limit of the law
+homog = sample_environment(BoxGeometry(d, n_box + 1), np.inf, 0)
 hfit = fit_exponent(return_prob_curve_exact(homog, grid, box_radius=n_box), (10.0, t_max))
 print(f"homogeneous control slope: {hfit.slope:.4f}  (CLT value -d/2 = {-d / 2})")
 

@@ -17,7 +17,6 @@ from rcmwalk import (
     feynman_kac_mc,
     feynman_kac_spectral,
     feynman_kac_uniformization,
-    homogeneous_environment,
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
@@ -31,7 +30,7 @@ from rcmwalk import (
 
 # --- principal eigenvalue ----------------------------------------------------
 N = 24
-homog = homogeneous_environment(2, N + 1)
+homog = sample_environment(BoxGeometry(2, N + 1), np.inf, 0)  # gamma = inf: all-ones conductances
 rep = lambda1(OperatorSpec(env=homog, box_radius=N))
 print(f"all-ones box N={N}: Lambda1 = {rep.Lambda1:.10f}  "
       f"(closed form {homogeneous_lambda1_exact(N):.10f})")

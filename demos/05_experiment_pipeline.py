@@ -31,14 +31,14 @@ with tempfile.TemporaryDirectory() as tmp:
     )
 
     rep = run_exponent(cfg)
-    agg = rep.quenched[0]
+    agg = rep.quenched
     print(f"quenched: slope {agg.slope:.4f} CI [{agg.ci_low:.4f}, {agg.ci_high:.4f}] "
           f"over {agg.n_envs} environments (box N={rep.box_radius})")
 
     cfg.directory = str(Path(tmp) / "annealed")
     rep_a = run_exponent(cfg, annealed=True)
-    print(f"annealed: slope {rep_a.annealed[0].slope:.4f} "
-          f"(quenched mean {rep_a.quenched[0].slope:.4f})")
+    print(f"annealed: slope {rep_a.annealed.slope:.4f} "
+          f"(quenched mean {rep_a.quenched.slope:.4f})")
 
     cfg.directory = str(Path(tmp) / "bounds")
     rep_b = run_bound_suite(cfg)

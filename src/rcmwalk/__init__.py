@@ -41,7 +41,6 @@ from .lattice import (
     BoxGeometry,
     Environment,
     derive_environment_seeds,
-    homogeneous_environment,
     load_environment,
     pi,
     sample_environment,

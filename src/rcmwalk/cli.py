@@ -28,7 +28,7 @@ from .experiments import (
     write_curves_csv,
     write_manifest,
 )
-from .heatkernel import default_time_grid, return_prob_curve_exact, return_prob_mc
+from .heatkernel import _mc_estimate, default_time_grid, return_prob_curve_exact
 from .lattice import (
     BoxGeometry,
     derive_environment_seeds,
@@ -44,6 +44,7 @@ from .percolation import (
     write_decomposition_csv,
 )
 from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_killing_rate
+from .walk import ensemble_walk
 
 
 def _worker_count(text: str) -> int:
@@ -155,17 +156,12 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 1
     rng = np.random.default_rng([seed, 0x51A1])
     grid = default_time_grid(args.t_min, args.t_max, args.points_per_decade)
-    curve = return_prob_mc(env, grid, args.n_paths, rng)
-    rows = [
-        [curve.t[j], curve.p[j], curve.stderr[j], args.n_paths, seed] for j in range(len(grid))
-    ]
+    res = ensemble_walk(env, env.geometry.origin, args.n_paths, float(grid[-1]), rng, real_grid=grid)
+    p, stderr = _mc_estimate(res, env.geometry.origin)
+    rows = [[grid[j], p[j], stderr[j], args.n_paths, seed] for j in range(len(grid))]
     write_csv(out / "trajectory_summary.csv", ["t", "estimate", "stderr", "n_paths", "seed"], rows)
     files = ["trajectory_summary.csv"]
     if args.dump_paths:
-        rng2 = np.random.default_rng([seed, 0x51A1])
-        from .walk import ensemble_walk
-
-        res = ensemble_walk(env, env.geometry.origin, args.n_paths, float(grid.max()), rng2, real_grid=grid)
         np.savez_compressed(out / "paths.npz", t=grid, site_at=res.site_at, tau=res.tau, seed=seed)
         files.append("paths.npz")
     write_manifest(
@@ -246,13 +242,10 @@ def _config_arg(args) -> ExperimentConfig:
 def _cmd_exponent(args) -> int:
     cfg = _config_arg(args)
     report = run_exponent(cfg, threads=args.threads, annealed=args.annealed)
-    for agg in report.quenched:
-        print(
-            f"gamma={agg.gamma}: quenched slope {agg.slope:.4f} "
-            f"[{agg.ci_low:.4f}, {agg.ci_high:.4f}] over {agg.n_envs} envs"
-        )
-    for agg in report.annealed:
-        print(f"gamma={agg.gamma}: annealed slope {agg.slope:.4f} [{agg.ci_low:.4f}, {agg.ci_high:.4f}]")
+    q, a = report.quenched, report.annealed
+    print(f"gamma={cfg.gamma}: quenched slope {q.slope:.4f} [{q.ci_low:.4f}, {q.ci_high:.4f}] over {q.n_envs} envs")
+    if a is not None:
+        print(f"gamma={cfg.gamma}: annealed slope {a.slope:.4f} [{a.ci_low:.4f}, {a.ci_high:.4f}]")
     print(f"report written to {cfg.directory}")
     return 0
 
@@ -288,23 +281,7 @@ def _cmd_report(args) -> int:
                 else:
                     status = "ok"
                 lines.append(f"  {name}: {status}")
-            elif raw.startswith(
-                (
-                    "command=",
-                    "config_hash=",
-                    "master_seed=",
-                    "pass_rate_",
-                    "floor_inertia_fallbacks=",
-                    "floor_eigsh_fallbacks=",
-                    "survival_lanczos_steps=",
-                    "survival_ritz_pairs=",
-                    "exit_tail_products=",
-                    "lanczos_steps=",
-                    "bonds_drawn=",
-                    "box_bonds=",
-                    "zd_certified_curves=",
-                )
-            ):
+            elif not raw.startswith(("manifest_version=", "package=", "elapsed_s=")):
                 lines.append(f"  {raw}")
         lines.append("")
     text = "\n".join(lines)

@@ -206,10 +206,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(p.read_text())
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(config_to_text(cfg))
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     """sha256 of the canonical config text, with ``directory`` and, unless ``method = mc``, ``n_paths`` left out.
 
@@ -284,7 +280,6 @@ def write_manifest(
 
 @dataclass
 class EnvironmentFit:
-    gamma: float
     seed: int
     slope: float
     ci_low: float
@@ -294,7 +289,6 @@ class EnvironmentFit:
 
 @dataclass
 class AggregateSlope:
-    gamma: float
     slope: float
     ci_low: float
     ci_high: float
@@ -310,15 +304,15 @@ class ExperimentReport:
     box_radius: int
     window: tuple[float, float]
     per_env: list[EnvironmentFit] = field(default_factory=list)
-    quenched: list[AggregateSlope] = field(default_factory=list)
-    annealed: list[AggregateSlope] = field(default_factory=list)
+    quenched: AggregateSlope | None = None  # an exponent run's summary of its per-environment fits
+    annealed: AggregateSlope | None = None  # the fit of the mean curve, when the run asks for it
     pass_rates: dict[str, float] = field(default_factory=dict)
     elapsed_s: float = 0.0
     files: list[str] = field(default_factory=list)
     curves: list[ReturnProbabilityCurve] = field(default_factory=list)
 
 
-def _slope_summary(gamma: float, slopes: np.ndarray) -> AggregateSlope:
+def _slope_summary(slopes: np.ndarray) -> AggregateSlope:
     m = len(slopes)
     mean = float(np.mean(slopes))
     if m > 1:
@@ -327,7 +321,7 @@ def _slope_summary(gamma: float, slopes: np.ndarray) -> AggregateSlope:
         half = tq * se
     else:
         half = 0.0
-    return AggregateSlope(gamma=gamma, slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
+    return AggregateSlope(slope=mean, ci_low=mean - half, ci_high=mean + half, n_envs=m)
 
 
 def _curve_job(cfg: ExperimentConfig, seed: int, patterns: dict) -> ReturnProbabilityCurve:
@@ -392,17 +386,17 @@ def write_curves_csv(path: Path, curves) -> None:
     write_csv(path, CURVE_HEADER, rows)
 
 
-def _failure(gamma: float, seed: int, status: str) -> EnvironmentFit:
-    return EnvironmentFit(gamma=gamma, seed=seed, slope=math.nan, ci_low=math.nan, ci_high=math.nan, status=status)
+def _failure(seed: int, status: str) -> EnvironmentFit:
+    return EnvironmentFit(seed=seed, slope=math.nan, ci_low=math.nan, ci_high=math.nan, status=status)
 
 
-def _fit_with_marker(gamma: float, seed: int, curve: ReturnProbabilityCurve, window) -> EnvironmentFit:
+def _fit_with_marker(seed: int, curve: ReturnProbabilityCurve, window) -> EnvironmentFit:
     """Fit one curve; failures become markers instead of aborting the sweep."""
     try:
         f = fit_exponent(curve, window)
-        return EnvironmentFit(gamma=gamma, seed=seed, slope=f.slope, ci_low=f.ci_low, ci_high=f.ci_high)
+        return EnvironmentFit(seed=seed, slope=f.slope, ci_low=f.ci_low, ci_high=f.ci_high)
     except ValidationError as exc:
-        return _failure(gamma, seed, f"failed: {exc}")
+        return _failure(seed, f"failed: {exc}")
 
 
 def _annealed_fit(cfg: ExperimentConfig, curves, window) -> tuple[AggregateSlope, list]:
@@ -422,7 +416,7 @@ def _annealed_fit(cfg: ExperimentConfig, curves, window) -> tuple[AggregateSlope
         seed=cfg.master_seed,
     )
     fa = fit_exponent(mean_curve, window)
-    fit = AggregateSlope(gamma=cfg.gamma, slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(curves))
+    fit = AggregateSlope(slope=fa.slope, ci_low=fa.ci_low, ci_high=fa.ci_high, n_envs=len(curves))
     rows = [
         [mean_curve.t[j], mean_p[j], se_p[j], mean_curve.method, cfg.d, mean_curve.N, cfg.gamma, len(curves)]
         for j in range(len(mean_curve.t))
@@ -461,53 +455,47 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     ``annealed_report.csv``.
     """
     cfg.validate()
+    if cfg.n_environments < 1:
+        raise ValidationError("n_environments must be >= 1 for exponent studies")
     start = time.monotonic()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
     window = cfg.window()
-    if cfg.n_environments < 1:
-        raise ValidationError("n_environments must be >= 1 for exponent studies")
     # one ball pattern cache per call; a process pool pickles it, empty, into each task
     outcomes = _map_jobs(partial(_curve_job, patterns={}), cfg, threads, keep_going=True)
     curves = [o for _, o in outcomes if not isinstance(o, RcmError)]
     box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
 
     per_env = [
-        _failure(cfg.gamma, seed, f"failed: {o}")
-        if isinstance(o, RcmError)
-        else _fit_with_marker(cfg.gamma, seed, o, window)
+        _failure(seed, f"failed: {o}") if isinstance(o, RcmError) else _fit_with_marker(seed, o, window)
         for seed, o in outcomes
     ]
     good = np.array([e.slope for e in per_env if e.status == "ok"])
     if len(good) == 0:
         lost = [o for _, o in outcomes if isinstance(o, RcmError)]
         raise lost[0] if lost else ValidationError(f"every environment fit failed for gamma={cfg.gamma}")
-    quenched = [_slope_summary(cfg.gamma, good)]
+    quenched = _slope_summary(good)
 
-    def summary_rows(aggregates):
-        return [
-            [a.gamma, cfg.d, box, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]
-            for a in aggregates
-        ]
+    def summary_rows(a: AggregateSlope):
+        return [[cfg.gamma, cfg.d, box, window[0], window[1], a.slope, a.ci_low, a.ci_high, a.n_envs]]
 
     summary_header = ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "n_envs"]
     write_curves_csv(out / "curves.csv", curves)
     write_csv(
         out / "exponent_fits.csv",
         ["gamma", "d", "N", "t_min", "t_max", "slope", "ci_low", "ci_high", "seed", "status"],
-        [[e.gamma, cfg.d, box, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status] for e in per_env],
+        [[cfg.gamma, cfg.d, box, window[0], window[1], e.slope, e.ci_low, e.ci_high, e.seed, e.status] for e in per_env],
     )
     files = ["curves.csv", "exponent_fits.csv"]
-    annealed_fits: list[AggregateSlope] = []
+    annealed_fit = None
     if annealed:
-        fit, annealed_rows = _annealed_fit(cfg, curves, window)
-        annealed_fits.append(fit)
+        annealed_fit, annealed_rows = _annealed_fit(cfg, curves, window)
         write_csv(
             out / "annealed_curve.csv",
             ["t", "p", "stderr", "method", "d", "N", "gamma", "n_envs"],
             annealed_rows,
         )
-        write_csv(out / "annealed_report.csv", summary_header, summary_rows(annealed_fits))
+        write_csv(out / "annealed_report.csv", summary_header, summary_rows(annealed_fit))
         files += ["annealed_curve.csv", "annealed_report.csv"]
     write_csv(out / "exponent_report.csv", summary_header, summary_rows(quenched))
     files.append("exponent_report.csv")
@@ -521,7 +509,7 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
         window=window,
         per_env=per_env,
         quenched=quenched,
-        annealed=annealed_fits,
+        annealed=annealed_fit,
         elapsed_s=elapsed,
         files=files + ["manifest.txt"],
         curves=curves,
@@ -533,48 +521,51 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
 # ---------------------------------------------------------------------------
 
 
-def _bound_job(cfg: ExperimentConfig, seed: int):
+_BOUND_FILES = {
+    "holes.csv": ["gamma", "d", "N", "seed", "n_holes", "max_volume", "bound", "pass"],
+    "spectral_report.csv": ["gamma", "d", "N", "xi_hat", "lambda", "bound_m_N", "pass", "neg_pivots", "iterations"],
+    "survival.csv": ["gamma", "d", "N", "seed", "t", "lambda", "lhs_log", "rhs_log", "pass"],
+    "exit_tail.csv": ["gamma", "d", "N", "seed", "t", "p_exit", "bound"],
+}
+
+
+def _bound_job(cfg: ExperimentConfig, seed: int) -> tuple[dict[str, list[tuple]], dict[str, int]]:
+    """One environment's rows of each ``_BOUND_FILES`` CSV and its counts for the manifest.
+
+    ``exit_tail_passes`` is 1 when the whole exit tail lies below its
+    envelope; the other counts are manifest lines, summed over the jobs.
+    """
     gamma, d, n_max, mu = cfg.gamma, cfg.d, max(cfg.N_list), cfg.mu
     env = sample_environment(BoxGeometry(d, n_max + 1), gamma, seed)
     xi = threshold_for_density(gamma, cfg.p)
     decomp = strong_cluster(env, xi)
-    report = hole_volume_report(decomp)
-    hole_row = (
-        gamma,
-        d,
-        n_max,
-        seed,
-        len(decomp.holes),
-        report.max_volume,
-        math.log(n_max) ** 2.5,
-        report.max_volume <= math.log(n_max) ** 2.5,
+    max_volume = hole_volume_report(decomp).max_volume
+    bound = math.log(n_max) ** 2.5
+    rows = {name: [] for name in _BOUND_FILES}
+    rows["holes.csv"].append((gamma, d, n_max, seed, len(decomp.holes), max_volume, bound, max_volume <= bound))
+    counts = dict.fromkeys(
+        ["floor_inertia_fallbacks", "floor_eigsh_fallbacks", "survival_lanczos_steps", "survival_ritz_pairs"], 0
     )
-
-    spectral_rows = []
-    survival_rows = []
-    routes = []
-    survival_steps = survival_pairs = 0
     n_exit = min(cfg.N_list)
     for n in cfg.N_list:
         spec = prescribed_spec(env, decomp, n, mu=mu, b=cfg.b, epsilon=cfg.epsilon)
         cert = lambda1_floor_check(spec)
-        spectral_rows.append(
+        rows["spectral_report.csv"].append(
             (gamma, d, n, xi, spec.lam, cert.m_N, cert.passed, cert.neg_pivots, cert.iterations)
         )
-        routes.append(cert.method)
+        counts["floor_inertia_fallbacks"] += cert.method != "barta"
+        counts["floor_eigsh_fallbacks"] += cert.method == "eigsh"
         sb = survival_bound_check(spec)
-        survival_rows.append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
-        survival_steps += sb.steps
-        survival_pairs += sb.ritz_pairs
+        rows["survival.csv"].append((gamma, d, n, seed, sb.t, sb.lam, sb.lhs_log, sb.rhs_log, sb.passed))
+        counts["survival_lanczos_steps"] += sb.steps
+        counts["survival_ritz_pairs"] += sb.ritz_pairs
         if n == n_exit:
             tail = exit_time_tail_check(spec, np.geomspace(n**2 / 16.0, n**2, 8))
 
-    exit_rows = [
-        (gamma, d, n_exit, seed, tail.t[j], tail.p_exit[j], tail.bound[j])
-        for j in range(len(tail.t))
-    ]
-    survival = (survival_steps, survival_pairs)
-    return hole_row, spectral_rows, survival_rows, exit_rows, bool(tail.all_below), routes, survival, tail.products
+    rows["exit_tail.csv"] = [(gamma, d, n_exit, seed, t, p, b) for t, p, b in zip(tail.t, tail.p_exit, tail.bound)]
+    counts["exit_tail_products"] = tail.products
+    counts["exit_tail_passes"] = int(tail.all_below)
+    return rows, counts
 
 
 def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -587,65 +578,32 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
     start = time.monotonic()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    results = [outcome for _, outcome in _map_jobs(_bound_job, cfg, threads)]
+    rows = {name: [] for name in _BOUND_FILES}
+    totals: dict[str, int] = {}
+    for _, (job_rows, counts) in _map_jobs(_bound_job, cfg, threads):
+        for name, file_rows in job_rows.items():
+            rows[name] += file_rows
+        for key, value in counts.items():
+            totals[key] = totals.get(key, 0) + value
+    for name, header in _BOUND_FILES.items():
+        write_csv(out / name, header, rows[name])
 
-    hole_rows = [r[0] for r in results]
-    spectral_rows = [row for r in results for row in r[1]]
-    survival_rows = [row for r in results for row in r[2]]
-    exit_rows = [row for r in results for row in r[3]]
-    exit_ok = [r[4] for r in results]
-    routes = [method for r in results for method in r[5]]
-    survival_steps = sum(r[6][0] for r in results)
-    survival_pairs = sum(r[6][1] for r in results)
-    exit_products = sum(r[7] for r in results)
-
-    files = []
-    write_csv(
-        out / "holes.csv",
-        ["gamma", "d", "N", "seed", "n_holes", "max_volume", "bound", "pass"],
-        hole_rows,
-    )
-    files.append("holes.csv")
-    write_csv(
-        out / "spectral_report.csv",
-        ["gamma", "d", "N", "xi_hat", "lambda", "bound_m_N", "pass", "neg_pivots", "iterations"],
-        spectral_rows,
-    )
-    files.append("spectral_report.csv")
-    write_csv(
-        out / "survival.csv",
-        ["gamma", "d", "N", "seed", "t", "lambda", "lhs_log", "rhs_log", "pass"],
-        survival_rows,
-    )
-    files.append("survival.csv")
-    write_csv(
-        out / "exit_tail.csv",
-        ["gamma", "d", "N", "seed", "t", "p_exit", "bound"],
-        exit_rows,
-    )
-    files.append("exit_tail.csv")
-
+    # three rates are means of a CSV's ``pass`` column; the jobs count the exit tails that pass
+    passes = {"hole_volume": "holes.csv", "lambda1_floor": "spectral_report.csv", "survival_bound": "survival.csv"}
     pass_rates = {
-        "hole_volume": float(np.mean([row[-1] for row in hole_rows])),
-        "lambda1_floor": float(np.mean([row[6] for row in spectral_rows])),
-        "survival_bound": float(np.mean([row[-1] for row in survival_rows])),
-        "exit_tail": float(np.mean(exit_ok)),
+        rate: float(np.mean([row[_BOUND_FILES[name].index("pass")] for row in rows[name]]))
+        for rate, name in passes.items()
     }
+    pass_rates["exit_tail"] = totals.pop("exit_tail_passes") / cfg.n_environments
     elapsed = time.monotonic() - start
+    files = list(_BOUND_FILES)
     write_manifest(
         out,
         "bounds",
         cfg,
         files,
         elapsed,
-        extra={
-            **{f"pass_rate_{k}": str(v) for k, v in pass_rates.items()},
-            "floor_inertia_fallbacks": str(sum(method != "barta" for method in routes)),
-            "floor_eigsh_fallbacks": str(routes.count("eigsh")),
-            "survival_lanczos_steps": str(survival_steps),
-            "survival_ritz_pairs": str(survival_pairs),
-            "exit_tail_products": str(exit_products),
-        },
+        extra={**{f"pass_rate_{k}": str(v) for k, v in pass_rates.items()}, **{k: str(v) for k, v in totals.items()}},
     )
     return ExperimentReport(
         kind="bounds",
@@ -656,4 +614,3 @@ def run_bound_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport
         elapsed_s=elapsed,
         files=files + ["manifest.txt"],
     )
-

@@ -67,6 +67,7 @@ from .percolation import ClusterDecomposition
 from .walk import (
     BoxChain,
     BoxStencil,
+    EnsembleResult,
     _banded_product,
     _cluster_site,
     _on_diagonals,
@@ -750,6 +751,12 @@ def return_prob_curve_exact(
     )
 
 
+def _mc_estimate(res: EnsembleResult, origin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The share of an ensemble's paths at ``origin`` at each time of its grid, and its binomial standard error."""
+    p = (res.site_at == origin).mean(axis=0)
+    return p, np.sqrt(np.maximum(p * (1 - p), 0.0) / res.n_paths)
+
+
 def return_prob_mc(
     env: Environment,
     t_grid,
@@ -767,14 +774,14 @@ def return_prob_mc(
     kill = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
     positive = t > 0
     origin = env.geometry.origin
-    p = np.ones(len(t))  # p(0) = 1, with stderr 0
+    p, stderr = np.ones(len(t)), np.zeros(len(t))  # p(0) = 1, with stderr 0
     if positive.any():
         res = ensemble_walk(env, origin, n_paths, float(t[-1]), rng, kill_radius=kill, real_grid=t[positive])
-        p[positive] = (res.site_at == origin).mean(axis=0)
+        p[positive], stderr[positive] = _mc_estimate(res, origin)
     return ReturnProbabilityCurve(
         t=t,
         p=p,
-        stderr=np.sqrt(np.maximum(p * (1 - p), 0.0) / n_paths),
+        stderr=stderr,
         method="monte-carlo",
         d=env.geometry.d,
         N=kill,

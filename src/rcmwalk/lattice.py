@@ -430,12 +430,6 @@ def sample_environment(geom: BoxGeometry, gamma: float, seed: int) -> Environmen
     return Environment(geom, gamma, seed)
 
 
-def homogeneous_environment(d: int, N: int) -> Environment:
-    """All-ones conductances (the gamma -> infinity limit of the law)."""
-    geom = BoxGeometry(d, N)
-    return Environment(geometry=geom, gamma=math.inf, seed=0, omega=np.ones(geom.n_bonds))
-
-
 def derive_environment_seeds(master_seed: int, n: int) -> np.ndarray:
     """Per-environment 64-bit seeds split off a master seed by counter."""
     master_seed = _seed64(master_seed, "master seed")

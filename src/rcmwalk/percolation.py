@@ -239,26 +239,19 @@ class HoleVolumeReport:
     """Hole-volume statistics against the ``(log n)**(5/2)`` envelope."""
 
     max_volume: int
-    histogram: dict[int, int]
     n_values: np.ndarray  # sub-box radii 1..N
     max_volume_by_n: np.ndarray  # over holes intersecting B_n
     bound_by_n: np.ndarray  # (log n)**(5/2)
-    flagged_n: np.ndarray  # radii where some intersecting hole exceeds the bound
-
-    def exceeds_at(self, n: int) -> bool:
-        k = int(np.searchsorted(self.n_values, n))
-        if k >= len(self.n_values) or self.n_values[k] != n:
-            raise ValidationError(f"radius {n} not covered by the report")
-        return bool(self.max_volume_by_n[k] > self.bound_by_n[k])
 
 
 def hole_volume_report(decomp: ClusterDecomposition) -> HoleVolumeReport:
-    """Max and histogram of hole volumes, per sub-box radius.
+    """The largest hole volume, overall and per sub-box radius.
 
     For each ``n <= N`` the report lists the largest volume among holes
     intersecting ``B_n`` next to the envelope ``(log n)**(5/2)``.  The
-    envelope is asymptotic, so flags at small ``n`` are expected; desk-scale
-    conclusions should be read at ``n`` of the order of the box radius.
+    envelope is asymptotic, so volumes above it at small ``n`` are
+    expected; desk-scale conclusions should be read at ``n`` of the order
+    of the box radius.
     """
     geom = decomp.env.geometry
     n_values = np.arange(1, geom.N + 1, dtype=np.int64)
@@ -273,11 +266,7 @@ def hole_volume_report(decomp: ClusterDecomposition) -> HoleVolumeReport:
     largest = np.zeros(geom.N + 1, dtype=np.int64)
     np.maximum.at(largest, reach, volumes)
     max_by_n = np.maximum.accumulate(largest)[1:]
-
-    sizes, counts = np.unique(volumes, return_counts=True)
-    hist = dict(zip(sizes.tolist(), counts.tolist()))
-    flagged = n_values[max_by_n > bound]
-    return HoleVolumeReport(int(largest.max()), hist, n_values, max_by_n, bound, flagged)
+    return HoleVolumeReport(int(largest.max()), n_values, max_by_n, bound)
 
 
 def percolation_density_warning(d: int, p: float) -> str | None:

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from rcmwalk import (
     BoxGeometry,
-    homogeneous_environment,
     sample_environment,
     strong_cluster,
     threshold_for_density,
@@ -24,7 +25,7 @@ def holey_decomp(small_env):
 
 @pytest.fixture(scope="session")
 def homog_env():
-    return homogeneous_environment(2, 6)
+    return sample_environment(BoxGeometry(2, 6), math.inf, 0)
 
 
 @pytest.fixture()

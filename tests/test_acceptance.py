@@ -27,7 +27,6 @@ from rcmwalk import (
     feynman_kac_spectral,
     fit_exponent,
     hole_volume_report,
-    homogeneous_environment,
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
@@ -100,9 +99,11 @@ def test_criterion_02_quenched_exponent_large_gamma():
 def test_criterion_03_homogeneous_controls():
     started = time.monotonic()
     n2 = box_radius_for_horizon(400.0)
-    c2 = return_prob_curve_exact(homogeneous_environment(2, n2 + 1), default_time_grid(20, 400), box_radius=n2)
+    ones2 = sample_environment(BoxGeometry(2, n2 + 1), math.inf, 0)
+    c2 = return_prob_curve_exact(ones2, default_time_grid(20, 400), box_radius=n2)
     s2 = fit_exponent(c2, (20, 400)).slope
-    c3 = return_prob_curve_exact(homogeneous_environment(3, 65), default_time_grid(20, 200), box_radius=64)
+    ones3 = sample_environment(BoxGeometry(3, 65), math.inf, 0)
+    c3 = return_prob_curve_exact(ones3, default_time_grid(20, 200), box_radius=64)
     s3 = fit_exponent(c3, (20, 200)).slope
     # the walk on Z^d returns with the product of d one-dimensional kernels e^{-s} I_0(s), s = t/d
     free2, free3 = (ive(0, c.t / d) ** d for c, d in ((c2, 2), (c3, 3)))
@@ -167,7 +168,7 @@ def test_criterion_05_spectral_gap_floor():
             failures += 0 if cert.passed else 1
     worst_eig = 0.0
     for n in (32, 64, 128):
-        env = homogeneous_environment(2, n + 1)
+        env = sample_environment(BoxGeometry(2, n + 1), math.inf, 0)
         rep = lambda1(OperatorSpec(env=env, box_radius=n, lam=0.0), tol=1e-12)
         worst_eig = max(worst_eig, abs(rep.Lambda1 - homogeneous_lambda1_exact(n)))
     ok = failures == 0 and worst_eig <= 1e-10

@@ -11,9 +11,9 @@ from scipy.linalg import expm
 
 from rcmwalk import (
     BoxGeometry,
+    EnsembleResult,
     UniformizationCache,
     derive_environment_seeds,
-    homogeneous_environment,
     lambda1,
     lambda1_floor_check,
     load_environment,
@@ -22,6 +22,7 @@ from rcmwalk import (
     strong_cluster,
     threshold_for_density,
 )
+from rcmwalk import walk
 from rcmwalk.cli import main
 
 FAST_CFG = """
@@ -55,7 +56,7 @@ class TestExact:
         code = main(["exact", "--t", "1", "--gamma", "inf", "--d", "2", "--N", "2", "--out", str(tmp_path)])
         assert code == 0
         printed = float(capsys.readouterr().out.strip())
-        env = homogeneous_environment(2, 3)
+        env = sample_environment(BoxGeometry(2, 3), math.inf, 0)
         cache = UniformizationCache(env, 2)
         L = cache.chain.P.toarray() - np.eye(25)
         oracle = expm(L)[cache.chain.origin, cache.chain.origin]
@@ -213,6 +214,21 @@ class TestSpectrumSimulate:
                      "--n-paths", "50", "--seed", "3", "--dump-paths", "--out", str(out)]) == 0
         assert (out / "paths.npz").is_file()
 
+    def test_dump_is_the_ensemble_behind_the_estimate(self, tmp_path, monkeypatch):
+        # one ensemble is drawn, and the dumped positions give the written estimate bit for bit
+        drawn = []
+        monkeypatch.setattr(walk, "EnsembleResult", lambda *a: drawn.append(a) or EnsembleResult(*a))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--gamma", "2", "--d", "2", "--N", "6", "--t-min", "1", "--t-max", "20",
+                     "--n-paths", "300", "--seed", "3", "--dump-paths", "--out", str(out)]) == 0
+        assert len(drawn) == 1
+        paths = np.load(out / "paths.npz")
+        origin = BoxGeometry(2, 7).origin
+        p = (paths["site_at"] == origin).mean(axis=0)
+        rows = [line.split(",") for line in (out / "trajectory_summary.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == paths["t"].tolist()
+        assert [float(r[1]) for r in rows] == p.tolist()
+
 
 class TestConfigCommands:
     def test_exponent_run(self, tmp_path, capsys):
@@ -290,6 +306,22 @@ class TestReport:
         (out / "curves.csv").write_text("tampered\n")
         main(["report", "--out", str(tmp_path)])
         assert "HASH-MISMATCH" in capsys.readouterr().out
+
+    def test_shows_every_manifest_line_but_the_version_and_the_clock(self, tmp_path, capsys):
+        sampled = ["--gamma", "2", "--d", "2", "--N", "6", "--seed", "3"]
+        assert main(["decompose", *sampled, "--out", str(tmp_path / "dec")]) == 0
+        assert main(["simulate", *sampled, "--n-paths", "40", "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        for run in ("dec", "sim"):
+            manifest = (tmp_path / run / "manifest.txt").read_text().splitlines()
+            shown = [line for line in manifest if not line.startswith(("manifest_version=", "package=", "elapsed_s="))]
+            shown = [line.split()[0][len("file=") :] + ": ok" if line.startswith("file=") else line for line in shown]
+            assert f"run: {tmp_path / run}\n" + "".join(f"  {line}\n" for line in shown) in text
+        for line in ("  xi=", "  cluster_sites=", "  holes=", "  n_paths=40\n"):
+            assert line in text
+        assert "elapsed_s=" not in text and "package=" not in text
 
     def test_no_manifests(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2

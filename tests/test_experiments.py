@@ -20,7 +20,6 @@ from rcmwalk import (
     heatkernel,
     UniformizationCache,
     default_time_grid,
-    homogeneous_environment,
     poisson_truncation_k,
     return_prob_curve_exact,
     sample_environment,
@@ -35,7 +34,6 @@ from rcmwalk.experiments import (
     parse_config,
     run_bound_suite,
     run_exponent,
-    save_config,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,7 +78,7 @@ class TestConfig:
         cfg = _cfg(tmp_path)
         assert parse_config(config_to_text(cfg)) == cfg
         path = tmp_path / "c.cfg"
-        save_config(cfg, path)
+        path.write_text(config_to_text(cfg))
         assert load_config(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -225,12 +223,18 @@ class TestQuenchedRunner:
         rep = run_exponent(cfg)
         assert rep.kind == "quenched"
         assert len(rep.per_env) == 3
-        assert len(rep.quenched) == 1
+        assert rep.quenched.n_envs == 3 and rep.annealed is None
         out = Path(cfg.directory)
         for name in ("curves.csv", "exponent_fits.csv", "exponent_report.csv", "manifest.txt"):
             assert (out / name).is_file()
         header = (out / "exponent_report.csv").read_text().splitlines()[0]
         assert header == "gamma,d,N,t_min,t_max,slope,ci_low,ci_high,n_envs"
+
+    def test_no_environments_refused_before_the_directory_is_made(self, tmp_path):
+        cfg = replace(_cfg(tmp_path), n_environments=0)
+        with pytest.raises(ValidationError, match="n_environments must be >= 1"):
+            run_exponent(cfg)
+        assert not Path(cfg.directory).exists()
 
     def test_byte_determinism(self, tmp_path):
         rep1 = run_exponent(_cfg(tmp_path, "a"))
@@ -287,7 +291,7 @@ class TestQuenchedRunner:
         assert [r["status"] for r in fits] == ["ok", f"failed: gamma=2.0, seed={seeds[1]}: solver gave up", "ok"]
         assert fits[1]["slope"] == "nan"
         assert {r["seed"] for r in _read_rows(out / "curves.csv")} == {str(seeds[0]), str(seeds[2])}
-        assert rep.quenched[0].n_envs == 2 and len(rep.curves) == 2
+        assert rep.quenched.n_envs == 2 and len(rep.curves) == 2
 
     def test_failing_job_in_a_worker_process(self, tmp_path, monkeypatch):
         self.test_failing_job_names_gamma_and_seed(tmp_path, monkeypatch, threads=2)
@@ -383,7 +387,7 @@ class TestQuenchedRunner:
         assert [int(r["seed"]) for r in rows[:: len(rows) // len(seeds)]] == seeds.tolist()
         n = rep.box_radius
         grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
-        control = return_prob_curve_exact(homogeneous_environment(2, n + 1), grid, box_radius=n)
+        control = return_prob_curve_exact(sample_environment(BoxGeometry(2, n + 1), math.inf, 0), grid, box_radius=n)
         for curve in rep.curves:
             assert np.array_equal(curve.p, control.p)
 
@@ -393,8 +397,7 @@ class TestAnnealedRunner:
         cfg = _cfg(tmp_path)
         rep = run_exponent(cfg, annealed=True)
         assert rep.kind == "annealed"
-        assert len(rep.annealed) == 1
-        assert len(rep.quenched) == 1
+        assert rep.annealed.n_envs == rep.quenched.n_envs == 3
         out = Path(cfg.directory)
         assert (out / "annealed_curve.csv").is_file()
         assert (out / "annealed_report.csv").is_file()
@@ -413,7 +416,7 @@ class TestAnnealedRunner:
         out = Path(cfg.directory)
         fits = _read_rows(out / "exponent_fits.csv")
         assert fits[1]["status"] == f"failed: gamma=2.0, seed={seeds[1]}: solver gave up"
-        assert rep.annealed[0].n_envs == 2
+        assert rep.annealed.n_envs == 2
         assert {r["n_envs"] for r in _read_rows(out / "annealed_curve.csv")} == {"2"}
 
     def test_annealed_dominates_min_quenched(self, tmp_path):
@@ -427,8 +430,7 @@ class TestAnnealedRunner:
         # gamma > d/2: the two aggregations see the same exponent
         cfg = _cfg(tmp_path)
         rep = run_exponent(cfg, annealed=True)
-        q = rep.quenched[0]
-        a = rep.annealed[0]
+        q, a = rep.quenched, rep.annealed
         joint = max(q.ci_high - q.ci_low, a.ci_high - a.ci_low, 0.1)
         assert abs(q.slope - a.slope) <= joint
 
@@ -592,7 +594,7 @@ class TestBoundSuite:
 # ---------------------------------------------------------------------------
 
 # the plumbing that reads every key without running anything
-_CONFIG_PLUMBING = {"parse_config", "config_to_text", "config_hash", "load_config", "save_config", "write_manifest"}
+_CONFIG_PLUMBING = {"parse_config", "config_to_text", "config_hash", "load_config", "write_manifest"}
 
 
 def _run_reads(source: str) -> set[str]:

@@ -28,7 +28,6 @@ from rcmwalk import (
     fit_exponent,
     heat_kernel_hat,
     heatkernel,
-    homogeneous_environment,
     poisson_truncation_k,
     poisson_weights,
     poissonization_lower_bound,
@@ -91,7 +90,7 @@ class TestExactKernel:
 
     def test_free_lattice_formula(self):
         # all-ones box vs the product of 1d kernels e^{-s} I_0(s), s = t/d
-        env = homogeneous_environment(2, 40)
+        env = sample_environment(BoxGeometry(2, 40), math.inf, 0)
         cache = UniformizationCache(env, box_radius=39)
         for t in (4.0, 16.0, 48.0):
             free = float(ive(0, t / 2.0) ** 2)
@@ -104,7 +103,8 @@ class TestExactKernel:
         # the walk on Z^d returns with the product of d one-dimensional kernels e^{-s} I_0(s), s = t/d;
         # with 2 * steps <= n the bracket holds for it, and at d = 3 (28 folded steps) the wall 48 sites
         # out is felt by t = 30 far below rounding
-        curve = return_prob_curve_exact(homogeneous_environment(d, n + 1), default_time_grid(t_min, t_max, 8))
+        env = sample_environment(BoxGeometry(d, n + 1), math.inf, 0)
+        curve = return_prob_curve_exact(env, default_time_grid(t_min, t_max, 8))
         assert curve.N == n and (2 * curve.steps <= n) == on_z_d
         free = ive(0, curve.t / d) ** d
         np.testing.assert_allclose(curve.p_lo, free, rtol=1e-12, atol=0)
@@ -597,7 +597,7 @@ class TestDiscreteKernel:
         # pinned counterexample: without the parity restriction the product
         # exceeds the kernel, because odd-step returns vanish on the
         # bipartite lattice and cannot be bounded by P^{2n}(0,0)
-        env = homogeneous_environment(2, 20)
+        env = sample_environment(BoxGeometry(2, 20), math.inf, 0)
         cache = UniformizationCache(env, 19)
         disc, even_tail = poissonization_lower_bound(cache, 15.9)
         assert cache.return_prob(15.9) < disc * poisson.cdf(2 * 15, 15.9)
@@ -699,7 +699,7 @@ class TestExitMass:
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_equals_the_full_vector_loop_bit_for_bit(self, d, radius, homogeneous):
         if homogeneous:
-            env = homogeneous_environment(d, radius + 1)
+            env = sample_environment(BoxGeometry(d, radius + 1), math.inf, 0)
         else:
             env = sample_environment(BoxGeometry(d, radius + 1), 2.0, 100 * d + radius)
         chain = transition_matrix(env, radius)
@@ -814,7 +814,7 @@ class TestHeatKernelHat:
         assert curve.sup[0] == 1.0
 
     def test_homogeneous_rescaled_bounded(self):
-        env = homogeneous_environment(2, 14)
+        env = sample_environment(BoxGeometry(2, 14), math.inf, 0)
         dec = strong_cluster(env, 0.5)
         curve = heat_kernel_hat(env, dec, env.geometry.origin, [4.0, 8.0, 16.0, 32.0])
         assert np.all(curve.rescaled <= 1.0)
@@ -827,7 +827,7 @@ class TestHeatKernelHat:
         # with no holes the time change is the identity, so the envelope at
         # each t is the free-boundary kernel's peak, which sits at the start;
         # reference: the dense exponential of the generator on the bond list
-        env = homogeneous_environment(2, 14)
+        env = sample_environment(BoxGeometry(2, 14), math.inf, 0)
         geom = env.geometry
         dec = strong_cluster(env, 0.5)
         t_grid = [4.0, 8.0, 16.0]
@@ -886,7 +886,7 @@ class TestFitExponent:
     def test_homogeneous_control(self):
         t_max = 400.0
         n = box_radius_for_horizon(t_max)
-        env = homogeneous_environment(2, n + 1)
+        env = sample_environment(BoxGeometry(2, n + 1), math.inf, 0)
         curve = return_prob_curve_exact(env, default_time_grid(20, t_max), box_radius=n)
         fit = fit_exponent(curve, (20, t_max))
         assert abs(fit.slope - (-1.0)) <= 0.1
@@ -910,7 +910,7 @@ class TestFitExponent:
 
 class TestCltLowerBound:
     def test_homogeneous_holds(self):
-        env = homogeneous_environment(2, 24)
+        env = sample_environment(BoxGeometry(2, 24), math.inf, 0)
         dec = strong_cluster(env, 0.5)
         cache = UniformizationCache(env)
         for t in (1.0, 8.0, 32.0):

@@ -15,7 +15,6 @@ from rcmwalk import (
     ValidationError,
     VersionMismatchError,
     derive_environment_seeds,
-    homogeneous_environment,
     load_environment,
     pi,
     sample_environment,
@@ -279,7 +278,7 @@ class TestConductanceReads:
          ([(0.5, 3)], "integers"), ([(1, 2, 3)], "pairs"), ([1, 2], "pairs")],
     )
     def test_ranges_that_do_not_ascend_in_the_box_rejected(self, ranges, match):
-        for env in (sample_environment(BoxGeometry(2, 3), 2.0, 1), homogeneous_environment(2, 3)):
+        for env in (sample_environment(BoxGeometry(2, 3), 2.0, 1), sample_environment(BoxGeometry(2, 3), math.inf, 0)):
             with pytest.raises(ValidationError, match=match):
                 env.conductances(ranges)
 
@@ -300,7 +299,8 @@ class TestEnvironmentValidation:
             Environment(geometry=geom, gamma=bad, seed=0, omega=np.ones(geom.n_bonds))
 
     def test_infinite_gamma_accepted(self):
-        assert homogeneous_environment(2, 2).gamma == math.inf
+        geom = BoxGeometry(2, 2)
+        assert Environment(geometry=geom, gamma=math.inf, seed=0, omega=np.ones(geom.n_bonds)).gamma == math.inf
 
     @pytest.mark.parametrize(
         "gamma, seed, match",
@@ -373,7 +373,7 @@ class TestEnvironmentValidation:
     @pytest.mark.parametrize("x, y", [(-2, -1), (49, 50), (2.5, 3.5)])
     def test_bond_conductance_refuses_sites_off_the_box(self, x, y):
         # d = 2, N = 3 has 49 sites: (-2, -1) once read the bond (47, 48), the others raised a bare IndexError
-        env = homogeneous_environment(2, 3)
+        env = sample_environment(BoxGeometry(2, 3), math.inf, 0)
         with pytest.raises(ValidationError, match="site"):
             env.bond_conductance(x, y)
 
@@ -390,7 +390,7 @@ class TestEnvironmentValidation:
 
 class TestPi:
     def test_homogeneous_degrees(self):
-        env = homogeneous_environment(2, 2)
+        env = sample_environment(BoxGeometry(2, 2), math.inf, 0)
         g = env.geometry
         assert pi(env, g.origin) == 4.0
         assert pi(env, g.site_index([-2, -2])) == 2.0
@@ -433,7 +433,7 @@ class TestPersistence:
         assert np.array_equal(back.omega, small_env.omega)
 
     def test_homogeneous_round_trip(self, tmp_path):
-        env = homogeneous_environment(3, 2)
+        env = sample_environment(BoxGeometry(3, 2), math.inf, 0)
         path = tmp_path / "h.rcmenv"
         save_environment(env, path)
         assert load_environment(path) == env

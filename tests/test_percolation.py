@@ -248,8 +248,7 @@ class TestHoleVolumeReport:
     def test_no_holes(self, homog_env):
         rep = hole_volume_report(strong_cluster(homog_env, 0.5))
         assert rep.max_volume == 0
-        assert rep.histogram == {}
-        assert len(rep.flagged_n) == 0
+        assert not rep.max_volume_by_n.any()
 
     def test_single_isolated_site(self):
         geom = BoxGeometry(2, 2)
@@ -261,13 +260,13 @@ class TestHoleVolumeReport:
         env = _env_with_bonds(2, 2, 0.9, overrides)
         rep = hole_volume_report(strong_cluster(env, 0.5))
         assert rep.max_volume == 1
-        assert rep.histogram == {1: 1}
+        assert rep.max_volume_by_n.tolist() == [1, 1]
 
     def test_envelope_at_box_scale(self):
         env = sample_environment(BoxGeometry(2, 128), 2.0, 23)
         dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
         rep = hole_volume_report(dec)
-        assert not rep.exceeds_at(128)
+        assert rep.n_values[-1] == 128 and rep.max_volume_by_n[-1] <= rep.bound_by_n[-1]
         assert rep.max_volume <= math.log(128) ** 2.5
 
     @pytest.mark.parametrize("p", [0.52, 0.6, 0.8])  # 0.8 leaves no hole
@@ -281,16 +280,9 @@ class TestHoleVolumeReport:
         max_by_n = [max([h.volume for h in dec.holes if linf[h.sites].min() <= n], default=0) for n in n_values]
         bound = [math.log(n) ** 2.5 for n in n_values]
         assert rep.max_volume == max(volumes, default=0)
-        assert rep.histogram == {v: volumes.count(v) for v in set(volumes)}
         assert np.array_equal(rep.n_values, n_values)
         assert np.array_equal(rep.max_volume_by_n, max_by_n)
         assert np.array_equal(rep.bound_by_n, bound)
-        assert np.array_equal(rep.flagged_n, [n for n, v, b in zip(n_values, max_by_n, bound) if v > b])
-
-    def test_exceeds_at_unknown_radius(self, homog_env):
-        rep = hole_volume_report(strong_cluster(homog_env, 0.5))
-        with pytest.raises(ValidationError):
-            rep.exceeds_at(9999)
 
 
 class TestCsvExport:

@@ -27,7 +27,6 @@ from rcmwalk import (
     feynman_kac_uniformization,
     heat_kernel_hat,
     heatkernel,
-    homogeneous_environment,
     homogeneous_lambda1_exact,
     lambda1,
     lambda1_floor_check,
@@ -76,7 +75,7 @@ class TestDirichletForm:
 
     def test_point_mass_equals_pi(self):
         # delta at the origin: every incident unit bond contributes once
-        env = homogeneous_environment(2, 3)
+        env = sample_environment(BoxGeometry(2, 3), math.inf, 0)
         spec = OperatorSpec(env=env, box_radius=2)
         f = np.zeros(spec.n_sites)
         f[(spec.n_sites - 1) // 2] = 1.0
@@ -86,7 +85,7 @@ class TestDirichletForm:
         # f = 1 on B_n: interior differences vanish, the 4(2n+1) bonds
         # crossing into the Dirichlet exterior each contribute 1
         n = 2
-        spec = OperatorSpec(env=homogeneous_environment(2, 4), box_radius=n)
+        spec = OperatorSpec(env=sample_environment(BoxGeometry(2, 4), math.inf, 0), box_radius=n)
         assert self._form(spec, np.ones(spec.n_sites)) == pytest.approx(4 * (2 * n + 1))
 
     def test_summation_by_parts_identity(self, rand_env):
@@ -99,18 +98,18 @@ class TestDirichletForm:
 
 class TestLambda1:
     def test_single_site_box(self):
-        env = homogeneous_environment(2, 1)
+        env = sample_environment(BoxGeometry(2, 1), math.inf, 0)
         rep = lambda1(OperatorSpec(env=env, box_radius=0))
         assert rep.Lambda1 == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("N", [5, 16, 40])
     def test_homogeneous_analytic(self, N):
-        env = homogeneous_environment(2, N + 1)
+        env = sample_environment(BoxGeometry(2, N + 1), math.inf, 0)
         rep = lambda1(OperatorSpec(env=env, box_radius=N), tol=1e-12)
         assert abs(rep.Lambda1 - homogeneous_lambda1_exact(N)) <= 1e-10
 
     def test_homogeneous_d3(self):
-        env = homogeneous_environment(3, 6)
+        env = sample_environment(BoxGeometry(3, 6), math.inf, 0)
         rep = lambda1(OperatorSpec(env=env, box_radius=5))
         assert abs(rep.Lambda1 - homogeneous_lambda1_exact(5)) <= 1e-10
 
@@ -123,7 +122,7 @@ class TestLambda1:
 
     def test_uniform_killing_shifts_spectrum(self):
         # phi = 1 turns the penalty into an exact spectral shift
-        env = homogeneous_environment(2, 9)
+        env = sample_environment(BoxGeometry(2, 9), math.inf, 0)
         base = lambda1(OperatorSpec(env=env, box_radius=8, lam=0.0)).Lambda1
         shifted = lambda1(OperatorSpec(env=env, box_radius=8, lam=0.37)).Lambda1
         assert shifted == pytest.approx(base + 0.37, abs=1e-10)
@@ -499,7 +498,7 @@ class TestFeynmanKac:
     def test_lanczos_value_that_underflows(self):
         # phi = 1 puts every eigenvalue of S above lam, so the value is below
         # e^{-1200} and reads 0 at every check; the box's 289 sites outlast them
-        spec = OperatorSpec(env=homogeneous_environment(2, 9), decomp=None, box_radius=8, lam=3.0)
+        spec = OperatorSpec(env=sample_environment(BoxGeometry(2, 9), math.inf, 0), decomp=None, box_radius=8, lam=3.0)
         value, steps, _ = feynman_kac_lanczos(spec, 400.0)
         assert value == feynman_kac_uniformization(spec, 400.0) == 0.0 and steps < spec.n_sites
         assert survival_bound_check(spec, t=400.0).lhs_log == -math.inf
@@ -539,7 +538,7 @@ class TestFeynmanKac:
             feynman_kac_uniformization(spec, -1.0)
 
     def test_dense_cutoff_guard(self):
-        env = homogeneous_environment(2, 40)
+        env = sample_environment(BoxGeometry(2, 40), math.inf, 0)
         spec = OperatorSpec(env=env, box_radius=39, lam=0.1)
         with pytest.raises(ValidationError):
             feynman_kac_spectral(spec, 1.0)
@@ -626,12 +625,14 @@ class TestBandedLayout:
     def test_box_offsets(self):
         # the 2d + 1 diagonals of canonical order: zero and the strides (2n + 1)^i with both signs
         def offsets(d, n):
-            return OperatorSpec(env=homogeneous_environment(d, n + 1), box_radius=n).symmetrized[0].offsets.tolist()
+            env = sample_environment(BoxGeometry(d, n + 1), math.inf, 0)
+            return OperatorSpec(env=env, box_radius=n).symmetrized[0].offsets.tolist()
 
         assert offsets(2, 3) == [-7, -1, 0, 1, 7]
         assert offsets(3, 1) == [-9, -3, -1, 0, 1, 3, 9]
         assert offsets(3, 0) == [-1, 0, 1]
-        half = heatkernel._half_blocks(OperatorSpec(env=homogeneous_environment(2, 4), box_radius=3).stencil)
+        env = sample_environment(BoxGeometry(2, 4), math.inf, 0)
+        half = heatkernel._half_blocks(OperatorSpec(env=env, box_radius=3).stencil)
         assert [b.offsets.tolist() for b in half] == [[-4, -1, 0, 3], [-3, 0, 1, 4]]
 
     def test_products_equal_csr_bit_for_bit_on_the_benchmark_boxes(self, bench_specs):
@@ -647,7 +648,7 @@ class TestBandedLayout:
                 _assert_same_operator(half, block, rng)
 
     def test_banded_product_refuses_a_vector_it_cannot_pass_to_the_kernel(self):
-        S = OperatorSpec(env=homogeneous_environment(2, 4), box_radius=3).symmetrized[0]
+        S = OperatorSpec(env=sample_environment(BoxGeometry(2, 4), math.inf, 0), box_radius=3).symmetrized[0]
         for bad in (np.ones(48), np.ones(50), np.ones((49, 1)), np.ones(49, dtype=np.float32), np.ones(98)[::2]):
             with pytest.raises(ValidationError, match="banded product"):
                 walk._banded_product(S, bad)
@@ -662,6 +663,8 @@ class TestBandedLayout:
     )
     def test_stencil_operators_equal_the_restriction(self, d, radius, seed, p, lam):
         env = sample_environment(BoxGeometry(d, radius + 1), 2.0, seed)
+        # a small box can have no bond above the threshold, and strong_cluster refuses it
+        assume(p is None or env.omega.max() >= threshold_for_density(2.0, p))
         dec = None if p is None else strong_cluster(env, threshold_for_density(2.0, p))
         spec = OperatorSpec(env=env, decomp=dec, box_radius=radius, lam=lam)
         rng = np.random.default_rng(seed)
@@ -758,7 +761,7 @@ class TestPerturbationIdentities:
 
 class TestSurvivalBound:
     def test_homogeneous_closed_form_left_side(self):
-        env = homogeneous_environment(2, 13)
+        env = sample_environment(BoxGeometry(2, 13), math.inf, 0)
         spec = OperatorSpec(env=env, decomp=None, box_radius=12, lam=0.05)
         rep = survival_bound_check(spec, t=30.0)
         survival = UniformizationCache(env, 12).survival(30.0)
@@ -787,7 +790,7 @@ class TestExitTimeTail:
     def test_gaussian_regime_no_exits(self):
         # the walk needs N + 1 jumps to leave B_N, so P(Poisson(t) >= N + 1) bounds the tail;
         # the four straight runs to the rim (4 * 4^-25) bound it from below, where 1 - survival reads 0
-        env = homogeneous_environment(2, 25)
+        env = sample_environment(BoxGeometry(2, 25), math.inf, 0)
         t = np.array([1.0, 2.0, 4.0])
         rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=24), t)
         assert np.all(rep.p_exit >= 0.0)
@@ -796,7 +799,7 @@ class TestExitTimeTail:
         assert rep.all_below
 
     def test_homogeneous_envelope(self):
-        env = homogeneous_environment(2, 33)
+        env = sample_environment(BoxGeometry(2, 33), math.inf, 0)
         grid = np.geomspace(32**2 / 16, 32**2, 8)
         rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=32), grid)
         assert rep.all_below
@@ -855,7 +858,7 @@ class TestOperatorSpecValidation:
             spec.lam = 0.0
 
     def test_prescribed_needs_finite_gamma(self):
-        env = homogeneous_environment(2, 5)
+        env = sample_environment(BoxGeometry(2, 5), math.inf, 0)
         dec = strong_cluster(env, 0.5)
         with pytest.raises(ValidationError):
             prescribed_spec(env, dec, 4)
@@ -873,7 +876,7 @@ class TestOperatorSpecValidation:
 
 def _time_entry_points():
     """Every entry point that takes one time or horizon, as ``call(t)``."""
-    env = homogeneous_environment(2, 4)
+    env = sample_environment(BoxGeometry(2, 4), math.inf, 0)
     dec = strong_cluster(env, 0.5)
     spec = OperatorSpec(env=env, decomp=dec, box_radius=3, lam=0.3)
     origin = env.geometry.origin
