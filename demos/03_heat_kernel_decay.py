@@ -54,5 +54,5 @@ for j, t in enumerate(small_grid):
 
 # the reversibility lower bound at a mid-range time
 dec = strong_cluster(env, threshold_for_density(gamma, 0.95))
-rep = clt_lower_bound_check(env, dec, 64.0, box_radius=n_box)
+(rep,) = clt_lower_bound_check(env, dec, [64.0], box_radius=n_box)
 print(f"\nlower bound at t=64: p = {rep.lhs:.3e} >= {rep.rhs:.3e}  (margin {rep.lhs / rep.rhs:.2f}x)")

@@ -70,6 +70,5 @@ print(f"\nsurvival envelope at t = {sb.t:.0f} (coupled to N=32): "
 tail = exit_time_tail_check(OperatorSpec(env=env, box_radius=24), np.geomspace(24**2 / 16, 24**2, 8))
 print(f"\nexact exit times from B_24: P(tau <= t) from {tail.p_exit.min():.2e} "
       f"to {tail.p_exit.max():.3f}, "
-      f"fitted envelope C = {tail.C:.2e}, c = {tail.c:.3f}, "
-      f"dominates everywhere: {tail.all_below}")
-print(f"Gaussian-slope regression: {tail.gaussian_slope:.2f} (<= -1 keeps the bound shape)")
+      f"fitted envelope C = {tail.C:.2e}, c = {tail.c:.3f}")
+print(f"Gaussian-slope regression: {tail.gaussian_slope:.2f} (<= -1 keeps the bound shape)  -> {tail.passed}")

@@ -43,7 +43,7 @@ from .percolation import (
     threshold_for_density,
     write_decomposition_csv,
 )
-from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_killing_rate
+from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_spec
 from .walk import ensemble_walk
 
 
@@ -180,12 +180,11 @@ def _cmd_exact(args) -> int:
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
-    box = env.geometry.N - 1 if args.box_radius is None else args.box_radius
     if args.t is not None:
         grid = np.array([args.t], dtype=float)
     else:
         grid = default_time_grid(args.t_min, args.t_max, args.points_per_decade)
-    curve = return_prob_curve_exact(env, grid, tol=args.tol, box_radius=box)
+    curve = return_prob_curve_exact(env, grid, tol=args.tol, box_radius=args.box_radius)
     write_curves_csv(out / "exact_curve.csv", [curve])
     write_manifest(
         out, "exact", None, ["exact_curve.csv"], time.monotonic() - start, extra={"lanczos_steps": str(curve.steps)}
@@ -201,23 +200,19 @@ def _cmd_spectrum(args) -> int:
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
-    d = env.geometry.d
-    box = env.geometry.N - 1 if args.box_radius is None else args.box_radius
     decomp = None
     xi = args.xi
     if math.isfinite(env.gamma):
         xi = xi if xi is not None else threshold_for_density(env.gamma, args.p)
         decomp = strong_cluster(env, xi)
-    if args.lam is not None:
-        lam = args.lam
-    elif math.isfinite(env.gamma):
-        lam = prescribed_killing_rate(d, env.gamma, box, args.mu, xi)
+    if decomp is not None and args.lam is None:
+        spec = prescribed_spec(env, decomp, args.box_radius, mu=args.mu)
     else:
-        lam = 0.0
-    spec = OperatorSpec(env=env, decomp=decomp, box_radius=box, lam=lam, mu=args.mu)
-    rep = lambda1(spec, tol=args.tol)
-    cert = lambda1_floor_check(spec, tol=args.tol, principal=rep)
-    row = [env.gamma, d, box, xi if xi is not None else "", lam]
+        lam = 0.0 if args.lam is None else args.lam
+        spec = OperatorSpec(env=env, decomp=decomp, box_radius=args.box_radius, lam=lam, mu=args.mu)
+    cert = lambda1_floor_check(spec, tol=args.tol)
+    rep = lambda1(spec, tol=args.tol) if cert.principal is None else cert.principal  # one eigensolve either way
+    row = [env.gamma, env.geometry.d, spec.box_radius, xi if xi is not None else "", spec.lam]
     row += [rep.Lambda1, cert.m_N, cert.passed, rep.residual, rep.iterations]
     write_csv(
         out / "spectral_report.csv",

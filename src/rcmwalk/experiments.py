@@ -1,7 +1,9 @@
 """Experiment configuration, orchestration and report emission.
 
 Configs are plain-text ``key = value`` files with sections; unknown keys
-are rejected so typos surface before a long sweep starts.  Every run
+are rejected so typos surface before a long sweep starts.  ``_SECTIONS``
+places each key in its section, and the key's type is the annotation of
+its ``ExperimentConfig`` field.  Every run
 writes its CSVs plus a manifest (config hash, package version, seeds and a
 content hash for each emitted file).  Identical (config, master seed)
 pairs reproduce identical CSV bytes; wall-clock time appears only in the
@@ -9,7 +11,9 @@ manifest.
 
 Quenched studies fit one exponent per environment and then summarize;
 annealed studies average the curves across environments pointwise and fit
-once.
+once.  The bound suite checks hole volumes, the spectral floor, the
+survival envelope and the exit tail on each environment; the exit tail's
+pass rate counts its Gaussian-slope verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import io
 import math
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -121,41 +126,28 @@ class ExperimentConfig:
             raise ValidationError("method must be 'exact' or 'mc'")
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "model": {"d": "int", "gamma": "float", "p": "float"},
-    "grid": {
-        "t_min": "float",
-        "t_max": "float",
-        "points_per_decade": "int",
-        "window_t_min": "float",
-        "window_t_max": "float",
-    },
-    "boxes": {"coupling_c": "float", "N_list": "ints"},
-    "spectral": {"mu": "float", "b": "float", "epsilon": "float"},
-    "ensemble": {
-        "n_environments": "int",
-        "n_paths": "int",
-        "master_seed": "int",
-        "method": "str",
-    },
-    "output": {"directory": "str"},
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "model": ("d", "gamma", "p"),
+    "grid": ("t_min", "t_max", "points_per_decade", "window_t_min", "window_t_max"),
+    "boxes": ("coupling_c", "N_list"),
+    "spectral": ("mu", "b", "epsilon"),
+    "ensemble": ("n_environments", "n_paths", "master_seed", "method"),
+    "output": ("directory",),
 }
 
-_FIELD_SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
+_FIELD_SECTION = {key: section for section, keys in _SECTIONS.items() for key in keys}
+_TYPES = typing.get_type_hints(ExperimentConfig)  # each key's type is its field's annotation
 # float knobs that must be finite; gamma may be +inf, the all-ones limit of the law
-_FINITE = tuple(k for keys in _SCHEMA.values() for k, kind in keys.items() if kind == "float" and k != "gamma")
+_FINITE = tuple(f.name for f in fields(ExperimentConfig) if _TYPES[f.name] is float and f.name != "gamma")
 
 
-def _cast(kind: str, raw: str):
+def _cast(kind: type, raw: str):
+    """``raw`` as a value of the annotation ``kind``: ``int``, ``float``, ``str`` or ``tuple[int, ...]``."""
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "str":
-        return raw
-    if kind == "ints":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
+    if kind in (int, float, str):
+        return kind(raw)
+    if kind == tuple[int, ...]:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     raise AssertionError(kind)
 
 
@@ -169,13 +161,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(f"malformed config: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
             try:
-                values[key] = _cast(_SCHEMA[section][key], raw)
+                values[key] = _cast(_TYPES[key], raw)
             except ValueError as exc:
                 raise ValidationError(f"bad value for {section}.{key}: {raw!r}") from exc
     cfg = ExperimentConfig(**values)
@@ -186,13 +178,13 @@ def parse_config(text: str) -> ExperimentConfig:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization; parse(config_to_text(c)) == c."""
     lines = []
-    by_section: dict[str, list[str]] = {s: [] for s in _SCHEMA}
+    by_section: dict[str, list[str]] = {s: [] for s in _SECTIONS}
     for f in fields(cfg):
         section = _FIELD_SECTION[f.name]
         value = getattr(cfg, f.name)
         rendered = ", ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
         by_section[section].append(f"{f.name} = {rendered}")
-    for section in _SCHEMA:
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
         lines.extend(by_section[section])
         lines.append("")
@@ -532,8 +524,9 @@ _BOUND_FILES = {
 def _bound_job(cfg: ExperimentConfig, seed: int) -> tuple[dict[str, list[tuple]], dict[str, int]]:
     """One environment's rows of each ``_BOUND_FILES`` CSV and its counts for the manifest.
 
-    ``exit_tail_passes`` is 1 when the whole exit tail lies below its
-    envelope; the other counts are manifest lines, summed over the jobs.
+    ``exit_tail_passes`` is 1 when the exit tail's Gaussian slope is at most
+    -1 (``ExitTailReport.passed``); the other counts are manifest lines,
+    summed over the jobs.
     """
     gamma, d, n_max, mu = cfg.gamma, cfg.d, max(cfg.N_list), cfg.mu
     env = sample_environment(BoxGeometry(d, n_max + 1), gamma, seed)
@@ -564,7 +557,7 @@ def _bound_job(cfg: ExperimentConfig, seed: int) -> tuple[dict[str, list[tuple]]
 
     rows["exit_tail.csv"] = [(gamma, d, n_exit, seed, t, p, b) for t, p, b in zip(tail.t, tail.p_exit, tail.bound)]
     counts["exit_tail_products"] = tail.products
-    counts["exit_tail_passes"] = int(tail.all_below)
+    counts["exit_tail_passes"] = int(tail.passed)
     return rows, counts
 
 

@@ -47,7 +47,11 @@ jump, by half blocks laid out on their diagonals from the box's stencil
 the penalized generator ``I - P + lam diag(phi)`` the engine's surviving
 mass is the Feynman-Kac value ``E[exp(-lam A(t)); t < tau]``, the oracle of
 ``spectral.feynman_kac_lanczos``, which shares this module's step estimate,
-check schedule and tridiagonal eigensolve.
+check schedule and tridiagonal eigensolve.  ``clt_lower_bound_check`` checks
+the reversibility lower bound on a grid of times from one unpenalized
+cache: ``p(t)`` from its return sequence, the laws at every ``t/2`` from one
+``distribution`` call.  Every box radius here is resolved and checked by
+``BoxGeometry.operator_radius``.
 """
 
 from __future__ import annotations
@@ -131,10 +135,13 @@ def default_time_grid(t_min: float, t_max: float, per_decade: int = 12) -> np.nd
     return np.geomspace(t_min, t_max, n)
 
 
-def _time_grid(t_grid) -> np.ndarray:
+def _time_grid(t_grid, positive: bool = False) -> np.ndarray:
+    """``t_grid`` as a nonempty, finite, increasing 1-D float grid of times ``>= 0`` (``> 0`` when ``positive``)."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be a nonempty, finite, nonnegative, increasing sequence")
+    in_range = np.isfinite(t) & (t > 0 if positive else t >= 0)
+    if t.ndim != 1 or t.size == 0 or not np.all(in_range) or np.any(np.diff(t) <= 0):
+        low = "positive" if positive else "nonnegative"
+        raise ValidationError(f"t grid must be a nonempty, finite, {low}, increasing sequence")
     return t
 
 
@@ -390,21 +397,24 @@ def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPatte
     follows from its line and last coordinate: no bond is looked up or
     sorted.
     """
-    n = _integral_radius(box_radius)
-    if not 0 <= n <= geom.N - 1:
-        raise ValidationError(f"killed chain needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
+    n = geom.operator_radius(box_radius)
     d, strides = geom.d, geom.strides
     a = min(n, radius)
     width = 2 * a + 2  # heads on each axis, from -a - 1
     line_strides = width ** np.arange(d - 2, -1, -1)
-    sites = geom.l1_ball_indices(n, radius)
-    coords = geom.site_coords(sites)
-    l1 = np.abs(coords).sum(axis=1)
-    line, last = (coords[:, :-1] + a + 1) @ line_strides, d * coords[:, -1]  # each site's line, and d x_d
-    del coords
     heads = np.indices((width,) * (d - 1)).reshape(d - 1, -1).T - (a + 1)
     head_l1 = np.abs(heads).sum(axis=1)
     reach = np.where((heads >= -a).all(axis=1) & (head_l1 <= radius), np.minimum(radius - head_l1, a), -1)
+    line_index = (heads + geom.N) @ strides[:-1]  # the canonical index of each line's site at x_d = -N
+    # the ball's sites in canonical order, lines by ascending head and x_d ascending on each, then by L1 distance
+    lines = np.flatnonzero(reach >= 0)
+    span = 2 * reach[lines] + 1
+    line = np.repeat(lines, span)
+    x_d = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span + reach[lines], span)
+    l1 = head_l1[line] + np.abs(x_d)
+    order = np.argsort(l1.astype(np.min_scalar_type(radius)), kind="stable")  # a radix sort on small integers
+    line, x_d, l1 = line[order], x_d[order], l1[order]
+    sites, last = line_index[line] + (x_d + geom.N), d * x_d
     above = np.full((width,) * (d - 1), -1)  # the reach of the lines one step up, the most of them
     for i in range(d - 1):
         up, line_reach = np.moveaxis(above, i, 0), np.moveaxis(reach.reshape(above.shape), i, 0)
@@ -414,7 +424,7 @@ def _ball_pattern(geom: BoxGeometry, box_radius: int, radius: int) -> _BallPatte
     count = d * np.maximum(hi - lo + 1, 0)
     first = np.cumsum(count) - count - d * lo  # the position of the first bond of a line's site at last coordinate 0
     full = np.flatnonzero(count)
-    start = geom.bond_ids((heads[full] + geom.N) @ strides[:-1] + (lo[full] + geom.N))[:, 0]
+    start = geom.bond_ids(line_index[full] + (lo[full] + geom.N))[:, 0]
     bond_ranges = np.column_stack((start, start + count[full]))
     sides = [np.flatnonzero(l1 % 2 == parity) for parity in (0, 1)]
     rank = np.full(geom.n_sites, -1, dtype=np.int32)  # position among the ball's sites of its parity
@@ -732,7 +742,7 @@ def return_prob_curve_exact(
     if not 0 < tol < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     t = _time_grid(t_grid)
-    n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
+    n = env.geometry.operator_radius(box_radius)
     p_lo, p_hi, surv, steps, bonds = _lanczos_bracket(env, n, t, tol, patterns)
     return ReturnProbabilityCurve(
         t=t,
@@ -771,7 +781,7 @@ def return_prob_mc(
     """
     t = _time_grid(t_grid)
     n_paths = _path_count(n_paths)
-    kill = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
+    kill = env.geometry.operator_radius(box_radius)
     positive = t > 0
     origin = env.geometry.origin
     p, stderr = np.ones(len(t)), np.zeros(len(t))  # p(0) = 1, with stderr 0
@@ -923,47 +933,38 @@ class CltBoundReport:
 
 
 def clt_lower_bound_check(
-    env: Environment,
-    decomp: ClusterDecomposition,
-    t: float,
-    box_radius: int | None = None,
-    cache: UniformizationCache | None = None,
-) -> CltBoundReport:
-    """Check ``P(X_t=0) >= P(|X_{t/2}| <= sqrt(t))^2 (pi(0)/2d) / |C ∩ ball|``.
+    env: Environment, decomp: ClusterDecomposition, t_grid, box_radius: int | None = None
+) -> list[CltBoundReport]:
+    """Check ``P(X_t=0) >= P(|X_{t/2}| <= sqrt(t))^2 (pi(0)/2d) / |C ∩ ball|`` at each time of ``t_grid``.
 
-    Both sides come from exact propagation on the killed box (Poisson tails below 1e-12).
-    A ``cache`` must hold the unpenalized chain of ``env``, on ``box_radius`` when that is given.
+    Both sides come from exact propagation on the killed box by one
+    unpenalized ``UniformizationCache`` (Poisson tails below 1e-12):
+    ``p(t)`` from its return sequence, and the laws at every ``t/2`` from
+    one ``distribution`` call, each row bit for bit that of its time alone.
+    The times must be positive, finite and increasing, and the ``sqrt(t)``
+    ball of the last must fit in the operator box.
     """
     geom = env.geometry
     decomp.check_env(env)
     if not decomp.in_cluster[geom.origin]:
         raise ValidationError("origin is not on the strong cluster")
-    if not (math.isfinite(t) and t > 0):
-        raise ValidationError(f"time must be positive and finite, got {t!r}")
-    if cache is None:
-        cache = UniformizationCache(env, box_radius)
-    elif cache.env is not env:
-        raise ValidationError("the uniformization cache was built on a different environment")
-    elif cache.lam:
-        raise ValidationError("the bound needs the unpenalized chain")
-    elif box_radius is not None and _integral_radius(box_radius) != cache.chain.box_radius:
-        raise ValidationError(f"box radius {box_radius!r} given with a cache on radius {cache.chain.box_radius}")
-    r = int(math.floor(math.sqrt(t)))
-    if r > cache.chain.box_radius:
+    t = _time_grid(t_grid, positive=True)
+    n = geom.operator_radius(box_radius)
+    radii = [int(math.floor(math.sqrt(tj))) for tj in t.tolist()]
+    if radii[-1] > n:
         raise ValidationError("sqrt(t) ball does not fit in the operator box")
-    lhs = cache.return_prob(t)
-    q = cache.distribution([t / 2.0])[0]
-    ball = geom.linf_norm[cache.chain.sites] <= r
-    prob_ball = float(q[ball].sum())
-    ball_sites = geom.sub_box_indices(r)
-    count = int(decomp.in_cluster[ball_sites].sum())
+    cache = UniformizationCache(env, n)
+    linf = geom.linf_norm[cache.chain.sites]
     pi0 = float(env.pi_all[geom.origin])
-    rhs = prob_ball**2 * (pi0 / (2.0 * geom.d)) / count
-    return CltBoundReport(
-        t=float(t),
-        lhs=lhs,
-        rhs=rhs,
-        passed=bool(lhs >= rhs),
-        ball_probability=prob_ball,
-        cluster_count=count,
-    )
+    reports = []
+    for tj, r, q in zip(t.tolist(), radii, cache.distribution(t / 2.0)):
+        prob_ball = float(q[linf <= r].sum())
+        count = int(decomp.in_cluster[geom.sub_box_indices(r)].sum())
+        rhs = prob_ball**2 * (pi0 / (2.0 * geom.d)) / count
+        lhs = cache.return_prob(tj)
+        reports.append(
+            CltBoundReport(
+                t=tj, lhs=lhs, rhs=rhs, passed=bool(lhs >= rhs), ball_probability=prob_ball, cluster_count=count
+            )
+        )
+    return reports

@@ -109,6 +109,24 @@ class BoxGeometry:
         # +e_i moves the flat index by side**(d-1-i) (C order).
         return np.array([self.side ** (self.d - 1 - i) for i in range(self.d)], dtype=np.int64)
 
+    def operator_radius(self, n=None, what: str = "box radius") -> int:
+        """The radius of an operator box ``B_n`` in this one as an ``int``; ``None`` is ``N - 1``.
+
+        The killed walk needs every site of ``B_n`` to keep all ``2d`` of its
+        bonds inside the box, so ``n`` must be an integer in ``[0, N - 1]``.
+        """
+        n = self.N - 1 if n is None else _integral_radius(n, what)
+        if not 0 <= n <= self.N - 1:
+            raise ValidationError(f"{what} must lie in [0, {self.N - 1}] (environment radius {self.N}), got {n}")
+        return n
+
+    def site(self, x, what: str = "site") -> int:
+        """Site index ``x`` as an ``int``, refusing a non-integer and one outside the box (NumPy reads -1 as last)."""
+        x = _integral_radius(x, what)
+        if not 0 <= x < self.n_sites:
+            raise ValidationError(f"{what} {x} outside the box")
+        return x
+
     def site_index(self, coords) -> np.ndarray | int:
         """Flat index of one site or an (m, d) array of sites."""
         c = _integral_array(coords, "site coordinates")
@@ -235,32 +253,6 @@ class BoxGeometry:
         """Indices of the sites of ``B_n`` (n <= N) in B_n's own canonical order."""
         return self.sub_box_rows(np.arange(self.n_sites, dtype=np.int64), n)
 
-    def l1_ball_indices(self, n: int, radius: int) -> np.ndarray:
-        """Indices of the sites of ``B_n`` within L1 distance ``radius`` of the origin.
-
-        Sorted by (L1 distance, canonical index), so the order of a smaller
-        ball is a prefix of a larger one's; radius ``d n`` gives all of ``B_n``.
-        Only the ball's own sites are enumerated: for each point of the first
-        ``d - 1`` coordinates of ``B_n`` that fits, the last coordinate runs
-        over what the L1 norm leaves.
-        """
-        if not 0 <= n <= self.N:
-            raise ValidationError(f"box radius {n} outside [0, {self.N}]")
-        if radius < 0:
-            raise ValidationError(f"L1 radius must be >= 0, got {radius}")
-        a = min(n, int(radius))
-        head = np.indices((2 * a + 1,) * (self.d - 1)).reshape(self.d - 1, -1).T - a
-        head_l1 = np.abs(head).sum(axis=1)
-        fits = head_l1 <= radius
-        head, head_l1 = head[fits], head_l1[fits]
-        reach = np.minimum(radius - head_l1, a)  # |last coordinate| <= reach
-        count = 2 * reach + 1
-        last = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count + reach, count)
-        index = np.repeat((head + self.N) @ self.strides[:-1], count) + (last + self.N)
-        l1 = np.repeat(head_l1, count) + np.abs(last)
-        # lexicographic so far; a stable sort by distance (radix on small integers) keeps that within a shell
-        return index[np.argsort(l1.astype(np.min_scalar_type(radius)), kind="stable")]
-
 
 class Environment:
     """One realization of conductances on the bonds of ``B_N``.
@@ -356,9 +348,7 @@ class Environment:
     def bond_conductance(self, x, y) -> float:
         """Conductance of the bond between neighboring sites x and y (indices)."""
         geom = self.geometry
-        for site in (x, y):
-            if not 0 <= _integral_radius(site, "site") < geom.n_sites:
-                raise ValidationError(f"site {site} outside the box")
+        x, y = geom.site(x), geom.site(y)
         lo, hi = (x, y) if x < y else (y, x)
         diff = hi - lo
         axis = int(np.where(geom.strides == diff)[0][0]) if diff in geom.strides else -1
@@ -408,8 +398,7 @@ def pi(env: Environment, x: int) -> float:
     Summation follows the canonical incidence order so repeated computation
     is bit-exact.
     """
-    if not 0 <= _integral_radius(x, "site") < env.geometry.n_sites:
-        raise ValidationError(f"site {x} outside the box")
+    x = env.geometry.site(x)
     total = 0.0
     for col in range(2 * env.geometry.d):
         total += env.omega_by_direction[x, col]

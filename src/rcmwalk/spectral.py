@@ -20,7 +20,8 @@ Failing that, one symmetric LDL^T factorization of ``S - m(N) I`` with no
 pivots below zero proves it, by Sylvester's law of inertia (the factor's
 pivots and the eigenvalues of ``S - m(N) I`` have the same signs).  Any
 other outcome of the factorization is settled by the principal eigenvalue,
-so a failing verdict always rests on an eigensolve.
+so a failing verdict always rests on an eigensolve of the spec itself, whose
+report the certificate carries (``FloorCertificate.principal``).
 
 The value ``E[exp(-lam A(t)); t < tau]`` comes from one Lanczos run on the
 symmetrized matrix, the one the floor check reads
@@ -34,8 +35,11 @@ truncation), Monte Carlo, and, on small boxes, the dense spectral
 expansion.  The exit-time tail ``P(tau_N <= t)`` mixes the per-jump exit
 mass of the plain killed walk (``heatkernel.exit_mass``, one propagation on
 the live parity for the whole grid, by half blocks laid out from the same
-stencil) with Poisson weights.  Both long loops multiply by operators
-stored by their diagonals, bit for bit the sparse-row products.
+stencil) with Poisson weights; its verdict is the Gaussian-slope test (the slope of
+``log P`` against ``N^2/(4t)`` at most -1), and the fitted envelope, which
+dominates the tail by construction, is reported beside it.  Both long
+loops multiply by operators stored by their diagonals, bit for bit the
+sparse-row products.
 
 The Duhamel identities linking the penalized semigroup to the plain one
 are checked on small boxes with both integrals in closed form: each is a
@@ -46,7 +50,7 @@ of a product of two exponentials, so no quadrature error enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +67,7 @@ from .heatkernel import (
     UniformizationCache,
     _krylov_steps,
     _ritz,
+    _time_grid,
     exit_mass,
     poisson_truncation_k,
     poisson_weights,
@@ -127,10 +132,7 @@ class OperatorSpec:
     epsilon: float = 0.9
 
     def __post_init__(self):
-        n = self.env.geometry.N - 1 if self.box_radius is None else _integral_radius(self.box_radius)
-        object.__setattr__(self, "box_radius", n)
-        if not 0 <= n <= self.env.geometry.N - 1:
-            raise ValidationError(f"operator box radius must lie in [0, {self.env.geometry.N - 1}]")
+        object.__setattr__(self, "box_radius", self.env.geometry.operator_radius(self.box_radius))
         if self.decomp is not None:
             self.decomp.check_env(self.env)
         if not 0 <= self.lam < math.inf:  # nan fails both comparisons
@@ -211,7 +213,7 @@ def prescribed_spec(
     """Operator spec at the killing rate prescribed by the gap bound."""
     if not math.isfinite(env.gamma):
         raise ValidationError("the prescribed rate needs a finite tail exponent")
-    n = env.geometry.N - 1 if box_radius is None else _integral_radius(box_radius)
+    n = env.geometry.operator_radius(box_radius)
     lam = prescribed_killing_rate(env.geometry.d, env.gamma, n, mu, decomp.threshold)
     return OperatorSpec(env=env, decomp=decomp, box_radius=n, lam=lam, mu=mu, b=b, epsilon=epsilon)
 
@@ -548,15 +550,15 @@ def survival_bound_check(spec: OperatorSpec, t: float | None = None) -> Survival
 
 @dataclass
 class ExitTailReport:
-    """Exact exit-time tail ``P(tau_N <= t)`` with a fitted Gaussian-shaped envelope."""
+    """Exact exit-time tail ``P(tau_N <= t)``, its Gaussian-slope verdict and a fitted Gaussian-shaped envelope."""
 
     t: np.ndarray
     p_exit: np.ndarray
-    bound: np.ndarray
+    bound: np.ndarray  # the fitted envelope, which dominates p_exit by construction
     C: float
     c: float
-    all_below: bool
     gaussian_slope: float | None  # slope of log P(tau <= t) against N^2/(4t)
+    passed: bool  # gaussian_slope <= -1
     N: int
     products: int  # half products of ``heatkernel.exit_mass`` behind p_exit
 
@@ -569,15 +571,15 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
     below ``_EXIT_TOL`` (the spec's killing rate plays no part): one
     ``heatkernel.exit_mass`` run to the truncation of the last time gives
     the per-jump sequence, and each time mixes its prefix (``products``
-    counts that run's half products).  The free
-    constants are chosen as the tightest dominating envelope over the grid
-    points with ``p_exit > 0`` (reported, never assumed).  The Gaussian-slope
-    regression of ``log P`` against ``N^2/(4t)`` over the same points should
-    stay below -1 when the bound shape is respected.
+    counts that run's half products).  The verdict ``passed`` is the
+    Gaussian-slope test: the regression of ``log P`` against ``N^2/(4t)``
+    over the grid points with ``p_exit > 0`` must have slope at most -1, so
+    the tail decays at least as fast as the envelope's shape; it fails with
+    fewer than two such points.  The free constants ``C`` and ``c`` are
+    fitted as the tightest envelope that dominates those points, so
+    ``bound >= p_exit`` holds by construction and is no verdict.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or not t.size or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be a nonempty, finite, positive, increasing sequence")
+    t = _time_grid(t_grid, positive=True)
     N = spec.box_radius
     weights = [poisson_weights(tj, poisson_truncation_k(tj, _EXIT_TOL)) for tj in t]
     k_max = max(len(w) for w in weights) - 1
@@ -610,8 +612,8 @@ def exit_time_tail_check(spec: OperatorSpec, t_grid) -> ExitTailReport:
         bound=bound,
         C=C_fit,
         c=c_fit,
-        all_below=bool(np.all(p_exit <= bound * (1 + 1e-12))),
         gaussian_slope=slope,
+        passed=slope is not None and slope <= -1.0,
         N=int(N),
         products=max(k_max - 1, 0),
     )
@@ -684,7 +686,9 @@ class FloorCertificate:
     by the test vector, or read off the pivots), the factorization's
     negative-pivot count on the eigsh route, ``-1`` there when it gave no
     valid inertia.  ``iterations`` counts the shift-invert solves of the
-    eigensolve (0 on the first two routes).
+    eigensolve (0 on the first two routes), and ``principal``, kept out of
+    ``==`` and ``repr``, is the eigsh route's ``SpectralReport`` of the
+    spec (``None`` on the first two).
     """
 
     m_N: float
@@ -692,11 +696,10 @@ class FloorCertificate:
     neg_pivots: int
     method: str
     iterations: int
+    principal: SpectralReport | None = field(default=None, compare=False, repr=False)
 
 
-def lambda1_floor_check(
-    spec: OperatorSpec, tol: float = 1e-10, principal: SpectralReport | None = None
-) -> FloorCertificate:
+def lambda1_floor_check(spec: OperatorSpec, tol: float = 1e-10) -> FloorCertificate:
     """Certify the floor ``Lambda1 >= m(N)`` at the spec's box radius and ``mu``.
 
     Three routes, each tried only when the one before declines, with ``S``
@@ -708,10 +711,11 @@ def lambda1_floor_check(
        negative pivots proves the floor without an eigensolve;
     3. ``"eigsh"``: a negative pivot, or a factorization that is not a valid
        LDL^T (see ``negative_pivots``), falls back to ``lambda1(spec, tol)``,
-       or to the caller's ``principal`` report of it, and the verdict is
-       then ``Lambda1 >= m(N)``.
+       and the verdict is then ``Lambda1 >= m(N)``; the certificate carries
+       that report as ``principal``.
 
-    So only a passing verdict skips the eigensolve.  The floor holds at the
+    So only a passing verdict skips the eigensolve, and a failing one rests
+    on the eigenpair of this spec.  The floor holds at the
     rate of ``prescribed_spec``.
     """
     m_n = eigenvalue_floor(spec.env.geometry.d, spec.env.gamma, spec.box_radius, spec.mu)
@@ -721,13 +725,14 @@ def lambda1_floor_check(
     neg = negative_pivots(S, m_n)
     if neg == 0:
         return FloorCertificate(m_N=m_n, passed=True, neg_pivots=0, method="inertia", iterations=0)
-    report = lambda1(spec, tol=tol) if principal is None else principal
+    report = lambda1(spec, tol=tol)
     return FloorCertificate(
         m_N=m_n,
         passed=bool(report.Lambda1 >= m_n),
         neg_pivots=-1 if neg is None else neg,
         method="eigsh",
         iterations=report.iterations,
+        principal=report,
     )
 
 

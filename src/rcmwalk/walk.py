@@ -44,8 +44,7 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
     box.  ``pi`` is the in-box conductance sum at ``x``.
     """
     geom = env.geometry
-    if not 0 <= _integral_radius(x, "site") < geom.n_sites:
-        raise ValidationError(f"site {x} outside the box")
+    x = geom.site(x)
     w = env.omega_by_direction[x]
     total = env.pi_all[x]
     if total <= 0:
@@ -57,9 +56,7 @@ def step_distribution(env: Environment, x: int) -> tuple[np.ndarray, np.ndarray]
 def _cluster_site(env: Environment, decomp: ClusterDecomposition, x: int) -> None:
     """Refuse ``x`` unless it is a box site on the strong cluster of ``decomp``, computed on ``env``."""
     decomp.check_env(env)
-    if not 0 <= _integral_radius(x, "site") < env.geometry.n_sites:  # numpy would read -1 as the last site
-        raise ValidationError(f"site {x} outside the box")
-    if decomp.labels[x] != STRONG_LABEL:
+    if decomp.labels[env.geometry.site(x)] != STRONG_LABEL:
         raise ValidationError(f"site {x} is not on the strong cluster")
 
 
@@ -119,9 +116,7 @@ class BoxStencil:
 def box_stencil(env: Environment, box_radius: int) -> BoxStencil:
     """The stencil of ``B_n``, ``n = box_radius <= N - 1``, so that every site has all its bonds."""
     geom = env.geometry
-    n = _integral_radius(box_radius)
-    if not 0 <= n <= geom.N - 1:
-        raise ValidationError(f"a box stencil needs box radius in [0, {geom.N - 1}] (environment radius {geom.N})")
+    n = geom.operator_radius(box_radius)
     w = np.ascontiguousarray(geom.sub_box_rows(env.omega_by_direction, n).T)
     bonds = w > 0
     grid = bonds.reshape((2 * geom.d,) + (2 * n + 1,) * geom.d)
@@ -183,7 +178,7 @@ def transition_matrix(env: Environment, box_radius: int | None = None) -> BoxCha
     Each row takes its bonds in ascending neighbor order, that of a canonical sparse row.
     """
     geom = env.geometry
-    n = geom.N - 1 if box_radius is None else _integral_radius(box_radius)
+    n = geom.operator_radius(box_radius)
     st = box_stencil(env, n)
     ascending = np.r_[0 : 2 * geom.d : 2, 2 * geom.d - 1 : 0 : -2]  # -e_1, ..., -e_d, +e_d, ..., +e_1
     row, k = np.nonzero(st.bonds[ascending].T)
@@ -311,11 +306,8 @@ def _jump_table(env: Environment) -> np.ndarray:
 
 def _start_and_kill_radius(geom: BoxGeometry, x0: int, kill_radius: int | None) -> int:
     """Check the start site and resolve ``kill_radius`` (``None`` is ``N - 1``); both must be integers."""
-    if not 0 <= _integral_radius(x0, "start site") < geom.n_sites:
-        raise ValidationError(f"start site {x0} outside the box")
-    kill = geom.N - 1 if kill_radius is None else _integral_radius(kill_radius, "kill radius")
-    if not 0 <= kill <= geom.N - 1:
-        raise ValidationError(f"kill radius must lie in [0, {geom.N - 1}]")
+    x0 = geom.site(x0, "start site")
+    kill = geom.operator_radius(kill_radius, "kill radius")
     if geom.linf_norm[x0] > kill:
         raise ValidationError("start site outside the kill radius")
     return kill

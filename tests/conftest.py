@@ -31,3 +31,19 @@ def homog_env():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture(scope="session")
+def l1_ball():
+    """``ball(geom, n, radius)``: the sites of ``B_n`` within L1 distance ``radius``, a mask over ``all_coords``.
+
+    Sorted stably by L1 distance, so by (L1 distance, canonical index): the
+    order the curve engine's ball patterns keep.
+    """
+
+    def ball(geom, n, radius):
+        l1 = np.abs(geom.all_coords).sum(axis=1)
+        keep = np.flatnonzero((np.abs(geom.all_coords).max(axis=1) <= n) & (l1 <= radius))
+        return keep[np.argsort(l1[keep], kind="stable")]
+
+    return ball

@@ -330,9 +330,7 @@ def test_criterion_10_clt_lower_bound():
     for seed in derive_environment_seeds(1010, 20):
         env = sample_environment(BoxGeometry(2, n_box + 1), 2.0, int(seed))
         dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-        cache = UniformizationCache(env, box_radius=n_box)
-        for t in times:
-            rep = clt_lower_bound_check(env, dec, t, cache=cache)
+        for rep in clt_lower_bound_check(env, dec, times, box_radius=n_box):
             if not rep.passed:
                 failures += 1
             min_margin = min(min_margin, rep.lhs / rep.rhs)

@@ -59,6 +59,5 @@ def test_feynman_kac_routes(env3, decomp3):
 
 
 def test_clt_lower_bound(env3, decomp3):
-    cache = UniformizationCache(env3)
-    rep = clt_lower_bound_check(env3, decomp3, 4.0, cache=cache)
+    (rep,) = clt_lower_bound_check(env3, decomp3, [4.0])
     assert rep.passed

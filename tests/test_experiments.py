@@ -498,6 +498,20 @@ class TestBoundSuite:
         assert [tail.products for tail in tails] == [poisson_truncation_k(n * n, 1e-40) - 1] * cfg.n_environments
         assert f"exit_tail_products={sum(t.products for t in tails)}\n" in (Path(cfg.directory) / "manifest.txt").read_text()
 
+    def test_exit_tail_rate_counts_the_slope_verdict(self, tmp_path, monkeypatch):
+        # the fitted envelope dominates every tail by construction; the rate counts the Gaussian-slope verdict
+        tails, check = [], experiments.exit_time_tail_check
+
+        def first_fails(spec, t_grid):
+            tails.append(check(spec, t_grid))
+            return replace(tails[-1], passed=len(tails) > 1)
+
+        monkeypatch.setattr(experiments, "exit_time_tail_check", first_fails)
+        cfg = _cfg(tmp_path)
+        rep = run_bound_suite(cfg)
+        assert all(tail.passed and np.all(tail.p_exit <= tail.bound * (1 + 1e-12)) for tail in tails)
+        assert rep.pass_rates["exit_tail"] == (cfg.n_environments - 1) / cfg.n_environments
+
     def test_byte_determinism(self, tmp_path):
         for sub in ("a", "b"):
             run_bound_suite(_cfg(tmp_path, sub))
@@ -648,3 +662,10 @@ def test_an_unread_config_key_is_found():
         "    return cfg.gamma, cfg.window()\n"
     )
     assert _run_reads(source) == {"gamma", "window", "lo", "hi"}
+
+
+def test_sections_name_each_config_field_once():
+    # the sections hold the key names; each key's type is its field's annotation
+    names = [key for keys in experiments._SECTIONS.values() for key in keys]
+    assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
+    assert {experiments._TYPES[name] for name in names} == {int, float, str, tuple[int, ...]}

@@ -513,11 +513,11 @@ class TestBallBonds:
     """A curve reads the conductances of its ball's bonds alone, numbered from the strides."""
 
     @pytest.mark.parametrize("d, N", [(2, 5), (3, 3), (5, 2)])
-    def test_stride_bond_ids_are_the_tables(self, d, N):
+    def test_stride_bond_ids_are_the_tables(self, d, N, l1_ball):
         geom, n = BoxGeometry(d, N), N - 1
         assert np.array_equal(geom.bond_ids(np.arange(geom.n_sites)), geom.bond_id_table)
         for radius in range(d * n + 1):
-            sites = geom.l1_ball_indices(n, radius)
+            sites = l1_ball(geom, n, radius)
             assert np.array_equal(geom.bond_ids(sites), geom.bond_id_table[sites]), radius
             # the pattern's places, read through its ranges, are the ids of each site's bonds in incidence order
             pattern = heatkernel._ball_pattern(geom, n, radius)
@@ -912,14 +912,12 @@ class TestCltLowerBound:
     def test_homogeneous_holds(self):
         env = sample_environment(BoxGeometry(2, 24), math.inf, 0)
         dec = strong_cluster(env, 0.5)
-        cache = UniformizationCache(env)
-        for t in (1.0, 8.0, 32.0):
-            rep = clt_lower_bound_check(env, dec, t, cache=cache)
+        for rep in clt_lower_bound_check(env, dec, [1.0, 8.0, 32.0]):
             assert rep.passed
             assert rep.lhs >= rep.rhs
 
     def test_small_t_trivial(self, small_env, holey_decomp):
-        rep = clt_lower_bound_check(small_env, holey_decomp, 1.0)
+        (rep,) = clt_lower_bound_check(small_env, holey_decomp, [1.0])
         assert rep.passed
         assert rep.lhs > 0.2  # short-time regime stays near e^{-1} scale
 
@@ -928,58 +926,57 @@ class TestCltLowerBound:
             n = box_radius_for_horizon(32.0)
             env = sample_environment(BoxGeometry(2, n + 1), 2.0, 100 + seed)
             dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
-            rep = clt_lower_bound_check(env, dec, 32.0, box_radius=n)
+            (rep,) = clt_lower_bound_check(env, dec, [32.0], box_radius=n)
             assert rep.passed
 
     def test_ball_must_fit(self, small_env, holey_decomp):
-        with pytest.raises(ValidationError):
-            clt_lower_bound_check(small_env, holey_decomp, 400.0)
+        with pytest.raises(ValidationError, match="does not fit"):
+            clt_lower_bound_check(small_env, holey_decomp, [1.0, 400.0])
 
     def test_decomposition_of_another_environment_rejected(self):
         a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
         dec_b = strong_cluster(b, threshold_for_density(2.0, 0.95))
         with pytest.raises(ValidationError, match="different environment"):
-            clt_lower_bound_check(a, dec_b, 9.0)
-
-    def test_cache_of_another_environment_rejected(self):
-        # the other environment's cache read 0.04545 where this one's reads 0.04984
-        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
-        dec_a = strong_cluster(a, threshold_for_density(2.0, 0.95))
-        with pytest.raises(ValidationError, match="different environment"):
-            clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(b, 7))
-        rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, 7))
-        assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
+            clt_lower_bound_check(a, dec_b, [9.0])
 
     def test_chain_of_another_environment_rejected(self):
         # a cache on a's environment but b's chain read b's 0.04545
         a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
-        dec_a = strong_cluster(a, threshold_for_density(2.0, 0.95))
         with pytest.raises(ValidationError, match="different environment"):
             UniformizationCache(a, chain=transition_matrix(b, 7))
-        rep = clt_lower_bound_check(a, dec_a, 9.0, cache=UniformizationCache(a, chain=transition_matrix(a, 7)))
-        assert rep.lhs == pytest.approx(0.04984, abs=1e-5)
+        assert UniformizationCache(a, chain=transition_matrix(a, 7)).return_prob(9.0) == pytest.approx(0.04984, abs=1e-5)
 
     @pytest.fixture(scope="class")
     def box12(self):
         env = sample_environment(BoxGeometry(2, 12), 2.0, 3)
         return env, strong_cluster(env, threshold_for_density(2.0, 0.95))
 
-    def test_penalized_cache_refused(self, box12):
-        # a cache at lam = 0.5 read the penalized kernel, lhs 5.4e-4 against 4.8e-2, and still passed
+    def test_lhs_is_the_kernel_of_the_named_box(self, box12):
+        # a caller's cache was once read as given: another environment's gave 0.04545 for
+        # 0.04984, one at lam = 0.5 the penalized 5.4e-4 for 4.8e-2, and one on radius 11
+        # stood in for radius 5; the check now builds its one unpenalized cache itself
+        a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
+        (rep,) = clt_lower_bound_check(a, strong_cluster(a, threshold_for_density(2.0, 0.95)), [9.0], box_radius=7)
+        assert rep.lhs == UniformizationCache(a, 7).return_prob(9.0) == pytest.approx(0.04984, abs=1e-5)
+        assert UniformizationCache(b, 7).return_prob(9.0) == pytest.approx(0.04545, abs=1e-5)
         env, dec = box12
-        with pytest.raises(ValidationError, match="unpenalized"):
-            clt_lower_bound_check(env, dec, 9.0, cache=UniformizationCache(env, box_radius=11, lam=0.5))
-        assert clt_lower_bound_check(env, dec, 9.0).lhs == pytest.approx(0.04823, abs=1e-5)
+        assert clt_lower_bound_check(env, dec, [9.0])[0].lhs == pytest.approx(0.04823, abs=1e-5)
+        assert clt_lower_bound_check(env, dec, [9.0], box_radius=np.int64(11)) == clt_lower_bound_check(env, dec, [9.0])
+        assert clt_lower_bound_check(env, dec, [9.0], box_radius=5)[0].lhs == UniformizationCache(env, 5).return_prob(9.0)
 
-    def test_cache_on_another_radius_refused(self, box12):
-        # box radius 5 was ignored and the check ran on the cache's radius 11
+    def test_a_grid_is_its_times_one_by_one(self, box12):
+        # one cache and one propagation of the laws serve the grid, bit for bit
         env, dec = box12
-        cache = UniformizationCache(env, box_radius=11)
-        for radius in (5, 11.0, "11"):
-            with pytest.raises(ValidationError, match="box radius"):
-                clt_lower_bound_check(env, dec, 9.0, box_radius=radius, cache=cache)
-        same = clt_lower_bound_check(env, dec, 9.0, box_radius=np.int64(11), cache=cache)
-        assert same == clt_lower_bound_check(env, dec, 9.0, cache=cache)
+        times = [4.0, 9.0, 30.25]
+        reports = clt_lower_bound_check(env, dec, times)
+        assert [rep.t for rep in reports] == times
+        assert reports == [clt_lower_bound_check(env, dec, [t])[0] for t in times]
+
+    @pytest.mark.parametrize("grid", [[0.0, 4.0], [-1.0, 4.0], [4.0, 4.0], [9.0, 4.0], [], [[4.0, 9.0]]],
+                             ids=["zero", "negative", "repeated", "decreasing", "empty", "2d"])
+    def test_grid_of_positive_increasing_times(self, box12, grid):
+        with pytest.raises(ValidationError, match="t grid must be"):
+            clt_lower_bound_check(*box12, grid)
 
     def test_chain_on_another_radius_refused(self, box12):
         # the cache ran on the chain's radius 7 although radius 5 was asked for
@@ -1032,7 +1029,7 @@ _NON_RADII = [2.7, "3", math.nan, math.inf, -1, 6]
 _RADIUS_ENTRY_POINTS = {
     "transition_matrix": lambda env, decomp, r: transition_matrix(env, r),
     "UniformizationCache": lambda env, decomp, r: UniformizationCache(env, box_radius=r),
-    "clt_lower_bound_check": lambda env, decomp, r: clt_lower_bound_check(env, decomp, 4.0, box_radius=r),
+    "clt_lower_bound_check": lambda env, decomp, r: clt_lower_bound_check(env, decomp, [4.0], box_radius=r),
     "ball_pattern": lambda env, decomp, r: heatkernel._ball_pattern(env.geometry, r, 4),
     "return_prob_curve_exact": lambda env, decomp, r: return_prob_curve_exact(env, [1.0, 2.0], box_radius=r),
     "return_prob_mc": lambda env, decomp, r: return_prob_mc(env, [1.0], 10, np.random.default_rng(0), box_radius=r),

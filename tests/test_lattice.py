@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from rcmwalk import (
     ValidationError,
     VersionMismatchError,
     derive_environment_seeds,
+    heatkernel,
     load_environment,
     pi,
     sample_environment,
@@ -106,17 +109,25 @@ class TestBoxGeometry:
         "d, N, n, radius",
         [(2, 3, 3, 0), (2, 5, 4, 3), (2, 5, 4, 7), (2, 5, 4, 20), (3, 4, 2, 4), (4, 2, 2, 5), (2, 3, 0, 2)],
     )
-    def test_l1_ball_indices(self, d, N, n, radius):
-        # reference: the whole box filtered, sorted by (L1 distance, canonical index)
+    def test_l1_ball_indices(self, d, N, n, radius, l1_ball):
+        # the curve engine's ball pattern holds the sites of B_n within L1 radius
+        # `radius`, each parity by (L1 distance, canonical index); B_n needs n <= N - 1
         g = BoxGeometry(d, N)
-        l1 = np.abs(g.all_coords).sum(axis=1)
-        keep = np.flatnonzero((g.linf_norm <= n) & (l1 <= radius))
-        ref = keep[np.lexsort((keep, l1[keep]))]
-        assert np.array_equal(g.l1_ball_indices(n, radius), ref)
-        with pytest.raises(ValidationError):
-            g.l1_ball_indices(n, -1)
-        with pytest.raises(ValidationError):
-            g.l1_ball_indices(N + 1, radius)
+        if n > N - 1:
+            with pytest.raises(ValidationError, match="box radius"):
+                heatkernel._ball_pattern(g, n, radius)
+            g = BoxGeometry(d, n + 1)
+        pattern = heatkernel._ball_pattern(g, n, radius)
+        ids = np.concatenate([np.arange(a, b) for a, b in pattern.bond_ranges])
+        ref = l1_ball(g, n, radius)
+        l1 = np.abs(g.all_coords[ref]).sum(axis=1)
+        for parity in (0, 1):
+            sites = g.bond_u[ids[pattern.site_bonds[parity][1]]]  # the lower end of each site's +e_1 bond
+            side = l1 % 2 == parity
+            assert np.array_equal(sites, ref[side]), parity
+            assert np.array_equal(pattern.balls[parity], np.searchsorted(l1[side], np.arange(radius + 1), "right"))
+        with pytest.raises(ValidationError, match="box radius"):
+            heatkernel._ball_pattern(g, g.N, radius)
 
     def test_sub_box_indices(self):
         g = BoxGeometry(2, 3)
@@ -541,3 +552,53 @@ class TestCrc64:
         flipped = bytearray(data)
         flipped[bit // 8] ^= 1 << (bit % 8)
         assert crc64(bytes(flipped)) != crc64(data)
+
+
+# ---------------------------------------------------------------------------
+# static guard: BoxGeometry.operator_radius alone states the operator-box rule
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcmwalk"
+
+
+def _operator_box_rules(source: str) -> list[str]:
+    """The ``<expr>.N - 1`` expressions of ``source`` outside ``BoxGeometry.operator_radius``."""
+    tree = ast.parse(source)
+    owner = {
+        id(node)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "BoxGeometry"
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "operator_radius"
+        for node in ast.walk(f)
+    }
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Attribute)
+        and node.left.attr == "N"
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+        and id(node) not in owner
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_operator_radius_states_the_operator_box(path):
+    # the default N - 1 and the range [0, N - 1] of an operator box are operator_radius's alone
+    assert _operator_box_rules(path.read_text()) == []
+
+
+def test_an_operator_box_rule_is_found():
+    source = (
+        "class BoxGeometry:\n"
+        "    def operator_radius(self, n=None):\n"
+        "        return self.N - 1 if n is None else n\n"
+        "def transition_matrix(env, box_radius=None):\n"
+        "    return env.geometry.N - 1 if box_radius is None else box_radius\n"
+        "def sites(geom):\n"
+        "    return geom.N - 2, geom.n_sites - 1\n"
+    )
+    assert _operator_box_rules(source) == ["line 5: env.geometry.N - 1"]

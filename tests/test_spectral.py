@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
@@ -341,6 +342,24 @@ class TestFloorCertificate:
         assert cert.iterations > 0
         assert cert.neg_pivots == 1  # one eigenvalue below m(N)
         assert lambda1(spec).Lambda1 < cert.m_N
+
+    def test_failing_floor_rests_on_its_own_eigenpair(self):
+        # a caller's eigenpair was once taken unchecked: handed the prescribed spec's
+        # report, the lam = 0 spec below read passed=True with neg_pivots=1
+        assert list(inspect.signature(lambda1_floor_check).parameters) == ["spec", "tol"]
+        env = sample_environment(BoxGeometry(2, 33), 2.0, 7)
+        dec = strong_cluster(env, threshold_for_density(2.0, 0.95))
+        spec = OperatorSpec(env=env, decomp=dec, box_radius=32, lam=0.0, mu=0.1)
+        cert = lambda1_floor_check(spec)
+        assert (cert.passed, cert.neg_pivots, cert.method) == (False, 1, "eigsh")
+        own = lambda1(spec)
+        assert cert.principal.Lambda1 == own.Lambda1 < cert.m_N
+        assert np.array_equal(cert.principal.psi1, own.psi1) and cert.principal.iterations == cert.iterations
+        assert lambda1(prescribed_spec(env, dec, 32, mu=0.1)).Lambda1 >= cert.m_N  # the report it was handed
+        # kept out of == and repr, and absent where no eigensolve ran
+        assert cert == replace(cert, principal=None) and "principal" not in repr(cert)
+        barta = lambda1_floor_check(prescribed_spec(env, dec, 32, mu=0.1))
+        assert barta.method == "barta" and barta.principal is None
 
     @pytest.mark.parametrize("fault", ["perm", "zero", "nan", "singular"])
     def test_invalid_factorization_falls_back(self, monkeypatch, spec_625, fault):
@@ -796,16 +815,20 @@ class TestExitTimeTail:
         assert np.all(rep.p_exit >= 0.0)
         assert np.all(rep.p_exit <= gammainc(25, t))
         assert np.all(rep.p_exit >= 4.0**-24 * gammainc(25, t))
-        assert rep.all_below
+        # this far below t ~ N the tail is the Poisson clock's (e t / N)^N, not e^{-N^2/4t}:
+        # its slope against N^2/(4t) reads -0.30, and the Gaussian-slope verdict fails
+        assert rep.gaussian_slope == pytest.approx(-0.297, abs=1e-3)
+        assert not rep.passed
 
     def test_homogeneous_envelope(self):
         env = sample_environment(BoxGeometry(2, 33), math.inf, 0)
         grid = np.geomspace(32**2 / 16, 32**2, 8)
         rep = exit_time_tail_check(OperatorSpec(env=env, box_radius=32), grid)
-        assert rep.all_below
         assert rep.p_exit.max() > 0.05
-        # decay at least as fast as the e^{-N^2/4t} envelope shape
+        # decay at least as fast as the e^{-N^2/4t} envelope shape, and the fitted envelope dominates
         assert rep.gaussian_slope is not None and rep.gaussian_slope <= -1.0
+        assert rep.passed
+        assert np.all(rep.p_exit <= rep.bound * (1 + 1e-12))
 
     def test_matches_dense_oracle(self):
         # 1 - P(alive at t) from the dense killed semigroup
@@ -882,7 +905,7 @@ def _time_entry_points():
     origin = env.geometry.origin
     rng = np.random.default_rng(0)
     return {
-        "clt_lower_bound_check": lambda t: heatkernel.clt_lower_bound_check(env, dec, t),
+        "clt_lower_bound_check": lambda t: heatkernel.clt_lower_bound_check(env, dec, [t]),
         "poissonization_lower_bound": lambda t: heatkernel.poissonization_lower_bound(UniformizationCache(env, 3), t),
         "feynman_kac_spectral": lambda t: feynman_kac_spectral(spec, t),
         "feynman_kac_mc": lambda t: feynman_kac_mc(spec, t, 50, rng),
