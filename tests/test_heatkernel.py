@@ -951,16 +951,34 @@ class TestCltLowerBound:
         env = sample_environment(BoxGeometry(2, 12), 2.0, 3)
         return env, strong_cluster(env, threshold_for_density(2.0, 0.95))
 
-    def test_lhs_is_the_kernel_of_the_named_box(self, box12):
-        # a caller's cache was once read as given: another environment's gave 0.04545 for
-        # 0.04984, one at lam = 0.5 the penalized 5.4e-4 for 4.8e-2, and one on radius 11
-        # stood in for radius 5; the check now builds its one unpenalized cache itself
+    def test_cache_of_another_environment_rejected(self):
+        # the other environment's cache once read 0.04545 where this one's reads 0.04984;
+        # the check now takes no cache and builds its own on the environment it is given
         a, b = (sample_environment(BoxGeometry(2, 8), 2.0, seed) for seed in (1, 2))
-        (rep,) = clt_lower_bound_check(a, strong_cluster(a, threshold_for_density(2.0, 0.95)), [9.0], box_radius=7)
+        dec_a = strong_cluster(a, threshold_for_density(2.0, 0.95))
+        with pytest.raises(TypeError, match="cache"):
+            clt_lower_bound_check(a, dec_a, [9.0], box_radius=7, cache=UniformizationCache(b, 7))
+        (rep,) = clt_lower_bound_check(a, dec_a, [9.0], box_radius=7)
         assert rep.lhs == UniformizationCache(a, 7).return_prob(9.0) == pytest.approx(0.04984, abs=1e-5)
         assert UniformizationCache(b, 7).return_prob(9.0) == pytest.approx(0.04545, abs=1e-5)
+
+    def test_penalized_cache_refused(self, box12):
+        # a cache at lam = 0.5 once read the penalized kernel, lhs 5.4e-4 against 4.8e-2,
+        # and still passed; the check's own cache is unpenalized
         env, dec = box12
-        assert clt_lower_bound_check(env, dec, [9.0])[0].lhs == pytest.approx(0.04823, abs=1e-5)
+        with pytest.raises(TypeError, match="cache"):
+            clt_lower_bound_check(env, dec, [9.0], cache=UniformizationCache(env, box_radius=11, lam=0.5))
+        (rep,) = clt_lower_bound_check(env, dec, [9.0])
+        assert rep.lhs == UniformizationCache(env, 11).return_prob(9.0) == pytest.approx(0.04823, abs=1e-5)
+
+    def test_cache_on_another_radius_refused(self, box12):
+        # box radius 5 was once ignored and the check ran on the cache's radius 11
+        env, dec = box12
+        with pytest.raises(TypeError, match="cache"):
+            clt_lower_bound_check(env, dec, [9.0], box_radius=5, cache=UniformizationCache(env, box_radius=11))
+        for radius in (11.0, "11"):
+            with pytest.raises(ValidationError, match="box radius"):
+                clt_lower_bound_check(env, dec, [9.0], box_radius=radius)
         assert clt_lower_bound_check(env, dec, [9.0], box_radius=np.int64(11)) == clt_lower_bound_check(env, dec, [9.0])
         assert clt_lower_bound_check(env, dec, [9.0], box_radius=5)[0].lhs == UniformizationCache(env, 5).return_prob(9.0)
 
