@@ -2,8 +2,12 @@
 
 Subcommands: ``generate``, ``decompose``, ``simulate``, ``exact``,
 ``spectrum``, ``exponent``, ``bounds``, ``report``.  Every run writes a
-manifest next to its CSVs.  Exit codes: 0 success, 2 validation problem,
-3 numerical failure.
+manifest next to its CSVs.  Exit codes: 0 success, 2 validation problem
+(for ``report`` also a missing or changed file), 3 numerical failure.
+
+At module level this imports only the standard library, NumPy, ``errors``
+and ``lattice``; each command imports what it runs in its own body, so the
+parser, ``--help``, ``--version`` and ``report`` start without SciPy.
 """
 
 from __future__ import annotations
@@ -19,16 +23,6 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, RcmError, ValidationError
-from .experiments import (
-    ExperimentConfig,
-    load_config,
-    run_bound_suite,
-    run_exponent,
-    write_csv,
-    write_curves_csv,
-    write_manifest,
-)
-from .heatkernel import _mc_estimate, default_time_grid, return_prob_curve_exact
 from .lattice import (
     BoxGeometry,
     derive_environment_seeds,
@@ -36,15 +30,6 @@ from .lattice import (
     sample_environment,
     save_environment,
 )
-from .percolation import (
-    hole_volume_report,
-    percolation_density_warning,
-    strong_cluster,
-    threshold_for_density,
-    write_decomposition_csv,
-)
-from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_spec
-from .walk import ensemble_walk
 
 
 def _worker_count(text: str) -> int:
@@ -90,6 +75,8 @@ def _load_env_arg(args):
 
 
 def _cmd_generate(args) -> int:
+    from .experiments import write_manifest
+
     start = time.monotonic()
     if args.count < 1:
         raise ValidationError(f"generate needs --count >= 1, got {args.count}")
@@ -114,6 +101,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .experiments import write_csv, write_manifest
+    from .percolation import (
+        hole_volume_report,
+        percolation_density_warning,
+        strong_cluster,
+        threshold_for_density,
+        write_decomposition_csv,
+    )
+
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
@@ -150,6 +146,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiments import write_csv, write_manifest
+    from .heatkernel import _mc_estimate, default_time_grid
+    from .walk import ensemble_walk
+
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
@@ -177,6 +177,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .experiments import write_curves_csv, write_manifest
+    from .heatkernel import default_time_grid, return_prob_curve_exact
+
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
@@ -197,6 +200,10 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .experiments import write_csv, write_manifest
+    from .percolation import strong_cluster, threshold_for_density
+    from .spectral import OperatorSpec, lambda1, lambda1_floor_check, prescribed_spec
+
     start = time.monotonic()
     out = _out_dir(args)
     env = _load_env_arg(args)
@@ -224,8 +231,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _config_arg(args) -> ExperimentConfig:
+def _config_arg(args):
     """The ``--config`` file, with ``--seed`` overriding its master seed and ``--out`` its directory."""
+    from .experiments import load_config
+
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = args.seed
@@ -235,6 +244,8 @@ def _config_arg(args) -> ExperimentConfig:
 
 
 def _cmd_exponent(args) -> int:
+    from .experiments import run_exponent
+
     cfg = _config_arg(args)
     report = run_exponent(cfg, threads=args.threads, annealed=args.annealed)
     q, a = report.quenched, report.annealed
@@ -246,6 +257,8 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .experiments import run_bound_suite
+
     cfg = _config_arg(args)
     report = run_bound_suite(cfg, threads=args.threads)
     for name, rate in report.pass_rates.items():
@@ -254,7 +267,17 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _manifest_text(mpath: Path) -> str:
+    data = mpath.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{mpath}, line {line}: manifest is not UTF-8 text") from exc
+
+
 def _cmd_report(args) -> int:
+    """Exit 2 when a listed file is missing or changed, after the full report is printed and written."""
     root = Path(args.out if args.out is not None else "out")
     manifests = sorted(root.glob("**/manifest.txt"))
     if not manifests:
@@ -263,9 +286,11 @@ def _cmd_report(args) -> int:
     bad = 0
     for mpath in manifests:
         lines.append(f"run: {mpath.parent}")
-        for raw in mpath.read_text().splitlines():
+        for number, raw in enumerate(_manifest_text(mpath).splitlines(), 1):
             if raw.startswith("file="):
-                name, digest = raw[len("file=") :].rsplit(" sha256:", 1)
+                name, sep, digest = raw[len("file=") :].rpartition(" sha256:")
+                if not sep:
+                    raise ValidationError(f"{mpath}, line {number}: file entry without ' sha256:<digest>'")
                 fpath = mpath.parent / name
                 if not fpath.is_file():
                     status = "MISSING"
@@ -283,7 +308,7 @@ def _cmd_report(args) -> int:
     (root / "report.txt").write_text(text)
     print(text)
     print(f"{len(manifests)} run(s), {bad} stale file(s); report.txt written to {root}")
-    return 0
+    return 2 if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

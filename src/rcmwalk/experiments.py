@@ -195,7 +195,11 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

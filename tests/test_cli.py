@@ -24,6 +24,7 @@ from rcmwalk import (
 )
 from rcmwalk import walk
 from rcmwalk.cli import main
+from rcmwalk.experiments import write_manifest
 
 FAST_CFG = """
 [model]
@@ -244,6 +245,13 @@ class TestConfigCommands:
         assert main(["exponent", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        # it was a UnicodeDecodeError traceback
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe[model]\n")
+        assert main(["exponent", "--config", str(cfg)]) == 2
+        assert f"error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+
     def test_bounds_run(self, tmp_path, capsys):
         out = tmp_path / "bnd"
         cfg = tmp_path / "demo.cfg"
@@ -302,10 +310,31 @@ class TestReport:
         text = capsys.readouterr().out
         assert "ok" in text
         assert (tmp_path / "report.txt").is_file()
-        # tamper with a file: the report flags it
+        # tamper with one file and delete another: the report flags both, in full, and exits 2
         (out / "curves.csv").write_text("tampered\n")
-        main(["report", "--out", str(tmp_path)])
-        assert "HASH-MISMATCH" in capsys.readouterr().out
+        (out / "exponent_fits.csv").unlink()
+        (tmp_path / "report.txt").unlink()
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        text = capsys.readouterr().out
+        statuses = ("curves.csv: HASH-MISMATCH", "exponent_fits.csv: MISSING", "exponent_report.csv: ok")
+        assert all(f"  {status}\n" in text for status in statuses)
+        assert text.startswith((tmp_path / "report.txt").read_text())
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [
+            (b"command=x\nfile=foo.csv\n", "file entry without ' sha256:<digest>'"),
+            (b"command=x\ncomment=\xff\n", "manifest is not UTF-8 text"),
+        ],
+        ids=["no-digest", "not-utf8"],
+    )
+    def test_damaged_manifest_names_its_line(self, tmp_path, capsys, body, problem):
+        # a damaged manifest was a ValueError or UnicodeDecodeError traceback
+        mpath = tmp_path / "run" / "manifest.txt"
+        mpath.parent.mkdir()
+        mpath.write_bytes(body)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert f"error: {mpath}, line 2: {problem}" in capsys.readouterr().err
 
     def test_shows_every_manifest_line_but_the_version_and_the_clock(self, tmp_path, capsys):
         sampled = ["--gamma", "2", "--d", "2", "--N", "6", "--seed", "3"]
@@ -327,15 +356,26 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)]) == 2
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    # both cost most of the CLI's start-up time and no command path needs them at import
+START_UP = {
+    "package": "import rcmwalk",
+    "cli": "import rcmwalk.cli",
+    "version": "from rcmwalk.cli import main\ntry: main(['--version'])\nexcept SystemExit: pass",
+    "help": "from rcmwalk.cli import main\ntry: main(['--help'])\nexcept SystemExit: pass",
+    "report": "from rcmwalk.cli import main\nassert main(['report', '--out', sys.argv[1]]) == 0",
+}
+
+
+@pytest.mark.parametrize("code", START_UP.values(), ids=START_UP.keys())
+def test_start_up_loads_no_scipy(tmp_path, code):
+    # importing any SciPy module costs about 0.3 s, most of a fresh interpreter's start-up
+    (tmp_path / "a.csv").write_text("x\n1\n")
+    write_manifest(tmp_path, "generate", None, ["a.csv"], 0.0)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, rcmwalk.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+    script = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
