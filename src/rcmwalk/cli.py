@@ -2,12 +2,14 @@
 
 Subcommands: ``generate``, ``decompose``, ``simulate``, ``exact``,
 ``spectrum``, ``exponent``, ``bounds``, ``report``.  Every run writes a
-manifest next to its CSVs.  Exit codes: 0 success, 2 validation problem
-(for ``report`` also a missing or changed file), 3 numerical failure.
+manifest next to its CSVs.  Exit codes: 0 success, 2 validation problem or
+an ``OSError`` on a path the command reads or writes (for ``report`` also a
+missing or changed file), 3 numerical failure.
 
-At module level this imports only the standard library, NumPy, ``errors``
-and ``lattice``; each command imports what it runs in its own body, so the
-parser, ``--help``, ``--version`` and ``report`` start without SciPy.
+At module level this imports only the standard library, ``errors`` and the
+package version; each command imports what it runs in its own body.  So the
+parser, ``--help``, ``--version`` and ``report`` start without NumPy, and
+``generate`` loads NumPy but not SciPy.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import NumericalError, RcmError, ValidationError
-from .lattice import (
-    BoxGeometry,
-    derive_environment_seeds,
-    load_environment,
-    sample_environment,
-    save_environment,
-)
 
 
 def _worker_count(text: str) -> int:
@@ -64,6 +57,8 @@ def _out_dir(args, default: str = "out") -> Path:
 
 def _load_env_arg(args):
     """The environment named by ``_env_flags``; ``--N`` is the operator box, one layer inside it."""
+    from .lattice import BoxGeometry, load_environment, sample_environment
+
     if args.env:
         return load_environment(args.env)
     if args.d is not None and args.N is not None:
@@ -76,6 +71,7 @@ def _load_env_arg(args):
 
 def _cmd_generate(args) -> int:
     from .experiments import write_manifest
+    from .lattice import BoxGeometry, derive_environment_seeds, sample_environment, save_environment
 
     start = time.monotonic()
     if args.count < 1:
@@ -146,6 +142,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     from .experiments import write_csv, write_manifest
     from .heatkernel import _mc_estimate, default_time_grid
     from .walk import ensemble_walk
@@ -177,6 +175,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    import numpy as np
+
     from .experiments import write_curves_csv, write_manifest
     from .heatkernel import default_time_grid, return_prob_curve_exact
 
@@ -394,10 +394,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except RcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RcmError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,11 @@ annealed studies average the curves across environments pointwise and fit
 once.  The bound suite checks hole volumes, the spectral floor, the
 survival envelope and the exit tail on each environment; the exit tail's
 pass rate counts its Gaussian-slope verdict.
+
+At module level this imports only the standard library, NumPy, ``errors``
+and ``lattice``: the run engines (``heatkernel``, ``percolation``,
+``spectral`` and SciPy's ``stdtrit``) are imported by the functions that
+run them, so the config, CSV and manifest plumbing loads no SciPy.
 """
 
 from __future__ import annotations
@@ -31,26 +36,13 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import __version__ as _package_version
 from .errors import RcmError, ValidationError
-from .heatkernel import (
-    ReturnProbabilityCurve,
-    box_radius_for_horizon,
-    default_time_grid,
-    fit_exponent,
-    return_prob_curve_exact,
-    return_prob_mc,
-)
 from .lattice import _CONFIDENCE, BoxGeometry, derive_environment_seeds, sample_environment
-from .percolation import hole_volume_report, strong_cluster, threshold_for_density
-from .spectral import (
-    exit_time_tail_check,
-    lambda1_floor_check,
-    prescribed_spec,
-    survival_bound_check,
-)
+
+if typing.TYPE_CHECKING:
+    from .heatkernel import ReturnProbabilityCurve
 
 
 @dataclass
@@ -194,7 +186,8 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
-        raise ValidationError(f"config file not found: {path}")
+        problem = "is not a regular file" if p.exists() else "not found"
+        raise ValidationError(f"config file {problem}: {path}")
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -309,6 +302,8 @@ class ExperimentReport:
 
 
 def _slope_summary(slopes: np.ndarray) -> AggregateSlope:
+    from scipy.special import stdtrit
+
     m = len(slopes)
     mean = float(np.mean(slopes))
     if m > 1:
@@ -322,6 +317,8 @@ def _slope_summary(slopes: np.ndarray) -> AggregateSlope:
 
 def _curve_job(cfg: ExperimentConfig, seed: int, patterns: dict) -> ReturnProbabilityCurve:
     """One environment's curve; an exact one reads and fills the run's ball ``patterns``."""
+    from .heatkernel import box_radius_for_horizon, default_time_grid, return_prob_curve_exact, return_prob_mc
+
     n_box = box_radius_for_horizon(cfg.t_max, cfg.coupling_c)
     env = sample_environment(BoxGeometry(cfg.d, n_box + 1), cfg.gamma, seed)
     grid = default_time_grid(cfg.t_min, cfg.t_max, cfg.points_per_decade)
@@ -388,6 +385,8 @@ def _failure(seed: int, status: str) -> EnvironmentFit:
 
 def _fit_with_marker(seed: int, curve: ReturnProbabilityCurve, window) -> EnvironmentFit:
     """Fit one curve; failures become markers instead of aborting the sweep."""
+    from .heatkernel import fit_exponent
+
     try:
         f = fit_exponent(curve, window)
         return EnvironmentFit(seed=seed, slope=f.slope, ci_low=f.ci_low, ci_high=f.ci_high)
@@ -397,6 +396,8 @@ def _fit_with_marker(seed: int, curve: ReturnProbabilityCurve, window) -> Enviro
 
 def _annealed_fit(cfg: ExperimentConfig, curves, window) -> tuple[AggregateSlope, list]:
     """Pointwise mean of the environments' curves, its fit and its CSV rows."""
+    from .heatkernel import ReturnProbabilityCurve, fit_exponent
+
     stack = np.vstack([curve.p for curve in curves])
     mean_p = stack.mean(axis=0)
     se_p = stack.std(axis=0, ddof=1) / math.sqrt(len(curves)) if len(curves) > 1 else np.zeros_like(mean_p)
@@ -450,6 +451,8 @@ def run_exponent(cfg: ExperimentConfig, threads: int = 1, annealed: bool = False
     environments, fits once, and writes ``annealed_curve.csv`` and
     ``annealed_report.csv``.
     """
+    from .heatkernel import box_radius_for_horizon
+
     cfg.validate()
     if cfg.n_environments < 1:
         raise ValidationError("n_environments must be >= 1 for exponent studies")
@@ -532,6 +535,9 @@ def _bound_job(cfg: ExperimentConfig, seed: int) -> tuple[dict[str, list[tuple]]
     -1 (``ExitTailReport.passed``); the other counts are manifest lines,
     summed over the jobs.
     """
+    from .percolation import hole_volume_report, strong_cluster, threshold_for_density
+    from .spectral import exit_time_tail_check, lambda1_floor_check, prescribed_spec, survival_bound_check
+
     gamma, d, n_max, mu = cfg.gamma, cfg.d, max(cfg.N_list), cfg.mu
     env = sample_environment(BoxGeometry(d, n_max + 1), gamma, seed)
     xi = threshold_for_density(gamma, cfg.p)

@@ -365,17 +365,65 @@ START_UP = {
 }
 
 
-@pytest.mark.parametrize("code", START_UP.values(), ids=START_UP.keys())
-def test_start_up_loads_no_scipy(tmp_path, code):
-    # importing any SciPy module costs about 0.3 s, most of a fresh interpreter's start-up
-    (tmp_path / "a.csv").write_text("x\n1\n")
-    write_manifest(tmp_path, "generate", None, ["a.csv"], 0.0)
+def _fresh_modules(code: str, out: Path) -> list[str]:
+    """``sys.modules`` after a fresh interpreter runs ``code``, which reads ``out`` as ``sys.argv[1]``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    script = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
+    script = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _loaded(modules: list[str], left_out: tuple[str, ...]) -> list[str]:
+    """The ``modules`` that are one of ``left_out`` or a submodule of one."""
+    return [m for m in modules if m in left_out or m.startswith(tuple(f"{name}." for name in left_out))]
+
+
+def _one_file_run(root: Path) -> None:
+    root.mkdir(exist_ok=True)
+    (root / "a.csv").write_text("x\n1\n")
+    write_manifest(root, "generate", None, ["a.csv"], 0.0)
+
+
+@pytest.mark.parametrize("code", START_UP.values(), ids=START_UP.keys())
+def test_start_up_loads_no_scipy(tmp_path, code):
+    # nor NumPy: of a fresh start-up, SciPy's modules take about 0.3 s and NumPy about 0.07 s
+    _one_file_run(tmp_path)
+    assert _loaded(_fresh_modules(code, tmp_path), ("numpy", "scipy")) == []
+
+
+SAMPLED = "'--d', '2', '--N', '4', '--gamma', '2', '--out', sys.argv[1]"
+COMMANDS = {
+    "generate": (f"main(['generate', {SAMPLED}])", ("scipy",)),
+    "decompose": (f"main(['decompose', {SAMPLED}])", ("rcmwalk.heatkernel", "rcmwalk.spectral", "scipy.special")),
+}
+
+
+@pytest.mark.parametrize("call, left_out", COMMANDS.values(), ids=COMMANDS.keys())
+def test_command_loads_only_what_it_runs(tmp_path, call, left_out):
+    modules = _fresh_modules(f"from rcmwalk.cli import main\nassert {call} == 0", tmp_path)
+    assert (tmp_path / "manifest.txt").is_file()
+    assert _loaded(modules, left_out) == []
+
+
+OS_ERRORS = {
+    # mkdir under a regular file: NotADirectoryError
+    "out-under-a-file": (["generate", "--d", "2", "--N", "3", "--gamma", "2", "--out", "{tmp}/file/x"], "{tmp}/file/x"),
+    # an --env that is a directory: IsADirectoryError
+    "env-is-a-directory": (["exact", "--t", "5", "--out", "{tmp}/x", "--env", "{tmp}/run"], "{tmp}/run"),
+    # a directory where the report goes: IsADirectoryError
+    "report-txt-is-a-directory": (["report", "--out", "{tmp}/run"], "{tmp}/run/report.txt"),
+}
+
+
+@pytest.mark.parametrize("argv, named", OS_ERRORS.values(), ids=OS_ERRORS.keys())
+def test_os_error_on_a_path_exits_two(tmp_path, capsys, argv, named):
+    # each was a traceback with exit 1
+    (tmp_path / "file").write_text("")
+    _one_file_run(tmp_path / "run")
+    (tmp_path / "run" / "report.txt").mkdir()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and f"'{named.format(tmp=tmp_path)}'" in err

@@ -18,6 +18,7 @@ from rcmwalk import (
     derive_environment_seeds,
     experiments,
     heatkernel,
+    percolation,
     UniformizationCache,
     default_time_grid,
     poisson_truncation_k,
@@ -152,6 +153,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="not found"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_directory_is_not_a_regular_file(self, tmp_path):
+        # it was refused as "not found"
+        with pytest.raises(ValidationError, match="config file is not a regular file"):
+            load_config(tmp_path)
+
     def test_window_defaults_exclude_early_times(self):
         cfg = ExperimentConfig(t_min=2.0, t_max=100.0)
         assert cfg.window() == (10.0, 100.0)
@@ -284,7 +290,7 @@ class TestQuenchedRunner:
                 raise NumericalError("solver gave up")
             return return_prob_curve_exact(env, grid, tol, box_radius, patterns)
 
-        monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
+        monkeypatch.setattr(heatkernel, "return_prob_curve_exact", fail_on_second)
         rep = run_exponent(cfg, threads=threads)
         out = Path(cfg.directory)
         fits = _read_rows(out / "exponent_fits.csv")
@@ -303,7 +309,7 @@ class TestQuenchedRunner:
         def give_up(env, grid, tol=1e-12, box_radius=None, patterns=None):
             raise NumericalError("solver gave up")
 
-        monkeypatch.setattr(experiments, "return_prob_curve_exact", give_up)
+        monkeypatch.setattr(heatkernel, "return_prob_curve_exact", give_up)
         with pytest.raises(NumericalError, match=rf"^gamma=2\.0, seed={seeds[0]}: solver gave up$") as info:
             run_exponent(cfg, threads=1)
         assert str(info.value.__cause__) == "solver gave up"
@@ -411,7 +417,7 @@ class TestAnnealedRunner:
                 raise NumericalError("solver gave up")
             return return_prob_curve_exact(env, grid, tol, box_radius, patterns)
 
-        monkeypatch.setattr(experiments, "return_prob_curve_exact", fail_on_second)
+        monkeypatch.setattr(heatkernel, "return_prob_curve_exact", fail_on_second)
         rep = run_exponent(cfg, annealed=True)
         out = Path(cfg.directory)
         fits = _read_rows(out / "exponent_fits.csv")
@@ -484,13 +490,13 @@ class TestBoundSuite:
         assert f"survival_lanczos_steps={steps}\nsurvival_ritz_pairs={pairs}\nexit_tail_products=" in manifest
 
     def test_manifest_counts_exit_tail_products(self, tmp_path, monkeypatch):
-        tails, check = [], experiments.exit_time_tail_check
+        tails, check = [], spectral.exit_time_tail_check
 
         def recorded(spec, t_grid):
             tails.append(check(spec, t_grid))
             return tails[-1]
 
-        monkeypatch.setattr(experiments, "exit_time_tail_check", recorded)
+        monkeypatch.setattr(spectral, "exit_time_tail_check", recorded)
         cfg = _cfg(tmp_path)
         run_bound_suite(cfg)
         n = min(cfg.N_list)
@@ -500,13 +506,13 @@ class TestBoundSuite:
 
     def test_exit_tail_rate_counts_the_slope_verdict(self, tmp_path, monkeypatch):
         # the fitted envelope dominates every tail by construction; the rate counts the Gaussian-slope verdict
-        tails, check = [], experiments.exit_time_tail_check
+        tails, check = [], spectral.exit_time_tail_check
 
         def first_fails(spec, t_grid):
             tails.append(check(spec, t_grid))
             return replace(tails[-1], passed=len(tails) > 1)
 
-        monkeypatch.setattr(experiments, "exit_time_tail_check", first_fails)
+        monkeypatch.setattr(spectral, "exit_time_tail_check", first_fails)
         cfg = _cfg(tmp_path)
         rep = run_bound_suite(cfg)
         assert all(tail.passed and np.all(tail.p_exit <= tail.bound * (1 + 1e-12)) for tail in tails)
@@ -577,7 +583,7 @@ class TestBoundSuite:
             calls.append(env.seed)
             raise EmptyClusterError("no strong bond")
 
-        monkeypatch.setattr(experiments, "strong_cluster", no_cluster)
+        monkeypatch.setattr(percolation, "strong_cluster", no_cluster)
         with pytest.raises(EmptyClusterError, match=rf"^gamma=2\.0, seed={first}: no strong bond$") as info:
             run_bound_suite(cfg, threads=1)
         assert str(info.value.__cause__) == "no strong bond"
